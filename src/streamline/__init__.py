@@ -42,6 +42,7 @@ from .kernels import (
     normalize_rows,
     object_set_similarity,
     rbf_similarity,
+    row_col_max,
 )
 from .maximize import (
     MaximizerConfig,

@@ -190,10 +190,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     schedule = merged["schedule"]
     if isinstance(schedule, str):
-        ok = schedule == "sequential" or (
-            schedule.startswith("every_") and schedule.split("_", 1)[1].isdigit()
-        )
-        _require(ok, "schedule", '"sequential", "every_<k>", or a list of slice ids', schedule)
+        k = schedule.split("_", 1)[1] if schedule.startswith("every_") else ""
+        ok = schedule == "sequential" or (k.isdecimal() and int(k) >= 1)
+        _require(ok, "schedule", '"sequential", "every_<k>" with k >= 1, or a list of slice ids', schedule)
+        # every_<k> with k > 1 fills the other rounds with slices besides the rare one
+        _require(not k or int(k) == 1 or slices >= 2, "slices", f">= 2 under schedule {schedule}", slices)
     elif isinstance(schedule, list):
         for s in schedule:
             s = _as_int(s, "schedule")

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import build_kernel
+from .kernels import build_kernel, first_bad_row, row_col_max
 from .maximize import MaximizerConfig, maximize, partitioned_maximize
 from .setfunctions import FLCG, FLQMI, flqmi_normalizer
 
@@ -42,6 +42,8 @@ class LabeledSlice:
         self.X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
         if not (len(self.ids) == len(self.labels) == self.X.shape[0]):
             raise ValueError("ids, labels, and embeddings must have equal length")
+        if bad := first_bad_row(self.X):
+            raise ValueError("labeled embedding row %d is %s" % bad)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -79,18 +81,25 @@ class SlicedLabeledPool:
     def total_size(self) -> int:
         return int(self.sizes.sum())
 
+    def check_new(self, ids) -> None:
+        """Raise ValueError naming the first id that is repeated or already labeled."""
+        fresh: set[int] = set()
+        for i in ids:
+            i = int(i)
+            if i in fresh or i in self._seen_ids:
+                raise ValueError(f"item id {i} is {'repeated' if i in fresh else 'already labeled'}")
+            fresh.add(i)
+
     def add(self, t: int, ids, labels, X) -> None:
         """Append newly labeled items to slice t; ids must be globally new."""
         new = LabeledSlice(ids, labels, X)
-        for i in new.ids:
-            i = int(i)
-            if i in self._seen_ids:
-                raise ValueError(f"item id {i} is already labeled")
-            self._seen_ids.add(i)
         sl = self.slices[t]
+        X = np.vstack([sl.X, new.X])  # a dim mismatch fails before anything changes
+        self.check_new(new.ids)
+        self._seen_ids.update(new.ids.tolist())
         sl.ids = np.concatenate([sl.ids, new.ids])
         sl.labels = np.concatenate([sl.labels, new.labels])
-        sl.X = np.vstack([sl.X, new.X])
+        sl.X = X
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All labeled data as (X, labels), slices concatenated in order."""
@@ -116,6 +125,8 @@ class UnlabeledBuffer:
             raise ValueError("unlabeled buffer must be nonempty")
         if len(self.ids) != self.X.shape[0]:
             raise ValueError("ids and embeddings must have equal length")
+        if bad := first_bad_row(self.X):
+            raise ValueError("buffer embedding row %d is %s" % bad)
         if len(np.unique(self.ids)) != len(self.ids):
             raise ValueError("buffer ids must be unique")
 
@@ -208,6 +219,8 @@ def smidentify(
 ) -> IdentificationResult:
     """Identify the labeled slice the buffer most plausibly belongs to.
 
+    Each slice's score is smidentify_scores of its buffer x slice kernel,
+    computed from that kernel's row and column maxima without holding it.
     Ties break toward the smallest slice index. Returns the winning index and
     the full score vector for diagnostics.
     """
@@ -215,11 +228,11 @@ def smidentify(
         if len(sl) == 0:
             raise EmptySliceError(t)
     feats_u = _featurize(featurizer, buffer.X)
-    kernels = [
-        build_kernel(feats_u, _featurize(featurizer, sl.X), metric=metric, bandwidth=bandwidth)
-        for sl in pool.slices
-    ]
-    scores = smidentify_scores(kernels)
+    scores = np.empty(pool.num_slices)
+    for t, sl in enumerate(pool.slices):
+        # smidentify_scores on the full kernel, from its row and column maxima
+        row, col = row_col_max(feats_u, _featurize(featurizer, sl.X), metric, bandwidth)
+        scores[t] = (row.sum() + col.sum()) / flqmi_normalizer(len(row), len(col))
     return IdentificationResult(slice_id=int(np.argmax(scores)), scores=scores)
 
 
@@ -272,17 +285,18 @@ def scg_select(
     if b <= 0:
         return []
     feats_u = _featurize(featurizer, buffer.X)
-    feats_p = _featurize(featurizer, pool.slices[t].X)
     S_uu = build_kernel(feats_u, feats_u, metric=metric, bandwidth=bandwidth).values
-    S_up = build_kernel(feats_u, feats_p, metric=metric, bandwidth=bandwidth).values
+    # FLCG reads only max_j S_up[i, j]; a one-column private kernel carries it.
+    best, _ = row_col_max(feats_u, _featurize(featurizer, pool.slices[t].X), metric, bandwidth)
+    best = best[:, None]
     p = min(maximizer_cfg.partitions, len(buffer))
     if p > 1:
         cfg = replace(maximizer_cfg, budget=b, partitions=p)
         trace = partitioned_maximize(
-            lambda ids: FLCG(S_uu[np.ix_(ids, ids)], S_up[ids, :]), len(buffer), cfg
+            lambda ids: FLCG(S_uu[np.ix_(ids, ids)], best[ids]), len(buffer), cfg
         )
     else:
-        trace = maximize(FLCG(S_uu, S_up), replace(maximizer_cfg, budget=b, partitions=1))
+        trace = maximize(FLCG(S_uu, best), replace(maximizer_cfg, budget=b, partitions=1))
     return [int(buffer.ids[i]) for i in trace.chosen]
 
 
@@ -331,8 +345,16 @@ def streamline_round(
 
     Selected items are appended to the identified slice even when the
     identification was wrong; the caller retrains afterwards. The granted
-    budget is capped at the buffer size, with any capped excess credited
-    back to gamma.
+    budget is capped at the buffer size. The selection (from scg_select or
+    selector_fn) must hold at most that many distinct, unlabeled buffer
+    ids; otherwise ValueError names the offending id before anything is
+    labeled.
+
+    Conservation: with slice-aware budgeting every round spends plus banks
+    exactly B, where banked = gamma_after - gamma_before (negative when a
+    rare round draws on gamma). Labels granted but not spent, whether capped
+    by the buffer size or left over by a short selection, go back to gamma.
+    A fixed budget leaves gamma alone.
     """
     ident = smidentify(
         pool, buffer, cfg.identify_featurizer, cfg.identify_metric, cfg.bandwidth
@@ -348,21 +370,27 @@ def streamline_round(
         decision, new_state = slice_aware_budget(pool, state, t)
 
     granted = min(decision.b, len(buffer))
-    if granted < decision.b and not cfg.fixed_budget:
-        new_state = replace(new_state, gamma=new_state.gamma + (decision.b - granted))
-
     if cfg.selector_fn is not None:
-        selected = list(cfg.selector_fn(pool, buffer, t, granted))
+        selected = cfg.selector_fn(pool, buffer, t, granted)
     else:
         selected = scg_select(
             pool, buffer, t, granted, cfg.maximizer,
             cfg.select_featurizer, cfg.select_metric, cfg.bandwidth,
         )
 
+    selected = [int(i) for i in selected]
+    if len(selected) > granted:
+        raise ValueError(f"selection of {len(selected)} ids exceeds the granted {granted}")
+    pos = {int(i): k for k, i in enumerate(buffer.ids)}
+    if outside := [i for i in selected if i not in pos]:
+        raise ValueError(f"selected id {outside[0]} is not in the buffer")
+    pool.check_new(selected)
+    if not cfg.fixed_budget:
+        new_state = replace(new_state, gamma=new_state.gamma + (decision.b - len(selected)))
+
     if selected:
         sel = np.asarray(selected, dtype=np.int64)
-        pos = {int(i): k for k, i in enumerate(buffer.ids)}
-        rows = np.array([pos[int(i)] for i in sel], dtype=np.intp)
+        rows = np.array([pos[i] for i in selected], dtype=np.intp)
         labels = label_oracle(sel)
         pool.add(t, sel, labels, buffer.X[rows])
 
@@ -372,7 +400,7 @@ def streamline_round(
         identification_correct=(t == buffer.true_slice),
         decision=decision,
         granted=len(selected),
-        selected_ids=[int(i) for i in selected],
+        selected_ids=selected,
         scores=ident.scores,
         gamma_after=new_state.gamma,
     )

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .kernels import first_bad_row
+
 MAGIC = b"SLEM"
 VERSION = 1
 _HEADER = struct.Struct("<4sHII")
@@ -82,16 +84,26 @@ def _parse_text_embeddings(raw: bytes, path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float32)
 
 
+def _check_rows(X: np.ndarray, path, binary: bool) -> None:
+    """Reject NaN, inf (float32 overflow included) and all-zero rows."""
+    if bad := first_bad_row(X):
+        i, why = bad
+        where = f" at byte offset {_HEADER.size + 4 * X.shape[1] * i}" if binary else ""
+        raise EmbeddingFileError(f"{path}: row {i}{where} is {why}")
+
+
 def read_embeddings(path) -> EmbeddingCollection:
     """Read an embedding file (and its sidecar, if any) back.
 
     The binary format is canonical; files without the magic bytes are parsed
     as delimited text, one embedding row per line. Raises EmbeddingFileError
-    naming the offending byte offsets for a bad magic-format payload.
+    naming the offending byte offsets for a bad magic-format payload, and
+    rejects any NaN, inf or all-zero row, naming it.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         X = _parse_text_embeddings(raw, path)
+        _check_rows(X, path, binary=False)
         return _with_sidecar(path, X)
     if len(raw) < _HEADER.size:
         raise EmbeddingFileError(
@@ -109,6 +121,7 @@ def read_embeddings(path) -> EmbeddingCollection:
             f"({count}x{dim} float32 after offset {_HEADER.size}), got {len(raw)}"
         )
     X = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(count, dim).copy()
+    _check_rows(X, path, binary=True)
     return _with_sidecar(path, X)
 
 

@@ -40,6 +40,16 @@ def normalize_rows(X: np.ndarray) -> np.ndarray:
     return X / norms[:, None]
 
 
+def first_bad_row(X: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a 2-D array that is not finite or is all zero, and why."""
+    finite = np.isfinite(X).all(axis=1)
+    bad = ~finite | ~X.any(axis=1)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i, "all zero" if finite[i] else "not finite"
+
+
 def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[-1] != b.shape[-1]:
         raise KernelError(
@@ -149,6 +159,52 @@ def _is_object_collection(items) -> bool:
     raise KernelError("collection mixes flat embeddings and object sets")
 
 
+# Columns per flat-kernel block. The last block takes the remainder, so no
+# block is narrow and a kernel with fewer than 2 * _BLOCK columns is one
+# matrix product.
+_BLOCK = 1024
+
+
+def _flat_side(X, metric: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """One collection as every kernel block reads it, prepared once.
+
+    Cosine reads the normalized rows (zero rows are rejected there), rbf the
+    rows and their squared norms. Non-finite rows are rejected.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise KernelError(f"flat collections must be nonempty 2-D arrays, got shape {X.shape}")
+    X, sq = (normalize_rows(X), None) if metric == "cosine" else (X, np.sum(X * X, axis=1))
+    finite = np.isfinite(X).all(axis=1) if sq is None else np.isfinite(sq)
+    if not finite.all():
+        raise KernelError(f"embedding row {int(np.argmin(finite))} has non-finite entries")
+    return X, sq
+
+
+def _flat_prepare(rows, cols, metric: str, bandwidth: float):
+    """Both sides of a flat kernel, prepared once, and its column blocks as slices."""
+    if metric == "rbf" and bandwidth <= 0.0:
+        raise KernelError(f"bandwidth must be positive, got {bandwidth}")
+    R, C = _flat_side(rows, metric), _flat_side(cols, metric)
+    _check_dims(R[0], C[0])
+    m = C[0].shape[0]
+    starts = [k * _BLOCK for k in range(max(m // _BLOCK, 1))] + [m]
+    return R, C, [slice(j0, j1) for j0, j1 in zip(starts, starts[1:])]
+
+
+def _flat_block(R, C, j: slice, metric: str, bandwidth: float, out: np.ndarray) -> np.ndarray:
+    """Columns j of the flat kernel between prepared sides R and C, written into out.
+
+    Cosine entries are left unclipped; rbf entries already lie in [0, 1].
+    """
+    (R, r_sq), (C, c_sq) = R, C
+    np.matmul(R, C[j].T, out=out)
+    if metric == "rbf":
+        sq = r_sq[:, None] + c_sq[None, j] - 2.0 * out
+        np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2), out=out)
+    return out
+
+
 def build_kernel(
     rows,
     cols,
@@ -169,7 +225,10 @@ def build_kernel(
         row_ids/col_ids: optional stable item identifiers.
 
     Entries are metric(rows[i], cols[j]) computed vectorized but equal to the
-    scalar ops entrywise.
+    scalar ops entrywise. Flat kernels are computed in the column blocks
+    row_col_max reads, so the two agree bit for bit; with 2 * _BLOCK columns
+    or more, a multi-threaded BLAS may differ in the last bit from one whole
+    matrix product, which can move near-tie selections.
     """
     if metric not in ("cosine", "rbf", "object_set", None):
         raise KernelError(f"unknown metric {metric!r}")
@@ -189,25 +248,37 @@ def build_kernel(
     if not rows_are_objects and metric == "object_set":
         raise KernelError("object_set metric requires object-set collections")
 
+    values = np.empty((len(rows), len(cols)))
     if metric == "object_set":
-        values = np.empty((len(rows), len(cols)))
         for i, x1 in enumerate(rows):
             for j, x2 in enumerate(cols):
                 values[i, j] = object_set_similarity(x1, x2)
     else:
-        R = np.asarray(rows, dtype=np.float64)
-        C = np.asarray(cols, dtype=np.float64)
-        _check_dims(R, C)
-        if metric == "cosine":
-            values = np.clip(normalize_rows(R) @ normalize_rows(C).T, 0.0, 1.0)
-        else:
-            if bandwidth <= 0.0:
-                raise KernelError(f"bandwidth must be positive, got {bandwidth}")
-            sq = (
-                np.sum(R * R, axis=1)[:, None]
-                + np.sum(C * C, axis=1)[None, :]
-                - 2.0 * (R @ C.T)
-            )
-            values = np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2))
+        R, C, blocks = _flat_prepare(rows, cols, metric, bandwidth)
+        for j in blocks:
+            _flat_block(R, C, j, metric, bandwidth, out=values[:, j])
+        np.clip(values, 0.0, 1.0, out=values)
 
     return SimilarityMatrix(values, tuple(row_ids or ()), tuple(col_ids or ()))
+
+
+def row_col_max(rows, cols, metric: str = "cosine", bandwidth: float = 1.0):
+    """Row and column maxima of build_kernel(rows, cols, metric, bandwidth).
+
+    A flat kernel is never held whole: its column blocks are the ones
+    build_kernel computes, each folded into a running row max and its own
+    column max in one reused scratch block, and only those two vectors are
+    clipped, since clipping commutes with max. The maxima equal the full
+    kernel's exactly. Object-set collections go through build_kernel.
+    """
+    if metric not in ("cosine", "rbf"):
+        values = build_kernel(rows, cols, metric=metric, bandwidth=bandwidth).values
+        return values.max(axis=1), values.max(axis=0)
+    R, C, blocks = _flat_prepare(rows, cols, metric, bandwidth)
+    scratch = np.empty((R[0].shape[0], blocks[-1].stop - blocks[-1].start))  # the widest block
+    row_max, col_max = np.full(R[0].shape[0], -np.inf), []
+    for j in blocks:
+        block = _flat_block(R, C, j, metric, bandwidth, out=scratch[:, : j.stop - j.start])
+        np.maximum(row_max, block.max(axis=1), out=row_max)
+        col_max.append(block.max(axis=0))
+    return np.clip(row_max, 0.0, 1.0), np.clip(np.concatenate(col_max), 0.0, 1.0)

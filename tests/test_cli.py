@@ -165,6 +165,30 @@ def test_embeddings_text_format_with_sidecar(tmp_path):
     assert list(back.slices) == [1, 0]
 
 
+@pytest.mark.parametrize(
+    "bad_row, why", [([1.0, np.nan], "not finite"), ([np.inf, 0.0], "not finite"), ([0.0, 0.0], "all zero")]
+)
+def test_embeddings_reject_bad_rows_naming_row_and_offset(tmp_path, bad_row, why):
+    X = np.array([[1.0, 2.0], [3.0, 4.0], bad_row])
+    binary = tmp_path / "emb.slem"
+    write_embeddings(binary, X)
+    # 14-byte header, then 2 float32 values (8 bytes) per row
+    with pytest.raises(EmbeddingFileError, match=f"row 2 at byte offset 30 is {why}"):
+        read_embeddings(binary)
+    text = tmp_path / "emb.csv"
+    text.write_text("\n".join(",".join(str(v) for v in row) for row in X) + "\n")
+    with pytest.raises(EmbeddingFileError, match=f"row 2 is {why}"):
+        read_embeddings(text)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+def test_embeddings_text_overflowing_float32_is_not_finite(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("1e39,1.0\n")
+    with pytest.raises(EmbeddingFileError, match="row 0 is not finite"):
+        read_embeddings(path)
+
+
 def test_embeddings_text_format_errors(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("1.0,2.0\n3.0\n")
@@ -301,3 +325,22 @@ def test_run_with_workers_matches_serial(tmp_path):
     assert (tmp_path / "serial" / "metrics.csv").read_bytes() == (
         tmp_path / "parallel" / "metrics.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [({"schedule": "every_0"}, "schedule"), ({"slices": 1, "dim": 4}, "slices")],
+)
+def test_cli_schedule_without_common_rounds_exit_2(tmp_path, capsys, override, field):
+    path = write_config(tmp_path, {**minimal_config(), **override})
+    assert main(["validate", "--config", str(path)]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_single_slice_schedules_that_need_no_common_slice():
+    for schedule in ("every_1", "sequential", [0, 0]):
+        cfg = config_from_dict({**minimal_config(), "slices": 1, "schedule": schedule, "rounds": 2})
+        assert cfg.resolved_schedule() == (0, 0)

@@ -158,11 +158,11 @@ def test_budget_three_round_hand_trace():
 
     d1, state = slice_aware_budget(pool, state, 0)
     assert (d1.b, state.gamma) == (11, 9.0)  # floor(10 + 10*10/80) = 11
-    pool.add(0, np.arange(1000, 1000 + 11), np.zeros(11, int), np.zeros((11, 4)))
+    pool.add(0, np.arange(1000, 1000 + 11), np.zeros(11, int), np.ones((11, 4)))
 
     d2, state = slice_aware_budget(pool, state, 0)
     assert (d2.b, state.gamma) == (11, 18.0)  # floor(10 + 10*10/91) = 11
-    pool.add(0, np.arange(2000, 2000 + 11), np.zeros(11, int), np.zeros((11, 4)))
+    pool.add(0, np.arange(2000, 2000 + 11), np.zeros(11, int), np.ones((11, 4)))
 
     d3, state = slice_aware_budget(pool, state, 1)
     assert d3.branch == "rare"
@@ -210,7 +210,7 @@ def test_budget_fuzz_conservation():
                     t,
                     np.arange(next_id, next_id + decision.b),
                     np.zeros(decision.b, int),
-                    np.zeros((decision.b, 4)),
+                    np.ones((decision.b, 4)),
                 )
                 next_id += decision.b
         assert total_granted <= rounds * B
@@ -399,3 +399,81 @@ def test_budget_conservation_over_streamed_rounds():
         total += report.granted
     assert total <= len(rounds) * 15
     assert total == pool.total_size - (40 + 40 + 8)
+
+
+# ------------------------------------------------------- ingestion and selection
+
+
+@pytest.mark.parametrize(
+    "bad_row, why",
+    [([np.nan, 1, 0, 0], "not finite"), ([0, -np.inf, 0, 1], "not finite"), ([0, 0, 0, 0], "all zero")],
+)
+def test_ingestion_rejects_bad_embedding_rows(bad_row, why):
+    X = np.array([[1.0, 2.0, 3.0, 4.0], bad_row])
+    with pytest.raises(ValueError, match=f"buffer embedding row 1 is {why}"):
+        UnlabeledBuffer(ids=[0, 1], X=X)
+    with pytest.raises(ValueError, match=f"labeled embedding row 1 is {why}"):
+        LabeledSlice([0, 1], [0, 0], X)
+    pool, _ = make_pool([3], [False])
+    with pytest.raises(ValueError, match=f"row 1 is {why}"):
+        pool.add(0, [100, 101], [0, 0], X)
+    assert pool.sizes[0] == 3
+    pool.add(0, [100], [0], X[:1])  # the failed add left id 100 unlabeled
+
+
+def test_pool_add_changes_nothing_when_it_fails():
+    pool, _ = make_pool([3], [False])
+    with pytest.raises(ValueError):
+        pool.add(0, [100, 101], [0, 0], np.ones((2, 2)))  # wrong dim
+    with pytest.raises(ValueError, match="item id 102 is repeated"):
+        pool.add(0, [102, 102], [0, 0], np.ones((2, 4)))
+    pool.add(0, [100, 101, 102], [0, 0, 0], np.ones((3, 4)))
+    assert pool.sizes[0] == 6
+
+
+def test_pool_check_new_names_the_first_bad_id():
+    pool, _ = make_pool([3], [False])
+    pool.check_new([100, 101])  # new ids pass and are not recorded
+    pool.check_new([100])
+    with pytest.raises(ValueError, match="item id 2 is already labeled"):
+        pool.check_new([100, 2, 101, 101])
+    with pytest.raises(ValueError, match="item id 101 is repeated"):
+        pool.check_new([100, 101, 101, 2])
+
+
+def _round_with_selector(selector):
+    pool, next_id = make_pool([10], [False], spread=0.02)
+    buf = make_buffer(9, axis=0, next_id=next_id, true_slice=0)
+    state = BudgetState(B=3, rho=0.5)
+    cfg = StreamlineConfig(maximizer=_maximizer(), selector_fn=selector)
+    return pool, buf, state, cfg
+
+
+@pytest.mark.parametrize(
+    "pick, message",
+    [
+        (lambda ids: [int(ids[0]), 99], "selected id 99 is not in the buffer"),
+        (lambda ids: [int(ids[0]), int(ids[0])], r"item id \d+ is repeated"),
+        (lambda ids: [int(ids[0]), 3], "item id 3 is already labeled"),
+        (lambda ids: [int(i) for i in ids[:4]], "selection of 4 ids exceeds the granted 3"),
+    ],
+)
+def test_round_rejects_bad_selections_before_labeling(pick, message):
+    pool, buf, state, cfg = _round_with_selector(lambda p, u, t, b: pick(u.ids))
+    buf.ids[1] = 3  # one buffer id that the pool has already labeled
+    labeled = []
+    with pytest.raises(ValueError, match=message):
+        streamline_round(pool, buf, state, cfg, lambda ids: labeled.append(ids) or np.zeros(len(ids), int))
+    assert labeled == [] and pool.sizes[0] == 10
+
+
+def test_round_credits_a_short_selection_to_gamma():
+    # B=3, |P|=10 = beta: the common branch grants all 3 and banks nothing.
+    pool, buf, state, cfg = _round_with_selector(lambda p, u, t, b: [int(u.ids[0])])
+    report, pool, new_state = streamline_round(pool, buf, state, cfg, _oracle(buf))
+    assert report.decision.b == 3 and report.granted == 1
+    assert new_state.gamma == 2.0  # spent 1 + banked 2 = B
+    fixed = StreamlineConfig(maximizer=_maximizer(), fixed_budget=True, selector_fn=cfg.selector_fn)
+    pool, buf, state, _ = _round_with_selector(None)
+    report, _, new_state = streamline_round(pool, buf, state, fixed, _oracle(buf))
+    assert report.granted == 1 and new_state.gamma == 0.0  # a fixed budget banks nothing
