@@ -101,6 +101,23 @@ class SlicedLabeledPool:
         sl.labels = np.concatenate([sl.labels, new.labels])
         sl.X = X
 
+    def add_selected(self, t: int, buffer: UnlabeledBuffer, ids, label_oracle) -> None:
+        """Label the selected buffer ids and append their rows to slice t.
+
+        ValueError names the first id outside the buffer, repeated or already
+        labeled, before label_oracle is asked for anything.
+        """
+        ids = [int(i) for i in ids]
+        if not ids:
+            return
+        pos = {i: k for k, i in enumerate(buffer.ids.tolist())}
+        if outside := [i for i in ids if i not in pos]:
+            raise ValueError(f"selected id {outside[0]} is not in the buffer")
+        self.check_new(ids)
+        sel = np.asarray(ids, dtype=np.int64)
+        rows = np.array([pos[i] for i in ids], dtype=np.intp)
+        self.add(t, sel, label_oracle(sel), buffer.X[rows])
+
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All labeled data as (X, labels), slices concatenated in order."""
         X = np.vstack([sl.X for sl in self.slices])
@@ -381,18 +398,9 @@ def streamline_round(
     selected = [int(i) for i in selected]
     if len(selected) > granted:
         raise ValueError(f"selection of {len(selected)} ids exceeds the granted {granted}")
-    pos = {int(i): k for k, i in enumerate(buffer.ids)}
-    if outside := [i for i in selected if i not in pos]:
-        raise ValueError(f"selected id {outside[0]} is not in the buffer")
-    pool.check_new(selected)
+    pool.add_selected(t, buffer, selected, label_oracle)
     if not cfg.fixed_budget:
         new_state = replace(new_state, gamma=new_state.gamma + (decision.b - len(selected)))
-
-    if selected:
-        sel = np.asarray(selected, dtype=np.int64)
-        rows = np.array([pos[i] for i in selected], dtype=np.intp)
-        labels = label_oracle(sel)
-        pool.add(t, sel, labels, buffer.X[rows])
 
     report = RoundReport(
         identified_slice=t,

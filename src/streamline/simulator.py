@@ -45,6 +45,9 @@ METHODS = (
     "badge",
 )
 
+# Methods whose selection reads the current model, the initial pool's in round 0.
+_READS_MODEL = ("streamline_repl_scg", "entropy", "margin", "least_conf", "badge")
+
 
 def every_k_schedule(n_rounds: int, n_slices: int, rare_slice: int | None = None, k: int = 3):
     """Rare slice every k-th round; common slices cycle through the rest."""
@@ -229,17 +232,34 @@ class Learner:
         return self.logits(X).argmax(axis=1)
 
 
-def logistic_loss_and_grad(W, b, X, y, l2: float = 0.0):
-    """Mean cross-entropy (+ L2 on W) and its analytic gradients."""
+def logistic_loss_and_grad(W, b, X, y, l2: float = 0.0, *, rows=None):
+    """Mean cross-entropy (+ L2 on W) and its analytic gradients.
+
+    The softmax runs class-major, on a C-contiguous (C, n) copy of the
+    logits X @ W.T, so each reduction over the C classes is one pass over
+    all n rows instead of n short ones. The bits equal those of the
+    row-major softmax: max, subtract, exp and divide are elementwise; for
+    C < 8 the class sum adds left to right, as numpy does on a short row,
+    and for C >= 8 it sums a row-major copy, which numpy sums pairwise.
+    The residual R is an (n, C) row-major copy, so R.T @ X is the same BLAS
+    call, and grad_b = R.sum(axis=0) / n is what R.mean(axis=0) computes.
+    rows is np.arange(len(y)); a caller in a loop can pass it once.
+    """
     n = len(y)
-    model = Learner(W=W, b=b)
-    P = model.predict_proba(X)
-    eps = 1e-12
-    loss = -np.log(P[np.arange(n), y] + eps).mean() + 0.5 * l2 * float((W * W).sum())
-    R = P.copy()
-    R[np.arange(n), y] -= 1.0
+    if rows is None:
+        rows = np.arange(n)
+    zt = (np.atleast_2d(X) @ W.T).T.copy()
+    zt += b[:, None]
+    zt -= np.maximum.reduce(zt, axis=0)
+    np.exp(zt, out=zt)
+    zt /= zt.sum(axis=0) if len(b) < 8 else zt.T.copy().sum(axis=1)
+    at_y = np.asarray(y) * n + rows  # flat positions of P[i, y_i] in zt
+    p_y = zt.take(at_y)
+    loss = -np.log(p_y + 1e-12).mean() + 0.5 * l2 * float((W * W).sum())
+    zt.put(at_y, p_y - 1.0)
+    R = zt.T.copy()
     grad_W = R.T @ X / n + l2 * W
-    grad_b = R.mean(axis=0)
+    grad_b = R.sum(axis=0) / n
     return float(loss), grad_W, grad_b
 
 
@@ -248,23 +268,35 @@ def fit_logistic(X, y, cfg: LearnerConfig, n_classes: int | None = None) -> Lear
 
     The base step is divided by a curvature estimate from the feature norms,
     then halved whenever a step would increase the loss, so the recorded loss
-    history is nonincreasing.
+    history is nonincreasing. y must hold one label per row of X, each in
+    [0, n_classes), or ValueError says what is wrong, naming the first row
+    whose label is outside. Every loss and gradient comes from
+    logistic_loss_and_grad, so fits equal those of the row-major softmax.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
+    if len(y) == 0 or len(y) != X.shape[0]:
+        raise ValueError(
+            f"need one label per row and at least one row, got {len(y)} labels for {X.shape[0]} rows"
+        )
     C = int(n_classes if n_classes is not None else y.max() + 1)
+    outside = np.flatnonzero((y < 0) | (y >= C))
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(f"label {int(y[i])} at row {i} is outside [0, {C})")
+    rows = np.arange(len(y))
     W = np.zeros((C, X.shape[1]))
     bias = np.zeros(C)
     curvature = 0.5 * float((X * X).sum(axis=1).mean()) + cfg.l2 + 1.0
     step = cfg.step_size / curvature
-    loss, gW, gb = logistic_loss_and_grad(W, bias, X, y, cfg.l2)
+    loss, gW, gb = logistic_loss_and_grad(W, bias, X, y, cfg.l2, rows=rows)
     losses = [loss]
     for _ in range(cfg.epochs):
         stepped = False
         while step >= 1e-12:
             W_try = W - step * gW
             b_try = bias - step * gb
-            loss_try, gW_try, gb_try = logistic_loss_and_grad(W_try, b_try, X, y, cfg.l2)
+            loss_try, gW_try, gb_try = logistic_loss_and_grad(W_try, b_try, X, y, cfg.l2, rows=rows)
             if loss_try <= loss + 1e-12:
                 W, bias, loss, gW, gb = W_try, b_try, loss_try, gW_try, gb_try
                 stepped = True
@@ -368,14 +400,16 @@ def run_experiment(spec: StreamSpec, method: str, cfg: RunConfig) -> MetricsLog:
 
     The slice-aware variants append selections to the slice they identified;
     fixed-budget baselines append to the episode's true slice. The learner is
-    retrained from scratch on the grown pool after every round.
+    retrained from zero weights on the grown pool after every round. A model
+    of the initial pool is trained only for the methods whose first selection
+    reads it (_READS_MODEL); the others fit once per round.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
     pool, buffers, eval_set = generate_stream(spec)
     rng = np.random.default_rng([METHODS.index(method), spec.seed])
     state = BudgetState(B=cfg.budget, rho=cfg.rho)
-    learner = train_learner(pool, cfg.learner, spec.n_classes)
+    learner = train_learner(pool, cfg.learner, spec.n_classes) if method in _READS_MODEL else None
     rare = list(spec.rare_slices)
     records = []
     labels_total = 0
@@ -410,11 +444,7 @@ def run_experiment(spec: StreamSpec, method: str, cfg: RunConfig) -> MetricsLog:
                 selected = similar_select(buf, pool, rare[0], b, cfg.maximizer)
             else:  # badge
                 selected = badge_select(buf, learner.predict_proba(buf.X), buf.X, b, rng)
-            if selected:
-                sel = np.asarray(selected, dtype=np.int64)
-                pos = {int(i): k for k, i in enumerate(buf.ids)}
-                row_idx = np.array([pos[int(i)] for i in sel], dtype=np.intp)
-                pool.add(buf.true_slice, sel, label_oracle(sel), buf.X[row_idx])
+            pool.add_selected(buf.true_slice, buf, selected, label_oracle)
             identified, granted, gamma = buf.true_slice, len(selected), 0.0
 
         labels_total += granted

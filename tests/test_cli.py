@@ -7,6 +7,7 @@ import pytest
 from streamline.cli import SEED_ENV_VAR, main, run
 from streamline.config import ConfigError, config_from_dict, parse_config
 from streamline.embedio import EmbeddingFileError, read_embeddings, write_embeddings
+from streamline.simulator import METHODS
 
 
 def minimal_config():
@@ -285,6 +286,14 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
 
 def test_cli_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+
+def test_run_writes_the_same_bytes_with_one_or_two_workers(tmp_path):
+    cfg = config_from_dict({**tiny_run_config(), "methods": list(METHODS), "learner": {"epochs": 10}})
+    assert run(cfg, tmp_path / "serial", workers=1) == 0
+    assert run(cfg, tmp_path / "parallel", workers=2) == 0
+    for name in ("metrics.csv", "selections.jsonl", "summary.json"):
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
 
 
 def test_cli_run_and_efficiency(tmp_path, capsys):

@@ -441,6 +441,25 @@ def test_pool_check_new_names_the_first_bad_id():
         pool.check_new([100, 101, 101, 2])
 
 
+def test_pool_add_selected_appends_buffer_rows_after_its_checks():
+    pool, next_id = make_pool([3], [False])
+    buf = make_buffer(5, axis=1, next_id=next_id, true_slice=0)
+    buf.ids[2] = 1  # one buffer id that the pool has already labeled
+    asked = []
+    oracle = lambda ids: asked.append(ids.tolist()) or np.full(len(ids), 2)  # noqa: E731
+    for bad, message in (([int(buf.ids[0]), 99], "selected id 99 is not in the buffer"),
+                         ([1], "item id 1 is already labeled")):
+        with pytest.raises(ValueError, match=message):
+            pool.add_selected(0, buf, bad, oracle)
+    pool.add_selected(0, buf, [], oracle)
+    assert asked == [] and pool.sizes[0] == 3
+    picked = [int(buf.ids[4]), int(buf.ids[1])]
+    pool.add_selected(0, buf, picked, oracle)
+    assert asked == [picked] and pool.slices[0].ids[3:].tolist() == picked
+    np.testing.assert_array_equal(pool.slices[0].X[3:], buf.X[[4, 1]])
+    assert pool.slices[0].labels[3:].tolist() == [2, 2]
+
+
 def _round_with_selector(selector):
     pool, next_id = make_pool([10], [False], spread=0.02)
     buf = make_buffer(9, axis=0, next_id=next_id, true_slice=0)

@@ -1,8 +1,11 @@
-"""Property tests for the fused kernel path of identify and select, and the round.
+"""Property tests for the fused kernel path of identify and select, the round,
+and the class-major logistic learner.
 
 row_col_max, smidentify and scg_select never hold a |U| x |P| kernel; the
 first three tests check them against the definitional path built from full
-kernels. The last checks budget conservation over whole rounds.
+kernels. The next checks budget conservation over whole rounds. The last two
+check logistic_loss_and_grad and fit_logistic bit for bit against the
+row-major softmax they replaced.
 """
 
 import numpy as np
@@ -26,6 +29,7 @@ from streamline import (
     streamline_round,
 )
 from streamline.kernels import _BLOCK
+from streamline.simulator import Learner, LearnerConfig, fit_logistic, logistic_loss_and_grad
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -129,3 +133,97 @@ def test_every_round_spends_plus_banks_its_base_budget(seed, sizes, B, rho, roun
         state = new_state
     ids = np.concatenate([sl.ids for sl in pool.slices])
     assert len(np.unique(ids)) == len(ids)
+
+
+def _reference_loss_and_grad(W, b, X, y, l2: float = 0.0):
+    """The row-major softmax that logistic_loss_and_grad replaced, verbatim."""
+    n = len(y)
+    model = Learner(W=W, b=b)
+    P = model.predict_proba(X)
+    eps = 1e-12
+    loss = -np.log(P[np.arange(n), y] + eps).mean() + 0.5 * l2 * float((W * W).sum())
+    R = P.copy()
+    R[np.arange(n), y] -= 1.0
+    grad_W = R.T @ X / n + l2 * W
+    grad_b = R.mean(axis=0)
+    return float(loss), grad_W, grad_b
+
+
+def _reference_fit(X, y, cfg, C):
+    """fit_logistic's descent on the reference loss; also counts rejected steps."""
+    W, bias = np.zeros((C, X.shape[1])), np.zeros(C)
+    step = cfg.step_size / (0.5 * float((X * X).sum(axis=1).mean()) + cfg.l2 + 1.0)
+    loss, gW, gb = _reference_loss_and_grad(W, bias, X, y, cfg.l2)
+    losses, halvings = [loss], 0
+    for _ in range(cfg.epochs):
+        stepped = False
+        while step >= 1e-12:
+            W_try, b_try = W - step * gW, bias - step * gb
+            loss_try, gW_try, gb_try = _reference_loss_and_grad(W_try, b_try, X, y, cfg.l2)
+            if loss_try <= loss + 1e-12:
+                W, bias, loss, gW, gb = W_try, b_try, loss_try, gW_try, gb_try
+                stepped = True
+                break
+            step *= 0.5
+            halvings += 1
+        if not stepped:
+            break
+        losses.append(loss)
+    return W, bias, np.asarray(losses), halvings
+
+
+def _learner_problem(seed, n, d, C, n_labels):
+    """Features at a random scale and labels from n_labels of the C classes."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0)
+    y = rng.choice(rng.permutation(C)[:n_labels], size=n)
+    return rng, X, y
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 1500),
+    d=st.integers(1, 40),
+    C=st.integers(2, 12),
+    n_labels=st.integers(1, 12),
+    l2=st.sampled_from([0.0, 1e-3, 0.5]),
+)
+def test_loss_and_grad_equal_the_row_major_softmax(seed, n, d, C, n_labels, l2):
+    rng, X, y = _learner_problem(seed, n, d, C, min(n_labels, C))
+    W, b = rng.normal(size=(C, d)) * rng.uniform(0.1, 5.0), rng.normal(size=C)
+    loss, gW, gb = logistic_loss_and_grad(W, b, X, y, l2)
+    ref_loss, ref_gW, ref_gb = _reference_loss_and_grad(W, b, X, y, l2)
+    assert loss == ref_loss
+    np.testing.assert_array_equal(gW, ref_gW)
+    np.testing.assert_array_equal(gb, ref_gb)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    d=st.integers(1, 20),
+    C=st.integers(2, 12),
+    n_labels=st.integers(1, 12),
+    l2=st.sampled_from([0.0, 1e-3, 0.5]),
+)
+def test_fit_equals_the_row_major_reference_fit(seed, n, d, C, n_labels, l2):
+    _, X, y = _learner_problem(seed, n, d, C, min(n_labels, C))
+    cfg = LearnerConfig(epochs=15, l2=l2)
+    learner = fit_logistic(X, y, cfg, C)
+    W, b, losses, _ = _reference_fit(X, y, cfg, C)
+    np.testing.assert_array_equal(learner.W, W)
+    np.testing.assert_array_equal(learner.b, b)
+    np.testing.assert_array_equal(learner.loss_history, losses)
+
+
+def test_fit_equals_the_reference_fit_when_backtracking_fires():
+    _, X, y = _learner_problem(7, 200, 16, 6, 6)
+    cfg = LearnerConfig(step_size=64.0, epochs=40)
+    learner = fit_logistic(X, y, cfg, 6)
+    W, b, losses, halvings = _reference_fit(X, y, cfg, 6)
+    assert halvings > 0
+    np.testing.assert_array_equal(learner.W, W)
+    np.testing.assert_array_equal(learner.b, b)
+    np.testing.assert_array_equal(learner.loss_history, losses)

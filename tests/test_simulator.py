@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import streamline.simulator as simulator
 from streamline.core import SlicedLabeledPool, LabeledSlice
 from streamline.simulator import (
+    METHODS,
     EvalSet,
     Learner,
     LearnerConfig,
@@ -176,6 +178,24 @@ def test_gradient_matches_central_finite_differences():
         assert gb[k] == pytest.approx(num, rel=1e-4, abs=1e-7)
 
 
+@pytest.mark.parametrize("bad, row", [(-1, 4), (3, 7)])
+def test_fit_rejects_a_label_outside_the_classes(bad, row):
+    rng = np.random.default_rng(6)
+    X, y = rng.normal(size=(10, 2)), np.zeros(10, dtype=int)
+    y[row] = bad
+    with pytest.raises(ValueError, match=rf"label {bad} at row {row} is outside \[0, 3\)"):
+        fit_logistic(X, y, LearnerConfig(epochs=5), n_classes=3)
+    pool = SlicedLabeledPool([LabeledSlice(np.arange(10), y, X)], [False])
+    with pytest.raises(ValueError, match=f"label {bad} at row {row}"):
+        train_learner(pool, LearnerConfig(epochs=5), n_classes=3)
+
+
+@pytest.mark.parametrize("n_labels, n_rows", [(0, 0), (4, 5), (5, 4)])
+def test_fit_rejects_labels_that_do_not_match_the_rows(n_labels, n_rows):
+    with pytest.raises(ValueError, match=f"got {n_labels} labels for {n_rows} rows"):
+        fit_logistic(np.ones((n_rows, 3)), np.zeros(n_labels, dtype=int), LearnerConfig(epochs=3), 3)
+
+
 def test_learner_predictions_are_simplex():
     rng = np.random.default_rng(5)
     learner = fit_logistic(rng.normal(size=(30, 4)), rng.integers(0, 3, 30), LearnerConfig(epochs=30))
@@ -298,6 +318,18 @@ def test_run_variants_execute():
     fixed = run_experiment(spec, "streamline_no_budget", small_run_cfg())
     assert [r.granted for r in fixed.records] == [10] * 6
     assert all(r.gamma == 0.0 for r in fixed.records)
+
+
+def test_run_fits_the_initial_model_only_for_methods_that_read_it(monkeypatch):
+    calls = []
+    fit = simulator.fit_logistic
+    monkeypatch.setattr(simulator, "fit_logistic", lambda *a, **k: calls.append(1) or fit(*a, **k))
+    reads_model = {"entropy", "margin", "least_conf", "badge", "streamline_repl_scg"}
+    rounds = len(small_spec().schedule)
+    for method in METHODS:
+        calls.clear()
+        run_experiment(small_spec(), method, small_run_cfg(learner=LearnerConfig(epochs=5)))
+        assert len(calls) == rounds + (method in reads_model), method
 
 
 def test_run_unknown_method_rejected():
