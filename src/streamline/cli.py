@@ -50,16 +50,12 @@ def _run_job(args) -> MetricsLog:
     return run_experiment(cfg.stream_spec(seed), method, cfg.run_config())
 
 
-def _mean_curve(logs: list[MetricsLog], metric: str):
-    """Average (labels, metric) across seeds, per round index."""
-    curves = [log.curve(metric) for log in logs]
-    n_rounds = len(curves[0])
-    out = []
-    for r in range(n_rounds):
-        labels = float(np.mean([c[r][0] for c in curves]))
-        value = float(np.mean([c[r][1] for c in curves]))
-        out.append((labels, value))
-    return out
+def _mean_curve(curves: list) -> list[tuple[float, float]]:
+    """Average per-seed (labels, metric) curves, per round index."""
+    return [
+        (float(np.mean([c[r][0] for c in curves])), float(np.mean([c[r][1] for c in curves])))
+        for r in range(len(curves[0]))
+    ]
 
 
 def _summarize(by_method: dict, metric_for_target: str = "rare") -> dict:
@@ -71,7 +67,7 @@ def _summarize(by_method: dict, metric_for_target: str = "rare") -> dict:
     summary = {"methods": {}, "efficiency_metric": metric_for_target, "efficiency_target": None}
     random_curve = None
     if "random" in by_method:
-        random_curve = _mean_curve(by_method["random"], metric_for_target)
+        random_curve = _mean_curve([log.curve(metric_for_target) for log in by_method["random"]])
         summary["efficiency_target"] = random_curve[-1][1]
     for method, logs in by_method.items():
         finals_full = [log.final("full") for log in logs]
@@ -86,9 +82,8 @@ def _summarize(by_method: dict, metric_for_target: str = "rare") -> dict:
             "labeling_efficiency_vs_random": None,
         }
         if random_curve is not None:
-            eff = labeling_efficiency(
-                _mean_curve(logs, metric_for_target), random_curve, summary["efficiency_target"]
-            )
+            curve = _mean_curve([log.curve(metric_for_target) for log in logs])
+            eff = labeling_efficiency(curve, random_curve, summary["efficiency_target"])
             entry["labeling_efficiency_vs_random"] = eff
         summary["methods"][method] = entry
     return summary
@@ -96,6 +91,8 @@ def _summarize(by_method: dict, metric_for_target: str = "rare") -> dict:
 
 def run(config: ExperimentConfig, out_dir, workers: int = 1) -> int:
     """Execute every (method, seed) pair and write the three output files."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     probe = out / ".write_probe"
@@ -177,21 +174,11 @@ def _efficiency_from_metrics(path, target: float, metric: str) -> dict:
     if "random" not in by_method:
         raise RuntimeError("metrics.csv contains no 'random' rows to compare against")
 
-    def mean_curve(per_seed):
-        n = len(per_seed[0])
-        return [
-            (
-                float(np.mean([c[r][0] for c in per_seed])),
-                float(np.mean([c[r][1] for c in per_seed])),
-            )
-            for r in range(n)
-        ]
-
-    random_curve = mean_curve(by_method["random"])
-    out = {}
-    for method, per_seed in by_method.items():
-        out[method] = labeling_efficiency(mean_curve(per_seed), random_curve, target)
-    return out
+    random_curve = _mean_curve(by_method["random"])
+    return {
+        method: labeling_efficiency(_mean_curve(per_seed), random_curve, target)
+        for method, per_seed in by_method.items()
+    }
 
 
 def main(argv=None) -> int:
@@ -215,6 +202,9 @@ def main(argv=None) -> int:
     p_eff.add_argument("--metric", choices=["rare", "full"], default="rare")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.workers < 1:
+        print(f"config error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 2
 
     try:
         if args.command in ("run", "validate"):

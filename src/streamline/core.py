@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import build_kernel, first_bad_row, row_col_max
+from .kernels import _prepared, _transposed_self_kernel, first_bad_row, row_col_max
+from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
 from .maximize import MaximizerConfig, maximize, partitioned_maximize
 from .setfunctions import FLCG, FLQMI, flqmi_normalizer
 
@@ -187,8 +188,16 @@ class BudgetDecision:
 
 @dataclass
 class IdentificationResult:
+    """The identified slice, every slice's score, and the buffer's row maxima.
+
+    row_max[i] is max_j S[i, j] over the buffer x identified-slice kernel,
+    the private best that FLCG selection over that slice starts from; it is
+    None when the result was not made by smidentify.
+    """
+
     slice_id: int
     scores: np.ndarray
+    row_max: np.ndarray | None = None
 
 
 Featurizer = Callable[[np.ndarray], np.ndarray]
@@ -237,20 +246,23 @@ def smidentify(
     """Identify the labeled slice the buffer most plausibly belongs to.
 
     Each slice's score is smidentify_scores of its buffer x slice kernel,
-    computed from that kernel's row and column maxima without holding it.
-    Ties break toward the smallest slice index. Returns the winning index and
-    the full score vector for diagnostics.
+    computed from that kernel's row and column maxima without holding it;
+    the buffer is prepared once for all slices. Ties break toward the
+    smallest slice index. Returns the winning index, the full score vector
+    for diagnostics, and the buffer's row maxima against the winner.
     """
     for t, sl in enumerate(pool.slices):
         if len(sl) == 0:
             raise EmptySliceError(t)
-    feats_u = _featurize(featurizer, buffer.X)
-    scores = np.empty(pool.num_slices)
+    feats_u = _prepared(_featurize(featurizer, buffer.X), metric)  # once, for every slice
+    scores, row_maxima = np.empty(pool.num_slices), []
     for t, sl in enumerate(pool.slices):
         # smidentify_scores on the full kernel, from its row and column maxima
         row, col = row_col_max(feats_u, _featurize(featurizer, sl.X), metric, bandwidth)
         scores[t] = (row.sum() + col.sum()) / flqmi_normalizer(len(row), len(col))
-    return IdentificationResult(slice_id=int(np.argmax(scores)), scores=scores)
+        row_maxima.append(row)
+    t = int(np.argmax(scores))
+    return IdentificationResult(slice_id=t, scores=scores, row_max=row_maxima[t])
 
 
 def slice_aware_budget(
@@ -298,22 +310,32 @@ def scg_select(
     Budgets beyond the buffer size are clamped, not an error. Returns global
     item ids in selection order.
     """
+    return _flcg_select(pool, buffer, t, b, maximizer_cfg, featurizer, metric, bandwidth)
+
+
+def _flcg_select(pool, buffer, t, b, maximizer_cfg, featurizer, metric, bandwidth, best=None):
+    """scg_select, taking the buffer's row maxima against slice t as best when known.
+
+    FLCG reads only best[i] = max_j S_up[i, j], never S_up; when best is
+    None it is computed here. S_uu is built transposed, so the evaluators
+    read its columns as contiguous rows.
+    """
     b = min(int(b), len(buffer))
     if b <= 0:
         return []
     feats_u = _featurize(featurizer, buffer.X)
-    S_uu = build_kernel(feats_u, feats_u, metric=metric, bandwidth=bandwidth).values
-    # FLCG reads only max_j S_up[i, j]; a one-column private kernel carries it.
-    best, _ = row_col_max(feats_u, _featurize(featurizer, pool.slices[t].X), metric, bandwidth)
-    best = best[:, None]
+    if best is None:
+        best, _ = row_col_max(feats_u, _featurize(featurizer, pool.slices[t].X), metric, bandwidth)
+    T = _transposed_self_kernel(feats_u, metric, bandwidth)  # T.T is S_uu
+    best = best[:, None]  # a one-column private kernel
     p = min(maximizer_cfg.partitions, len(buffer))
     if p > 1:
         cfg = replace(maximizer_cfg, budget=b, partitions=p)
         trace = partitioned_maximize(
-            lambda ids: FLCG(S_uu[np.ix_(ids, ids)], best[ids]), len(buffer), cfg
+            lambda ids: FLCG(T[np.ix_(ids, ids)].T, best[ids]), len(buffer), cfg
         )
     else:
-        trace = maximize(FLCG(S_uu, best), replace(maximizer_cfg, budget=b, partitions=1))
+        trace = maximize(FLCG(T.T, best), replace(maximizer_cfg, budget=b, partitions=1))
     return [int(buffer.ids[i]) for i in trace.chosen]
 
 
@@ -390,9 +412,14 @@ def streamline_round(
     if cfg.selector_fn is not None:
         selected = cfg.selector_fn(pool, buffer, t, granted)
     else:
-        selected = scg_select(
+        # identify already took the buffer's row maxima against slice t,
+        # unless selection sees the items through another featurizer or metric
+        same_view = (cfg.select_featurizer is cfg.identify_featurizer
+                     and cfg.select_metric == cfg.identify_metric)
+        selected = _flcg_select(
             pool, buffer, t, granted, cfg.maximizer,
             cfg.select_featurizer, cfg.select_metric, cfg.bandwidth,
+            best=ident.row_max if same_view else None,
         )
 
     selected = [int(i) for i in selected]

@@ -125,6 +125,25 @@ def read_embeddings(path) -> EmbeddingCollection:
     return _with_sidecar(path, X)
 
 
+_SIDECAR_FIELDS = ("id", "label", "slice")
+
+
+def _sidecar_row(row: list[str], where: str) -> list[int]:
+    """One sidecar row as integers; EmbeddingFileError names the line and field."""
+    n = len(_SIDECAR_FIELDS)
+    if len(row) < n:
+        raise EmbeddingFileError(f"{where}: field {_SIDECAR_FIELDS[len(row)]} is missing")
+    if len(row) > n:
+        raise EmbeddingFileError(f"{where}: field {n + 1} is extra; rows hold id,label,slice")
+    out = []
+    for name, value in zip(_SIDECAR_FIELDS, row):
+        try:
+            out.append(int(value))
+        except ValueError:
+            raise EmbeddingFileError(f"{where}: field {name} is not an integer: {value!r}") from None
+    return out
+
+
 def _with_sidecar(path, X: np.ndarray) -> EmbeddingCollection:
     count = X.shape[0]
 
@@ -133,10 +152,10 @@ def _with_sidecar(path, X: np.ndarray) -> EmbeddingCollection:
     if sidecar.exists():
         with open(sidecar, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["id", "label", "slice"]:
-                raise EmbeddingFileError(f"sidecar header must be id,label,slice, got {header}")
-            rows = [[int(v) for v in row] for row in reader]
+            header = next(reader, None)
+            if header != list(_SIDECAR_FIELDS):
+                raise EmbeddingFileError(f"{sidecar}: header must be id,label,slice, got {header}")
+            rows = [_sidecar_row(row, f"{sidecar}:{reader.line_num}") for row in reader]
         if len(rows) != count:
             raise EmbeddingFileError(
                 f"sidecar has {len(rows)} rows but embedding file holds {count}"

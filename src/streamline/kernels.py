@@ -9,6 +9,7 @@ functions downstream rely on for monotonicity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,20 +166,38 @@ def _is_object_collection(items) -> bool:
 _BLOCK = 1024
 
 
-def _flat_side(X, metric: str) -> tuple[np.ndarray, np.ndarray | None]:
+class _Side(NamedTuple):
+    """One flat collection as every kernel block reads it: rows and, for rbf, squared norms."""
+
+    X: np.ndarray
+    sq: np.ndarray | None
+
+
+def _flat_side(X, metric: str) -> _Side:
     """One collection as every kernel block reads it, prepared once.
 
     Cosine reads the normalized rows (zero rows are rejected there), rbf the
-    rows and their squared norms. Non-finite rows are rejected.
+    rows and their squared norms. Non-finite rows are rejected. A side
+    already prepared (for the same metric) is returned as it is, so a caller
+    that pairs one collection with many can prepare it once.
     """
+    if isinstance(X, _Side):
+        return X
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise KernelError(f"flat collections must be nonempty 2-D arrays, got shape {X.shape}")
-    X, sq = (normalize_rows(X), None) if metric == "cosine" else (X, np.sum(X * X, axis=1))
+    # Each side gets a buffer of its own: numpy multiplies one buffer by its
+    # own transpose through SYRK, whose last bits differ from the general product.
+    X, sq = (normalize_rows(X), None) if metric == "cosine" else (X.copy(), np.sum(X * X, axis=1))
     finite = np.isfinite(X).all(axis=1) if sq is None else np.isfinite(sq)
     if not finite.all():
         raise KernelError(f"embedding row {int(np.argmin(finite))} has non-finite entries")
-    return X, sq
+    return _Side(X, sq)
+
+
+def _prepared(X, metric: str):
+    """X ready to pair with many collections: a prepared side for a flat metric, else X."""
+    return _flat_side(X, metric) if metric in ("cosine", "rbf") else X
 
 
 def _flat_prepare(rows, cols, metric: str, bandwidth: float):
@@ -186,23 +205,31 @@ def _flat_prepare(rows, cols, metric: str, bandwidth: float):
     if metric == "rbf" and bandwidth <= 0.0:
         raise KernelError(f"bandwidth must be positive, got {bandwidth}")
     R, C = _flat_side(rows, metric), _flat_side(cols, metric)
-    _check_dims(R[0], C[0])
-    m = C[0].shape[0]
+    _check_dims(R.X, C.X)
+    m = C.X.shape[0]
     starts = [k * _BLOCK for k in range(max(m // _BLOCK, 1))] + [m]
     return R, C, [slice(j0, j1) for j0, j1 in zip(starts, starts[1:])]
 
 
-def _flat_block(R, C, j: slice, metric: str, bandwidth: float, out: np.ndarray) -> np.ndarray:
+def _flat_block(R: _Side, C: _Side, j: slice, metric: str, bandwidth: float, out: np.ndarray):
     """Columns j of the flat kernel between prepared sides R and C, written into out.
 
     Cosine entries are left unclipped; rbf entries already lie in [0, 1].
     """
-    (R, r_sq), (C, c_sq) = R, C
-    np.matmul(R, C[j].T, out=out)
+    np.matmul(R.X, C.X[j].T, out=out)
     if metric == "rbf":
-        sq = r_sq[:, None] + c_sq[None, j] - 2.0 * out
+        sq = R.sq[:, None] + C.sq[None, j] - 2.0 * out
         np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2), out=out)
     return out
+
+
+def _flat_kernel(rows, cols, metric: str, bandwidth: float) -> np.ndarray:
+    """The clipped flat kernel, its column blocks written in place."""
+    R, C, blocks = _flat_prepare(rows, cols, metric, bandwidth)
+    values = np.empty((R.X.shape[0], C.X.shape[0]))
+    for j in blocks:
+        _flat_block(R, C, j, metric, bandwidth, out=values[:, j])
+    return np.clip(values, 0.0, 1.0, out=values)
 
 
 def build_kernel(
@@ -248,16 +275,13 @@ def build_kernel(
     if not rows_are_objects and metric == "object_set":
         raise KernelError("object_set metric requires object-set collections")
 
-    values = np.empty((len(rows), len(cols)))
     if metric == "object_set":
+        values = np.empty((len(rows), len(cols)))
         for i, x1 in enumerate(rows):
             for j, x2 in enumerate(cols):
                 values[i, j] = object_set_similarity(x1, x2)
     else:
-        R, C, blocks = _flat_prepare(rows, cols, metric, bandwidth)
-        for j in blocks:
-            _flat_block(R, C, j, metric, bandwidth, out=values[:, j])
-        np.clip(values, 0.0, 1.0, out=values)
+        values = _flat_kernel(rows, cols, metric, bandwidth)
 
     return SimilarityMatrix(values, tuple(row_ids or ()), tuple(col_ids or ()))
 
@@ -275,10 +299,42 @@ def row_col_max(rows, cols, metric: str = "cosine", bandwidth: float = 1.0):
         values = build_kernel(rows, cols, metric=metric, bandwidth=bandwidth).values
         return values.max(axis=1), values.max(axis=0)
     R, C, blocks = _flat_prepare(rows, cols, metric, bandwidth)
-    scratch = np.empty((R[0].shape[0], blocks[-1].stop - blocks[-1].start))  # the widest block
-    row_max, col_max = np.full(R[0].shape[0], -np.inf), []
+    scratch = np.empty((R.X.shape[0], blocks[-1].stop - blocks[-1].start))  # the widest block
+    row_max, col_max = np.full(R.X.shape[0], -np.inf), []
     for j in blocks:
         block = _flat_block(R, C, j, metric, bandwidth, out=scratch[:, : j.stop - j.start])
         np.maximum(row_max, block.max(axis=1), out=row_max)
         col_max.append(block.max(axis=0))
     return np.clip(row_max, 0.0, 1.0), np.clip(np.concatenate(col_max), 0.0, 1.0)
+
+
+# Side of the square tiles a kernel is transposed in: two tiles and their
+# transposes stay in cache, which a whole-kernel transposed copy does not.
+_TILE = 64
+
+
+def _transposed_self_kernel(X, metric: str, bandwidth: float) -> np.ndarray:
+    """build_kernel(X, X, metric, bandwidth).values.T, as a C-contiguous array.
+
+    The kernel is computed as build_kernel computes it, so every entry is
+    the same product bit for bit (a product of the transposed operands is
+    not: BLAS may order its sums differently), and then transposed in place,
+    tile by tile. Column j of the kernel is the contiguous row j of the
+    result. Flat entries are clipped here and no SimilarityMatrix checks
+    them again.
+    """
+    if metric in ("cosine", "rbf"):
+        S = _flat_kernel(X, X, metric, bandwidth)
+    else:
+        S = build_kernel(X, X, metric=metric, bandwidth=bandwidth).values
+    n, scratch = S.shape[0], np.empty((_TILE, _TILE))
+    for i in range(0, n, _TILE):
+        diag = S[i : i + _TILE, i : i + _TILE]
+        diag[...] = diag.T.copy()
+        for j in range(i + _TILE, n, _TILE):
+            upper, lower = S[i : i + _TILE, j : j + _TILE], S[j : j + _TILE, i : i + _TILE]
+            tile = scratch[: upper.shape[0], : upper.shape[1]]
+            np.copyto(tile, upper)
+            upper[...] = lower.T
+            lower[...] = tile.T
+    return S

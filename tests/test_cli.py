@@ -201,6 +201,31 @@ def test_embeddings_text_format_errors(tmp_path):
         read_embeddings(empty)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("5,0", r"meta\.csv:3: field slice is missing"),
+        ("5,0,1,7", r"meta\.csv:3: field 4 is extra"),
+        ("5,x,1", r"meta\.csv:3: field label is not an integer: 'x'"),
+        ("5.5,0,1", r"meta\.csv:3: field id is not an integer: '5\.5'"),
+    ],
+)
+def test_embeddings_sidecar_errors_name_file_line_and_field(tmp_path, row, message):
+    path = tmp_path / "emb.csv"
+    path.write_text("1.0,2.0\n3.0,4.0\n")
+    (tmp_path / "emb.csv.meta.csv").write_text(f"id,label,slice\n4,1,0\n{row}\n")
+    with pytest.raises(EmbeddingFileError, match=message):
+        read_embeddings(path)
+
+
+def test_embeddings_empty_sidecar_names_the_file(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("1.0,2.0\n")
+    (tmp_path / "emb.csv.meta.csv").write_text("")
+    with pytest.raises(EmbeddingFileError, match=r"meta\.csv: header must be id,label,slice, got None"):
+        read_embeddings(path)
+
+
 def test_embeddings_empty_collection_rejected(tmp_path):
     import struct
 
@@ -353,3 +378,18 @@ def test_config_single_slice_schedules_that_need_no_common_slice():
     for schedule in ("every_1", "sequential", [0, 0]):
         cfg = config_from_dict({**minimal_config(), "slices": 1, "schedule": schedule, "rounds": 2})
         assert cfg.resolved_schedule() == (0, 0)
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_run_rejects_workers_below_one_exit_2(tmp_path, capsys, workers):
+    path = write_config(tmp_path, minimal_config())
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir), "--workers", workers]) == 2
+    assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_rejects_workers_below_one(tmp_path):
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        run(config_from_dict(minimal_config()), tmp_path / "out", workers=0)
+    assert not (tmp_path / "out").exists()

@@ -496,3 +496,33 @@ def test_round_credits_a_short_selection_to_gamma():
     pool, buf, state, _ = _round_with_selector(None)
     report, _, new_state = streamline_round(pool, buf, state, fixed, _oracle(buf))
     assert report.granted == 1 and new_state.gamma == 0.0  # a fixed budget banks nothing
+
+
+def test_round_takes_row_maxima_once_per_slice(monkeypatch):
+    """Selection reuses identify's row maxima instead of taking them again."""
+    import streamline.core as core
+
+    calls = []
+    real = core.row_col_max
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "row_col_max", counted)
+    pool, next_id = make_pool([20, 25, 30], [False, False, True], spread=0.3)
+    state = BudgetState(B=6, rho=0.5)
+    cfg = StreamlineConfig(maximizer=MaximizerConfig(budget=0))
+    oracle = lambda ids: np.zeros(len(ids), int)  # noqa: E731
+    for r in range(3):
+        buf = make_buffer(15, r, next_id + 15 * r, seed=r, spread=0.3)
+        calls.clear()
+        report, pool, state = streamline_round(pool, buf, state, cfg, oracle)
+        assert report.selected_ids and len(calls) == pool.num_slices
+    # a different select metric cannot reuse them: one more pass for selection
+    buf = make_buffer(15, 0, next_id + 45, seed=9, spread=0.3)
+    calls.clear()
+    cfg = StreamlineConfig(maximizer=MaximizerConfig(budget=0), select_metric="rbf")
+    streamline_round(pool, buf, state, cfg, oracle)
+    assert len(calls) == pool.num_slices + 1
+

@@ -5,7 +5,9 @@ row_col_max, smidentify and scg_select never hold a |U| x |P| kernel; the
 first three tests check them against the definitional path built from full
 kernels. The next checks budget conservation over whole rounds. The last two
 check logistic_loss_and_grad and fit_logistic bit for bit against the
-row-major softmax they replaced.
+row-major softmax they replaced. The tests after them check the transposed
+S_uu, the column-contiguous coverage gains and the round's reuse of
+identify's row maxima bit for bit, and lazy greedy against naive greedy.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from streamline import (
     FLCG,
+    FacilityLocation,
     BudgetState,
     LabeledSlice,
     MaximizerConfig,
@@ -28,7 +31,8 @@ from streamline import (
     smidentify_scores,
     streamline_round,
 )
-from streamline.kernels import _BLOCK
+from streamline.kernels import _BLOCK, _transposed_self_kernel
+from streamline.setfunctions import _ROWS, _CoverageEvaluator
 from streamline.simulator import Learner, LearnerConfig, fit_logistic, logistic_loss_and_grad
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -227,3 +231,116 @@ def test_fit_equals_the_reference_fit_when_backtracking_fires():
     np.testing.assert_array_equal(learner.W, W)
     np.testing.assert_array_equal(learner.b, b)
     np.testing.assert_array_equal(learner.loss_history, losses)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 70), st.sampled_from([_BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 3])),
+    dim=st.integers(1, 6),
+    metric=st.sampled_from(["cosine", "rbf"]),
+    bandwidth=st.floats(0.1, 10.0),
+    grid=st.booleans(),
+)
+def test_transposed_self_kernel_equals_build_kernel(seed, n, dim, metric, bandwidth, grid):
+    rng = np.random.default_rng(seed)
+    U = _rows(rng, n, dim, grid)
+    K = build_kernel(U, U, metric=metric, bandwidth=bandwidth).values
+    T = _transposed_self_kernel(U, metric, bandwidth)
+    assert T.flags.c_contiguous
+    np.testing.assert_array_equal(T.T, K)
+    # one array on both sides must not take numpy's SYRK path, whose bits differ
+    row, col = row_col_max(U, U, metric, bandwidth)
+    np.testing.assert_array_equal(row, K.max(axis=1))
+    np.testing.assert_array_equal(col, K.max(axis=0))
+
+
+def _reference_gains(S, best, c):
+    """The gathered-column gains _CoverageEvaluator computed before, verbatim."""
+    return np.maximum(S[:, c] - best[:, None], 0.0).sum(axis=0)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 700),
+    n=st.integers(1, 2 * _ROWS + 40),
+    which=st.sampled_from(["one", "some", "all"]),
+    adds=st.integers(0, 3),
+    grid=st.booleans(),
+)
+def test_coverage_gains_equal_gathered_column_sums(seed, n_rows, n, which, adds, grid):
+    rng = np.random.default_rng(seed)
+    S = rng.integers(0, 4, size=(n_rows, n)) / 3.0 if grid else rng.random((n_rows, n))
+    assert S.flags.c_contiguous  # the layout build_kernel returns
+    best = rng.random(n_rows) * rng.integers(0, 2, size=n_rows)
+    ev = _CoverageEvaluator(S, best)
+    for x in rng.integers(0, n, size=adds):
+        ev.add(int(x))
+        np.maximum(best, S[:, x], out=best)
+    np.testing.assert_array_equal(ev.best, best)
+    size = {"one": 1, "some": int(rng.integers(1, n + 1)), "all": n}[which]
+    c = np.sort(rng.choice(n, size=size, replace=False))
+    np.testing.assert_array_equal(ev.gains(c), _reference_gains(S, best, c))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 40),
+    n=st.integers(1, 40),
+    b=st.integers(0, 45),
+    dups=st.integers(0, 10),
+    grid=st.booleans(),
+    kind=st.sampled_from(["fl", "flcg"]),
+)
+def test_lazy_greedy_equals_naive_greedy(seed, n_rows, n, b, dups, grid, kind):
+    """Same picks and gains bit for bit, in no more evaluations, ties and duplicates included."""
+    rng = np.random.default_rng(seed)
+    if kind == "flcg":
+        n_rows = n
+    S = rng.integers(0, 3, size=(n_rows, n)) / 2.0 if grid else rng.random((n_rows, n))
+    for src, dst in rng.integers(0, n, size=(dups, 2)):
+        S[:, dst] = S[:, src]  # duplicate columns
+    if kind == "flcg":
+        private = rng.integers(0, 3, size=(n, 3)) / 2.0 if grid else rng.random((n, 3))
+        f = FLCG(S, private * rng.integers(0, 2, size=(n, 1)))
+    else:
+        f = FacilityLocation(S)
+    naive = maximize(f, MaximizerConfig(budget=b, algorithm="naive"))
+    lazy = maximize(f, MaximizerConfig(budget=b, algorithm="lazy"))
+    assert lazy.chosen == naive.chosen
+    assert lazy.gains == naive.gains
+    assert lazy.evaluations <= naive.evaluations
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+    n_u=st.integers(1, 40),
+    dim=st.integers(2, 6),
+    B=st.integers(1, 45),
+    metric=st.sampled_from(["cosine", "rbf"]),
+    grid=st.booleans(),
+)
+def test_round_selects_what_scg_select_selects(seed, sizes, n_u, dim, B, metric, grid):
+    """The round's selection, made from identify's row maxima, equals scg_select's."""
+    def stream():
+        rng = np.random.default_rng(seed)
+        pool, next_id = _pool(rng, sizes, dim, grid)
+        buf = UnlabeledBuffer(np.arange(next_id, next_id + n_u), _rows(rng, n_u, dim, grid))
+        return pool, buf
+
+    pool, buf = stream()
+    ident = smidentify(pool, buf, metric=metric, bandwidth=0.7)
+    t = ident.slice_id
+    full = build_kernel(buf.X, pool.slices[t].X, metric=metric, bandwidth=0.7).values
+    np.testing.assert_array_equal(ident.row_max, full.max(axis=1))
+    maximizer = MaximizerConfig(budget=0)
+    cfg = StreamlineConfig(maximizer, identify_metric=metric, select_metric=metric, bandwidth=0.7)
+    oracle = lambda ids: np.zeros(len(ids), int)  # noqa: E731
+    report, _, _ = streamline_round(pool, buf, BudgetState(B=B, rho=0.5), cfg, oracle)
+    pool, buf = stream()
+    expected = scg_select(pool, buf, t, report.decision.b, maximizer, metric=metric, bandwidth=0.7)
+    assert report.selected_ids == expected

@@ -155,6 +155,15 @@ def test_incremental_evaluator_matches_marginal_gain(kind):
             picked.append(x)
 
 
+@pytest.mark.parametrize("kind", ["fl", "flcg"])
+@pytest.mark.parametrize("bad", [[7], [-1], [0, 3, 7], [-1, 2]])
+def test_evaluator_gains_reject_out_of_range_candidates(kind, bad):
+    rng = np.random.default_rng(8)
+    ev = random_instance(rng, kind, n=7).evaluator()
+    with pytest.raises(GroundIndexError):
+        ev.gains(np.array(bad))
+
+
 def test_marginal_gain_rejects_member():
     f = FacilityLocation(np.ones((3, 3)))
     with pytest.raises(ValueError):
