@@ -50,7 +50,6 @@ from .maximize import (
     lazy_greedy,
     maximize,
     naive_greedy,
-    partitioned_maximize,
     stochastic_greedy,
 )
 from .setfunctions import (

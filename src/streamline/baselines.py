@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import SlicedLabeledPool, UnlabeledBuffer
 from .kernels import build_kernel
-from .maximize import MaximizerConfig, maximize, partitioned_maximize
+from .maximize import MaximizerConfig, maximize
 from .setfunctions import FLQMI, FacilityLocation
 
 UNCERTAINTY_MODES = ("entropy", "least_conf", "margin")
@@ -105,15 +105,7 @@ def submodular_fl_select(
         return []
     feats = buffer.X if featurizer is None else featurizer(buffer.X)
     S = build_kernel(feats, feats, metric=metric, bandwidth=bandwidth).values
-    p = min(maximizer_cfg.partitions, len(buffer))
-    if p > 1:
-        trace = partitioned_maximize(
-            lambda ids: FacilityLocation(S[np.ix_(ids, ids)]),
-            len(buffer),
-            replace(maximizer_cfg, budget=b, partitions=p),
-        )
-    else:
-        trace = maximize(FacilityLocation(S), replace(maximizer_cfg, budget=b, partitions=1))
+    trace = maximize(FacilityLocation(S), replace(maximizer_cfg, budget=b))
     return [int(buffer.ids[i]) for i in trace.chosen]
 
 
@@ -140,15 +132,7 @@ def similar_select(
     feats_u = buffer.X if featurizer is None else featurizer(buffer.X)
     feats_p = pool.slices[t].X if featurizer is None else featurizer(pool.slices[t].X)
     S_up = build_kernel(feats_u, feats_p, metric=metric, bandwidth=bandwidth).values
-    p = min(maximizer_cfg.partitions, len(buffer))
-    if p > 1:
-        trace = partitioned_maximize(
-            lambda ids: FLQMI(S_up[ids, :]),
-            len(buffer),
-            replace(maximizer_cfg, budget=b, partitions=p),
-        )
-    else:
-        trace = maximize(FLQMI(S_up), replace(maximizer_cfg, budget=b, partitions=1))
+    trace = maximize(FLQMI(S_up), replace(maximizer_cfg, budget=b))
     return [int(buffer.ids[i]) for i in trace.chosen]
 
 

@@ -9,6 +9,7 @@ required; everything else has a default documented in DEFAULTS.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,7 +47,7 @@ DEFAULTS = {
     "rare_by_size": False,
     "budget": 50,
     "rho": 0.5,
-    "maximizer": {"algorithm": "lazy", "epsilon": None, "partitions": 1},
+    "maximizer": {"algorithm": "lazy", "epsilon": None},
     "learner": {"step_size": 1.0, "epochs": 200, "l2": 1e-3},
 }
 
@@ -113,7 +114,6 @@ class ExperimentConfig:
                 algorithm=self.maximizer["algorithm"],
                 epsilon=self.maximizer["epsilon"],
                 seed=0,
-                partitions=self.maximizer["partitions"],
             ),
             learner=LearnerConfig(
                 step_size=self.learner["step_size"],
@@ -137,7 +137,13 @@ def _as_int(value, name: str) -> int:
 def _as_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}: must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # json.loads accepts Infinity and NaN
+        raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+    return number
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -152,14 +158,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"{required}: required key is missing")
 
     merged = {**DEFAULTS, **data}
-    merged["maximizer"] = {**DEFAULTS["maximizer"], **(data.get("maximizer") or {})}
-    merged["learner"] = {**DEFAULTS["learner"], **(data.get("learner") or {})}
-    unknown_max = sorted(set(merged["maximizer"]) - set(DEFAULTS["maximizer"]))
-    if unknown_max:
-        raise ConfigError(f"maximizer: unknown keys: {', '.join(unknown_max)}")
-    unknown_lrn = sorted(set(merged["learner"]) - set(DEFAULTS["learner"]))
-    if unknown_lrn:
-        raise ConfigError(f"learner: unknown keys: {', '.join(unknown_lrn)}")
+    for name in ("maximizer", "learner"):
+        nested = data.get(name)
+        nested = {} if nested is None else nested
+        if not isinstance(nested, dict):
+            raise ConfigError(f"{name}: must be an object, got {nested!r}")
+        unknown = sorted(set(nested) - set(DEFAULTS[name]))
+        if unknown:
+            raise ConfigError(f"{name}: unknown keys: {', '.join(unknown)}")
+        merged[name] = {**DEFAULTS[name], **nested}
 
     methods = merged["methods"]
     _require(isinstance(methods, list) and len(methods) > 0, "methods", "a nonempty list", methods)
@@ -256,8 +263,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         mx["epsilon"] = eps
     else:
         _require(mx["epsilon"] is None, "maximizer.epsilon", "absent unless stochastic", mx["epsilon"])
-    mx["partitions"] = _as_int(mx["partitions"], "maximizer.partitions")
-    _require(mx["partitions"] >= 1, "maximizer.partitions", ">= 1", mx["partitions"])
 
     lrn = merged["learner"]
     lrn["step_size"] = _as_number(lrn["step_size"], "learner.step_size")

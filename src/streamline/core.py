@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import _prepared, _transposed_self_kernel, first_bad_row, row_col_max
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
-from .maximize import MaximizerConfig, maximize, partitioned_maximize
+from .maximize import MaximizerConfig, maximize
 from .setfunctions import FLCG, FLQMI, flqmi_normalizer
 
 
@@ -304,38 +304,26 @@ def scg_select(
     featurizer: Featurizer | None = None,
     metric: str = "cosine",
     bandwidth: float = 1.0,
+    *,
+    row_max: np.ndarray | None = None,
 ) -> list[int]:
     """Pick up to b buffer items maximizing conditional gain over slice t.
 
     Budgets beyond the buffer size are clamped, not an error. Returns global
-    item ids in selection order.
-    """
-    return _flcg_select(pool, buffer, t, b, maximizer_cfg, featurizer, metric, bandwidth)
-
-
-def _flcg_select(pool, buffer, t, b, maximizer_cfg, featurizer, metric, bandwidth, best=None):
-    """scg_select, taking the buffer's row maxima against slice t as best when known.
-
-    FLCG reads only best[i] = max_j S_up[i, j], never S_up; when best is
-    None it is computed here. S_uu is built transposed, so the evaluators
-    read its columns as contiguous rows.
+    item ids in selection order. FLCG reads only row_max[i] = max_j S_up[i, j],
+    never S_up; pass the buffer's row maxima against slice t (as smidentify
+    returns them) to skip that pass, else they are computed here. S_uu is
+    built transposed, so the evaluators read its columns as contiguous rows.
     """
     b = min(int(b), len(buffer))
     if b <= 0:
         return []
     feats_u = _featurize(featurizer, buffer.X)
-    if best is None:
-        best, _ = row_col_max(feats_u, _featurize(featurizer, pool.slices[t].X), metric, bandwidth)
+    if row_max is None:
+        row_max, _ = row_col_max(feats_u, _featurize(featurizer, pool.slices[t].X), metric, bandwidth)
     T = _transposed_self_kernel(feats_u, metric, bandwidth)  # T.T is S_uu
-    best = best[:, None]  # a one-column private kernel
-    p = min(maximizer_cfg.partitions, len(buffer))
-    if p > 1:
-        cfg = replace(maximizer_cfg, budget=b, partitions=p)
-        trace = partitioned_maximize(
-            lambda ids: FLCG(T[np.ix_(ids, ids)].T, best[ids]), len(buffer), cfg
-        )
-    else:
-        trace = maximize(FLCG(T.T, best), replace(maximizer_cfg, budget=b, partitions=1))
+    f = FLCG(T.T, row_max[:, None])  # a one-column private kernel
+    trace = maximize(f, replace(maximizer_cfg, budget=b))
     return [int(buffer.ids[i]) for i in trace.chosen]
 
 
@@ -416,10 +404,10 @@ def streamline_round(
         # unless selection sees the items through another featurizer or metric
         same_view = (cfg.select_featurizer is cfg.identify_featurizer
                      and cfg.select_metric == cfg.identify_metric)
-        selected = _flcg_select(
+        selected = scg_select(
             pool, buffer, t, granted, cfg.maximizer,
             cfg.select_featurizer, cfg.select_metric, cfg.bandwidth,
-            best=ident.row_max if same_view else None,
+            row_max=ident.row_max if same_view else None,
         )
 
     selected = [int(i) for i in selected]

@@ -8,7 +8,7 @@ functions downstream rely on for monotonicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -111,11 +111,9 @@ def object_set_similarity(x1: np.ndarray, x2: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Rectangular nonnegative similarity kernel with stable item ids."""
+    """Rectangular nonnegative similarity kernel with finite entries."""
 
     values: np.ndarray
-    row_ids: tuple = field(default=())
-    col_ids: tuple = field(default=())
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -126,12 +124,6 @@ class SimilarityMatrix:
         if np.any(values < 0.0):
             raise KernelError("kernel contains negative entries")
         object.__setattr__(self, "values", values)
-        row_ids = self.row_ids or tuple(range(values.shape[0]))
-        col_ids = self.col_ids or tuple(range(values.shape[1]))
-        if len(row_ids) != values.shape[0] or len(col_ids) != values.shape[1]:
-            raise KernelError("id lists do not match kernel shape")
-        object.__setattr__(self, "row_ids", tuple(row_ids))
-        object.__setattr__(self, "col_ids", tuple(col_ids))
 
     @property
     def rows(self) -> int:
@@ -237,8 +229,6 @@ def build_kernel(
     cols,
     metric: str | None = None,
     bandwidth: float = 1.0,
-    row_ids=None,
-    col_ids=None,
 ) -> SimilarityMatrix:
     """Build the pairwise similarity kernel between two collections.
 
@@ -249,7 +239,6 @@ def build_kernel(
         metric: "cosine", "rbf", or "object_set"; None picks cosine for flat
             embeddings and object_set for object collections.
         bandwidth: RBF bandwidth (ignored otherwise).
-        row_ids/col_ids: optional stable item identifiers.
 
     Entries are metric(rows[i], cols[j]) computed vectorized but equal to the
     scalar ops entrywise. Flat kernels are computed in the column blocks
@@ -283,7 +272,7 @@ def build_kernel(
     else:
         values = _flat_kernel(rows, cols, metric, bandwidth)
 
-    return SimilarityMatrix(values, tuple(row_ids or ()), tuple(col_ids or ()))
+    return SimilarityMatrix(values)
 
 
 def row_col_max(rows, cols, metric: str = "cosine", bandwidth: float = 1.0):

@@ -1,9 +1,10 @@
 """Cardinality-constrained greedy maximization of monotone submodular functions.
 
-Three interchangeable algorithms (naive, lazy, stochastic) plus a ground-set
-partitioning wrapper. Ties in every argmax break toward the smallest item id
-so that all algorithms are mutually reproducible; lazy greedy must return the
-exact trace naive greedy would, in no more function evaluations.
+Three interchangeable algorithms (naive, lazy, stochastic), each one greedy
+pass over the whole ground set. Ties in every argmax break toward the
+smallest item id so that all algorithms are mutually reproducible; lazy
+greedy must return the exact trace naive greedy would, in no more function
+evaluations.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ class MaximizerConfig:
     """Settings for one maximization run.
 
     epsilon is the stochastic-greedy accuracy knob (required there, unused
-    elsewhere); partitions > 1 routes through partitioned_maximize.
+    elsewhere); seed drives stochastic greedy's candidate samples.
     """
 
     budget: int
     algorithm: str = "lazy"
     epsilon: float | None = None
     seed: int = 0
-    partitions: int = 1
 
     def __post_init__(self):
         if self.budget < 0:
@@ -39,8 +39,6 @@ class MaximizerConfig:
                 raise ValueError("stochastic greedy needs epsilon in (0, 1)")
         elif self.epsilon is not None:
             raise ValueError("epsilon is only meaningful for stochastic greedy")
-        if self.partitions < 1:
-            raise ValueError(f"partitions must be >= 1, got {self.partitions}")
 
 
 @dataclass
@@ -146,55 +144,5 @@ _ALGORITHMS = {
 
 
 def maximize(f, cfg: MaximizerConfig) -> SelectionTrace:
-    """Run the configured algorithm on a single (unpartitioned) instance."""
+    """Run the configured algorithm on f."""
     return _ALGORITHMS[cfg.algorithm](f, cfg)
-
-
-def partitioned_maximize(f_builder, ground_size: int, cfg: MaximizerConfig) -> SelectionTrace:
-    """Split the ground set round-robin by id and maximize each part.
-
-    Args:
-        f_builder: callable(ids) -> set-function instance whose local ground
-            indices align with positions in ids.
-        ground_size: total number of items.
-        cfg: partitions = p; the budget splits as floor(b/p) per partition
-            with the remainder (and any capacity shortfall) pushed to the
-            lowest-index partitions.
-
-    Returns a combined trace; gains are per-partition marginal gains in
-    partition order.
-    """
-    p = cfg.partitions
-    if p > ground_size:
-        raise ValueError(f"cannot split {ground_size} items into {p} partitions")
-    b = min(cfg.budget, ground_size)
-    if p == 1:
-        trace = maximize(f_builder(np.arange(ground_size)), cfg)
-        trace.chosen = [int(x) for x in trace.chosen]
-        return trace
-
-    parts = [np.arange(k, ground_size, p) for k in range(p)]  # id % p == k
-    quotas = [min(b // p + (1 if k < b % p else 0), len(parts[k])) for k in range(p)]
-    leftover = b - sum(quotas)
-    while leftover > 0:
-        for k in range(p):
-            if quotas[k] < len(parts[k]):
-                quotas[k] += 1
-                leftover -= 1
-                if leftover == 0:
-                    break
-
-    combined = SelectionTrace()
-    for ids, quota in zip(parts, quotas):
-        part_cfg = MaximizerConfig(
-            budget=quota,
-            algorithm=cfg.algorithm,
-            epsilon=cfg.epsilon,
-            seed=cfg.seed,
-            partitions=1,
-        )
-        sub = maximize(f_builder(ids), part_cfg)
-        combined.chosen.extend(int(ids[i]) for i in sub.chosen)
-        combined.gains.extend(sub.gains)
-        combined.evaluations += sub.evaluations
-    return combined

@@ -270,8 +270,10 @@ def fit_logistic(X, y, cfg: LearnerConfig, n_classes: int | None = None) -> Lear
     then halved whenever a step would increase the loss, so the recorded loss
     history is nonincreasing. y must hold one label per row of X, each in
     [0, n_classes), or ValueError says what is wrong, naming the first row
-    whose label is outside. Every loss and gradient comes from
-    logistic_loss_and_grad, so fits equal those of the row-major softmax.
+    whose label is outside; so does a step size that is not positive and
+    finite (an infinite one would halve forever). Every loss and gradient
+    comes from logistic_loss_and_grad, so fits equal those of the row-major
+    softmax.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
@@ -284,6 +286,8 @@ def fit_logistic(X, y, cfg: LearnerConfig, n_classes: int | None = None) -> Lear
     if outside.size:
         i = int(outside[0])
         raise ValueError(f"label {int(y[i])} at row {i} is outside [0, {C})")
+    if not 0.0 < cfg.step_size < np.inf:
+        raise ValueError(f"step_size must be positive and finite, got {cfg.step_size}")
     rows = np.arange(len(y))
     W = np.zeros((C, X.shape[1]))
     bias = np.zeros(C)

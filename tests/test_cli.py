@@ -53,6 +53,38 @@ def test_config_rejects_unknown_keys():
         config_from_dict({**minimal_config(), "budgett": 10})
     with pytest.raises(ConfigError, match="maximizer"):
         config_from_dict({**minimal_config(), "maximizer": {"algo": "lazy"}})
+    with pytest.raises(ConfigError, match="maximizer: unknown keys: partitions"):
+        config_from_dict({**minimal_config(), "maximizer": {"partitions": 2}})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("maximizer", "lazy", "maximizer: must be an object, got 'lazy'"),
+        ("learner", 5, "learner: must be an object, got 5"),
+        ("maximizer", [], r"maximizer: must be an object, got \[\]"),
+    ],
+)
+def test_config_rejects_a_nested_section_that_is_not_an_object(key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({**minimal_config(), key: value})
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"class_sep": float("inf")}, "class_sep"),
+        ({"noise_std": float("nan")}, "noise_std"),
+        ({"rho": -float("inf")}, "rho"),
+        ({"class_twist": 10**400}, "class_twist"),
+        ({"learner": {"step_size": float("inf")}}, "learner.step_size"),
+        ({"learner": {"l2": float("inf")}}, "learner.l2"),
+        ({"maximizer": {"algorithm": "stochastic", "epsilon": float("nan")}}, "maximizer.epsilon"),
+    ],
+)
+def test_config_rejects_non_finite_numbers(overrides, field):
+    with pytest.raises(ConfigError, match=rf"^{field}: must be a finite number"):
+        config_from_dict({**minimal_config(), **overrides})
 
 
 def test_config_requires_methods_and_seeds():
@@ -307,6 +339,22 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, {**minimal_config(), "rho": 2.0})
     assert main(["validate", "--config", str(path)]) == 2
     assert "rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"maximizer": "lazy"}, "maximizer: must be an object"),
+        ({"learner": 5}, "learner: must be an object"),
+        ({"class_sep": float("inf")}, "class_sep: must be a finite number"),
+        ({"learner": {"step_size": float("inf")}}, "learner.step_size: must be a finite number"),
+        ({"maximizer": {"partitions": 2}}, "maximizer: unknown keys: partitions"),
+    ],
+)
+def test_cli_validate_exit_2_names_the_field(tmp_path, capsys, overrides, message):
+    path = write_config(tmp_path, {**minimal_config(), **overrides})  # json writes Infinity
+    assert main(["validate", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_missing_config_exit_2(tmp_path):

@@ -272,19 +272,18 @@ def test_scg_skips_duplicates_while_novel_items_remain():
     assert {r % 2 for r in picked_rows} == {0, 1}  # one from each duplicate pair
 
 
-def test_scg_honors_partitioned_maximizer():
+def test_scg_with_identify_row_maxima_picks_the_same_items():
     rng = np.random.default_rng(7)
-    pool, _ = make_pool([6], [False], dim=5)
+    pool, _ = make_pool([6, 9], [False, False], dim=5, seed=3)
     buf = UnlabeledBuffer(
         ids=np.arange(100, 112), X=np.abs(rng.normal(size=(12, 5))) + 0.1, true_slice=0
     )
-    cfg = MaximizerConfig(budget=0, algorithm="lazy", partitions=3)
-    picked = scg_select(pool, buf, 0, 6, cfg)
-    assert len(picked) == 6
-    assert len(set(picked)) == 6
-    rows = [list(buf.ids).index(p) for p in picked]
-    # round-robin partitioning: two picks from each residue class mod 3
-    assert sorted(r % 3 for r in rows) == [0, 0, 1, 1, 2, 2]
+    ident = smidentify(pool, buf)
+    t = ident.slice_id
+    given = scg_select(pool, buf, t, 5, _maximizer(), row_max=ident.row_max)
+    assert given == scg_select(pool, buf, t, 5, _maximizer())
+    with pytest.raises(ValueError, match="ground size"):
+        scg_select(pool, buf, t, 5, _maximizer(), row_max=ident.row_max[:-1])
 
 
 def test_scg_budget_edges():

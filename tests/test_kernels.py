@@ -202,8 +202,5 @@ def test_similarity_matrix_invariants():
         SimilarityMatrix(np.array([[0.5, -0.1]]))
     with pytest.raises(KernelError):
         SimilarityMatrix(np.array([[np.inf, 0.0]]))
-    with pytest.raises(KernelError):
-        SimilarityMatrix(np.ones((2, 2)), row_ids=(1,))
     m = SimilarityMatrix(np.ones((2, 3)))
     assert m.rows == 2 and m.cols == 3
-    assert m.row_ids == (0, 1) and m.col_ids == (0, 1, 2)

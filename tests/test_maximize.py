@@ -9,7 +9,6 @@ from streamline.maximize import (
     lazy_greedy,
     maximize,
     naive_greedy,
-    partitioned_maximize,
     stochastic_greedy,
 )
 from streamline.setfunctions import FacilityLocation
@@ -136,77 +135,6 @@ def test_gains_nonincreasing(kind, algorithm):
         assert all(g1 <= g0 + 1e-9 for g0, g1 in zip(gains, gains[1:]))
 
 
-def _fl_builder(S):
-    def build(ids):
-        return FacilityLocation(S[np.ix_(ids, ids)])
-
-    return build
-
-
-def test_partitioned_p1_identical_to_base():
-    rng = np.random.default_rng(9)
-    S = random_self_kernel(rng, 10)
-    cfg = MaximizerConfig(budget=4, algorithm="lazy", partitions=1)
-    direct = lazy_greedy(FacilityLocation(S), MaximizerConfig(budget=4, algorithm="lazy"))
-    part = partitioned_maximize(_fl_builder(S), 10, cfg)
-    assert part.chosen == direct.chosen and part.evaluations == direct.evaluations
-
-
-def test_partitioned_full_split_selects_everything():
-    rng = np.random.default_rng(10)
-    S = random_self_kernel(rng, 6)
-    cfg = MaximizerConfig(budget=6, algorithm="lazy", partitions=6)
-    part = partitioned_maximize(_fl_builder(S), 6, cfg)
-    assert sorted(part.chosen) == list(range(6))
-
-
-def test_partitioned_value_and_evaluations():
-    rng = np.random.default_rng(11)
-    S = random_self_kernel(rng, 12)
-    f = FacilityLocation(S)
-    whole = lazy_greedy(f, MaximizerConfig(budget=6, algorithm="lazy"))
-    part = partitioned_maximize(
-        _fl_builder(S), 12, MaximizerConfig(budget=6, algorithm="lazy", partitions=3)
-    )
-    assert len(part.chosen) == 6
-    assert f.value(part.chosen) <= f.value(whole.chosen) + 1e-9
-    assert part.evaluations < whole.evaluations
-
-
-def test_partitioned_round_robin_assignment():
-    rng = np.random.default_rng(12)
-    S = random_self_kernel(rng, 9)
-    seen = []
-
-    def builder(ids):
-        seen.append(list(ids))
-        return FacilityLocation(S[np.ix_(ids, ids)])
-
-    partitioned_maximize(builder, 9, MaximizerConfig(budget=3, algorithm="naive", partitions=3))
-    assert seen == [[0, 3, 6], [1, 4, 7], [2, 5, 8]]
-
-
-def test_partitioned_rejects_too_many_partitions():
-    with pytest.raises(ValueError):
-        partitioned_maximize(_fl_builder(np.ones((3, 3))), 3, MaximizerConfig(budget=2, partitions=4))
-
-
-def test_partitioned_budget_remainder_goes_to_low_partitions():
-    rng = np.random.default_rng(13)
-    S = random_self_kernel(rng, 10)
-    sizes = []
-
-    def builder(ids):
-        sizes.append(len(ids))
-        return FacilityLocation(S[np.ix_(ids, ids)])
-
-    part = partitioned_maximize(builder, 10, MaximizerConfig(budget=5, algorithm="naive", partitions=3))
-    assert len(part.chosen) == 5
-    # quotas 2,2,1 over partitions {0,3,6,9},{1,4,7},{2,5,8}
-    mods = [sorted(x % 3 for x in part.chosen)]
-    assert mods[0].count(0) == 2 and mods[0].count(1) == 2 and mods[0].count(2) == 1
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         MaximizerConfig(budget=-1)
@@ -218,5 +146,3 @@ def test_config_validation():
         MaximizerConfig(budget=1, algorithm="stochastic", epsilon=1.5)
     with pytest.raises(ValueError):
         MaximizerConfig(budget=1, algorithm="lazy", epsilon=0.1)
-    with pytest.raises(ValueError):
-        MaximizerConfig(budget=1, partitions=0)

@@ -190,6 +190,15 @@ def test_fit_rejects_a_label_outside_the_classes(bad, row):
         train_learner(pool, LearnerConfig(epochs=5), n_classes=3)
 
 
+# An infinite step would halve forever; these values are rejected by the same
+# check and cannot hang if it regresses, since they never enter the halving loop.
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan")])
+def test_fit_rejects_a_step_size_that_is_not_positive_and_finite(step):
+    X, y = np.ones((4, 2)), np.array([0, 1, 0, 1])
+    with pytest.raises(ValueError, match="step_size must be positive and finite"):
+        fit_logistic(X, y, LearnerConfig(step_size=step, epochs=3), n_classes=2)
+
+
 @pytest.mark.parametrize("n_labels, n_rows", [(0, 0), (4, 5), (5, 4)])
 def test_fit_rejects_labels_that_do_not_match_the_rows(n_labels, n_rows):
     with pytest.raises(ValueError, match=f"got {n_labels} labels for {n_rows} rows"):
