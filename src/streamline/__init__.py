@@ -25,7 +25,6 @@ from .core import (
     SlicedLabeledPool,
     StreamlineConfig,
     UnlabeledBuffer,
-    infer_rare_flags,
     scg_select,
     slice_aware_budget,
     smidentify,

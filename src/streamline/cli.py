@@ -39,12 +39,6 @@ METRICS_COLUMNS = [
 ]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _run_job(args) -> MetricsLog:
     cfg, method, seed = args
     return run_experiment(cfg.stream_spec(seed), method, cfg.run_config())
@@ -58,6 +52,12 @@ def _mean_curve(curves: list) -> list[tuple[float, float]]:
     ]
 
 
+def _efficiencies(curves: dict, target: float) -> dict:
+    """Labeling efficiency vs random per method, from per-seed curves."""
+    random_curve = _mean_curve(curves["random"])
+    return {method: labeling_efficiency(_mean_curve(c), random_curve, target) for method, c in curves.items()}
+
+
 def _summarize(by_method: dict, metric_for_target: str = "rare") -> dict:
     """Final-round mean/std per method plus efficiency vs random.
 
@@ -65,27 +65,23 @@ def _summarize(by_method: dict, metric_for_target: str = "rare") -> dict:
     least-effort strategy's endpoint); it is null when random was not run.
     """
     summary = {"methods": {}, "efficiency_metric": metric_for_target, "efficiency_target": None}
-    random_curve = None
-    if "random" in by_method:
-        random_curve = _mean_curve([log.curve(metric_for_target) for log in by_method["random"]])
-        summary["efficiency_target"] = random_curve[-1][1]
+    curves = {method: [log.curve(metric_for_target) for log in logs] for method, logs in by_method.items()}
+    efficiencies = {}
+    if "random" in curves:
+        summary["efficiency_target"] = _mean_curve(curves["random"])[-1][1]
+        efficiencies = _efficiencies(curves, summary["efficiency_target"])
     for method, logs in by_method.items():
         finals_full = [log.final("full") for log in logs]
         finals_rare = [log.final("rare") for log in logs]
-        entry = {
+        summary["methods"][method] = {
             "seeds": [log.seed for log in logs],
             "final_full_mean": float(np.mean(finals_full)),
             "final_full_std": float(np.std(finals_full)),
             "final_rare_mean": float(np.mean(finals_rare)),
             "final_rare_std": float(np.std(finals_rare)),
             "labels_spent_mean": float(np.mean([log.labels_spent for log in logs])),
-            "labeling_efficiency_vs_random": None,
+            "labeling_efficiency_vs_random": efficiencies.get(method),
         }
-        if random_curve is not None:
-            curve = _mean_curve([log.curve(metric_for_target) for log in logs])
-            eff = labeling_efficiency(curve, random_curve, summary["efficiency_target"])
-            entry["labeling_efficiency_vs_random"] = eff
-        summary["methods"][method] = entry
     return summary
 
 
@@ -124,12 +120,12 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> int:
                         log.seed,
                         rec.round,
                         rec.labels_total,
-                        _fmt(rec.full_accuracy),
-                        _fmt(rec.rare_accuracy),
+                        rec.full_accuracy,
+                        rec.rare_accuracy,
                         rec.identified_slice,
                         rec.true_slice,
                         rec.granted,
-                        _fmt(rec.gamma),
+                        rec.gamma,
                     ]
                 )
 
@@ -157,6 +153,17 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> int:
     return 0
 
 
+def _cell(path, line: int, row: dict, column: str, parse):
+    """One metrics.csv cell, parsed; a bad cell is named by file, line and column."""
+    value = row[column]
+    try:
+        return parse(value)
+    except (TypeError, ValueError):  # a short row leaves its last cells None
+        kind = "an integer" if parse is int else "a number"
+        problem = "missing" if value is None else f"not {kind}: {value!r}"
+        raise RuntimeError(f"{path}:{line}: column {column} is {problem}") from None
+
+
 def _efficiency_from_metrics(path, target: float, metric: str) -> dict:
     """Recompute per-method efficiency vs random from an emitted metrics.csv."""
     col = "rare_metric" if metric == "rare" else "full_metric"
@@ -166,19 +173,19 @@ def _efficiency_from_metrics(path, target: float, metric: str) -> dict:
         if reader.fieldnames != METRICS_COLUMNS:
             raise RuntimeError(f"{path} does not look like an emitted metrics.csv")
         for row in reader:
-            key = (row["method"], int(row["seed"]))
-            curves.setdefault(key, []).append((float(row["labels_total"]), float(row[col])))
+            line = reader.line_num
+            key = (row["method"], _cell(path, line, row, "seed", int))
+            point = (_cell(path, line, row, "labels_total", float), _cell(path, line, row, col, float))
+            curves.setdefault(key, []).append(point)
     by_method: dict[str, list] = {}
-    for (method, _seed), curve in sorted(curves.items()):
-        by_method.setdefault(method, []).append(sorted(curve))
+    for (method, seed), curve in sorted(curves.items()):
+        per_seed = by_method.setdefault(method, [])
+        if per_seed and len(curve) != len(per_seed[0]):
+            raise RuntimeError(f"{path}: seed {seed} of {method} has {len(curve)} rounds, not {len(per_seed[0])}")
+        per_seed.append(sorted(curve))
     if "random" not in by_method:
         raise RuntimeError("metrics.csv contains no 'random' rows to compare against")
-
-    random_curve = _mean_curve(by_method["random"])
-    return {
-        method: labeling_efficiency(_mean_curve(per_seed), random_curve, target)
-        for method, per_seed in by_method.items()
-    }
+    return _efficiencies(by_method, target)
 
 
 def main(argv=None) -> int:
@@ -215,6 +222,8 @@ def main(argv=None) -> int:
                     config.seeds = [int(override)]
                 except ValueError:
                     raise ConfigError(f"{SEED_ENV_VAR}: must be an integer, got {override!r}")
+                if config.seeds[0] < 0:
+                    raise ConfigError(f"{SEED_ENV_VAR}: must be >= 0, got {override!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -223,7 +232,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             print(f"config OK: {len(config.methods)} method(s) x {len(config.seeds)} seed(s), "
                   f"{config.rounds} rounds, budget {config.budget}, rho {config.rho}")
-            print(f"schedule: {list(config.resolved_schedule())}")
+            print(f"schedule: {list(config.spec.schedule)}")
             return 0
         if args.command == "run":
             run(config, args.out, workers=args.workers)

@@ -207,21 +207,6 @@ def _featurize(featurizer: Featurizer | None, X: np.ndarray):
     return X if featurizer is None else featurizer(X)
 
 
-def infer_rare_flags(sizes) -> np.ndarray:
-    """Size heuristic for rarity when no designation is configured.
-
-    A slice counts as rare when it holds fewer than half the mean size of
-    the other slices. With a single slice nothing is rare.
-    """
-    sizes = np.asarray(sizes, dtype=np.float64)
-    flags = np.zeros(len(sizes), dtype=bool)
-    for t in range(len(sizes)):
-        others = np.delete(sizes, t)
-        if others.size:
-            flags[t] = sizes[t] < 0.5 * others.mean()
-    return flags
-
-
 def smidentify_scores(kernels) -> np.ndarray:
     """Normalized mutual-information score per candidate slice.
 

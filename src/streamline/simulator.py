@@ -26,7 +26,6 @@ from .core import (
     SlicedLabeledPool,
     StreamlineConfig,
     UnlabeledBuffer,
-    infer_rare_flags,
     streamline_round,
 )
 from .maximize import MaximizerConfig
@@ -92,7 +91,6 @@ class StreamSpec:
     episode_size: int = 100
     eval_per_slice: int = 400
     rare_slices: tuple = ()
-    rare_by_size: bool = False  # infer pool rarity from initial sizes instead
     seed: int = 0
 
     def __post_init__(self):
@@ -174,8 +172,6 @@ def generate_stream(spec: StreamSpec):
         ids, labels, X = sampler.draw(s, rare_size if is_rare else spec.common_pool_size)
         slices.append(LabeledSlice(ids, labels, X))
         rare_flags.append(is_rare)
-    if spec.rare_by_size:
-        rare_flags = infer_rare_flags([len(sl) for sl in slices])
     pool = SlicedLabeledPool(slices, rare_flags)
 
     buffers = []

@@ -1,13 +1,15 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from streamline.cli import SEED_ENV_VAR, main, run
-from streamline.config import ConfigError, config_from_dict, parse_config
+from streamline.cli import METRICS_COLUMNS, SEED_ENV_VAR, main, run
+from streamline.config import DEFAULTS, ConfigError, config_from_dict, parse_config
 from streamline.embedio import EmbeddingFileError, read_embeddings, write_embeddings
-from streamline.simulator import METHODS
+from streamline.simulator import METHODS, every_k_schedule
 
 
 def minimal_config():
@@ -37,9 +39,8 @@ def test_minimal_config_gets_defaults():
     cfg = config_from_dict(minimal_config())
     assert cfg.rho == 0.5
     assert cfg.budget == 50
-    assert cfg.schedule == "every_3"
-    sched = cfg.resolved_schedule()
-    assert len(sched) == 12
+    sched = cfg.spec.schedule
+    assert sched == every_k_schedule(12, 4, 3, k=3)
     assert [i for i, s in enumerate(sched) if s == cfg.rare_slice] == [2, 5, 8, 11]
 
 
@@ -55,6 +56,20 @@ def test_config_rejects_unknown_keys():
         config_from_dict({**minimal_config(), "maximizer": {"algo": "lazy"}})
     with pytest.raises(ConfigError, match="maximizer: unknown keys: partitions"):
         config_from_dict({**minimal_config(), "maximizer": {"partitions": 2}})
+    with pytest.raises(ConfigError, match="unknown config keys: rare_by_size"):
+        config_from_dict({**minimal_config(), "rare_by_size": True})
+
+
+def test_readme_config_schema_is_the_all_defaults_config():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"### Config schema.*?```json\n(.*?)```", readme, re.S).group(1)
+    data = json.loads(block)
+    assert set(data) == {"methods", "seeds", *DEFAULTS}
+    assert all(set(data[name]) == set(DEFAULTS[name]) for name in ("maximizer", "learner"))
+    documented = config_from_dict(data)
+    defaults = config_from_dict(minimal_config())
+    assert documented.stream_spec(0) == defaults.stream_spec(0)
+    assert documented.run_config() == defaults.run_config()
 
 
 @pytest.mark.parametrize(
@@ -112,7 +127,7 @@ def test_config_poverty_scale_values():
 def test_config_explicit_schedule_list():
     cfg = config_from_dict({**minimal_config(), "schedule": [0, 1, 2, 0]})
     assert cfg.rounds == 4
-    assert cfg.resolved_schedule() == (0, 1, 2, 0)
+    assert cfg.spec.schedule == (0, 1, 2, 0)
     with pytest.raises(ConfigError, match="rounds"):
         config_from_dict({**minimal_config(), "schedule": [0, 1], "rounds": 5})
 
@@ -121,7 +136,7 @@ def test_config_stochastic_epsilon_rules():
     ok = config_from_dict(
         {**minimal_config(), "maximizer": {"algorithm": "stochastic", "epsilon": 0.1}}
     )
-    assert ok.maximizer["epsilon"] == 0.1
+    assert ok.run.maximizer.epsilon == 0.1
     with pytest.raises(ConfigError, match="epsilon"):
         config_from_dict({**minimal_config(), "maximizer": {"algorithm": "stochastic"}})
     with pytest.raises(ConfigError, match="epsilon"):
@@ -349,12 +364,16 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
         ({"class_sep": float("inf")}, "class_sep: must be a finite number"),
         ({"learner": {"step_size": float("inf")}}, "learner.step_size: must be a finite number"),
         ({"maximizer": {"partitions": 2}}, "maximizer: unknown keys: partitions"),
+        ({"seeds": [-1]}, "seeds: must be >= 0, got -1"),
     ],
 )
 def test_cli_validate_exit_2_names_the_field(tmp_path, capsys, overrides, message):
     path = write_config(tmp_path, {**minimal_config(), **overrides})  # json writes Infinity
     assert main(["validate", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_exit_2(tmp_path):
@@ -394,19 +413,36 @@ def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):
     assert set(r["seed"] for r in rows) == {"7"}
 
 
-def test_cli_seed_env_override_must_be_int(tmp_path, monkeypatch):
+def test_cli_seed_env_override_must_be_int(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, minimal_config())
-    monkeypatch.setenv(SEED_ENV_VAR, "x")
-    assert main(["validate", "--config", str(path)]) == 2
+    for value, message in (("x", "must be an integer, got 'x'"), ("-3", "must be >= 0, got '-3'")):
+        monkeypatch.setenv(SEED_ENV_VAR, value)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"config error: {SEED_ENV_VAR}: {message}" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
 
-def test_run_with_workers_matches_serial(tmp_path):
-    cfg = config_from_dict({**tiny_run_config(), "rounds": 3})
-    run(cfg, tmp_path / "serial", workers=1)
-    run(cfg, tmp_path / "parallel", workers=2)
-    assert (tmp_path / "serial" / "metrics.csv").read_bytes() == (
-        tmp_path / "parallel" / "metrics.csv"
-    ).read_bytes()
+@pytest.mark.parametrize(
+    "line, text, message",
+    [
+        (7, None, "metrics.csv: seed 1 of random has 2 rounds, not 3"),
+        (3, "random,0,1,20,0.5,x,0,0,10,0.0", "metrics.csv:3: column rare_metric is not a number: 'x'"),
+        (4, "random,0,2,30", "metrics.csv:4: column rare_metric is missing"),
+    ],
+    ids=["fewer_rounds", "non_numeric", "short_row"],
+)
+def test_cli_efficiency_names_the_bad_row_exit_3(tmp_path, capsys, line, text, message):
+    lines = [",".join(METRICS_COLUMNS)]
+    lines += [f"random,{seed},{r},{10 * (r + 1)},0.5,0.{r + 1},0,0,10,0.0" for seed in (0, 1) for r in range(3)]
+    if text is None:
+        del lines[line - 1]
+    else:
+        lines[line - 1] = text
+    path = tmp_path / "metrics.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["efficiency", "--metrics", str(path), "--target", "0.2"]) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -425,7 +461,7 @@ def test_cli_schedule_without_common_rounds_exit_2(tmp_path, capsys, override, f
 def test_config_single_slice_schedules_that_need_no_common_slice():
     for schedule in ("every_1", "sequential", [0, 0]):
         cfg = config_from_dict({**minimal_config(), "slices": 1, "schedule": schedule, "rounds": 2})
-        assert cfg.resolved_schedule() == (0, 0)
+        assert cfg.spec.schedule == (0, 0)
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

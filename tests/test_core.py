@@ -216,15 +216,6 @@ def test_budget_fuzz_conservation():
         assert total_granted <= rounds * B
 
 
-def test_infer_rare_flags_size_heuristic():
-    from streamline.core import infer_rare_flags
-
-    flags = infer_rare_flags([200, 180, 220, 40])  # 40 < 0.5 * mean(200,180,220)
-    assert list(flags) == [False, False, False, True]
-    assert list(infer_rare_flags([100])) == [False]
-    assert list(infer_rare_flags([100, 90])) == [False, False]
-
-
 def test_budget_state_validation():
     with pytest.raises(ValueError):
         BudgetState(B=-1, rho=0.5)

@@ -105,11 +105,6 @@ def test_stream_ids_disjoint_between_pool_and_buffers():
         seen.update(ids)
 
 
-def test_stream_rare_by_size_heuristic():
-    pool, _, _ = generate_stream(small_spec(rare_by_size=True))
-    assert list(pool.rare_flags) == [False, False, True]  # 6 < 0.5 * mean(30, 30)
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         small_spec(schedule=())
