@@ -28,7 +28,6 @@ from .core import (
     scg_select,
     slice_aware_budget,
     smidentify,
-    smidentify_scores,
     streamline_round,
 )
 from .embedio import EmbeddingCollection, EmbeddingFileError, read_embeddings, write_embeddings

@@ -95,16 +95,12 @@ def submodular_fl_select(
     buffer: UnlabeledBuffer,
     b: int,
     maximizer_cfg: MaximizerConfig,
-    featurizer=None,
-    metric: str = "cosine",
-    bandwidth: float = 1.0,
 ) -> list[int]:
-    """Coverage-only selection: maximize facility location over the buffer."""
+    """Coverage-only selection: maximize facility location over the buffer's cosine kernel."""
     b = min(int(b), len(buffer))
     if b <= 0:
         return []
-    feats = buffer.X if featurizer is None else featurizer(buffer.X)
-    S = build_kernel(feats, feats, metric=metric, bandwidth=bandwidth).values
+    S = build_kernel(buffer.X, buffer.X).values
     trace = maximize(FacilityLocation(S), replace(maximizer_cfg, budget=b))
     return [int(buffer.ids[i]) for i in trace.chosen]
 
@@ -115,11 +111,8 @@ def similar_select(
     t: int,
     b: int,
     maximizer_cfg: MaximizerConfig,
-    featurizer=None,
-    metric: str = "cosine",
-    bandwidth: float = 1.0,
 ) -> list[int]:
-    """Query-targeted selection: maximize mutual information with slice t.
+    """Query-targeted selection: maximize mutual information with slice t (cosine kernel).
 
     Deliberately uses the fixed budget b regardless of slice balance, which
     is the behavior the slice-aware budgeting is designed to improve on.
@@ -129,9 +122,7 @@ def similar_select(
     b = min(int(b), len(buffer))
     if b <= 0:
         return []
-    feats_u = buffer.X if featurizer is None else featurizer(buffer.X)
-    feats_p = pool.slices[t].X if featurizer is None else featurizer(pool.slices[t].X)
-    S_up = build_kernel(feats_u, feats_p, metric=metric, bandwidth=bandwidth).values
+    S_up = build_kernel(buffer.X, pool.slices[t].X).values
     trace = maximize(FLQMI(S_up), replace(maximizer_cfg, budget=b))
     return [int(buffer.ids[i]) for i in trace.chosen]
 

@@ -61,7 +61,7 @@ _RULES = (
     ("noise_std", float, lambda v, c: v > 0, "> 0"),
     ("imbalance", int, lambda v, c: v >= 1, ">= 1"),
     ("common_pool_size", int, lambda v, c: v >= c["imbalance"], ">= imbalance"),
-    ("rounds", int, lambda v, c: v >= 1, ">= 1"),
+    ("rounds", int, lambda v, c: 1 <= v <= 10_000, "within [1, 10000]"),
     ("episode_size", int, lambda v, c: v >= 1, ">= 1"),
     ("redundancy", int, lambda v, c: v >= 1, ">= 1"),
     ("eval_per_slice", int, lambda v, c: v >= 1, ">= 1"),

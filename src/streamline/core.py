@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _prepared, _transposed_self_kernel, first_bad_row, row_col_max
+from .kernels import _flat_side, _transposed_self_kernel, first_bad_row, row_col_max
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
 from .maximize import MaximizerConfig, maximize
 from .setfunctions import FLCG, FLQMI, flqmi_normalizer
@@ -64,11 +64,17 @@ class SlicedLabeledPool:
         for t, sl in enumerate(self.slices):
             if len(sl) == 0:
                 raise EmptySliceError(t)
+            self._check_dim(t, sl.X, self.slices[0].X.shape[1])
             for i in sl.ids:
                 i = int(i)
                 if i in self._seen_ids:
                     raise ValueError(f"item id {i} appears in more than one slice")
                 self._seen_ids.add(i)
+
+    @staticmethod
+    def _check_dim(t: int, X: np.ndarray, dim: int) -> None:
+        if X.shape[1] != dim:
+            raise ValueError(f"slice {t}: embedding dim {X.shape[1]} differs from the pool's {dim}")
 
     @property
     def num_slices(self) -> int:
@@ -95,12 +101,12 @@ class SlicedLabeledPool:
         """Append newly labeled items to slice t; ids must be globally new."""
         new = LabeledSlice(ids, labels, X)
         sl = self.slices[t]
-        X = np.vstack([sl.X, new.X])  # a dim mismatch fails before anything changes
+        self._check_dim(t, new.X, sl.X.shape[1])
         self.check_new(new.ids)
         self._seen_ids.update(new.ids.tolist())
         sl.ids = np.concatenate([sl.ids, new.ids])
         sl.labels = np.concatenate([sl.labels, new.labels])
-        sl.X = X
+        sl.X = np.vstack([sl.X, new.X])
 
     def add_selected(self, t: int, buffer: UnlabeledBuffer, ids, label_oracle) -> None:
         """Label the selected buffer ids and append their rows to slice t.
@@ -191,20 +197,12 @@ class IdentificationResult:
     """The identified slice, every slice's score, and the buffer's row maxima.
 
     row_max[i] is max_j S[i, j] over the buffer x identified-slice kernel,
-    the private best that FLCG selection over that slice starts from; it is
-    None when the result was not made by smidentify.
+    the private best that FLCG selection over that slice starts from.
     """
 
     slice_id: int
     scores: np.ndarray
-    row_max: np.ndarray | None = None
-
-
-Featurizer = Callable[[np.ndarray], np.ndarray]
-
-
-def _featurize(featurizer: Featurizer | None, X: np.ndarray):
-    return X if featurizer is None else featurizer(X)
+    row_max: np.ndarray
 
 
 def smidentify_scores(kernels) -> np.ndarray:
@@ -221,29 +219,23 @@ def smidentify_scores(kernels) -> np.ndarray:
     return scores
 
 
-def smidentify(
-    pool: SlicedLabeledPool,
-    buffer: UnlabeledBuffer,
-    featurizer: Featurizer | None = None,
-    metric: str = "cosine",
-    bandwidth: float = 1.0,
-) -> IdentificationResult:
+def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> IdentificationResult:
     """Identify the labeled slice the buffer most plausibly belongs to.
 
-    Each slice's score is smidentify_scores of its buffer x slice kernel,
-    computed from that kernel's row and column maxima without holding it;
-    the buffer is prepared once for all slices. Ties break toward the
-    smallest slice index. Returns the winning index, the full score vector
-    for diagnostics, and the buffer's row maxima against the winner.
+    Each slice's score is smidentify_scores of the cosine buffer x slice
+    kernel on raw embeddings, from its row and column maxima alone; the
+    buffer is normalized once for all slices. Ties break toward the smallest
+    slice index. Returns the winning index, the full score vector for
+    diagnostics, and the buffer's row maxima against the winner.
     """
     for t, sl in enumerate(pool.slices):
         if len(sl) == 0:
             raise EmptySliceError(t)
-    feats_u = _prepared(_featurize(featurizer, buffer.X), metric)  # once, for every slice
+    U = _flat_side(buffer.X, "cosine")  # once, for every slice
     scores, row_maxima = np.empty(pool.num_slices), []
     for t, sl in enumerate(pool.slices):
         # smidentify_scores on the full kernel, from its row and column maxima
-        row, col = row_col_max(feats_u, _featurize(featurizer, sl.X), metric, bandwidth)
+        row, col = row_col_max(U, sl.X)
         scores[t] = (row.sum() + col.sum()) / flqmi_normalizer(len(row), len(col))
         row_maxima.append(row)
     t = int(np.argmax(scores))
@@ -286,27 +278,23 @@ def scg_select(
     t: int,
     b: int,
     maximizer_cfg: MaximizerConfig,
-    featurizer: Featurizer | None = None,
-    metric: str = "cosine",
-    bandwidth: float = 1.0,
     *,
     row_max: np.ndarray | None = None,
 ) -> list[int]:
     """Pick up to b buffer items maximizing conditional gain over slice t.
 
-    Budgets beyond the buffer size are clamped, not an error. Returns global
-    item ids in selection order. FLCG reads only row_max[i] = max_j S_up[i, j],
-    never S_up; pass the buffer's row maxima against slice t (as smidentify
-    returns them) to skip that pass, else they are computed here. S_uu is
+    Both kernels are cosine on raw embeddings; b is clamped to the buffer
+    size. Returns global item ids in selection order. FLCG reads only
+    row_max[i] = max_j S_up[i, j], never S_up; pass the buffer's row maxima
+    against slice t (as smidentify returns them) to skip that pass. S_uu is
     built transposed, so the evaluators read its columns as contiguous rows.
     """
     b = min(int(b), len(buffer))
     if b <= 0:
         return []
-    feats_u = _featurize(featurizer, buffer.X)
     if row_max is None:
-        row_max, _ = row_col_max(feats_u, _featurize(featurizer, pool.slices[t].X), metric, bandwidth)
-    T = _transposed_self_kernel(feats_u, metric, bandwidth)  # T.T is S_uu
+        row_max, _ = row_col_max(buffer.X, pool.slices[t].X)
+    T = _transposed_self_kernel(buffer.X, "cosine", 1.0)  # T.T is S_uu
     f = FLCG(T.T, row_max[:, None])  # a one-column private kernel
     trace = maximize(f, replace(maximizer_cfg, budget=b))
     return [int(buffer.ids[i]) for i in trace.chosen]
@@ -316,18 +304,13 @@ def scg_select(
 class StreamlineConfig:
     """Knobs for one streaming round.
 
-    Separate featurizers are supported for identification and selection
-    (None means raw embeddings). fixed_budget disables accumulation and
-    always grants the base budget; selector_fn, when given, replaces the
-    conditional-gain selection with callable(pool, buffer, t, b) -> ids.
+    Identification and selection both see the raw embeddings through cosine
+    similarity. fixed_budget disables accumulation and always grants the
+    base budget; selector_fn, when given, replaces the conditional-gain
+    selection with callable(pool, buffer, t, b) -> ids.
     """
 
     maximizer: MaximizerConfig = field(default_factory=lambda: MaximizerConfig(budget=0))
-    identify_featurizer: Featurizer | None = None
-    select_featurizer: Featurizer | None = None
-    identify_metric: str = "cosine"
-    select_metric: str = "cosine"
-    bandwidth: float = 1.0
     fixed_budget: bool = False
     selector_fn: Callable | None = None
 
@@ -368,9 +351,7 @@ def streamline_round(
     by the buffer size or left over by a short selection, go back to gamma.
     A fixed budget leaves gamma alone.
     """
-    ident = smidentify(
-        pool, buffer, cfg.identify_featurizer, cfg.identify_metric, cfg.bandwidth
-    )
+    ident = smidentify(pool, buffer)
     t = ident.slice_id
 
     if cfg.fixed_budget:
@@ -384,16 +365,8 @@ def streamline_round(
     granted = min(decision.b, len(buffer))
     if cfg.selector_fn is not None:
         selected = cfg.selector_fn(pool, buffer, t, granted)
-    else:
-        # identify already took the buffer's row maxima against slice t,
-        # unless selection sees the items through another featurizer or metric
-        same_view = (cfg.select_featurizer is cfg.identify_featurizer
-                     and cfg.select_metric == cfg.identify_metric)
-        selected = scg_select(
-            pool, buffer, t, granted, cfg.maximizer,
-            cfg.select_featurizer, cfg.select_metric, cfg.bandwidth,
-            row_max=ident.row_max if same_view else None,
-        )
+    else:  # identify already took the buffer's row maxima against slice t
+        selected = scg_select(pool, buffer, t, granted, cfg.maximizer, row_max=ident.row_max)
 
     selected = [int(i) for i in selected]
     if len(selected) > granted:

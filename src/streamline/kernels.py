@@ -125,14 +125,6 @@ class SimilarityMatrix:
             raise KernelError("kernel contains negative entries")
         object.__setattr__(self, "values", values)
 
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
 
 def _as_item_list(items) -> list:
     if isinstance(items, np.ndarray):
@@ -187,13 +179,10 @@ def _flat_side(X, metric: str) -> _Side:
     return _Side(X, sq)
 
 
-def _prepared(X, metric: str):
-    """X ready to pair with many collections: a prepared side for a flat metric, else X."""
-    return _flat_side(X, metric) if metric in ("cosine", "rbf") else X
-
-
 def _flat_prepare(rows, cols, metric: str, bandwidth: float):
     """Both sides of a flat kernel, prepared once, and its column blocks as slices."""
+    if metric not in ("cosine", "rbf"):
+        raise KernelError(f"flat kernels are cosine or rbf, not {metric!r}")
     if metric == "rbf" and bandwidth <= 0.0:
         raise KernelError(f"bandwidth must be positive, got {bandwidth}")
     R, C = _flat_side(rows, metric), _flat_side(cols, metric)
@@ -282,11 +271,8 @@ def row_col_max(rows, cols, metric: str = "cosine", bandwidth: float = 1.0):
     build_kernel computes, each folded into a running row max and its own
     column max in one reused scratch block, and only those two vectors are
     clipped, since clipping commutes with max. The maxima equal the full
-    kernel's exactly. Object-set collections go through build_kernel.
+    kernel's exactly. A metric other than cosine or rbf raises KernelError.
     """
-    if metric not in ("cosine", "rbf"):
-        values = build_kernel(rows, cols, metric=metric, bandwidth=bandwidth).values
-        return values.max(axis=1), values.max(axis=0)
     R, C, blocks = _flat_prepare(rows, cols, metric, bandwidth)
     scratch = np.empty((R.X.shape[0], blocks[-1].stop - blocks[-1].start))  # the widest block
     row_max, col_max = np.full(R.X.shape[0], -np.inf), []
@@ -309,13 +295,10 @@ def _transposed_self_kernel(X, metric: str, bandwidth: float) -> np.ndarray:
     the same product bit for bit (a product of the transposed operands is
     not: BLAS may order its sums differently), and then transposed in place,
     tile by tile. Column j of the kernel is the contiguous row j of the
-    result. Flat entries are clipped here and no SimilarityMatrix checks
-    them again.
+    result. X is a 2-D array of flat embeddings and metric is "cosine" or
+    "rbf". Entries are clipped here and no SimilarityMatrix checks them again.
     """
-    if metric in ("cosine", "rbf"):
-        S = _flat_kernel(X, X, metric, bandwidth)
-    else:
-        S = build_kernel(X, X, metric=metric, bandwidth=bandwidth).values
+    S = _flat_kernel(X, X, metric, bandwidth)
     n, scratch = S.shape[0], np.empty((_TILE, _TILE))
     for i in range(0, n, _TILE):
         diag = S[i : i + _TILE, i : i + _TILE]

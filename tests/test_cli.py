@@ -365,6 +365,8 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
         ({"learner": {"step_size": float("inf")}}, "learner.step_size: must be a finite number"),
         ({"maximizer": {"partitions": 2}}, "maximizer: unknown keys: partitions"),
         ({"seeds": [-1]}, "seeds: must be >= 0, got -1"),
+        ({"rounds": 10**400}, "rounds: must be within [1, 10000]"),
+        ({"rounds": 10**9}, "rounds: must be within [1, 10000]"),
     ],
 )
 def test_cli_validate_exit_2_names_the_field(tmp_path, capsys, overrides, message):

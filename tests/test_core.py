@@ -338,14 +338,11 @@ def test_round_buffer_cap_credits_gamma():
 
 def test_round_misidentification_still_augments_identified_slice():
     pool, next_id = make_pool([10, 10], [False, False], spread=0.02)
-    buf = make_buffer(8, axis=1, next_id=next_id, true_slice=1)
+    buf = make_buffer(8, axis=0, next_id=next_id, true_slice=1)  # drawn near slice 0
     state = BudgetState(B=4, rho=0.5)
-    cfg = StreamlineConfig(
-        maximizer=_maximizer(),
-        identify_featurizer=lambda X: np.ones((len(X), 3)),  # constant features
-    )
+    cfg = StreamlineConfig(maximizer=_maximizer())
     report, pool, state = streamline_round(pool, buf, state, cfg, _oracle(buf))
-    assert report.identified_slice == 0  # all scores tie, first slice wins
+    assert report.identified_slice == 0
     assert not report.identification_correct
     assert pool.sizes[0] == 10 + report.granted  # wrong slice still grows
     assert pool.sizes[1] == 10
@@ -373,6 +370,17 @@ def test_pool_rejects_duplicate_ids():
     pool, _ = make_pool([4], [False])
     with pytest.raises(ValueError):
         pool.add(0, np.array([0]), np.array([0]), np.ones((1, 4)))
+
+
+def test_pool_rejects_mixed_embedding_dims():
+    with pytest.raises(ValueError, match="slice 1: embedding dim 3 differs from the pool's 4"):
+        SlicedLabeledPool(
+            [
+                LabeledSlice(np.array([0, 1]), np.zeros(2, int), np.ones((2, 4))),
+                LabeledSlice(np.array([2, 3]), np.zeros(2, int), np.ones((2, 3))),
+            ],
+            [False, False],
+        )
 
 
 def test_budget_conservation_over_streamed_rounds():
@@ -413,8 +421,8 @@ def test_ingestion_rejects_bad_embedding_rows(bad_row, why):
 
 def test_pool_add_changes_nothing_when_it_fails():
     pool, _ = make_pool([3], [False])
-    with pytest.raises(ValueError):
-        pool.add(0, [100, 101], [0, 0], np.ones((2, 2)))  # wrong dim
+    with pytest.raises(ValueError, match="slice 0: embedding dim 2 differs from the pool's 4"):
+        pool.add(0, [100, 101], [0, 0], np.ones((2, 2)))
     with pytest.raises(ValueError, match="item id 102 is repeated"):
         pool.add(0, [102, 102], [0, 0], np.ones((2, 4)))
     pool.add(0, [100, 101, 102], [0, 0, 0], np.ones((3, 4)))
@@ -509,10 +517,4 @@ def test_round_takes_row_maxima_once_per_slice(monkeypatch):
         calls.clear()
         report, pool, state = streamline_round(pool, buf, state, cfg, oracle)
         assert report.selected_ids and len(calls) == pool.num_slices
-    # a different select metric cannot reuse them: one more pass for selection
-    buf = make_buffer(15, 0, next_id + 45, seed=9, spread=0.3)
-    calls.clear()
-    cfg = StreamlineConfig(maximizer=MaximizerConfig(budget=0), select_metric="rbf")
-    streamline_round(pool, buf, state, cfg, oracle)
-    assert len(calls) == pool.num_slices + 1
 

@@ -10,6 +10,7 @@ from streamline.kernels import (
     normalize_rows,
     object_set_similarity,
     rbf_similarity,
+    row_col_max,
 )
 
 
@@ -192,6 +193,14 @@ def test_build_kernel_mixed_kinds_rejected():
         build_kernel(objs, objs, metric="cosine")
 
 
+def test_row_col_max_rejects_metrics_other_than_cosine_and_rbf():
+    objs = [np.ones((2, 3)), np.ones((1, 3))]
+    with pytest.raises(KernelError, match="'object_set'"):
+        row_col_max(objs, objs, metric="object_set")
+    with pytest.raises(KernelError, match="'euclid'"):
+        row_col_max(np.ones((2, 3)), np.ones((4, 3)), metric="euclid")
+
+
 def test_build_kernel_empty_rejected():
     with pytest.raises(KernelError):
         build_kernel(np.empty((0, 3)), np.ones((2, 3)))
@@ -203,4 +212,4 @@ def test_similarity_matrix_invariants():
     with pytest.raises(KernelError):
         SimilarityMatrix(np.array([[np.inf, 0.0]]))
     m = SimilarityMatrix(np.ones((2, 3)))
-    assert m.rows == 2 and m.cols == 3
+    assert m.values.shape == (2, 3)

@@ -28,9 +28,9 @@ from streamline import (
     row_col_max,
     scg_select,
     smidentify,
-    smidentify_scores,
     streamline_round,
 )
+from streamline.core import smidentify_scores
 from streamline.kernels import _BLOCK, _transposed_self_kernel
 from streamline.setfunctions import _ROWS, _CoverageEvaluator
 from streamline.simulator import Learner, LearnerConfig, fit_logistic, logistic_loss_and_grad
@@ -321,10 +321,9 @@ def test_lazy_greedy_equals_naive_greedy(seed, n_rows, n, b, dups, grid, kind):
     n_u=st.integers(1, 40),
     dim=st.integers(2, 6),
     B=st.integers(1, 45),
-    metric=st.sampled_from(["cosine", "rbf"]),
     grid=st.booleans(),
 )
-def test_round_selects_what_scg_select_selects(seed, sizes, n_u, dim, B, metric, grid):
+def test_round_selects_what_scg_select_selects(seed, sizes, n_u, dim, B, grid):
     """The round's selection, made from identify's row maxima, equals scg_select's."""
     def stream():
         rng = np.random.default_rng(seed)
@@ -333,14 +332,14 @@ def test_round_selects_what_scg_select_selects(seed, sizes, n_u, dim, B, metric,
         return pool, buf
 
     pool, buf = stream()
-    ident = smidentify(pool, buf, metric=metric, bandwidth=0.7)
+    ident = smidentify(pool, buf)
     t = ident.slice_id
-    full = build_kernel(buf.X, pool.slices[t].X, metric=metric, bandwidth=0.7).values
+    full = build_kernel(buf.X, pool.slices[t].X).values
     np.testing.assert_array_equal(ident.row_max, full.max(axis=1))
     maximizer = MaximizerConfig(budget=0)
-    cfg = StreamlineConfig(maximizer, identify_metric=metric, select_metric=metric, bandwidth=0.7)
+    cfg = StreamlineConfig(maximizer)
     oracle = lambda ids: np.zeros(len(ids), int)  # noqa: E731
     report, _, _ = streamline_round(pool, buf, BudgetState(B=B, rho=0.5), cfg, oracle)
     pool, buf = stream()
-    expected = scg_select(pool, buf, t, report.decision.b, maximizer, metric=metric, bandwidth=0.7)
+    expected = scg_select(pool, buf, t, report.decision.b, maximizer)
     assert report.selected_ids == expected
