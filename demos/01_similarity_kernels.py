@@ -1,8 +1,10 @@
-"""Similarity kernels: flat embeddings, RBF, and the object-set reduction.
+"""Similarity kernels: pairwise scores, the object-set reduction, full kernels.
 
 Every set function in this package runs on a nonnegative similarity kernel
-with entries in [0, 1]. This script walks through the three ways to build
-one.
+with entries in [0, 1]. This script shows the pairwise scores (cosine, RBF
+and the object-set reduction) and the two kernels build_kernel makes from
+them: cosine for flat embeddings and object_set for object sets. RBF is a
+pairwise score only; build_kernel rejects it.
 """
 
 import numpy as np

@@ -52,7 +52,7 @@ DEFAULTS = {
 # Numeric rules, checked in order: (key, int or float, test, constraint). The
 # test sees the value and the keys checked before it.
 _RULES = (
-    ("slices", int, lambda v, c: v >= 1, ">= 1"),
+    ("slices", int, lambda v, c: 1 <= v <= 10_000, "within [1, 10000]"),
     ("classes", int, lambda v, c: v >= 2, ">= 2"),
     ("dim", int, lambda v, c: v >= c["slices"], ">= slices"),
     ("class_sep", float, lambda v, c: v > 0, "> 0"),
@@ -65,7 +65,7 @@ _RULES = (
     ("episode_size", int, lambda v, c: v >= 1, ">= 1"),
     ("redundancy", int, lambda v, c: v >= 1, ">= 1"),
     ("eval_per_slice", int, lambda v, c: v >= 1, ">= 1"),
-    ("budget", int, lambda v, c: v >= 0, ">= 0"),
+    ("budget", int, lambda v, c: 0 <= v <= 10**9, "within [0, 1000000000]"),
     ("rho", float, lambda v, c: 0.0 <= v <= 1.0, "within [0, 1]"),
     ("learner.step_size", float, lambda v, c: v > 0, "> 0"),
     ("learner.epochs", int, lambda v, c: v >= 1, ">= 1"),

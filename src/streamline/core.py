@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _flat_side, _transposed_self_kernel, first_bad_row, row_col_max
+from .kernels import _flat_side, _row_col_max, _transposed_self_kernel, first_bad_row
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
 from .maximize import MaximizerConfig, maximize
 from .setfunctions import FLCG, FLQMI, flqmi_normalizer
@@ -231,11 +231,11 @@ def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> Identificati
     for t, sl in enumerate(pool.slices):
         if len(sl) == 0:
             raise EmptySliceError(t)
-    U = _flat_side(buffer.X, "cosine")  # once, for every slice
+    U = _flat_side(buffer.X)  # once, for every slice
     scores, row_maxima = np.empty(pool.num_slices), []
     for t, sl in enumerate(pool.slices):
         # smidentify_scores on the full kernel, from its row and column maxima
-        row, col = row_col_max(U, sl.X)
+        row, col = _row_col_max(U, _flat_side(sl.X))
         scores[t] = (row.sum() + col.sum()) / flqmi_normalizer(len(row), len(col))
         row_maxima.append(row)
     t = int(np.argmax(scores))
@@ -293,8 +293,8 @@ def scg_select(
     if b <= 0:
         return []
     if row_max is None:
-        row_max, _ = row_col_max(buffer.X, pool.slices[t].X)
-    T = _transposed_self_kernel(buffer.X, "cosine", 1.0)  # T.T is S_uu
+        row_max, _ = _row_col_max(_flat_side(buffer.X), _flat_side(pool.slices[t].X))
+    T = _transposed_self_kernel(buffer.X)  # T.T is S_uu
     f = FLCG(T.T, row_max[:, None])  # a one-column private kernel
     trace = maximize(f, replace(maximizer_cfg, budget=b))
     return [int(buffer.ids[i]) for i in trace.chosen]

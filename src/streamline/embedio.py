@@ -40,11 +40,16 @@ def _sidecar(path) -> Path:
 
 
 def write_embeddings(path, X, ids=None, labels=None, slices=None) -> None:
-    """Write a float32 embedding matrix, with optional id/label/slice sidecar."""
+    """Write a float32 embedding matrix, with optional id/label/slice sidecar.
+
+    Rows read_embeddings would reject raise EmbeddingFileError; nothing is written.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float32))
     count, dim = X.shape
     if count == 0 or dim == 0:
         raise EmbeddingFileError("refusing to write an empty embedding collection")
+    if bad := first_bad_row(X):
+        raise EmbeddingFileError("row %d is %s in float32; nothing was written" % bad)
     payload = _HEADER.pack(MAGIC, VERSION, count, dim) + X.astype("<f4").tobytes(order="C")
     Path(path).write_bytes(payload)
     if ids is not None or labels is not None or slices is not None:

@@ -1,15 +1,15 @@
 """Similarity kernel construction between embedding collections.
 
-Flat embeddings are 1-D float vectors; object-set embeddings are 2-D arrays
-holding one normalized feature vector per detected object in an image. All
-kernels produced here are nonnegative with entries in [0, 1], which the set
-functions downstream rely on for monotonicity.
+Flat embeddings are 1-D float vectors and their kernels are cosine;
+object-set embeddings are 2-D arrays holding one normalized feature vector
+per detected object in an image. All kernels produced here are nonnegative
+with entries in [0, 1], which the set functions downstream rely on for
+monotonicity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -150,84 +150,51 @@ def _is_object_collection(items) -> bool:
 _BLOCK = 1024
 
 
-class _Side(NamedTuple):
-    """One flat collection as every kernel block reads it: rows and, for rbf, squared norms."""
+def _flat_side(X) -> np.ndarray:
+    """One flat collection as every kernel block reads it: its normalized rows.
 
-    X: np.ndarray
-    sq: np.ndarray | None
-
-
-def _flat_side(X, metric: str) -> _Side:
-    """One collection as every kernel block reads it, prepared once.
-
-    Cosine reads the normalized rows (zero rows are rejected there), rbf the
-    rows and their squared norms. Non-finite rows are rejected. A side
-    already prepared (for the same metric) is returned as it is, so a caller
-    that pairs one collection with many can prepare it once.
+    Non-finite and all-zero rows raise KernelError. Each call returns a
+    buffer of its own: numpy multiplies one buffer by its own transpose
+    through SYRK, whose last bits differ from the general product.
     """
-    if isinstance(X, _Side):
-        return X
-    X = np.asarray(X, dtype=np.float64)
+    try:
+        X = np.asarray(X, dtype=np.float64)
+    except ValueError:  # a ragged list, such as object sets of different sizes
+        raise KernelError("flat collections must be nonempty 2-D arrays, got a ragged one") from None
     if X.ndim != 2 or X.shape[0] == 0:
         raise KernelError(f"flat collections must be nonempty 2-D arrays, got shape {X.shape}")
-    # Each side gets a buffer of its own: numpy multiplies one buffer by its
-    # own transpose through SYRK, whose last bits differ from the general product.
-    X, sq = (normalize_rows(X), None) if metric == "cosine" else (X.copy(), np.sum(X * X, axis=1))
-    finite = np.isfinite(X).all(axis=1) if sq is None else np.isfinite(sq)
-    if not finite.all():
-        raise KernelError(f"embedding row {int(np.argmin(finite))} has non-finite entries")
-    return _Side(X, sq)
+    if bad := first_bad_row(X):
+        raise KernelError("embedding row %d is %s" % bad)
+    return normalize_rows(X)
 
 
-def _flat_prepare(rows, cols, metric: str, bandwidth: float):
-    """Both sides of a flat kernel, prepared once, and its column blocks as slices."""
-    if metric not in ("cosine", "rbf"):
-        raise KernelError(f"flat kernels are cosine or rbf, not {metric!r}")
-    if metric == "rbf" and bandwidth <= 0.0:
-        raise KernelError(f"bandwidth must be positive, got {bandwidth}")
-    R, C = _flat_side(rows, metric), _flat_side(cols, metric)
-    _check_dims(R.X, C.X)
-    m = C.X.shape[0]
+def _blocks(R: np.ndarray, C: np.ndarray) -> list[slice]:
+    """The column blocks of the kernel between prepared sides R and C, whose dims must agree."""
+    _check_dims(R, C)
+    m = C.shape[0]
     starts = [k * _BLOCK for k in range(max(m // _BLOCK, 1))] + [m]
-    return R, C, [slice(j0, j1) for j0, j1 in zip(starts, starts[1:])]
+    return [slice(j0, j1) for j0, j1 in zip(starts, starts[1:])]
 
 
-def _flat_block(R: _Side, C: _Side, j: slice, metric: str, bandwidth: float, out: np.ndarray):
-    """Columns j of the flat kernel between prepared sides R and C, written into out.
-
-    Cosine entries are left unclipped; rbf entries already lie in [0, 1].
-    """
-    np.matmul(R.X, C.X[j].T, out=out)
-    if metric == "rbf":
-        sq = R.sq[:, None] + C.sq[None, j] - 2.0 * out
-        np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2), out=out)
-    return out
-
-
-def _flat_kernel(rows, cols, metric: str, bandwidth: float) -> np.ndarray:
-    """The clipped flat kernel, its column blocks written in place."""
-    R, C, blocks = _flat_prepare(rows, cols, metric, bandwidth)
-    values = np.empty((R.X.shape[0], C.X.shape[0]))
-    for j in blocks:
-        _flat_block(R, C, j, metric, bandwidth, out=values[:, j])
+def _flat_kernel(rows, cols) -> np.ndarray:
+    """The clipped cosine kernel, its column blocks written in place."""
+    R, C = _flat_side(rows), _flat_side(cols)
+    values = np.empty((R.shape[0], C.shape[0]))
+    for j in _blocks(R, C):
+        np.matmul(R, C[j].T, out=values[:, j])
     return np.clip(values, 0.0, 1.0, out=values)
 
 
-def build_kernel(
-    rows,
-    cols,
-    metric: str | None = None,
-    bandwidth: float = 1.0,
-) -> SimilarityMatrix:
+def build_kernel(rows, cols, metric: str | None = None) -> SimilarityMatrix:
     """Build the pairwise similarity kernel between two collections.
 
     Args:
         rows: collection of flat embeddings (or a 2-D array), or a list of
             object-set arrays when metric == "object_set".
         cols: same kind as rows.
-        metric: "cosine", "rbf", or "object_set"; None picks cosine for flat
-            embeddings and object_set for object collections.
-        bandwidth: RBF bandwidth (ignored otherwise).
+        metric: "cosine" or "object_set"; None picks cosine for flat
+            embeddings and object_set for object collections. Flat kernels
+            are cosine only; rbf_similarity is a pairwise score.
 
     Entries are metric(rows[i], cols[j]) computed vectorized but equal to the
     scalar ops entrywise. Flat kernels are computed in the column blocks
@@ -235,23 +202,19 @@ def build_kernel(
     or more, a multi-threaded BLAS may differ in the last bit from one whole
     matrix product, which can move near-tie selections.
     """
-    if metric not in ("cosine", "rbf", "object_set", None):
+    if metric not in ("cosine", "object_set", None):
         raise KernelError(f"unknown metric {metric!r}")
     rows = _as_item_list(rows)
     cols = _as_item_list(cols)
     if len(rows) == 0 or len(cols) == 0:
         raise KernelError("kernel collections must be nonempty")
 
-    rows_are_objects = _is_object_collection(rows)
-    cols_are_objects = _is_object_collection(cols)
-    if metric is None:
-        metric = "object_set" if rows_are_objects else "cosine"
-    if rows_are_objects != cols_are_objects:
+    objects = _is_object_collection(rows)
+    if objects != _is_object_collection(cols):
         raise KernelError("rows and cols mix flat embeddings and object sets")
-    if rows_are_objects and metric != "object_set":
-        raise KernelError(f"object-set collections require the object_set metric, not {metric!r}")
-    if not rows_are_objects and metric == "object_set":
-        raise KernelError("object_set metric requires object-set collections")
+    metric = metric or ("object_set" if objects else "cosine")
+    if (metric == "object_set") != objects:
+        raise KernelError(f"metric {metric!r} does not fit {'object sets' if objects else 'flat embeddings'}")
 
     if metric == "object_set":
         values = np.empty((len(rows), len(cols)))
@@ -259,25 +222,31 @@ def build_kernel(
             for j, x2 in enumerate(cols):
                 values[i, j] = object_set_similarity(x1, x2)
     else:
-        values = _flat_kernel(rows, cols, metric, bandwidth)
+        values = _flat_kernel(rows, cols)
 
     return SimilarityMatrix(values)
 
 
-def row_col_max(rows, cols, metric: str = "cosine", bandwidth: float = 1.0):
-    """Row and column maxima of build_kernel(rows, cols, metric, bandwidth).
+def row_col_max(rows, cols):
+    """Row and column maxima of the cosine kernel build_kernel(rows, cols).
 
-    A flat kernel is never held whole: its column blocks are the ones
-    build_kernel computes, each folded into a running row max and its own
-    column max in one reused scratch block, and only those two vectors are
-    clipped, since clipping commutes with max. The maxima equal the full
-    kernel's exactly. A metric other than cosine or rbf raises KernelError.
+    rows and cols are 2-D arrays of flat embeddings; anything else, object
+    sets included, raises KernelError. A flat kernel is never held whole:
+    its column blocks are the ones build_kernel computes, each folded into
+    a running row max and its own column max in one reused scratch block,
+    and only those two vectors are clipped, since clipping commutes with
+    max. The maxima equal the full kernel's exactly.
     """
-    R, C, blocks = _flat_prepare(rows, cols, metric, bandwidth)
-    scratch = np.empty((R.X.shape[0], blocks[-1].stop - blocks[-1].start))  # the widest block
-    row_max, col_max = np.full(R.X.shape[0], -np.inf), []
+    return _row_col_max(_flat_side(rows), _flat_side(cols))
+
+
+def _row_col_max(R: np.ndarray, C: np.ndarray):
+    """row_col_max over sides _flat_side has already prepared."""
+    blocks = _blocks(R, C)
+    scratch = np.empty((R.shape[0], blocks[-1].stop - blocks[-1].start))  # the widest block
+    row_max, col_max = np.full(R.shape[0], -np.inf), []
     for j in blocks:
-        block = _flat_block(R, C, j, metric, bandwidth, out=scratch[:, : j.stop - j.start])
+        block = np.matmul(R, C[j].T, out=scratch[:, : j.stop - j.start])
         np.maximum(row_max, block.max(axis=1), out=row_max)
         col_max.append(block.max(axis=0))
     return np.clip(row_max, 0.0, 1.0), np.clip(np.concatenate(col_max), 0.0, 1.0)
@@ -288,17 +257,17 @@ def row_col_max(rows, cols, metric: str = "cosine", bandwidth: float = 1.0):
 _TILE = 64
 
 
-def _transposed_self_kernel(X, metric: str, bandwidth: float) -> np.ndarray:
-    """build_kernel(X, X, metric, bandwidth).values.T, as a C-contiguous array.
+def _transposed_self_kernel(X) -> np.ndarray:
+    """build_kernel(X, X).values.T, as a C-contiguous array.
 
     The kernel is computed as build_kernel computes it, so every entry is
     the same product bit for bit (a product of the transposed operands is
     not: BLAS may order its sums differently), and then transposed in place,
     tile by tile. Column j of the kernel is the contiguous row j of the
-    result. X is a 2-D array of flat embeddings and metric is "cosine" or
-    "rbf". Entries are clipped here and no SimilarityMatrix checks them again.
+    result. X is a 2-D array of flat embeddings and the kernel is cosine.
+    Entries are clipped here and no SimilarityMatrix checks them again.
     """
-    S = _flat_kernel(X, X, metric, bandwidth)
+    S = _flat_kernel(X, X)
     n, scratch = S.shape[0], np.empty((_TILE, _TILE))
     for i in range(0, n, _TILE):
         diag = S[i : i + _TILE, i : i + _TILE]

@@ -50,25 +50,36 @@ class SelectionTrace:
     evaluations: int = 0
 
 
-def naive_greedy(f, cfg: MaximizerConfig) -> SelectionTrace:
-    """Plain greedy: re-evaluate every remaining candidate each round."""
+def _sweep(f, cfg: MaximizerConfig, sample_size) -> SelectionTrace:
+    """Greedy that scores a set of candidates each round and takes the best.
+
+    The candidates are the remaining items, or a seeded sorted sample of
+    sample_size(n, b) of them, drawn without replacement, when that is fewer.
+    """
     n = f.ground_size
     b = min(cfg.budget, n)
     trace = SelectionTrace()
     if b == 0:
         return trace
-    ev = f.evaluator()
-    remaining = np.arange(n)
+    rng, size = np.random.default_rng(cfg.seed), sample_size(n, b)
+    ev, remaining = f.evaluator(), np.arange(n)
     for _ in range(b):
-        gains = ev.gains(remaining)
-        trace.evaluations += len(remaining)
+        sampled = size < len(remaining)
+        cand = np.sort(rng.choice(remaining, size=size, replace=False)) if sampled else remaining
+        gains = ev.gains(cand)
+        trace.evaluations += len(cand)
         k = int(np.argmax(gains))  # first max = smallest id on ties
-        x = int(remaining[k])
+        x = int(cand[k])
         trace.chosen.append(x)
         trace.gains.append(float(gains[k]))
         ev.add(x)
-        remaining = np.delete(remaining, k)
+        remaining = remaining[remaining != x]
     return trace
+
+
+def naive_greedy(f, cfg: MaximizerConfig) -> SelectionTrace:
+    """Plain greedy: re-evaluate every remaining candidate each round."""
+    return _sweep(f, cfg, lambda n, b: n)
 
 
 def lazy_greedy(f, cfg: MaximizerConfig) -> SelectionTrace:
@@ -111,29 +122,7 @@ def stochastic_greedy(f, cfg: MaximizerConfig) -> SelectionTrace:
     Sample size is ceil((n / b) * ln(1 / epsilon)), capped at the remaining
     candidate count; sampling is without replacement and seeded.
     """
-    n = f.ground_size
-    b = min(cfg.budget, n)
-    trace = SelectionTrace()
-    if b == 0:
-        return trace
-    rng = np.random.default_rng(cfg.seed)
-    sample_size = math.ceil((n / b) * math.log(1.0 / cfg.epsilon))
-    ev = f.evaluator()
-    remaining = np.arange(n)
-    for _ in range(b):
-        if sample_size >= len(remaining):
-            cand = remaining
-        else:
-            cand = np.sort(rng.choice(remaining, size=sample_size, replace=False))
-        gains = ev.gains(cand)
-        trace.evaluations += len(cand)
-        k = int(np.argmax(gains))
-        x = int(cand[k])
-        trace.chosen.append(x)
-        trace.gains.append(float(gains[k]))
-        ev.add(x)
-        remaining = remaining[remaining != x]
-    return trace
+    return _sweep(f, cfg, lambda n, b: math.ceil((n / b) * math.log(1.0 / cfg.epsilon)))
 
 
 _ALGORITHMS = {

@@ -95,18 +95,15 @@ class _CoverageEvaluator:
         np.maximum(self.best, self.T[x], out=self.best)
 
 
-class _FlqmiEvaluator:
+class _FlqmiEvaluator(_CoverageEvaluator):
+    """FLQMI gains: max_j S[x, j] plus the coverage gains of S.T, whose T is S itself."""
+
     def __init__(self, S: np.ndarray):
-        self.S = S
+        super().__init__(S.T, np.zeros(S.shape[1]))
         self.row_best = S.max(axis=1)  # max_{j in P} S[x, j], fixed
-        self.col_best = np.zeros(S.shape[1])  # max_{i in A} S[i, j], grows
 
     def gains(self, candidates: np.ndarray) -> np.ndarray:
-        cover = np.maximum(self.S[candidates, :] - self.col_best[None, :], 0.0).sum(axis=1)
-        return self.row_best[candidates] + cover
-
-    def add(self, x: int) -> None:
-        np.maximum(self.col_best, self.S[x, :], out=self.col_best)
+        return super().gains(candidates) + self.row_best[candidates]  # the range is checked first
 
 
 class _SetFunction:

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,20 @@ def test_embeddings_roundtrip_with_sidecar(tmp_path):
     assert list(back.slices) == [0, 0, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "bad_row, why", [([np.nan, 1.0], "not finite"), ([1e300, 1.0], "not finite"), ([0.0, 0.0], "all zero")]
+)
+def test_write_embeddings_refuses_rows_read_embeddings_rejects(tmp_path, bad_row, why):
+    X = np.array([[1.0, 2.0], bad_row, [3.0, 4.0]])
+    path = tmp_path / "emb.slem"
+    with np.errstate(over="ignore"), pytest.raises(EmbeddingFileError, match=f"row 1 is {why}"):
+        write_embeddings(path, X, ids=[0, 1, 2])  # 1e300 overflows the float32 cast to inf
+    assert list(tmp_path.iterdir()) == []  # neither the file nor its sidecar
+    write_embeddings(path, X[[0, 2]], ids=[0, 2])
+    back = read_embeddings(path)
+    assert np.array_equal(back.X, X[[0, 2]].astype(np.float32)) and list(back.ids) == [0, 2]
+
+
 def test_embeddings_truncated_file(tmp_path):
     path = tmp_path / "emb.slem"
     write_embeddings(path, np.ones((3, 4)))
@@ -218,8 +233,8 @@ def test_embeddings_text_format_with_sidecar(tmp_path):
 )
 def test_embeddings_reject_bad_rows_naming_row_and_offset(tmp_path, bad_row, why):
     X = np.array([[1.0, 2.0], [3.0, 4.0], bad_row])
-    binary = tmp_path / "emb.slem"
-    write_embeddings(binary, X)
+    binary = tmp_path / "emb.slem"  # written by hand: write_embeddings refuses bad rows
+    binary.write_bytes(struct.pack("<4sHII", b"SLEM", 1, 3, 2) + X.astype("<f4").tobytes())
     # 14-byte header, then 2 float32 values (8 bytes) per row
     with pytest.raises(EmbeddingFileError, match=f"row 2 at byte offset 30 is {why}"):
         read_embeddings(binary)
@@ -274,8 +289,6 @@ def test_embeddings_empty_sidecar_names_the_file(tmp_path):
 
 
 def test_embeddings_empty_collection_rejected(tmp_path):
-    import struct
-
     path = tmp_path / "emb.slem"
     path.write_bytes(struct.pack("<4sHII", b"SLEM", 1, 0, 4))
     with pytest.raises(EmbeddingFileError, match="empty collection"):
@@ -367,6 +380,8 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
         ({"seeds": [-1]}, "seeds: must be >= 0, got -1"),
         ({"rounds": 10**400}, "rounds: must be within [1, 10000]"),
         ({"rounds": 10**9}, "rounds: must be within [1, 10000]"),
+        ({"budget": 10**319}, "budget: must be within [0, 1000000000]"),
+        ({"slices": 10**400, "dim": 10**400}, "slices: must be within [1, 10000]"),
     ],
 )
 def test_cli_validate_exit_2_names_the_field(tmp_path, capsys, overrides, message):

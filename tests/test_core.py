@@ -501,13 +501,13 @@ def test_round_takes_row_maxima_once_per_slice(monkeypatch):
     import streamline.core as core
 
     calls = []
-    real = core.row_col_max
+    real = core._row_col_max
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(core, "row_col_max", counted)
+    monkeypatch.setattr(core, "_row_col_max", counted)
     pool, next_id = make_pool([20, 25, 30], [False, False, True], spread=0.3)
     state = BudgetState(B=6, rho=0.5)
     cfg = StreamlineConfig(maximizer=MaximizerConfig(budget=0))

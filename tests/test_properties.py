@@ -51,15 +51,13 @@ def _rows(rng, n, dim, grid):
     n_u=st.integers(1, 6),
     dim=st.integers(1, 5),
     n_p=st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
-    metric=st.sampled_from(["cosine", "rbf"]),
-    bandwidth=st.floats(0.1, 10.0),
     grid=st.booleans(),
 )
-def test_row_col_max_equals_full_kernel_maxima(seed, n_u, dim, n_p, metric, bandwidth, grid):
+def test_row_col_max_equals_full_kernel_maxima(seed, n_u, dim, n_p, grid):
     rng = np.random.default_rng(seed)
     U, P = _rows(rng, n_u, dim, grid), _rows(rng, n_p, dim, grid)
-    K = build_kernel(U, P, metric=metric, bandwidth=bandwidth).values
-    row, col = row_col_max(U, P, metric, bandwidth)
+    K = build_kernel(U, P).values
+    row, col = row_col_max(U, P)
     np.testing.assert_array_equal(row, K.max(axis=1))
     np.testing.assert_array_equal(col, K.max(axis=0))
 
@@ -238,19 +236,17 @@ def test_fit_equals_the_reference_fit_when_backtracking_fires():
     seed=st.integers(0, 2**32 - 1),
     n=st.one_of(st.integers(1, 70), st.sampled_from([_BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 3])),
     dim=st.integers(1, 6),
-    metric=st.sampled_from(["cosine", "rbf"]),
-    bandwidth=st.floats(0.1, 10.0),
     grid=st.booleans(),
 )
-def test_transposed_self_kernel_equals_build_kernel(seed, n, dim, metric, bandwidth, grid):
+def test_transposed_self_kernel_equals_build_kernel(seed, n, dim, grid):
     rng = np.random.default_rng(seed)
     U = _rows(rng, n, dim, grid)
-    K = build_kernel(U, U, metric=metric, bandwidth=bandwidth).values
-    T = _transposed_self_kernel(U, metric, bandwidth)
+    K = build_kernel(U, U).values
+    T = _transposed_self_kernel(U)
     assert T.flags.c_contiguous
     np.testing.assert_array_equal(T.T, K)
     # one array on both sides must not take numpy's SYRK path, whose bits differ
-    row, col = row_col_max(U, U, metric, bandwidth)
+    row, col = row_col_max(U, U)
     np.testing.assert_array_equal(row, K.max(axis=1))
     np.testing.assert_array_equal(col, K.max(axis=0))
 

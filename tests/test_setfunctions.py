@@ -155,7 +155,7 @@ def test_incremental_evaluator_matches_marginal_gain(kind):
             picked.append(x)
 
 
-@pytest.mark.parametrize("kind", ["fl", "flcg"])
+@pytest.mark.parametrize("kind", ["fl", "flqmi", "flcg"])
 @pytest.mark.parametrize("bad", [[7], [-1], [0, 3, 7], [-1, 2]])
 def test_evaluator_gains_reject_out_of_range_candidates(kind, bad):
     rng = np.random.default_rng(8)
