@@ -41,7 +41,7 @@ print("\nstreamline, seed 0, round by round:")
 print(f"{'round':>5} {'slice':>5} {'b':>4} {'gamma':>6} {'rare acc':>9}")
 for r in logs["streamline"][0].records:
     marker = "  <- rare round" if r.true_slice == 3 else ""
-    print(f"{r.round:>5} {r.identified_slice:>5} {r.granted:>4} {r.gamma:>6.0f} {r.rare_accuracy:>9.3f}{marker}")
+    print(f"{r.round:>5} {r.identified_slice:>5} {r.granted_b:>4} {r.gamma:>6.0f} {r.rare_metric:>9.3f}{marker}")
 
 # --- labeling efficiency ---------------------------------------------------------
 

@@ -75,13 +75,21 @@ def uncertainty_scores(preds, mode: str) -> np.ndarray:
     return scores
 
 
+def _check_row_counts(buffer: UnlabeledBuffer, **rows) -> None:
+    """ValueError naming every count unless each array has one row per buffer item."""
+    if any(len(v) != len(buffer) for v in rows.values()):
+        counts = ", ".join(f"{len(v)} {name} rows" for name, v in rows.items())
+        raise ValueError(f"got {counts} for a buffer of {len(buffer)} items")
+
+
 def uncertainty_select(buffer: UnlabeledBuffer, preds, mode: str, b: int) -> list[int]:
     """Top-b most-uncertain items.
 
     Entropy and least-confidence rank descending by score; margin ranks
     ascending (a small gap between the top two classes means uncertain).
-    Ties keep buffer order.
+    Ties keep buffer order. preds holds one entry per buffer item.
     """
+    _check_row_counts(buffer, prediction=preds)
     b = min(int(b), len(buffer))
     if b <= 0:
         return []
@@ -157,8 +165,10 @@ def badge_select(
     First pick is uniform; each later pick is drawn with probability
     proportional to the squared distance to the nearest already-picked
     embedding. If every remaining distance is zero (duplicate embeddings),
-    falls back to a uniform draw over the unpicked items.
+    falls back to a uniform draw over the unpicked items. probs and features
+    hold one row per buffer item.
     """
+    _check_row_counts(buffer, probability=probs, feature=features)
     b = min(int(b), len(buffer))
     if b <= 0:
         return []

@@ -16,27 +16,21 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .simulator import MetricsLog, labeling_efficiency, run_experiment
+from .simulator import MetricsLog, RoundRecord, labeling_efficiency, run_experiment
 
 SEED_ENV_VAR = "STREAMLINE_SEED"
 
-METRICS_COLUMNS = [
-    "method",
-    "seed",
-    "round",
-    "labels_total",
-    "full_metric",
-    "rare_metric",
-    "identified_slice",
-    "true_slice",
-    "granted_b",
-    "gamma",
-]
+# A RoundRecord's fields through gamma are the metrics.csv columns; a
+# selections.jsonl line is its method, seed and round with the other two.
+_FIELDS = [f.name for f in fields(RoundRecord)]
+METRICS_COLUMNS = _FIELDS[:10]
+SELECTIONS_KEYS = _FIELDS[:3] + _FIELDS[10:]
 
 
 def _run_job(args) -> MetricsLog:
@@ -58,14 +52,15 @@ def _efficiencies(curves: dict, target: float) -> dict:
     return {method: labeling_efficiency(_mean_curve(c), random_curve, target) for method, c in curves.items()}
 
 
-def _summarize(by_method: dict, metric_for_target: str = "rare") -> dict:
+def _summarize(by_method: dict) -> dict:
     """Final-round mean/std per method plus efficiency vs random.
 
-    The efficiency target is random's seed-averaged final rare metric (the
+    Efficiency is always measured on the rare metric (efficiency_metric in
+    the output). Its target is random's seed-averaged final rare metric (the
     least-effort strategy's endpoint); it is null when random was not run.
     """
-    summary = {"methods": {}, "efficiency_metric": metric_for_target, "efficiency_target": None}
-    curves = {method: [log.curve(metric_for_target) for log in logs] for method, logs in by_method.items()}
+    summary = {"methods": {}, "efficiency_metric": "rare", "efficiency_target": None}
+    curves = {method: [log.curve("rare") for log in logs] for method, logs in by_method.items()}
     efficiencies = {}
     if "random" in curves:
         summary["efficiency_target"] = _mean_curve(curves["random"])[-1][1]
@@ -109,42 +104,15 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> int:
     for log in logs:
         by_method.setdefault(log.method, []).append(log)
 
+    records = [rec for log in logs for rec in log.records]
     with open(out / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(METRICS_COLUMNS)
-        for log in logs:
-            for rec in log.records:
-                writer.writerow(
-                    [
-                        log.method,
-                        log.seed,
-                        rec.round,
-                        rec.labels_total,
-                        rec.full_accuracy,
-                        rec.rare_accuracy,
-                        rec.identified_slice,
-                        rec.true_slice,
-                        rec.granted,
-                        rec.gamma,
-                    ]
-                )
+        writer.writerows([getattr(rec, c) for c in METRICS_COLUMNS] for rec in records)
 
     with open(out / "selections.jsonl", "w", newline="") as fh:
-        for log in logs:
-            for rec in log.records:
-                fh.write(
-                    json.dumps(
-                        {
-                            "method": log.method,
-                            "seed": log.seed,
-                            "round": rec.round,
-                            "selected_ids": list(rec.selected_ids),
-                            "slice_sizes": list(rec.slice_sizes),
-                        },
-                        sort_keys=True,
-                    )
-                )
-                fh.write("\n")
+        for rec in records:
+            fh.write(json.dumps({k: getattr(rec, k) for k in SELECTIONS_KEYS}, sort_keys=True) + "\n")
 
     summary = _summarize(by_method)
     with open(out / "summary.json", "w", newline="") as fh:
@@ -166,7 +134,7 @@ def _cell(path, line: int, row: dict, column: str, parse):
 
 def _efficiency_from_metrics(path, target: float, metric: str) -> dict:
     """Recompute per-method efficiency vs random from an emitted metrics.csv."""
-    col = "rare_metric" if metric == "rare" else "full_metric"
+    col = f"{metric}_metric"
     curves: dict[tuple, list] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)

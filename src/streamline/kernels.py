@@ -30,25 +30,31 @@ def normalize(v: np.ndarray) -> np.ndarray:
 
 
 def normalize_rows(X: np.ndarray) -> np.ndarray:
-    """L2-normalize each row of a 2-D array. Rejects any all-zero row."""
+    """L2-normalize each row of a 2-D array. Rejects a row whose norm is 0 or not finite."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise KernelError(f"expected a 2-D array, got shape {X.shape}")
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise KernelError(f"cannot normalize all-zero row {bad}")
-    return X / norms[:, None]
+    if bad := first_bad_row(X):
+        raise KernelError("cannot normalize row %d: it is %s" % bad)
+    return X / np.linalg.norm(X, axis=1)[:, None]
 
 
 def first_bad_row(X: np.ndarray) -> tuple[int, str] | None:
-    """The first row of a 2-D array that is not finite or is all zero, and why."""
-    finite = np.isfinite(X).all(axis=1)
-    bad = ~finite | ~X.any(axis=1)
+    """The first row of a 2-D array whose float64 L2 norm is 0 or not finite, and why.
+
+    That norm is the one normalize_rows divides by, computed quietly: a
+    finite row that is not all zero fails when its squared sum leaves
+    float64's range, as [1e200, 1e200] and [1e-200, 1e-200] do.
+    """
+    with np.errstate(all="ignore"):
+        norms = np.linalg.norm(np.asarray(X, dtype=np.float64), axis=1)
+    bad = ~np.isfinite(norms) | (norms == 0.0)
     if not bad.any():
         return None
     i = int(np.argmax(bad))
-    return i, "all zero" if finite[i] else "not finite"
+    if not np.isfinite(X[i]).all():
+        return i, "not finite"
+    return i, "out of float64's range when squared" if X[i].any() else "all zero"
 
 
 def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
@@ -153,7 +159,7 @@ _BLOCK = 1024
 def _flat_side(X) -> np.ndarray:
     """One flat collection as every kernel block reads it: its normalized rows.
 
-    Non-finite and all-zero rows raise KernelError. Each call returns a
+    A row normalize_rows cannot divide raises KernelError. Each call returns a
     buffer of its own: numpy multiplies one buffer by its own transpose
     through SYRK, whose last bits differ from the general product.
     """
@@ -163,8 +169,6 @@ def _flat_side(X) -> np.ndarray:
         raise KernelError("flat collections must be nonempty 2-D arrays, got a ragged one") from None
     if X.ndim != 2 or X.shape[0] == 0:
         raise KernelError(f"flat collections must be nonempty 2-D arrays, got shape {X.shape}")
-    if bad := first_bad_row(X):
-        raise KernelError("embedding row %d is %s" % bad)
     return normalize_rows(X)
 
 

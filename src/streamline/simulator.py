@@ -354,14 +354,20 @@ def labeling_efficiency(curve_method, curve_random, target: float) -> float | No
 
 @dataclass
 class RoundRecord:
+    """One round of one (method, seed) run. The fields from method through
+    gamma, in order, are a metrics.csv row (granted_b is the labels the round
+    spent); a selections.jsonl line is method, seed, round and the last two."""
+
+    method: str
+    seed: int
     round: int
     labels_total: int
-    granted: int
-    gamma: float
+    full_metric: float
+    rare_metric: float
     identified_slice: int
     true_slice: int
-    full_accuracy: float
-    rare_accuracy: float
+    granted_b: int
+    gamma: float
     slice_sizes: tuple
     selected_ids: tuple
 
@@ -374,15 +380,13 @@ class MetricsLog:
 
     @property
     def labels_spent(self) -> int:
-        return sum(r.granted for r in self.records)
+        return sum(r.granted_b for r in self.records)
 
     def curve(self, metric: str = "rare"):
-        attr = "rare_accuracy" if metric == "rare" else "full_accuracy"
-        return [(r.labels_total, getattr(r, attr)) for r in self.records]
+        return [(r.labels_total, getattr(r, f"{metric}_metric")) for r in self.records]
 
     def final(self, metric: str = "rare") -> float:
-        attr = "rare_accuracy" if metric == "rare" else "full_accuracy"
-        return getattr(self.records[-1], attr)
+        return getattr(self.records[-1], f"{metric}_metric")
 
 
 @dataclass(frozen=True)
@@ -398,11 +402,14 @@ class RunConfig:
 def run_experiment(spec: StreamSpec, method: str, cfg: RunConfig) -> MetricsLog:
     """Play the full stream with one selection method and log every round.
 
-    The slice-aware variants append selections to the slice they identified;
-    fixed-budget baselines append to the episode's true slice. The learner is
-    retrained from zero weights on the grown pool after every round. A model
-    of the initial pool is trained only for the methods whose first selection
-    reads it (_READS_MODEL); the others fit once per round.
+    Each method is one selector (pool, buffer, t, b) -> ids; streamline and
+    streamline_no_budget have none and select by conditional gain. The
+    slice-aware variants run streamline_round and append to the slice they
+    identified; fixed-budget baselines take b = min(budget, |buffer|) and
+    append to the episode's true slice. The learner is retrained from zero
+    weights on the grown pool after every round. A model of the initial pool
+    is trained only for the methods whose first selection reads it
+    (_READS_MODEL); the others fit once per round.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
@@ -411,57 +418,39 @@ def run_experiment(spec: StreamSpec, method: str, cfg: RunConfig) -> MetricsLog:
     state = BudgetState(B=cfg.budget, rho=cfg.rho)
     learner = train_learner(pool, cfg.learner, spec.n_classes) if method in _READS_MODEL else None
     rare = list(spec.rare_slices)
+    # The selectors and learner are looked up when a selector runs, so each
+    # call sees the latest fit (and any rebinding of the module's selectors).
+    uncertain = lambda pool_, buf, t, b: uncertainty_select(buf, learner.predict_proba(buf.X), method, b)
+    selectors = {
+        "random": lambda pool_, buf, t, b: random_select(buf, b, rng),
+        **dict.fromkeys(("entropy", "margin", "least_conf"), uncertain),
+        "submodular": lambda pool_, buf, t, b: submodular_fl_select(buf, b, cfg.maximizer),
+        "similar": lambda pool_, buf, t, b: similar_select(buf, pool_, rare[0], b, cfg.maximizer),
+        "badge": lambda pool_, buf, t, b: badge_select(buf, learner.predict_proba(buf.X), buf.X, b, rng),
+    }
+    # The two ablations swap conditional-gain selection for random's or badge's selector.
+    select = selectors.get({"streamline_no_scg": "random", "streamline_repl_scg": "badge"}.get(method, method))
+    sl_cfg = StreamlineConfig(cfg.maximizer, fixed_budget=method == "streamline_no_budget", selector_fn=select)
     records = []
     labels_total = 0
 
     for r, buf in enumerate(buffers):
         oracle_map = {int(i): int(l) for i, l in zip(buf.ids, buf.true_labels)}
         label_oracle = lambda ids: np.array([oracle_map[int(i)] for i in ids], dtype=np.int64)
-
         if method.startswith("streamline"):
-            sl_cfg = StreamlineConfig(
-                maximizer=cfg.maximizer,
-                fixed_budget=(method == "streamline_no_budget"),
-            )
-            if method == "streamline_no_scg":
-                sl_cfg.selector_fn = lambda pool_, buf_, t_, b_: random_select(buf_, b_, rng)
-            elif method == "streamline_repl_scg":
-                sl_cfg.selector_fn = lambda pool_, buf_, t_, b_: badge_select(
-                    buf_, learner.predict_proba(buf_.X), buf_.X, b_, rng
-                )
             report, pool, state = streamline_round(pool, buf, state, sl_cfg, label_oracle)
-            identified, granted, gamma = report.identified_slice, report.granted, state.gamma
-            selected = report.selected_ids
+            t, selected = report.identified_slice, report.selected_ids
         else:
-            b = min(cfg.budget, len(buf))
-            if method == "random":
-                selected = random_select(buf, b, rng)
-            elif method in ("entropy", "margin", "least_conf"):
-                selected = uncertainty_select(buf, learner.predict_proba(buf.X), method, b)
-            elif method == "submodular":
-                selected = submodular_fl_select(buf, b, cfg.maximizer)
-            elif method == "similar":
-                selected = similar_select(buf, pool, rare[0], b, cfg.maximizer)
-            else:  # badge
-                selected = badge_select(buf, learner.predict_proba(buf.X), buf.X, b, rng)
-            pool.add_selected(buf.true_slice, buf, selected, label_oracle)
-            identified, granted, gamma = buf.true_slice, len(selected), 0.0
+            t = buf.true_slice
+            selected = select(pool, buf, t, min(cfg.budget, len(buf)))
+            pool.add_selected(t, buf, selected, label_oracle)
 
-        labels_total += granted
+        labels_total += len(selected)
         learner = train_learner(pool, cfg.learner, spec.n_classes)
         full_acc, per_slice = evaluate(learner, eval_set)
-        records.append(
-            RoundRecord(
-                round=r,
-                labels_total=labels_total,
-                granted=granted,
-                gamma=float(gamma),
-                identified_slice=int(identified),
-                true_slice=int(buf.true_slice),
-                full_accuracy=full_acc,
-                rare_accuracy=float(per_slice[rare].mean()),
-                slice_sizes=tuple(int(s) for s in pool.sizes),
-                selected_ids=tuple(int(i) for i in selected),
-            )
-        )
+        records.append(RoundRecord(
+            method, spec.seed, r, labels_total, full_acc, float(per_slice[rare].mean()), int(t),
+            int(buf.true_slice), len(selected), float(state.gamma),
+            tuple(int(s) for s in pool.sizes), tuple(int(i) for i in selected),
+        ))
     return MetricsLog(method=method, seed=spec.seed, records=records)

@@ -104,6 +104,18 @@ def test_uncertainty_selection_order():
     assert uncertainty_select(buf, P, "entropy", 0) == []
 
 
+def test_selectors_reject_predictions_that_do_not_match_the_buffer():
+    buf = make_buffer(np.eye(5))
+    for n in (3, 7):
+        probs = np.full((n, 2), 0.5)
+        with pytest.raises(ValueError, match=f"got {n} prediction rows for a buffer of 5 items"):
+            uncertainty_select(buf, probs, "entropy", 2)
+        with pytest.raises(ValueError, match=f"got {n} probability rows, 5 feature rows for a buffer of 5"):
+            badge_select(buf, probs, buf.X, 2, seed=0)
+    with pytest.raises(ValueError, match="got 5 probability rows, 3 feature rows for a buffer of 5"):
+        badge_select(buf, np.full((5, 2), 0.5), buf.X[:3], 2, seed=0)
+
+
 def test_invalid_probabilities_rejected():
     with pytest.raises(ValueError):
         uncertainty_scores(np.array([[0.5, 0.6]]), "entropy")

@@ -73,6 +73,23 @@ def test_readme_config_schema_is_the_all_defaults_config():
     assert documented.run_config() == defaults.run_config()
 
 
+def test_readme_outputs_are_the_written_columns_and_keys(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    outputs = re.search(r"### Outputs\n(.*?)\n### ", readme, re.S).group(1)
+
+    def listed(name):
+        names = re.search(rf"`{re.escape(name)}` — [^`]*`([^`]*)`", outputs).group(1)
+        return [n.strip() for n in names.split(",")]
+
+    cfg = config_from_dict({**tiny_run_config(), "methods": ["streamline"], "seeds": [0], "rounds": 2})
+    run(cfg, tmp_path)
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == listed("metrics.csv")
+    lines = (tmp_path / "selections.jsonl").read_text().splitlines()
+    assert len(lines) == 2
+    assert all(sorted(json.loads(line)) == sorted(listed("selections.jsonl")) for line in lines)
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [

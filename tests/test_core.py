@@ -404,7 +404,13 @@ def test_budget_conservation_over_streamed_rounds():
 
 @pytest.mark.parametrize(
     "bad_row, why",
-    [([np.nan, 1, 0, 0], "not finite"), ([0, -np.inf, 0, 1], "not finite"), ([0, 0, 0, 0], "all zero")],
+    [
+        ([np.nan, 1, 0, 0], "not finite"),
+        ([0, -np.inf, 0, 1], "not finite"),
+        ([0, 0, 0, 0], "all zero"),
+        ([1e200, 1e200, 0, 0], "out of float64's range when squared"),  # the norm overflows
+        ([1e-200, 1e-200, 0, 0], "out of float64's range when squared"),  # the norm underflows to 0
+    ],
 )
 def test_ingestion_rejects_bad_embedding_rows(bad_row, why):
     X = np.array([[1.0, 2.0, 3.0, 4.0], bad_row])

@@ -192,6 +192,15 @@ def test_flat_kernels_are_cosine_only():
         build_kernel(np.ones((2, 3)), np.ones((4, 3)), metric="rbf")
 
 
+@pytest.mark.parametrize("row", [[1e200, 1e200], [1e-200, 1e-200]])
+def test_build_kernel_rejects_a_row_whose_norm_leaves_float64(row):
+    X = np.array([[1.0, 1.0], row])
+    with pytest.raises(KernelError, match="cannot normalize row 1: it is out of float64's range"):
+        build_kernel(X, X)
+    with pytest.raises(KernelError, match="cannot normalize row 1"):
+        normalize_rows(X)
+
+
 def test_build_kernel_empty_rejected():
     with pytest.raises(KernelError):
         build_kernel(np.empty((0, 3)), np.ones((2, 3)))

@@ -276,7 +276,7 @@ def test_labeling_efficiency_undefined_when_unattained():
 
 def test_run_random_grows_pool_by_budget_every_round():
     log = run_experiment(small_spec(), "random", small_run_cfg())
-    assert [r.granted for r in log.records] == [10] * 6
+    assert [r.granted_b for r in log.records] == [10] * 6
     assert log.labels_spent == 60
     assert log.records[-1].labels_total == 60
 
@@ -303,7 +303,7 @@ def test_run_is_deterministic():
         a = run_experiment(small_spec(), method, small_run_cfg())
         b = run_experiment(small_spec(), method, small_run_cfg())
         assert [r.selected_ids for r in a.records] == [r.selected_ids for r in b.records]
-        assert [r.rare_accuracy for r in a.records] == [r.rare_accuracy for r in b.records]
+        assert [r.rare_metric for r in a.records] == [r.rare_metric for r in b.records]
 
 
 def test_run_rare_pool_streamline_at_least_random():
@@ -320,7 +320,7 @@ def test_run_variants_execute():
         log = run_experiment(spec, method, small_run_cfg())
         assert len(log.records) == 6
     fixed = run_experiment(spec, "streamline_no_budget", small_run_cfg())
-    assert [r.granted for r in fixed.records] == [10] * 6
+    assert [r.granted_b for r in fixed.records] == [10] * 6
     assert all(r.gamma == 0.0 for r in fixed.records)
 
 
