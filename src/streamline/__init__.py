@@ -36,7 +36,6 @@ from .kernels import (
     SimilarityMatrix,
     build_kernel,
     cosine_similarity,
-    normalize,
     normalize_rows,
     object_set_similarity,
     rbf_similarity,

@@ -46,7 +46,7 @@ DEFAULTS = {
     "rare_slice": None,  # the last slice
     **_field_defaults(RunConfig),
     "maximizer": _field_defaults(MaximizerConfig, "seed"),
-    "learner": _field_defaults(LearnerConfig, "seed"),
+    "learner": _field_defaults(LearnerConfig),
 }
 
 # Numeric rules, checked in order: (key, int or float, test, constraint). The

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _flat_side, _row_col_max, _transposed_self_kernel, first_bad_row
+from .kernels import _row_col_max, _transposed_self_kernel, first_bad_row, normalize_rows
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
 from .maximize import MaximizerConfig, maximize
 from .setfunctions import FLCG, FLQMI, flqmi_normalizer
@@ -231,11 +231,11 @@ def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> Identificati
     for t, sl in enumerate(pool.slices):
         if len(sl) == 0:
             raise EmptySliceError(t)
-    U = _flat_side(buffer.X)  # once, for every slice
+    U = normalize_rows(buffer.X)  # once, for every slice
     scores, row_maxima = np.empty(pool.num_slices), []
     for t, sl in enumerate(pool.slices):
         # smidentify_scores on the full kernel, from its row and column maxima
-        row, col = _row_col_max(U, _flat_side(sl.X))
+        row, col = _row_col_max(U, normalize_rows(sl.X))
         scores[t] = (row.sum() + col.sum()) / flqmi_normalizer(len(row), len(col))
         row_maxima.append(row)
     t = int(np.argmax(scores))
@@ -264,12 +264,10 @@ def slice_aware_budget(
         d = mean_common - float(sizes[t])
         sigma = float(math.floor(max(min(gamma, d - B), 0.0) + 1e-9))
         decision = BudgetDecision(b=B + int(sigma), d=d, beta=beta, sigma=sigma, branch="rare")
-        new_state = replace(state, gamma=gamma - sigma)
     else:
         b = int(math.floor(B * rho + (1.0 - rho) * B * beta / float(sizes[t]) + 1e-9))
         decision = BudgetDecision(b=b, d=0.0, beta=beta, sigma=0.0, branch="common")
-        new_state = replace(state, gamma=gamma + (B - b))
-    return decision, new_state
+    return decision, replace(state, gamma=gamma + (B - decision.b))
 
 
 def scg_select(
@@ -293,7 +291,7 @@ def scg_select(
     if b <= 0:
         return []
     if row_max is None:
-        row_max, _ = _row_col_max(_flat_side(buffer.X), _flat_side(pool.slices[t].X))
+        row_max, _ = _row_col_max(normalize_rows(buffer.X), normalize_rows(pool.slices[t].X))
     T = _transposed_self_kernel(buffer.X)  # T.T is S_uu
     f = FLCG(T.T, row_max[:, None])  # a one-column private kernel
     trace = maximize(f, replace(maximizer_cfg, budget=b))
@@ -320,10 +318,7 @@ class RoundReport:
     """What one round did: identification, budget internals, selections."""
 
     identified_slice: int
-    true_slice: int
-    identification_correct: bool
     decision: BudgetDecision
-    granted: int
     selected_ids: list[int]
     scores: np.ndarray
     gamma_after: float
@@ -345,11 +340,11 @@ def streamline_round(
     ids; otherwise ValueError names the offending id before anything is
     labeled.
 
-    Conservation: with slice-aware budgeting every round spends plus banks
-    exactly B, where banked = gamma_after - gamma_before (negative when a
-    rare round draws on gamma). Labels granted but not spent, whether capped
-    by the buffer size or left over by a short selection, go back to gamma.
-    A fixed budget leaves gamma alone.
+    Conservation: with slice-aware budgeting every round banks B minus the
+    labels it spent, gamma_after = gamma_before + B - len(selected_ids)
+    (negative banking when a rare round draws on gamma), so labels granted
+    but not spent, whether capped by the buffer size or left over by a short
+    selection, stay in gamma. A fixed budget leaves the state unchanged.
     """
     ident = smidentify(pool, buffer)
     t = ident.slice_id
@@ -358,9 +353,8 @@ def streamline_round(
         decision = BudgetDecision(
             b=state.B, d=0.0, beta=int(pool.sizes.min()), sigma=0.0, branch="fixed"
         )
-        new_state = state
     else:
-        decision, new_state = slice_aware_budget(pool, state, t)
+        decision, _ = slice_aware_budget(pool, state, t)
 
     granted = min(decision.b, len(buffer))
     if cfg.selector_fn is not None:
@@ -372,15 +366,11 @@ def streamline_round(
     if len(selected) > granted:
         raise ValueError(f"selection of {len(selected)} ids exceeds the granted {granted}")
     pool.add_selected(t, buffer, selected, label_oracle)
-    if not cfg.fixed_budget:
-        new_state = replace(new_state, gamma=new_state.gamma + (decision.b - len(selected)))
+    new_state = state if cfg.fixed_budget else replace(state, gamma=state.gamma + (state.B - len(selected)))
 
     report = RoundReport(
         identified_slice=t,
-        true_slice=buffer.true_slice,
-        identification_correct=(t == buffer.true_slice),
         decision=decision,
-        granted=len(selected),
         selected_ids=selected,
         scores=ident.scores,
         gamma_after=new_state.gamma,

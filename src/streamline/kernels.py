@@ -18,22 +18,21 @@ class KernelError(ValueError):
     """Raised for malformed kernel inputs (shape/dim mismatch, zero vectors)."""
 
 
-def normalize(v: np.ndarray) -> np.ndarray:
-    """L2-normalize a single vector. Idempotent; zero vectors are rejected."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise KernelError(f"expected a 1-D vector, got shape {v.shape}")
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise KernelError("cannot normalize an all-zero vector")
-    return v / norm
+def normalize_rows(X) -> np.ndarray:
+    """L2-normalize each row of a nonempty 2-D array into a fresh array.
 
-
-def normalize_rows(X: np.ndarray) -> np.ndarray:
-    """L2-normalize each row of a 2-D array. Rejects a row whose norm is 0 or not finite."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise KernelError(f"expected a 2-D array, got shape {X.shape}")
+    A ragged list, an empty or non-2-D array, and a row whose norm is 0 or
+    not finite raise KernelError. Each call returns a buffer of its own:
+    numpy multiplies one buffer by its own transpose through SYRK, whose
+    last bits differ from the general product, so a self kernel normalizes
+    its input once per side.
+    """
+    try:
+        X = np.asarray(X, dtype=np.float64)
+    except ValueError:  # a ragged list, such as object sets of different sizes
+        raise KernelError("flat collections must be nonempty 2-D arrays, got a ragged one") from None
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise KernelError(f"flat collections must be nonempty 2-D arrays, got shape {X.shape}")
     if bad := first_bad_row(X):
         raise KernelError("cannot normalize row %d: it is %s" % bad)
     return X / np.linalg.norm(X, axis=1)[:, None]
@@ -132,44 +131,10 @@ class SimilarityMatrix:
         object.__setattr__(self, "values", values)
 
 
-def _as_item_list(items) -> list:
-    if isinstance(items, np.ndarray):
-        return [items[i] for i in range(items.shape[0])]
-    return list(items)
-
-
-def _is_object_collection(items) -> bool:
-    arrs = [np.asarray(x) for x in items]
-    dims = {a.shape[-1] for a in arrs}
-    if len(dims) > 1:
-        raise KernelError(f"embeddings in one collection must share dim, got {sorted(dims)}")
-    if all(a.ndim == 1 for a in arrs):
-        return False
-    if all(a.ndim == 2 for a in arrs):
-        return True
-    raise KernelError("collection mixes flat embeddings and object sets")
-
-
 # Columns per flat-kernel block. The last block takes the remainder, so no
 # block is narrow and a kernel with fewer than 2 * _BLOCK columns is one
 # matrix product.
 _BLOCK = 1024
-
-
-def _flat_side(X) -> np.ndarray:
-    """One flat collection as every kernel block reads it: its normalized rows.
-
-    A row normalize_rows cannot divide raises KernelError. Each call returns a
-    buffer of its own: numpy multiplies one buffer by its own transpose
-    through SYRK, whose last bits differ from the general product.
-    """
-    try:
-        X = np.asarray(X, dtype=np.float64)
-    except ValueError:  # a ragged list, such as object sets of different sizes
-        raise KernelError("flat collections must be nonempty 2-D arrays, got a ragged one") from None
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise KernelError(f"flat collections must be nonempty 2-D arrays, got shape {X.shape}")
-    return normalize_rows(X)
 
 
 def _blocks(R: np.ndarray, C: np.ndarray) -> list[slice]:
@@ -182,52 +147,42 @@ def _blocks(R: np.ndarray, C: np.ndarray) -> list[slice]:
 
 def _flat_kernel(rows, cols) -> np.ndarray:
     """The clipped cosine kernel, its column blocks written in place."""
-    R, C = _flat_side(rows), _flat_side(cols)
+    R, C = normalize_rows(rows), normalize_rows(cols)
     values = np.empty((R.shape[0], C.shape[0]))
     for j in _blocks(R, C):
         np.matmul(R, C[j].T, out=values[:, j])
     return np.clip(values, 0.0, 1.0, out=values)
 
 
-def build_kernel(rows, cols, metric: str | None = None) -> SimilarityMatrix:
+def build_kernel(rows, cols) -> SimilarityMatrix:
     """Build the pairwise similarity kernel between two collections.
 
-    Args:
-        rows: collection of flat embeddings (or a 2-D array), or a list of
-            object-set arrays when metric == "object_set".
-        cols: same kind as rows.
-        metric: "cosine" or "object_set"; None picks cosine for flat
-            embeddings and object_set for object collections. Flat kernels
-            are cosine only; rbf_similarity is a pairwise score.
+    The first item of each collection decides its kernel. A 1-D first item
+    makes a flat collection (a 2-D array or a list of vectors) and the
+    kernel is cosine; a 2-D first item makes a collection of object sets (a
+    list of 2-D arrays or a 3-D array) and the kernel is
+    object_set_similarity. Both collections must be of one kind, and a flat
+    collection must stack into one 2-D array; otherwise KernelError.
 
-    Entries are metric(rows[i], cols[j]) computed vectorized but equal to the
-    scalar ops entrywise. Flat kernels are computed in the column blocks
-    row_col_max reads, so the two agree bit for bit; with 2 * _BLOCK columns
-    or more, a multi-threaded BLAS may differ in the last bit from one whole
-    matrix product, which can move near-tie selections.
+    Entries equal the pairwise scores entrywise. Flat kernels are computed
+    in the column blocks row_col_max reads, so the two agree bit for bit;
+    with 2 * _BLOCK columns or more, a multi-threaded BLAS may differ in the
+    last bit from one whole matrix product, which can move near-tie
+    selections.
     """
-    if metric not in ("cosine", "object_set", None):
-        raise KernelError(f"unknown metric {metric!r}")
-    rows = _as_item_list(rows)
-    cols = _as_item_list(cols)
     if len(rows) == 0 or len(cols) == 0:
         raise KernelError("kernel collections must be nonempty")
-
-    objects = _is_object_collection(rows)
-    if objects != _is_object_collection(cols):
+    objects = np.ndim(rows[0]) == 2
+    if objects != (np.ndim(cols[0]) == 2):
         raise KernelError("rows and cols mix flat embeddings and object sets")
-    metric = metric or ("object_set" if objects else "cosine")
-    if (metric == "object_set") != objects:
-        raise KernelError(f"metric {metric!r} does not fit {'object sets' if objects else 'flat embeddings'}")
-
-    if metric == "object_set":
-        values = np.empty((len(rows), len(cols)))
-        for i, x1 in enumerate(rows):
-            for j, x2 in enumerate(cols):
-                values[i, j] = object_set_similarity(x1, x2)
-    else:
-        values = _flat_kernel(rows, cols)
-
+    if not objects:
+        return SimilarityMatrix(_flat_kernel(rows, cols))
+    if any(np.ndim(x) != 2 for side in (rows, cols) for x in side):
+        raise KernelError("collection mixes flat embeddings and object sets")
+    values = np.empty((len(rows), len(cols)))
+    for i, x1 in enumerate(rows):
+        for j, x2 in enumerate(cols):
+            values[i, j] = object_set_similarity(x1, x2)
     return SimilarityMatrix(values)
 
 
@@ -241,11 +196,11 @@ def row_col_max(rows, cols):
     and only those two vectors are clipped, since clipping commutes with
     max. The maxima equal the full kernel's exactly.
     """
-    return _row_col_max(_flat_side(rows), _flat_side(cols))
+    return _row_col_max(normalize_rows(rows), normalize_rows(cols))
 
 
 def _row_col_max(R: np.ndarray, C: np.ndarray):
-    """row_col_max over sides _flat_side has already prepared."""
+    """row_col_max over sides normalize_rows has already prepared."""
     blocks = _blocks(R, C)
     scratch = np.empty((R.shape[0], blocks[-1].stop - blocks[-1].start))  # the widest block
     row_max, col_max = np.full(R.shape[0], -np.inf), []

@@ -204,7 +204,6 @@ class LearnerConfig:
     step_size: float = 1.0
     epochs: int = 200
     l2: float = 1e-3
-    seed: int = 0
 
 
 @dataclass
@@ -310,8 +309,6 @@ def fit_logistic(X, y, cfg: LearnerConfig, n_classes: int | None = None) -> Lear
 
 def train_learner(pool: SlicedLabeledPool, cfg: LearnerConfig, n_classes: int | None = None) -> Learner:
     """Fit the logistic learner on everything labeled so far."""
-    if pool.total_size == 0:
-        raise ValueError("cannot train on an empty pool")
     X, y = pool.stacked()
     return fit_logistic(X, y, cfg, n_classes)
 

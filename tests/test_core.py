@@ -303,8 +303,8 @@ def test_round_single_slice_pool():
     report, pool, state = streamline_round(pool, buf, state, cfg, _oracle(buf))
     assert report.identified_slice == 0
     assert report.decision.branch == "common"
-    assert pool.sizes[0] == 12 + report.granted
-    assert report.granted == report.decision.b
+    assert pool.sizes[0] == 12 + len(report.selected_ids)
+    assert len(report.selected_ids) == report.decision.b
 
 
 def test_round_scripted_three_round_stream():
@@ -319,7 +319,7 @@ def test_round_scripted_three_round_stream():
         next_id += 60
         report, pool, state = streamline_round(pool, buf, state, cfg, _oracle(buf))
         assert report.identified_slice == axis
-        assert report.granted == want_b
+        assert len(report.selected_ids) == want_b
         assert state.gamma == want_gamma
     assert pool.sizes[1] == 10 + 38
 
@@ -332,7 +332,7 @@ def test_round_buffer_cap_credits_gamma():
     report, pool, state = streamline_round(pool, buf, state, cfg, _oracle(buf))
     assert report.decision.branch == "rare"
     assert report.decision.b == 70
-    assert report.granted == 25  # capped at |U|
+    assert len(report.selected_ids) == 25  # capped at |U|
     assert state.gamma == 45.0  # 0 left after sigma, plus 45 credited back from the cap
 
 
@@ -343,8 +343,8 @@ def test_round_misidentification_still_augments_identified_slice():
     cfg = StreamlineConfig(maximizer=_maximizer())
     report, pool, state = streamline_round(pool, buf, state, cfg, _oracle(buf))
     assert report.identified_slice == 0
-    assert not report.identification_correct
-    assert pool.sizes[0] == 10 + report.granted  # wrong slice still grows
+    assert report.identified_slice != buf.true_slice
+    assert pool.sizes[0] == 10 + len(report.selected_ids)  # wrong slice still grows
     assert pool.sizes[1] == 10
 
 
@@ -394,7 +394,7 @@ def test_budget_conservation_over_streamed_rounds():
         next_id += 30
         report, pool, state = streamline_round(pool, buf, state, cfg, _oracle(buf))
         assert state.gamma >= 0.0
-        total += report.granted
+        total += len(report.selected_ids)
     assert total <= len(rounds) * 15
     assert total == pool.total_size - (40 + 40 + 8)
 
@@ -494,12 +494,12 @@ def test_round_credits_a_short_selection_to_gamma():
     # B=3, |P|=10 = beta: the common branch grants all 3 and banks nothing.
     pool, buf, state, cfg = _round_with_selector(lambda p, u, t, b: [int(u.ids[0])])
     report, pool, new_state = streamline_round(pool, buf, state, cfg, _oracle(buf))
-    assert report.decision.b == 3 and report.granted == 1
+    assert report.decision.b == 3 and len(report.selected_ids) == 1
     assert new_state.gamma == 2.0  # spent 1 + banked 2 = B
     fixed = StreamlineConfig(maximizer=_maximizer(), fixed_budget=True, selector_fn=cfg.selector_fn)
     pool, buf, state, _ = _round_with_selector(None)
     report, _, new_state = streamline_round(pool, buf, state, fixed, _oracle(buf))
-    assert report.granted == 1 and new_state.gamma == 0.0  # a fixed budget banks nothing
+    assert len(report.selected_ids) == 1 and new_state.gamma == 0.0  # a fixed budget banks nothing
 
 
 def test_round_takes_row_maxima_once_per_slice(monkeypatch):

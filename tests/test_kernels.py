@@ -6,7 +6,6 @@ from streamline.kernels import (
     SimilarityMatrix,
     build_kernel,
     cosine_similarity,
-    normalize,
     normalize_rows,
     object_set_similarity,
     rbf_similarity,
@@ -37,14 +36,6 @@ def test_cosine_errors():
         cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(KernelError):
         cosine_similarity(np.zeros(3), np.ones(3))
-
-
-def test_normalize():
-    v = normalize(np.array([3.0, 4.0]))
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-6)
-    assert np.allclose(normalize(v), v)  # idempotent
-    with pytest.raises(KernelError):
-        normalize(np.zeros(2))
 
 
 def test_rbf_identical_is_one():
@@ -124,7 +115,7 @@ def test_build_kernel_matches_bruteforce_cosine():
     rng = np.random.default_rng(4)
     rows = rng.normal(size=(5, 6))
     cols = rng.normal(size=(7, 6))
-    K = build_kernel(rows, cols, metric="cosine").values
+    K = build_kernel(rows, cols).values
     for i in range(5):
         for j in range(7):
             assert K[i, j] == pytest.approx(cosine_similarity(rows[i], cols[j]), abs=1e-9)
@@ -134,17 +125,16 @@ def test_build_kernel_matches_bruteforce_object_set():
     rng = np.random.default_rng(6)
     rows = [rng.normal(size=(rng.integers(1, 4), 5)) for _ in range(3)]
     cols = [rng.normal(size=(rng.integers(1, 4), 5)) for _ in range(4)]
-    K = build_kernel(rows, cols, metric="object_set").values
+    K = build_kernel(rows, cols).values
     for i in range(3):
         for j in range(4):
             assert K[i, j] == pytest.approx(object_set_similarity(rows[i], cols[j]), abs=1e-9)
 
 
-@pytest.mark.parametrize("metric", ["cosine"])
-def test_self_kernel_symmetric_unit_diagonal(metric):
+def test_self_kernel_symmetric_unit_diagonal():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(6, 4))
-    K = build_kernel(X, X, metric=metric).values
+    K = build_kernel(X, X).values
     assert np.allclose(K, K.T, atol=1e-6)
     assert np.allclose(np.diag(K), 1.0, atol=1e-6)
 
@@ -152,14 +142,14 @@ def test_self_kernel_symmetric_unit_diagonal(metric):
 def test_self_kernel_object_set():
     rng = np.random.default_rng(8)
     items = [rng.normal(size=(rng.integers(1, 4), 5)) for _ in range(4)]
-    K = build_kernel(items, items, metric="object_set").values
+    K = build_kernel(items, items).values
     assert np.allclose(K, K.T, atol=1e-6)
     assert np.allclose(np.diag(K), 1.0, atol=1e-6)
 
 
 def test_kernel_entries_in_unit_range():
     rng = np.random.default_rng(9)
-    K = build_kernel(rng.normal(size=(8, 5)), rng.normal(size=(9, 5)), metric="cosine").values
+    K = build_kernel(rng.normal(size=(8, 5)), rng.normal(size=(9, 5))).values
     assert np.all(K >= 0.0)
     assert np.all(K <= 1.0 + 1e-9)
 
@@ -175,11 +165,7 @@ def test_build_kernel_mixed_kinds_rejected():
     flat = np.ones((2, 3))
     objs = [np.ones((2, 3)), np.ones((1, 3))]
     with pytest.raises(KernelError):
-        build_kernel(objs, flat, metric="object_set")
-    with pytest.raises(KernelError):
-        build_kernel(flat, flat, metric="object_set")
-    with pytest.raises(KernelError):
-        build_kernel(objs, objs, metric="cosine")
+        build_kernel(objs, flat)
 
 
 def test_flat_kernels_are_cosine_only():
@@ -188,14 +174,13 @@ def test_flat_kernels_are_cosine_only():
         row_col_max(objs, objs)
     with pytest.raises(KernelError, match=r"shape \(2, 2, 3\)"):
         row_col_max([np.ones((2, 3)), np.ones((2, 3))], np.ones((4, 3)))
-    with pytest.raises(KernelError, match="unknown metric 'rbf'"):
-        build_kernel(np.ones((2, 3)), np.ones((4, 3)), metric="rbf")
 
 
-@pytest.mark.parametrize("row", [[1e200, 1e200], [1e-200, 1e-200]])
+@pytest.mark.parametrize("row", [[1e200, 1e200], [1e-200, 1e-200], [0.0, 0.0]])
 def test_build_kernel_rejects_a_row_whose_norm_leaves_float64(row):
     X = np.array([[1.0, 1.0], row])
-    with pytest.raises(KernelError, match="cannot normalize row 1: it is out of float64's range"):
+    why = "out of float64's range" if any(row) else "all zero"
+    with pytest.raises(KernelError, match=f"cannot normalize row 1: it is {why}"):
         build_kernel(X, X)
     with pytest.raises(KernelError, match="cannot normalize row 1"):
         normalize_rows(X)
@@ -204,6 +189,37 @@ def test_build_kernel_rejects_a_row_whose_norm_leaves_float64(row):
 def test_build_kernel_empty_rejected():
     with pytest.raises(KernelError):
         build_kernel(np.empty((0, 3)), np.ones((2, 3)))
+
+
+def test_build_kernel_of_a_3d_array_is_the_kernel_of_its_object_sets():
+    rng = np.random.default_rng(10)
+    rows, cols = rng.normal(size=(3, 2, 5)), rng.normal(size=(4, 2, 5))
+    K = build_kernel(rows, cols).values
+    assert np.array_equal(K, build_kernel(list(rows), list(cols)).values)
+    assert K[1, 2] == object_set_similarity(rows[1], cols[2])
+
+
+def test_build_kernel_of_a_list_of_vectors_equals_the_stacked_array():
+    rng = np.random.default_rng(11)
+    rows, cols = rng.normal(size=(5, 4)), rng.normal(size=(7, 4))
+    stacked = build_kernel(rows, cols).values
+    assert np.array_equal(build_kernel(list(rows), list(cols)).values, stacked)
+    assert np.array_equal(build_kernel(list(rows), cols).values, stacked)
+
+
+def test_build_kernel_rejects_a_collection_mixing_vectors_and_object_sets():
+    vec, objs = np.ones(3), np.ones((2, 3))
+    with pytest.raises(KernelError):
+        build_kernel([vec, objs], [vec])
+    with pytest.raises(KernelError, match="mixes flat embeddings and object sets"):
+        build_kernel([objs, vec], [objs])
+
+
+def test_empty_or_ragged_rows_cannot_be_normalized():
+    with pytest.raises(KernelError, match=r"got shape \(0, 3\)"):
+        normalize_rows(np.empty((0, 3)))
+    with pytest.raises(KernelError, match="ragged"):
+        normalize_rows([[1.0, 2.0], [1.0]])
 
 
 def test_similarity_matrix_invariants():
