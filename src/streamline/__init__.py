@@ -30,15 +30,11 @@ from .core import (
     smidentify,
     streamline_round,
 )
-from .embedio import EmbeddingCollection, EmbeddingFileError, read_embeddings, write_embeddings
 from .kernels import (
     KernelError,
     SimilarityMatrix,
     build_kernel,
-    cosine_similarity,
     normalize_rows,
-    object_set_similarity,
-    rbf_similarity,
     row_col_max,
 )
 from .maximize import (

@@ -2,9 +2,7 @@
 
 All selectors take the episode buffer and a budget and return item ids; none
 of them touch the accumulated-budget machinery, so per round they spend at
-most the base budget. Uncertainty scoring accepts either one probability
-vector per item (classification) or a list of per-box probability vectors
-per item (detection), where the item score is the mean over boxes.
+most the base budget.
 """
 
 from __future__ import annotations
@@ -38,8 +36,16 @@ def _check_simplex(p: np.ndarray) -> None:
         raise ValueError("class probabilities must sum to 1")
 
 
-def _vector_scores(P: np.ndarray, mode: str) -> np.ndarray:
-    """Per-row uncertainty of an (n, C) array of simplex rows."""
+def uncertainty_scores(preds, mode: str) -> np.ndarray:
+    """Uncertainty score per row of an (n, C) array of class probabilities.
+
+    mode is "entropy", "least_conf", or "margin".
+    """
+    if mode not in UNCERTAINTY_MODES:
+        raise ValueError(f"unknown uncertainty mode {mode!r}")
+    P = np.asarray(preds, dtype=np.float64)
+    if P.ndim != 2:
+        raise ValueError(f"class probabilities must be an (n, C) array, got shape {P.shape}")
     _check_simplex(P)
     if mode == "entropy":
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -48,31 +54,8 @@ def _vector_scores(P: np.ndarray, mode: str) -> np.ndarray:
     top = np.sort(P, axis=-1)[:, ::-1]
     if mode == "least_conf":
         return 1.0 - top[:, 0]
-    if mode == "margin":
-        second = top[:, 1] if P.shape[-1] > 1 else np.zeros(len(P))
-        return top[:, 0] - second
-    raise ValueError(f"unknown uncertainty mode {mode!r}")
-
-
-def uncertainty_scores(preds, mode: str) -> np.ndarray:
-    """Uncertainty score per item.
-
-    Args:
-        preds: (n, C) array for classification, or a list whose i-th entry is
-            an (n_boxes_i, C) array for detection-style items.
-        mode: "entropy", "least_conf", or "margin".
-    """
-    if mode not in UNCERTAINTY_MODES:
-        raise ValueError(f"unknown uncertainty mode {mode!r}")
-    if isinstance(preds, np.ndarray) and preds.ndim == 2:
-        return _vector_scores(np.asarray(preds, dtype=np.float64), mode)
-    scores = np.empty(len(preds))
-    for i, boxes in enumerate(preds):
-        boxes = np.atleast_2d(np.asarray(boxes, dtype=np.float64))
-        if boxes.shape[0] == 0:
-            raise ValueError(f"item {i} has no box predictions to score")
-        scores[i] = _vector_scores(boxes, mode).mean()
-    return scores
+    second = top[:, 1] if P.shape[-1] > 1 else np.zeros(len(P))
+    return top[:, 0] - second
 
 
 def _check_row_counts(buffer: UnlabeledBuffer, **rows) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -254,18 +255,18 @@ def slice_aware_budget(
     negative.
     """
     sizes = pool.sizes
-    B, rho, gamma = state.B, state.rho, state.gamma
+    B, gamma = state.B, state.gamma
     beta = int(sizes.min())
-    # The 1e-9 inside the floors guards decimal rho/size arithmetic landing
-    # one ulp under an intended integer (e.g. 41*0.3 + 0.7*41).
+    # Exact rational arithmetic on the decimal rho and the integer sizes: a
+    # float law lands one under an intended integer at large budgets.
     if pool.rare_flags[t]:
-        common_sizes = sizes[~pool.rare_flags]
-        mean_common = float(common_sizes.mean()) if common_sizes.size else 0.0
-        d = mean_common - float(sizes[t])
-        sigma = float(math.floor(max(min(gamma, d - B), 0.0) + 1e-9))
-        decision = BudgetDecision(b=B + int(sigma), d=d, beta=beta, sigma=sigma, branch="rare")
+        common = sizes[~pool.rare_flags]
+        d = (Fraction(int(common.sum()), len(common)) if len(common) else Fraction(0)) - int(sizes[t])
+        sigma = max(min(math.floor(gamma), math.floor(d - B)), 0)
+        decision = BudgetDecision(b=B + sigma, d=float(d), beta=beta, sigma=float(sigma), branch="rare")
     else:
-        b = int(math.floor(B * rho + (1.0 - rho) * B * beta / float(sizes[t]) + 1e-9))
+        rho = Fraction(str(state.rho))
+        b = math.floor(B * (rho + (1 - rho) * Fraction(beta, int(sizes[t]))))
         decision = BudgetDecision(b=b, d=0.0, beta=beta, sigma=0.0, branch="common")
     return decision, replace(state, gamma=gamma + (B - decision.b))
 

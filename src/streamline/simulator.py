@@ -9,7 +9,7 @@ rare-slice data. Streams are pure functions of their spec (seed included).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -415,14 +415,15 @@ def run_experiment(spec: StreamSpec, method: str, cfg: RunConfig) -> MetricsLog:
     state = BudgetState(B=cfg.budget, rho=cfg.rho)
     learner = train_learner(pool, cfg.learner, spec.n_classes) if method in _READS_MODEL else None
     rare = list(spec.rare_slices)
-    # The selectors and learner are looked up when a selector runs, so each
-    # call sees the latest fit (and any rebinding of the module's selectors).
+    # The selectors, learner and maximizer are looked up when a selector runs,
+    # so each call sees the latest fit and this round's maximizer (and any
+    # rebinding of the module's selectors).
     uncertain = lambda pool_, buf, t, b: uncertainty_select(buf, learner.predict_proba(buf.X), method, b)
     selectors = {
         "random": lambda pool_, buf, t, b: random_select(buf, b, rng),
         **dict.fromkeys(("entropy", "margin", "least_conf"), uncertain),
-        "submodular": lambda pool_, buf, t, b: submodular_fl_select(buf, b, cfg.maximizer),
-        "similar": lambda pool_, buf, t, b: similar_select(buf, pool_, rare[0], b, cfg.maximizer),
+        "submodular": lambda pool_, buf, t, b: submodular_fl_select(buf, b, maximizer),
+        "similar": lambda pool_, buf, t, b: similar_select(buf, pool_, rare[0], b, maximizer),
         "badge": lambda pool_, buf, t, b: badge_select(buf, learner.predict_proba(buf.X), buf.X, b, rng),
     }
     # The two ablations swap conditional-gain selection for random's or badge's selector.
@@ -432,10 +433,14 @@ def run_experiment(spec: StreamSpec, method: str, cfg: RunConfig) -> MetricsLog:
     labels_total = 0
 
     for r, buf in enumerate(buffers):
+        # Stochastic greedy samples from a stream of its own per (method, seed, round).
+        seed = np.random.SeedSequence([METHODS.index(method), spec.seed, r]).generate_state(1)[0]
+        maximizer = replace(cfg.maximizer, seed=int(seed))
         oracle_map = {int(i): int(l) for i, l in zip(buf.ids, buf.true_labels)}
         label_oracle = lambda ids: np.array([oracle_map[int(i)] for i in ids], dtype=np.int64)
         if method.startswith("streamline"):
-            report, pool, state = streamline_round(pool, buf, state, sl_cfg, label_oracle)
+            round_cfg = replace(sl_cfg, maximizer=maximizer)
+            report, pool, state = streamline_round(pool, buf, state, round_cfg, label_oracle)
             t, selected = report.identified_slice, report.selected_ids
         else:
             t = buf.true_slice

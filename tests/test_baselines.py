@@ -61,18 +61,6 @@ def test_uncertainty_one_hot_prediction():
     assert uncertainty_scores(p, "margin")[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_uncertainty_detection_averages_boxes():
-    item = [np.array([[0.5, 0.5], [1.0, 0.0]])]  # one uniform box, one one-hot box
-    assert uncertainty_scores(item, "entropy")[0] == pytest.approx(np.log(2) / 2, abs=1e-9)
-    assert uncertainty_scores(item, "least_conf")[0] == pytest.approx(0.25, abs=1e-9)
-    assert uncertainty_scores(item, "margin")[0] == pytest.approx(0.5, abs=1e-9)
-
-
-def test_uncertainty_empty_box_set_rejected():
-    with pytest.raises(ValueError):
-        uncertainty_scores([np.empty((0, 3))], "entropy")
-
-
 def test_uncertainty_matches_definitional_recomputation():
     rng = np.random.default_rng(0)
     P = rng.dirichlet(np.ones(5), size=30)
@@ -123,6 +111,8 @@ def test_invalid_probabilities_rejected():
         uncertainty_scores(np.array([[1.2, -0.2]]), "entropy")
     with pytest.raises(ValueError):
         uncertainty_scores(np.array([[0.5, 0.5]]), "other")
+    with pytest.raises(ValueError, match=r"an \(n, C\) array, got shape \(2,\)"):
+        uncertainty_scores(np.array([0.5, 0.5]), "entropy")
 
 
 # ------------------------------------------------------------------- submodular

@@ -181,6 +181,15 @@ def test_budget_all_rare_pool_degenerates_to_base_budget():
     assert new_state.gamma == 30.0
 
 
+def test_budget_common_branch_is_exact_at_a_large_budget():
+    # beta = |P_0|, so b = B * (rho + (1 - rho)) = B exactly; float arithmetic floored it to B - 1
+    pool, _ = make_pool([356, 400, 356], [False, False, True])
+    decision, new_state = slice_aware_budget(pool, BudgetState(B=7_227_632, rho=0.05), 0)
+    assert decision.branch == "common"
+    assert decision.b == 7_227_632
+    assert new_state.gamma == 0.0
+
+
 def test_budget_fuzz_conservation():
     rng = np.random.default_rng(4)
     for schedule_idx in range(300):

@@ -3,7 +3,8 @@ and the class-major logistic learner.
 
 row_col_max, smidentify and scg_select never hold a |U| x |P| kernel; the
 first three tests check them against the definitional path built from full
-kernels. The next checks budget conservation over whole rounds. The last two
+kernels. The next two check budget conservation over whole rounds and the
+budget law against an integer-only reference. The last two
 check logistic_loss_and_grad and fit_logistic bit for bit against the
 row-major softmax they replaced. The tests after them check the transposed
 S_uu, the column-contiguous coverage gains and the round's reuse of
@@ -27,6 +28,7 @@ from streamline import (
     maximize,
     row_col_max,
     scg_select,
+    slice_aware_budget,
     smidentify,
     streamline_round,
 )
@@ -135,6 +137,43 @@ def test_every_round_spends_plus_banks_its_base_budget(seed, sizes, B, rho, roun
         state = new_state
     ids = np.concatenate([sl.ids for sl in pool.slices])
     assert len(np.unique(ids)) == len(ids)
+
+
+def _reference_budget(sizes, rare, t, B, rho_num, rho_den, gamma):
+    """(b, sigma) of the budget law for rho = rho_num / rho_den, in integers only."""
+    common = [s for s, r in zip(sizes, rare) if not r]
+    if not rare[t]:
+        beta, size = min(sizes), sizes[t]
+        return B * (rho_num * size + (rho_den - rho_num) * beta) // (rho_den * size), 0
+    if not common:
+        return B, 0
+    deficit = (sum(common) - (sizes[t] + B) * len(common)) // len(common)  # floor(d - B)
+    sigma = max(min(gamma, deficit), 0)
+    return B + sigma, sigma
+
+
+@SETTINGS
+@given(
+    sizes=st.lists(st.integers(1, 10**4), min_size=1, max_size=4),
+    rare=st.lists(st.booleans(), min_size=4, max_size=4),
+    t=st.integers(0, 3),
+    B=st.integers(0, 10**9),
+    rho=st.integers(1, 4).flatmap(lambda m: st.tuples(st.integers(0, 10**m), st.just(10**m))),
+    gamma=st.integers(0, 10**13),
+)
+def test_budget_law_is_exact(sizes, rare, t, B, rho, gamma):
+    """b and sigma equal the law's exact floors, up to the configurable budget bound."""
+    t, rare = t % len(sizes), rare[: len(sizes)]
+    starts = np.cumsum([0, *sizes])
+    pool = SlicedLabeledPool(
+        [LabeledSlice(np.arange(i, j), np.zeros(j - i, int), np.ones((j - i, 1))) for i, j in zip(starts, starts[1:])],
+        rare,
+    )
+    state = BudgetState(B=B, rho=rho[0] / rho[1], gamma=float(gamma))
+    decision, new_state = slice_aware_budget(pool, state, t)
+    b, sigma = _reference_budget(sizes, rare, t, B, *rho, gamma)
+    assert (decision.b, decision.sigma) == (b, sigma)
+    assert new_state.gamma == gamma + B - b
 
 
 def _reference_loss_and_grad(W, b, X, y, l2: float = 0.0):

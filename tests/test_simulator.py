@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import streamline.baselines as baselines
+import streamline.core as core
 import streamline.simulator as simulator
 from streamline.core import SlicedLabeledPool, LabeledSlice
+from streamline.maximize import MaximizerConfig
 from streamline.simulator import (
     METHODS,
     EvalSet,
@@ -334,6 +337,19 @@ def test_run_fits_the_initial_model_only_for_methods_that_read_it(monkeypatch):
         calls.clear()
         run_experiment(small_spec(), method, small_run_cfg(learner=LearnerConfig(epochs=5)))
         assert len(calls) == rounds + (method in reads_model), method
+
+
+def test_stochastic_greedy_samples_a_stream_of_its_own_per_round(monkeypatch):
+    seeds = []
+    for module in (core, baselines):
+        maximize = module.maximize
+        monkeypatch.setattr(module, "maximize", lambda f, cfg, m=maximize: seeds.append(cfg.seed) or m(f, cfg))
+    cfg = small_run_cfg(maximizer=MaximizerConfig(budget=0, algorithm="stochastic", epsilon=0.1))
+    for method in ("streamline", "submodular", "similar"):
+        seeds.clear()
+        for seed in (0, 1):
+            run_experiment(small_spec(seed=seed), method, cfg)
+        assert len(seeds) == 2 * 6 and len(set(seeds)) == len(seeds), (method, seeds)
 
 
 def test_run_unknown_method_rejected():
