@@ -30,6 +30,7 @@ from .core import (
     smidentify,
     streamline_round,
 )
+from .embedio import EmbeddingCollection, EmbeddingFileError, read_embeddings, write_embeddings
 from .kernels import (
     KernelError,
     SimilarityMatrix,
