@@ -227,7 +227,7 @@ class Learner:
         return self.logits(X).argmax(axis=1)
 
 
-def logistic_loss_and_grad(W, b, X, y, l2: float = 0.0, *, rows=None):
+def logistic_loss_and_grad(W, b, X, y, l2: float = 0.0, *, at_y=None):
     """Mean cross-entropy (+ L2 on W) and its analytic gradients.
 
     The softmax runs class-major, on a C-contiguous (C, n) copy of the
@@ -237,24 +237,34 @@ def logistic_loss_and_grad(W, b, X, y, l2: float = 0.0, *, rows=None):
     C < 8 the class sum adds left to right, as numpy does on a short row,
     and for C >= 8 it sums a row-major copy, which numpy sums pairwise.
     The residual R is an (n, C) row-major copy, so R.T @ X is the same BLAS
-    call, and grad_b = R.sum(axis=0) / n is what R.mean(axis=0) computes.
-    rows is np.arange(len(y)); a caller in a loop can pass it once.
+    call; grad_W is divided by n and given its L2 term in place, which
+    rounds as the out-of-place expression does. grad_b is einsum's column
+    sum of R over n, which equals R.sum(axis=0) / n and so R.mean(axis=0):
+    both add the rows one by one in order, and einsum has less overhead
+    per call. Likewise the loss divides the sum of the log-likelihoods by
+    n, which is what mean computes.
+    at_y holds the flat positions y * n + arange(n) of P[i, y_i] in the
+    (C, n) softmax; a caller in a loop can compute them once.
     """
     n = len(y)
-    if rows is None:
-        rows = np.arange(n)
+    if at_y is None:
+        at_y = np.asarray(y) * n + np.arange(n)
     zt = (np.atleast_2d(X) @ W.T).T.copy()
     zt += b[:, None]
     zt -= np.maximum.reduce(zt, axis=0)
     np.exp(zt, out=zt)
     zt /= zt.sum(axis=0) if len(b) < 8 else zt.T.copy().sum(axis=1)
-    at_y = np.asarray(y) * n + rows  # flat positions of P[i, y_i] in zt
-    p_y = zt.take(at_y)
-    loss = -np.log(p_y + 1e-12).mean() + 0.5 * l2 * float((W * W).sum())
-    zt.put(at_y, p_y - 1.0)
+    flat = zt.reshape(-1)
+    p_y = flat[at_y]
+    loss = -np.log(p_y + 1e-12).sum() / n + 0.5 * l2 * float((W * W).sum())
+    p_y -= 1.0
+    flat[at_y] = p_y
     R = zt.T.copy()
-    grad_W = R.T @ X / n + l2 * W
-    grad_b = R.sum(axis=0) / n
+    grad_W = R.T @ X
+    grad_W /= n
+    grad_W += l2 * W
+    grad_b = np.einsum("ij->j", R)
+    grad_b /= n
     return float(loss), grad_W, grad_b
 
 
@@ -266,7 +276,9 @@ def fit_logistic(X, y, cfg: LearnerConfig, n_classes: int | None = None) -> Lear
     history is nonincreasing. y must hold one label per row of X, each in
     [0, n_classes), or ValueError says what is wrong, naming the first row
     whose label is outside; so does a step size that is not positive and
-    finite (an infinite one would halve forever). Every loss and gradient
+    finite (an infinite one would halve forever), a row of X that is not
+    finite or whose squared norm leaves float64's range (all-zero rows are
+    fine), and rows whose mean squared norm does. Every loss and gradient
     comes from logistic_loss_and_grad, so fits equal those of the row-major
     softmax.
     """
@@ -283,19 +295,29 @@ def fit_logistic(X, y, cfg: LearnerConfig, n_classes: int | None = None) -> Lear
         raise ValueError(f"label {int(y[i])} at row {i} is outside [0, {C})")
     if not 0.0 < cfg.step_size < np.inf:
         raise ValueError(f"step_size must be positive and finite, got {cfg.step_size}")
-    rows = np.arange(len(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_norms = (X * X).sum(axis=1)
+        mean_sq = float(sq_norms.mean())
+    bad = np.flatnonzero(~np.isfinite(sq_norms))
+    if bad.size:
+        i = int(bad[0])
+        why = "not finite" if not np.isfinite(X[i]).all() else "out of float64's range when squared"
+        raise ValueError(f"cannot fit row {i}: it is {why}")
+    if mean_sq == np.inf:
+        raise ValueError("cannot fit: the mean squared row norm is out of float64's range")
+    n = len(y)
+    at_y = y * n + np.arange(n)
     W = np.zeros((C, X.shape[1]))
     bias = np.zeros(C)
-    curvature = 0.5 * float((X * X).sum(axis=1).mean()) + cfg.l2 + 1.0
-    step = cfg.step_size / curvature
-    loss, gW, gb = logistic_loss_and_grad(W, bias, X, y, cfg.l2, rows=rows)
+    step = cfg.step_size / (0.5 * mean_sq + cfg.l2 + 1.0)
+    loss, gW, gb = logistic_loss_and_grad(W, bias, X, y, cfg.l2, at_y=at_y)
     losses = [loss]
     for _ in range(cfg.epochs):
         stepped = False
         while step >= 1e-12:
             W_try = W - step * gW
             b_try = bias - step * gb
-            loss_try, gW_try, gb_try = logistic_loss_and_grad(W_try, b_try, X, y, cfg.l2, rows=rows)
+            loss_try, gW_try, gb_try = logistic_loss_and_grad(W_try, b_try, X, y, cfg.l2, at_y=at_y)
             if loss_try <= loss + 1e-12:
                 W, bias, loss, gW, gb = W_try, b_try, loss_try, gW_try, gb_try
                 stepped = True

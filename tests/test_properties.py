@@ -4,17 +4,24 @@ and the class-major logistic learner.
 row_col_max, smidentify and scg_select never hold a |U| x |P| kernel; the
 first three tests check them against the definitional path built from full
 kernels. The next two check budget conservation over whole rounds and the
-budget law against an integer-only reference. The last two
-check logistic_loss_and_grad and fit_logistic bit for bit against the
+budget law against an integer-only reference. The learner tests check
+logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
 row-major softmax they replaced. The tests after them check the transposed
 S_uu, the column-contiguous coverage gains and the round's reuse of
-identify's row maxima bit for bit, and lazy greedy against naive greedy.
+identify's row maxima bit for bit, and lazy greedy against naive greedy. The
+last one checks that a failing property test still shows its example.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import streamline.simulator as simulator
 from streamline import (
     FLCG,
     FacilityLocation,
@@ -32,6 +39,8 @@ from streamline import (
     smidentify,
     streamline_round,
 )
+from streamline.cli import run
+from streamline.config import config_from_dict
 from streamline.core import smidentify_scores
 from streamline.kernels import _BLOCK, _transposed_self_kernel
 from streamline.setfunctions import _ROWS, _CoverageEvaluator
@@ -259,6 +268,57 @@ def test_fit_equals_the_row_major_reference_fit(seed, n, d, C, n_labels, l2):
     np.testing.assert_array_equal(learner.loss_history, losses)
 
 
+# The hypothesis fit test stops at n 300 and 15 epochs; these reach the desk
+# shape (pools of about 1000 rows, dim 16, 6 classes, the default 200 epochs)
+# and the pairwise class sum of C >= 8.
+@pytest.mark.parametrize(
+    "seed, n, d, C, cfg",
+    [(11, 1000, 16, 6, LearnerConfig()), (12, 700, 24, 10, LearnerConfig(epochs=120, l2=0.5))],
+)
+def test_fit_equals_the_reference_fit_at_full_length(seed, n, d, C, cfg):
+    _, X, y = _learner_problem(seed, n, d, C, C)
+    learner = fit_logistic(X, y, cfg, C)
+    W, b, losses, _ = _reference_fit(X, y, cfg, C)
+    assert len(losses) == cfg.epochs + 1
+    np.testing.assert_array_equal(learner.W, W)
+    np.testing.assert_array_equal(learner.b, b)
+    np.testing.assert_array_equal(learner.loss_history, losses)
+
+
+def test_run_writes_the_same_bytes_with_the_reference_learner(tmp_path, monkeypatch):
+    """Whole runs, not only single fits, keep their bytes: the criterion-11
+    config writes the same files whether every round retrains with
+    fit_logistic or with the row-major reference fit."""
+    cfg = config_from_dict(
+        {
+            "methods": ["streamline", "random"],
+            "seeds": [0, 1],
+            "rounds": 4,
+            "slices": 3,
+            "classes": 3,
+            "dim": 8,
+            "common_pool_size": 30,
+            "episode_size": 30,
+            "eval_per_slice": 40,
+            "budget": 10,
+            "learner": {"epochs": 40},
+        }
+    )
+    run(cfg, tmp_path / "learner")
+    fits = []
+
+    def reference_learner(X, y, learner_cfg, n_classes):
+        fits.append(len(y))
+        W, b, losses, _ = _reference_fit(np.asarray(X, dtype=np.float64), np.asarray(y), learner_cfg, n_classes)
+        return Learner(W=W, b=b, loss_history=losses)
+
+    monkeypatch.setattr(simulator, "fit_logistic", reference_learner)
+    run(cfg, tmp_path / "reference")
+    assert len(fits) == 2 * 2 * 4  # methods x seeds x rounds
+    for name in ("metrics.csv", "selections.jsonl", "summary.json"):
+        assert (tmp_path / "learner" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
+
 def test_fit_equals_the_reference_fit_when_backtracking_fires():
     _, X, y = _learner_problem(7, 200, 16, 6, 6)
     cfg = LearnerConfig(step_size=64.0, epochs=40)
@@ -378,3 +438,23 @@ def test_round_selects_what_scg_select_selects(seed, sizes, n_u, dim, B, grid):
     pool, buf = stream()
     expected = scg_select(pool, buf, t, report.decision.b, maximizer)
     assert report.selected_ids == expected
+
+
+def test_a_failing_property_test_reports_its_falsifying_example(tmp_path):
+    """Under the repository's warning filters, hypothesis still prints the
+    example that makes a property test fail, not an INTERNALERROR."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", str(tmp_path / "test_fails.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Falsifying example" in result.stdout

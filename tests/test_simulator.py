@@ -203,6 +203,37 @@ def test_fit_rejects_labels_that_do_not_match_the_rows(n_labels, n_rows):
         fit_logistic(np.ones((n_rows, 3)), np.zeros(n_labels, dtype=int), LearnerConfig(epochs=3), 3)
 
 
+@pytest.mark.parametrize(
+    "bad_row, why",
+    [
+        ([np.nan, 1.0, 0.0], "not finite"),
+        ([1.0, -np.inf, 0.0], "not finite"),
+        ([1e200, 0.0, 0.0], "out of float64's range when squared"),
+    ],
+)
+def test_fit_rejects_a_row_that_is_not_finite_or_overflows_when_squared(bad_row, why):
+    rng = np.random.default_rng(8)
+    X, y = rng.normal(size=(6, 3)), np.array([0, 1, 2, 0, 1, 2])
+    X[2] = X[4] = bad_row
+    with pytest.raises(ValueError, match=f"cannot fit row 2: it is {why}"):
+        fit_logistic(X, y, LearnerConfig(epochs=5), n_classes=3)
+
+
+def test_fit_rejects_rows_whose_mean_squared_norm_overflows():
+    X, y = np.full((4, 1), 1e154), np.array([0, 1, 0, 1])
+    with pytest.raises(ValueError, match="mean squared row norm is out of float64's range"):
+        fit_logistic(X, y, LearnerConfig(epochs=5), n_classes=2)
+
+
+def test_fit_accepts_all_zero_and_tiny_rows():
+    rng = np.random.default_rng(9)
+    X, y = rng.normal(size=(6, 3)), np.array([0, 1, 2, 0, 1, 2])
+    X[1], X[3] = 0.0, 1e-200
+    learner = fit_logistic(X, y, LearnerConfig(epochs=20), n_classes=3)
+    assert np.isfinite(learner.W).all() and np.abs(learner.W).sum() > 0
+    assert learner.loss_history[-1] < learner.loss_history[0]
+
+
 def test_learner_predictions_are_simplex():
     rng = np.random.default_rng(5)
     learner = fit_logistic(rng.normal(size=(30, 4)), rng.integers(0, 3, 30), LearnerConfig(epochs=30))
