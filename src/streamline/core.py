@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _row_col_max, _transposed_self_kernel, first_bad_row, normalize_rows
+from .kernels import _row_col_max, _transposed_self_kernel, first_bad_row, normalize_rows, row_norms
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
 from .maximize import MaximizerConfig, maximize
 from .setfunctions import FLCG, FLQMI, flqmi_normalizer
@@ -30,8 +30,45 @@ class EmptySliceError(ValueError):
         super().__init__(f"slice {slice_id} is empty; identification needs at least one exemplar")
 
 
+def _embeddings(X) -> np.ndarray:
+    """X as a C-contiguous 2-D float64 array, whose row norms do not depend on its layout."""
+    return np.atleast_2d(np.ascontiguousarray(X, dtype=np.float64))
+
+
+class _EmbeddedRows:
+    """Rows of embeddings X whose L2 norms ingestion computed once.
+
+    The norms are tied to the X array they were computed from: X is never
+    written in place, and an X reassigned since is normalized afresh.
+    """
+
+    X: np.ndarray
+
+    def _keep_checked_norms(self, what: str) -> None:
+        """Reject the first row of X whose norm is 0 or not finite; keep the norms."""
+        norms = row_norms(self.X)
+        if bad := first_bad_row(self.X, norms):
+            raise ValueError(f"{what} embedding row %d is %s" % bad)
+        self._keep_norms(norms)
+
+    def _keep_norms(self, norms: np.ndarray) -> None:
+        self._norms, self._norms_of = norms, self.X
+
+    def _kept_norms(self) -> np.ndarray | None:
+        """The kept row norms, or None when X is no longer the array they came from."""
+        return self._norms if self._norms_of is self.X else None
+
+    def unit_rows(self) -> np.ndarray:
+        """normalize_rows(X), bit for bit, divided by the kept norms when they still hold.
+
+        Each call returns a fresh array.
+        """
+        norms = self._kept_norms()
+        return normalize_rows(self.X) if norms is None else self.X / norms[:, None]
+
+
 @dataclass
-class LabeledSlice:
+class LabeledSlice(_EmbeddedRows):
     """One labeled partition: parallel arrays of item id, label, embedding."""
 
     ids: np.ndarray
@@ -41,11 +78,13 @@ class LabeledSlice:
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
+        self.X = _embeddings(self.X)
         if not (len(self.ids) == len(self.labels) == self.X.shape[0]):
-            raise ValueError("ids, labels, and embeddings must have equal length")
-        if bad := first_bad_row(self.X):
-            raise ValueError("labeled embedding row %d is %s" % bad)
+            raise ValueError(
+                "ids, labels and embeddings must have equal length, got "
+                f"{len(self.ids)}, {len(self.labels)} and {self.X.shape[0]}"
+            )
+        self._keep_checked_norms("labeled")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -105,9 +144,12 @@ class SlicedLabeledPool:
         self._check_dim(t, new.X, sl.X.shape[1])
         self.check_new(new.ids)
         self._seen_ids.update(new.ids.tolist())
+        kept = sl._kept_norms()
         sl.ids = np.concatenate([sl.ids, new.ids])
         sl.labels = np.concatenate([sl.labels, new.labels])
         sl.X = np.vstack([sl.X, new.X])
+        if kept is not None:
+            sl._keep_norms(np.concatenate([kept, new._norms]))
 
     def add_selected(self, t: int, buffer: UnlabeledBuffer, ids, label_oracle) -> None:
         """Label the selected buffer ids and append their rows to slice t.
@@ -134,7 +176,7 @@ class SlicedLabeledPool:
 
 
 @dataclass
-class UnlabeledBuffer:
+class UnlabeledBuffer(_EmbeddedRows):
     """One arriving episode. true_slice/true_labels are harness-side ground
     truth, invisible to identification and selection."""
 
@@ -145,15 +187,21 @@ class UnlabeledBuffer:
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
+        self.X = _embeddings(self.X)
         if len(self.ids) == 0:
             raise ValueError("unlabeled buffer must be nonempty")
         if len(self.ids) != self.X.shape[0]:
-            raise ValueError("ids and embeddings must have equal length")
-        if bad := first_bad_row(self.X):
-            raise ValueError("buffer embedding row %d is %s" % bad)
+            raise ValueError(
+                "ids and embeddings must have equal length, got "
+                f"{len(self.ids)} and {self.X.shape[0]}"
+            )
+        self._keep_checked_norms("buffer")
         if len(np.unique(self.ids)) != len(self.ids):
-            raise ValueError("buffer ids must be unique")
+            seen: set[int] = set()
+            for i in self.ids.tolist():
+                if i in seen:
+                    raise ValueError(f"buffer id {i} is repeated")
+                seen.add(i)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -224,19 +272,21 @@ def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> Identificati
     """Identify the labeled slice the buffer most plausibly belongs to.
 
     Each slice's score is smidentify_scores of the cosine buffer x slice
-    kernel on raw embeddings, from its row and column maxima alone; the
-    buffer is normalized once for all slices. Ties break toward the smallest
-    slice index. Returns the winning index, the full score vector for
-    diagnostics, and the buffer's row maxima against the winner.
+    kernel on raw embeddings, from its row and column maxima alone. Both
+    sides are unit_rows(): the buffer's once for all slices, each slice's
+    from the norms its rows had at ingestion, so no row is checked or
+    normed again. Ties break toward the smallest slice index. Returns the
+    winning index, the full score vector for diagnostics, and the buffer's
+    row maxima against the winner.
     """
     for t, sl in enumerate(pool.slices):
         if len(sl) == 0:
             raise EmptySliceError(t)
-    U = normalize_rows(buffer.X)  # once, for every slice
+    U = buffer.unit_rows()  # once, for every slice
     scores, row_maxima = np.empty(pool.num_slices), []
     for t, sl in enumerate(pool.slices):
         # smidentify_scores on the full kernel, from its row and column maxima
-        row, col = _row_col_max(U, normalize_rows(sl.X))
+        row, col = _row_col_max(U, sl.unit_rows())
         scores[t] = (row.sum() + col.sum()) / flqmi_normalizer(len(row), len(col))
         row_maxima.append(row)
     t = int(np.argmax(scores))
@@ -282,18 +332,20 @@ def scg_select(
 ) -> list[int]:
     """Pick up to b buffer items maximizing conditional gain over slice t.
 
-    Both kernels are cosine on raw embeddings; b is clamped to the buffer
-    size. Returns global item ids in selection order. FLCG reads only
+    Both kernels are cosine on raw embeddings, computed from the unit_rows()
+    of the buffer and the slice; b is clamped to the buffer size. Returns
+    global item ids in selection order. FLCG reads only
     row_max[i] = max_j S_up[i, j], never S_up; pass the buffer's row maxima
     against slice t (as smidentify returns them) to skip that pass. S_uu is
-    built transposed, so the evaluators read its columns as contiguous rows.
+    built transposed from two separate unit_rows() arrays, so the
+    evaluators read its columns as contiguous rows.
     """
     b = min(int(b), len(buffer))
     if b <= 0:
         return []
     if row_max is None:
-        row_max, _ = _row_col_max(normalize_rows(buffer.X), normalize_rows(pool.slices[t].X))
-    T = _transposed_self_kernel(buffer.X)  # T.T is S_uu
+        row_max, _ = _row_col_max(buffer.unit_rows(), pool.slices[t].unit_rows())
+    T = _transposed_self_kernel(buffer.unit_rows(), buffer.unit_rows())  # T.T is S_uu
     f = FLCG(T.T, row_max[:, None])  # a one-column private kernel
     trace = maximize(f, replace(maximizer_cfg, budget=b))
     return [int(buffer.ids[i]) for i in trace.chosen]

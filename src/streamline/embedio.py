@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import first_bad_row
+from .kernels import first_bad_row, row_norms
 
 MAGIC = b"SLEM"
 VERSION = 1
@@ -48,7 +48,7 @@ def write_embeddings(path, X, ids=None, labels=None, slices=None) -> None:
     count, dim = X.shape
     if count == 0 or dim == 0:
         raise EmbeddingFileError("refusing to write an empty embedding collection")
-    if bad := first_bad_row(X):
+    if bad := first_bad_row(X, row_norms(X)):
         raise EmbeddingFileError("row %d is %s in float32; nothing was written" % bad)
     payload = _HEADER.pack(MAGIC, VERSION, count, dim) + X.astype("<f4").tobytes(order="C")
     Path(path).write_bytes(payload)
@@ -91,7 +91,7 @@ def _parse_text_embeddings(raw: bytes, path) -> np.ndarray:
 
 def _check_rows(X: np.ndarray, path, binary: bool) -> None:
     """Reject NaN, inf (float32 overflow included) and all-zero rows."""
-    if bad := first_bad_row(X):
+    if bad := first_bad_row(X, row_norms(X)):
         i, why = bad
         where = f" at byte offset {_HEADER.size + 4 * X.shape[1] * i}" if binary else ""
         raise EmbeddingFileError(f"{path}: row {i}{where} is {why}")

@@ -20,10 +20,11 @@ def normalize_rows(X) -> np.ndarray:
     """L2-normalize each row of a nonempty 2-D array into a fresh array.
 
     A ragged list, an empty or non-2-D array, and a row whose norm is 0 or
-    not finite raise KernelError. Each call returns a buffer of its own:
-    numpy multiplies one buffer by its own transpose through SYRK, whose
-    last bits differ from the general product, so a self kernel normalizes
-    its input once per side.
+    not finite raise KernelError. Each row's norm is computed once, by
+    row_norms, and the check reads those norms. Each call returns a buffer
+    of its own: numpy multiplies one buffer by its own transpose through
+    SYRK, whose last bits differ from the general product, so a self kernel
+    normalizes its input once per side.
     """
     try:
         X = np.asarray(X, dtype=np.float64)
@@ -31,20 +32,28 @@ def normalize_rows(X) -> np.ndarray:
         raise KernelError("flat collections must be nonempty 2-D arrays, got a ragged one") from None
     if X.ndim != 2 or X.shape[0] == 0:
         raise KernelError(f"flat collections must be nonempty 2-D arrays, got shape {X.shape}")
-    if bad := first_bad_row(X):
+    norms = row_norms(X)
+    if bad := first_bad_row(X, norms):
         raise KernelError("cannot normalize row %d: it is %s" % bad)
-    return X / np.linalg.norm(X, axis=1)[:, None]
+    return X / norms[:, None]
 
 
-def first_bad_row(X: np.ndarray) -> tuple[int, str] | None:
-    """The first row of a 2-D array whose float64 L2 norm is 0 or not finite, and why.
+def row_norms(X) -> np.ndarray:
+    """The float64 L2 norm of each row of a 2-D array, computed quietly.
 
-    That norm is the one normalize_rows divides by, computed quietly: a
-    finite row that is not all zero fails when its squared sum leaves
-    float64's range, as [1e200, 1e200] and [1e-200, 1e-200] do.
+    These are the norms normalize_rows divides by. A finite row that is not
+    all zero gets norm 0 or inf when its squared sum leaves float64's range,
+    as [1e-200, 1e-200] and [1e200, 1e200] do; first_bad_row names it.
     """
     with np.errstate(all="ignore"):
-        norms = np.linalg.norm(np.asarray(X, dtype=np.float64), axis=1)
+        return np.linalg.norm(np.asarray(X, dtype=np.float64), axis=1)
+
+
+def first_bad_row(X: np.ndarray, norms: np.ndarray) -> tuple[int, str] | None:
+    """The first row of a 2-D array whose norm is 0 or not finite, and why.
+
+    norms is row_norms(X): a caller that keeps the norms computes them once.
+    """
     bad = ~np.isfinite(norms) | (norms == 0.0)
     if not bad.any():
         return None
@@ -86,9 +95,11 @@ def _blocks(R: np.ndarray, C: np.ndarray) -> list[slice]:
     return [slice(j0, j1) for j0, j1 in zip(starts, starts[1:])]
 
 
-def _flat_kernel(rows, cols) -> np.ndarray:
-    """The clipped cosine kernel of two 2-D arrays, its column blocks written in place."""
-    R, C = normalize_rows(rows), normalize_rows(cols)
+def _kernel(R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The clipped cosine kernel of two sides normalize_rows prepared.
+
+    Its column blocks are written in place, one matrix product each.
+    """
     values = np.empty((R.shape[0], C.shape[0]))
     for j in _blocks(R, C):
         np.matmul(R, C[j].T, out=values[:, j])
@@ -103,17 +114,19 @@ def build_kernel(rows, cols) -> SimilarityMatrix:
     BLAS may differ in the last bit from one whole matrix product, which can
     move near-tie selections.
     """
-    return SimilarityMatrix(_flat_kernel(rows, cols))
+    return SimilarityMatrix(_kernel(normalize_rows(rows), normalize_rows(cols)))
 
 
 def row_col_max(rows, cols):
     """Row and column maxima of the cosine kernel build_kernel(rows, cols).
 
     rows and cols are 2-D arrays of embeddings; anything else raises
-    KernelError. The kernel is never held whole: its column blocks are the ones build_kernel computes, each folded into
-    a running row max and its own column max in one reused scratch block,
-    and only those two vectors are clipped, since clipping commutes with
-    max. The maxima equal the full kernel's exactly.
+    KernelError. The kernel is never held whole: its column blocks are the
+    ones build_kernel computes, each folded into a running row max and its
+    own column max. A call writes every block into one scratch array; a
+    scratch kept across calls measured no faster, because the allocator
+    hands the freed block back. Only the two max vectors are clipped, since
+    clipping commutes with max. The maxima equal the full kernel's exactly.
     """
     return _row_col_max(normalize_rows(rows), normalize_rows(cols))
 
@@ -135,17 +148,19 @@ def _row_col_max(R: np.ndarray, C: np.ndarray):
 _TILE = 64
 
 
-def _transposed_self_kernel(X) -> np.ndarray:
-    """build_kernel(X, X).values.T, as a C-contiguous array.
+def _transposed_self_kernel(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """build_kernel(X, X).values.T, as a C-contiguous array, from X's unit rows.
 
-    The kernel is computed as build_kernel computes it, so every entry is
-    the same product bit for bit (a product of the transposed operands is
-    not: BLAS may order its sums differently), and then transposed in place,
-    tile by tile. Column j of the kernel is the contiguous row j of the
-    result. X is a 2-D array of embeddings.
-    Entries are clipped here and no SimilarityMatrix checks them again.
+    U and V both hold normalize_rows(X), in two separate arrays: numpy
+    multiplies one array by its own transpose through SYRK, whose last bits
+    differ from the general product build_kernel uses. The kernel is
+    computed as build_kernel computes it, so every entry is the same product
+    bit for bit (a product of the transposed operands is not: BLAS may order
+    its sums differently), and then transposed in place, tile by tile.
+    Column j of the kernel is the contiguous row j of the result. Entries
+    are clipped here and no SimilarityMatrix checks them again.
     """
-    S = _flat_kernel(X, X)
+    S = _kernel(U, V)
     n, scratch = S.shape[0], np.empty((_TILE, _TILE))
     for i in range(0, n, _TILE):
         diag = S[i : i + _TILE, i : i + _TILE]

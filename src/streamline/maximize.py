@@ -86,9 +86,10 @@ def lazy_greedy(f, cfg: MaximizerConfig) -> SelectionTrace:
     """Priority-queue greedy with stale upper bounds on marginal gains.
 
     Heap entries are (-gain, id, round_stamp); a popped entry whose stamp is
-    current needs no re-evaluation. A refreshed entry is accepted only if it
-    still beats the best remaining bound, with the id as tiebreaker, which
-    reproduces naive greedy's choices exactly.
+    current needs no re-evaluation; a stale one is re-evaluated alone,
+    through the evaluator's scalar gain(x). A refreshed entry is accepted
+    only if it still beats the best remaining bound, with the id as
+    tiebreaker, which reproduces naive greedy's choices exactly.
     """
     n = f.ground_size
     b = min(cfg.budget, n)
@@ -96,14 +97,13 @@ def lazy_greedy(f, cfg: MaximizerConfig) -> SelectionTrace:
     if b == 0:
         return trace
     ev = f.evaluator()
-    init_gains = ev.gains(np.arange(n))
+    heap = [(-g, i, 0) for i, g in enumerate(ev.gains(np.arange(n)).tolist())]
     trace.evaluations += n
-    heap = [(-init_gains[i], i, 0) for i in range(n)]
     heapq.heapify(heap)
     while heap and len(trace.chosen) < b:
         neg_gain, x, stamp = heapq.heappop(heap)
         if stamp != len(trace.chosen):
-            fresh = float(ev.gains(np.array([x]))[0])
+            fresh = ev.gain(x)
             trace.evaluations += 1
             entry = (-fresh, x, len(trace.chosen))
             if heap and entry > heap[0]:

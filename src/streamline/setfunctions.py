@@ -62,26 +62,23 @@ class _CoverageEvaluator:
     gain sums one contiguous column in numpy's pairwise order, which is
     also how the gathered columns S[:, c] (F-ordered) were summed, so the
     gains do not depend on the layout of S or on how candidates are
-    blocked. Candidates are gathered _ROWS at a time into one reused
+    blocked. gains gathers its candidates _ROWS at a time into one reused
     scratch array; an index outside the ground set raises GroundIndexError.
+    gain(x) is gains of the one candidate x, the same bits as a float, for
+    lazy greedy's re-evaluations: it skips the range check, the gather and
+    the output array, which are most of the cost of a one-candidate gains
+    call, and works in a reused row of its own.
     """
 
     def __init__(self, S: np.ndarray, baseline: np.ndarray):
         self.T = np.ascontiguousarray(S.T)
         self.best = baseline.copy()
         self._scratch = np.empty((min(_ROWS, self.T.shape[0]), self.T.shape[1]))
+        self._row = np.empty(self.T.shape[1])  # gain's scratch
 
     def gains(self, candidates: np.ndarray) -> np.ndarray:
-        n = self.T.shape[0]
-        if len(candidates) == 1:
-            # Lazy greedy's re-evaluations: the blocked path's bits at half
-            # its per-call cost, 14% of churn throughput (see CHANGES.md).
-            x = int(candidates[0])
-            _check_range(x, x, n)
-            d = self.T[x] - self.best
-            return np.array([np.maximum(d, 0.0, out=d).sum()])
         if len(candidates):
-            _check_range(candidates.min(), candidates.max(), n)
+            _check_range(candidates.min(), candidates.max(), self.T.shape[0])
         out = np.empty(len(candidates))
         for k in range(0, len(candidates), _ROWS):
             c = candidates[k : k + _ROWS]
@@ -90,6 +87,11 @@ class _CoverageEvaluator:
             np.maximum(block, 0.0, out=block)
             block.sum(axis=1, out=out[k : k + len(c)])
         return out
+
+    def gain(self, x: int) -> float:
+        """gains(np.array([x]))[0] as a float, for an x in the ground set."""
+        d = np.subtract(self.T[x], self.best, out=self._row)
+        return float(np.maximum(d, 0.0, out=d).sum())
 
     def add(self, x: int) -> None:
         np.maximum(self.best, self.T[x], out=self.best)
@@ -104,6 +106,9 @@ class _FlqmiEvaluator(_CoverageEvaluator):
 
     def gains(self, candidates: np.ndarray) -> np.ndarray:
         return super().gains(candidates) + self.row_best[candidates]  # the range is checked first
+
+    def gain(self, x: int) -> float:
+        return super().gain(x) + float(self.row_best[x])
 
 
 class _SetFunction:

@@ -367,6 +367,17 @@ def test_round_respects_selector_override():
     assert report.selected_ids == forced
 
 
+def test_ingestion_errors_name_the_offender():
+    with pytest.raises(ValueError, match="buffer id 3 is repeated"):
+        UnlabeledBuffer(ids=[5, 3, 3, 5], X=np.ones((4, 2)))
+    with pytest.raises(ValueError, match="ids and embeddings must have equal length, got 2 and 3"):
+        UnlabeledBuffer(ids=[0, 1], X=np.ones((3, 2)))
+    with pytest.raises(ValueError, match="ids, labels and embeddings .* got 3, 2 and 3"):
+        LabeledSlice([0, 1, 2], [0, 0], np.ones((3, 2)))
+    with pytest.raises(ValueError, match="must have equal length, got 2, 2 and 1"):
+        LabeledSlice([0, 1], [0, 0], np.ones(2))  # one row of dim 2
+
+
 def test_pool_rejects_duplicate_ids():
     with pytest.raises(ValueError):
         SlicedLabeledPool(

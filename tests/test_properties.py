@@ -7,9 +7,11 @@ kernels. The next two check budget conservation over whole rounds and the
 budget law against an integer-only reference. The learner tests check
 logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
 row-major softmax they replaced. The tests after them check the transposed
-S_uu, the column-contiguous coverage gains and the round's reuse of
-identify's row maxima bit for bit, and lazy greedy against naive greedy. The
-last one checks that a failing property test still shows its example.
+S_uu, the row norms each slice keeps from ingestion, the column-contiguous
+coverage gains, the scalar gain of lazy greedy's re-evaluations and the
+round's reuse of identify's row maxima bit for bit, and lazy greedy against
+naive greedy. The last one checks that a failing property test still shows
+its example.
 """
 
 import subprocess
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 import streamline.simulator as simulator
 from streamline import (
     FLCG,
+    FLQMI,
     FacilityLocation,
     BudgetState,
     LabeledSlice,
@@ -42,7 +45,7 @@ from streamline import (
 from streamline.cli import run
 from streamline.config import config_from_dict
 from streamline.core import smidentify_scores
-from streamline.kernels import _BLOCK, _transposed_self_kernel
+from streamline.kernels import _BLOCK, _transposed_self_kernel, normalize_rows
 from streamline.setfunctions import _ROWS, _CoverageEvaluator
 from streamline.simulator import Learner, LearnerConfig, fit_logistic, logistic_loss_and_grad
 
@@ -341,13 +344,64 @@ def test_transposed_self_kernel_equals_build_kernel(seed, n, dim, grid):
     rng = np.random.default_rng(seed)
     U = _rows(rng, n, dim, grid)
     K = build_kernel(U, U).values
-    T = _transposed_self_kernel(U)
+    T = _transposed_self_kernel(normalize_rows(U), normalize_rows(U))
     assert T.flags.c_contiguous
     np.testing.assert_array_equal(T.T, K)
     # one array on both sides must not take numpy's SYRK path, whose bits differ
     row, col = row_col_max(U, U)
     np.testing.assert_array_equal(row, K.max(axis=1))
     np.testing.assert_array_equal(col, K.max(axis=0))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=3),
+    dim=st.integers(1, 40),
+    grid=st.booleans(),
+    steps=st.lists(st.sampled_from(["add", "add_f", "add_selected", "reassign", "bad"]), max_size=8),
+)
+def test_unit_rows_equal_normalize_rows_through_appends(seed, sizes, dim, grid, steps):
+    """Each slice's kept norms follow add, add_selected and a reassigned X
+    bit for bit, and identification equals a freshly built pool's."""
+    rng = np.random.default_rng(seed)
+    pool, next_id = _pool(rng, sizes, dim, grid)
+    for step in steps:
+        t, n = int(rng.integers(pool.num_slices)), int(rng.integers(1, 6))
+        ids, X = np.arange(next_id, next_id + n), _rows(rng, n, dim, grid)
+        next_id += n
+        sl = pool.slices[t]
+        if step in ("add", "add_f"):  # an F-ordered X has the same row norms once ingested
+            pool.add(t, ids, np.zeros(n, int), X if step == "add" else np.asfortranarray(X))
+        elif step == "add_selected":
+            buf = UnlabeledBuffer(ids, X)
+            picked = rng.choice(ids, size=int(rng.integers(1, n + 1)), replace=False)
+            pool.add_selected(t, buf, picked, lambda p: np.zeros(len(p), int))
+        elif step == "reassign":  # as perfbench's replay grows a slice, labels left behind
+            sl.ids, sl.X = np.concatenate([sl.ids, ids]), np.vstack([sl.X, X])
+        else:
+            k = int(rng.integers(n))
+            X[k] = [np.nan, 0.0, 1e200, 1e-200][int(rng.integers(4))]
+            before = [(s.ids.copy(), s.labels.copy(), s.X, s.unit_rows()) for s in pool.slices]
+            with pytest.raises(ValueError, match=f"labeled embedding row {k} is "):
+                pool.add(t, ids, np.zeros(n, int), X)
+            for s, (ids0, labels0, X0, unit0) in zip(pool.slices, before):
+                assert s.X is X0
+                np.testing.assert_array_equal(s.ids, ids0)
+                np.testing.assert_array_equal(s.labels, labels0)
+                np.testing.assert_array_equal(s.unit_rows(), unit0)
+            pool.check_new(ids)  # the failed add labeled nothing
+    for sl in pool.slices:
+        np.testing.assert_array_equal(sl.unit_rows(), normalize_rows(sl.X))
+    fresh = SlicedLabeledPool(
+        [LabeledSlice(sl.ids, np.zeros(len(sl.ids), int), sl.X.copy()) for sl in pool.slices],
+        [False] * pool.num_slices,
+    )
+    n_u = int(rng.integers(1, 30))
+    buf = UnlabeledBuffer(np.arange(next_id, next_id + n_u), _rows(rng, n_u, dim, grid))
+    ours, theirs = smidentify(pool, buf), smidentify(fresh, buf)
+    np.testing.assert_array_equal(ours.scores, theirs.scores)
+    np.testing.assert_array_equal(ours.row_max, theirs.row_max)
 
 
 def _reference_gains(S, best, c):
@@ -377,6 +431,34 @@ def test_coverage_gains_equal_gathered_column_sums(seed, n_rows, n, which, adds,
     size = {"one": 1, "some": int(rng.integers(1, n + 1)), "all": n}[which]
     c = np.sort(rng.choice(n, size=size, replace=False))
     np.testing.assert_array_equal(ev.gains(c), _reference_gains(S, best, c))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 300),
+    n=st.integers(1, 2 * _ROWS + 10),
+    adds=st.integers(0, 3),
+    grid=st.booleans(),
+    kind=st.sampled_from(["fl", "flcg", "flqmi"]),
+)
+def test_scalar_gain_equals_one_candidate_gains(seed, n_rows, n, adds, grid, kind):
+    """gain(x), lazy greedy's re-evaluation, is gains([x])[0] bit for bit, as a float."""
+    rng = np.random.default_rng(seed)
+    draw = lambda *shape: rng.integers(0, 4, size=shape) / 3.0 if grid else rng.random(shape)  # noqa: E731
+    if kind == "fl":
+        f = FacilityLocation(draw(n_rows, n))
+    elif kind == "flcg":
+        f = FLCG(draw(n, n), draw(n, 3) * rng.integers(0, 2, size=(n, 1)))
+    else:
+        f = FLQMI(draw(n, n_rows))
+    ev = f.evaluator()
+    for x in rng.integers(0, n, size=adds):
+        ev.add(int(x))
+    for x in range(n):
+        g = ev.gain(x)
+        assert type(g) is float
+        assert g == ev.gains(np.array([x]))[0]
 
 
 @SETTINGS
