@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -81,7 +82,11 @@ def _summarize(by_method: dict) -> dict:
 
 
 def run(config: ExperimentConfig, out_dir, workers: int = 1) -> int:
-    """Execute every (method, seed) pair and write the three output files."""
+    """Execute every (method, seed) pair and write the three output files.
+
+    At most one worker process per job is started, and a single worker runs
+    the jobs in this process: a process pool starts all its workers at once.
+    """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     out = Path(out_dir)
@@ -94,6 +99,7 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> int:
         raise RuntimeError(f"output directory {out} is not writable: {exc}") from exc
 
     jobs = [(config, method, seed) for method in config.methods for seed in config.seeds]
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(pool.map(_run_job, jobs))
@@ -179,6 +185,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run" and args.workers < 1:
         print(f"config error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+        return 2
+    if args.command == "efficiency" and not math.isfinite(args.target):
+        print(f"config error: --target must be finite, got {args.target}", file=sys.stderr)
         return 2
 
     try:

@@ -338,7 +338,9 @@ def scg_select(
     row_max[i] = max_j S_up[i, j], never S_up; pass the buffer's row maxima
     against slice t (as smidentify returns them) to skip that pass. S_uu is
     built transposed from two separate unit_rows() arrays, so the
-    evaluators read its columns as contiguous rows.
+    evaluators read its columns as contiguous rows. It lives in the thread's
+    kernel workspace, so the maxima are taken before it is built and the
+    greedy makes no kernel call while it holds it.
     """
     b = min(int(b), len(buffer))
     if b <= 0:

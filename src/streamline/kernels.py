@@ -7,6 +7,7 @@ nonnegative kernels for monotonicity.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,15 +96,40 @@ def _blocks(R: np.ndarray, C: np.ndarray) -> list[slice]:
     return [slice(j0, j1) for j0, j1 in zip(starts, starts[1:])]
 
 
-def _kernel(R: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The clipped cosine kernel of two sides normalize_rows prepared.
+def _kernel(R: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The clipped cosine kernel of two sides normalize_rows prepared, into out.
 
-    Its column blocks are written in place, one matrix product each.
+    out is a C-contiguous (len(R), len(C)) float64 array. Its column blocks
+    are written in place, one matrix product each.
     """
-    values = np.empty((R.shape[0], C.shape[0]))
     for j in _blocks(R, C):
-        np.matmul(R, C[j].T, out=values[:, j])
-    return np.clip(values, 0.0, 1.0, out=values)
+        np.matmul(R, C[j].T, out=out[:, j])
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+# Each thread's kernel workspace: one flat float64 buffer, in attribute "buf".
+_local = threading.local()
+
+
+def _workspace(rows: int, cols: int) -> np.ndarray:
+    """A C-contiguous (rows, cols) float64 view of the head of this thread's workspace.
+
+    The workspace is one flat buffer per thread. It grows to the largest
+    request so far, dropping the old buffer before the new one is allocated,
+    never shrinks, and lives as long as its thread, so a round's |U| x
+    widest-block scratch and its |U| x |U| buffer kernel reuse memory that
+    was faulted in once. A view starts with whatever an earlier call left in
+    it, and it stays valid until the next _row_col_max or
+    _transposed_self_kernel call on the same thread: scg_select, the only
+    holder, keeps its transposed S_uu for the greedy and makes no kernel
+    call meanwhile. Nothing returned by build_kernel or row_col_max is a
+    view of it.
+    """
+    size = rows * cols
+    if getattr(_local, "buf", None) is None or _local.buf.size < size:
+        _local.buf = None  # freed before its successor is allocated
+        _local.buf = np.empty(size)
+    return _local.buf[:size].reshape(rows, cols)
 
 
 def build_kernel(rows, cols) -> SimilarityMatrix:
@@ -114,7 +140,8 @@ def build_kernel(rows, cols) -> SimilarityMatrix:
     BLAS may differ in the last bit from one whole matrix product, which can
     move near-tie selections.
     """
-    return SimilarityMatrix(_kernel(normalize_rows(rows), normalize_rows(cols)))
+    R, C = normalize_rows(rows), normalize_rows(cols)
+    return SimilarityMatrix(_kernel(R, C, np.empty((len(R), len(C)))))
 
 
 def row_col_max(rows, cols):
@@ -123,10 +150,15 @@ def row_col_max(rows, cols):
     rows and cols are 2-D arrays of embeddings; anything else raises
     KernelError. The kernel is never held whole: its column blocks are the
     ones build_kernel computes, each folded into a running row max and its
-    own column max. A call writes every block into one scratch array; a
-    scratch kept across calls measured no faster, because the allocator
-    hands the freed block back. Only the two max vectors are clipped, since
-    clipping commutes with max. The maxima equal the full kernel's exactly.
+    own column max. A call writes every block into its thread's kernel
+    workspace, which the round's |U| x |U| buffer kernel reuses. A fresh
+    scratch per call measured no slower alone, but in the first scaled
+    streams (|U| 2000, 4 x 4000 slices, retrains between them) it cost tens
+    of minor faults per round in identify and select, most likely
+    zero-filled 2 MB huge pages, and it kept about 63 MB of kernel memory
+    resident where 32 MB is used at a time. Only the two max vectors are
+    clipped, since clipping commutes with max. The maxima equal the full
+    kernel's exactly, and both are fresh arrays.
     """
     return _row_col_max(normalize_rows(rows), normalize_rows(cols))
 
@@ -134,7 +166,7 @@ def row_col_max(rows, cols):
 def _row_col_max(R: np.ndarray, C: np.ndarray):
     """row_col_max over sides normalize_rows has already prepared."""
     blocks = _blocks(R, C)
-    scratch = np.empty((R.shape[0], blocks[-1].stop - blocks[-1].start))  # the widest block
+    scratch = _workspace(R.shape[0], blocks[-1].stop - blocks[-1].start)  # the widest block
     row_max, col_max = np.full(R.shape[0], -np.inf), []
     for j in blocks:
         block = np.matmul(R, C[j].T, out=scratch[:, : j.stop - j.start])
@@ -158,9 +190,11 @@ def _transposed_self_kernel(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     bit for bit (a product of the transposed operands is not: BLAS may order
     its sums differently), and then transposed in place, tile by tile.
     Column j of the kernel is the contiguous row j of the result. Entries
-    are clipped here and no SimilarityMatrix checks them again.
+    are clipped here and no SimilarityMatrix checks them again. The result
+    is a view of the thread's kernel workspace (see _workspace for how long
+    it stays valid).
     """
-    S = _kernel(U, V)
+    S = _kernel(U, V, _workspace(len(U), len(V)))
     n, scratch = S.shape[0], np.empty((_TILE, _TILE))
     for i in range(0, n, _TILE):
         diag = S[i : i + _TILE, i : i + _TILE]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import streamline.cli as cli
 from streamline.cli import METRICS_COLUMNS, SEED_ENV_VAR, main, run
 from streamline.config import DEFAULTS, ConfigError, config_from_dict, parse_config
 from streamline.embedio import EmbeddingFileError, read_embeddings, write_embeddings
@@ -505,6 +506,46 @@ def test_cli_run_rejects_workers_below_one_exit_2(tmp_path, capsys, workers):
     assert main(["run", "--config", str(path), "--out", str(out_dir), "--workers", workers]) == 2
     assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+class _RecordingPool:
+    """A ProcessPoolExecutor stand-in that records max_workers and runs the jobs in-process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("seeds, workers, started", [([0, 1], 5000, [2]), ([0, 1], 2, [2]), ([0], 8, [])])
+def test_run_starts_at_most_one_worker_per_job(tmp_path, monkeypatch, seeds, workers, started):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    cfg = config_from_dict({**minimal_config(), "seeds": seeds})
+    assert run(cfg, tmp_path / "out", workers=workers) == 0
+    assert _RecordingPool.started == started  # [] when one job runs serially
+    lines = (tmp_path / "out" / "selections.jsonl").read_text().splitlines()
+    assert len(lines) == DEFAULTS["rounds"] * len(seeds)
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+def test_cli_efficiency_rejects_a_non_finite_target_exit_2(tmp_path, capsys, target):
+    path = write_config(tmp_path, tiny_run_config())
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    metrics = str(tmp_path / "out" / "metrics.csv")
+    assert main(["efficiency", "--metrics", metrics, f"--target={target}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--target must be finite, got {float(target)}" in err
 
 
 def test_run_rejects_workers_below_one(tmp_path):

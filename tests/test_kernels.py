@@ -1,9 +1,19 @@
+import sys
+import threading
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+import streamline.kernels as kernels
 from streamline.kernels import (
+    _BLOCK,
     KernelError,
     SimilarityMatrix,
+    _row_col_max,
+    _transposed_self_kernel,
+    _workspace,
     build_kernel,
     normalize_rows,
     row_col_max,
@@ -114,3 +124,90 @@ def test_similarity_matrix_invariants():
         SimilarityMatrix(np.array([[np.inf, 0.0]]))
     m = SimilarityMatrix(np.ones((2, 3)))
     assert m.values.shape == (2, 3)
+
+
+# ------------------------------------------------------------------ workspace
+
+
+def _in_threads(*fns):
+    """Run each fn on a thread of its own, all at once, and return their results in order."""
+    results, errors = [None] * len(fns), []
+    barrier = threading.Barrier(len(fns))
+
+    def call(k):
+        try:
+            barrier.wait(timeout=30)
+            results[k] = fns[k]()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(len(fns))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    return results
+
+
+def test_kernel_results_share_no_memory_with_the_workspace():
+    rng = np.random.default_rng(0)
+    U, P = rng.normal(size=(30, 4)), rng.normal(size=(2 * _BLOCK + 5, 4))
+    K = build_kernel(U, P).values
+    row, col = row_col_max(U, P)
+    kept = [a.copy() for a in (K, row, col)]
+    for a in (K, row, col):
+        assert not np.shares_memory(a, kernels._local.buf)
+    # later kernel calls overwrite the workspace, not the results
+    row_col_max(-U, P)
+    _transposed_self_kernel(normalize_rows(-U), normalize_rows(-U))
+    build_kernel(P[:40], U)
+    for a, b in zip((K, row, col), kept):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_threads_building_different_kernels_at_once_each_get_the_serial_result():
+    rng = np.random.default_rng(1)
+    shapes = [(40, 2 * _BLOCK + 7), (70, 300), (25, 2 * _BLOCK), (90, 5)]  # more threads than 2 cores
+    sides = [(normalize_rows(rng.normal(size=(n_u, 6))), normalize_rows(rng.normal(size=(n_p, 6))))
+             for n_u, n_p in shapes]
+
+    def kernels_of(U, P):
+        row, col = _row_col_max(U, P)
+        return row, col, _transposed_self_kernel(U, U.copy()).copy()
+
+    serial = [kernels_of(U, P) for U, P in sides]
+
+    def repeatedly(U, P):
+        return [kernels_of(U, P) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        concurrent = _in_threads(*[lambda U=U, P=P: repeatedly(U, P) for U, P in sides])
+    finally:
+        sys.setswitchinterval(interval)
+    for expected, runs in zip(serial, concurrent):
+        for got in runs:
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_a_grown_workspace_leaves_one_buffer_on_its_thread():
+    def grow():
+        tracemalloc.start()  # before the first buffer, so that its bytes count
+        try:
+            _workspace(1000, 100)  # 0.8 MB
+            old = weakref.ref(kernels._local.buf)
+            tracemalloc.reset_peak()
+            _workspace(1000, 1000)  # 8 MB
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return old() is None, kernels._local.buf.size, peak
+
+    [(old_freed, size, peak)] = _in_threads(grow)
+    assert old_freed and size == 1000 * 1000
+    assert peak < 8_000_000 + 100_000  # the old buffer was freed before the new one was allocated

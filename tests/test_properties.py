@@ -7,15 +7,16 @@ kernels. The next two check budget conservation over whole rounds and the
 budget law against an integer-only reference. The learner tests check
 logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
 row-major softmax they replaced. The tests after them check the transposed
-S_uu, the row norms each slice keeps from ingestion, the column-contiguous
-coverage gains, the scalar gain of lazy greedy's re-evaluations and the
-round's reuse of identify's row maxima bit for bit, and lazy greedy against
-naive greedy. The last one checks that a failing property test still shows
-its example.
+S_uu, the kernels built in a thread's reused workspace, the row norms each
+slice keeps from ingestion, the column-contiguous coverage gains, the scalar
+gain of lazy greedy's re-evaluations and the round's reuse of identify's row
+maxima bit for bit, and lazy greedy against naive greedy. The last one
+checks that a failing property test still shows its example.
 """
 
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from streamline import (
 from streamline.cli import run
 from streamline.config import config_from_dict
 from streamline.core import smidentify_scores
-from streamline.kernels import _BLOCK, _transposed_self_kernel, normalize_rows
+from streamline.kernels import _BLOCK, _row_col_max, _transposed_self_kernel, _workspace, normalize_rows
 from streamline.setfunctions import _ROWS, _CoverageEvaluator
 from streamline.simulator import Learner, LearnerConfig, fit_logistic, logistic_loss_and_grad
 
@@ -351,6 +352,37 @@ def test_transposed_self_kernel_equals_build_kernel(seed, n, dim, grid):
     row, col = row_col_max(U, U)
     np.testing.assert_array_equal(row, K.max(axis=1))
     np.testing.assert_array_equal(col, K.max(axis=0))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_u=st.one_of(st.integers(1, 40), st.just(2 * _BLOCK)),
+    n_p=st.one_of(st.integers(1, 70), st.sampled_from([2 * _BLOCK, 2 * _BLOCK + 3, 3 * _BLOCK + 1])),
+    dim=st.integers(1, 6),
+    grid=st.booleans(),
+    before=st.sampled_from(["fresh", "larger", "smaller"]),
+)
+def test_workspace_kernels_equal_build_kernel(seed, n_u, n_p, dim, grid, before):
+    """The kernels built in a thread's workspace have build_kernel's bits, whatever it held."""
+    rng = np.random.default_rng(seed)
+    U, P = _rows(rng, n_u, dim, grid), _rows(rng, n_p, dim, grid)
+    K_up, K_uu = build_kernel(U, P).values, build_kernel(U, U).values
+
+    def on_a_new_thread():
+        if before == "larger":  # stale contents where both kernels go
+            _workspace(n_u + 1, max(n_u, n_p) + 1)[...] = np.nan
+        elif before == "smaller":
+            _workspace(1, 1)[...] = np.nan
+        row, col = _row_col_max(normalize_rows(U), normalize_rows(P))
+        T = _transposed_self_kernel(normalize_rows(U), normalize_rows(U))
+        return row, col, T.T.copy()
+
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        row, col, S = executor.submit(on_a_new_thread).result(timeout=60)
+    np.testing.assert_array_equal(row, K_up.max(axis=1))
+    np.testing.assert_array_equal(col, K_up.max(axis=0))
+    np.testing.assert_array_equal(S, K_uu)
 
 
 @SETTINGS
