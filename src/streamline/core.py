@@ -10,7 +10,7 @@ add the most coverage beyond what the identified slice already has.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -28,6 +28,31 @@ class EmptySliceError(ValueError):
     def __init__(self, slice_id: int):
         self.slice_id = slice_id
         super().__init__(f"slice {slice_id} is empty; identification needs at least one exemplar")
+
+
+def _integers(values, what: str, *, nonnegative: bool = False) -> np.ndarray:
+    """values as an int64 array. ValueError names the first row that is not
+    finite, not integral, out of int64's range or (with nonnegative) negative."""
+    a = np.asarray(values)
+    if a.dtype == object:  # whose cast to int64 would truncate 1.5 quietly
+        a = np.asarray(a.tolist())
+    reasons = []
+    if a.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            reasons = [
+                (~np.isfinite(a), "not finite"),
+                (a != np.trunc(a), "not integral"),
+                (np.abs(a) >= 2.0**63, "out of int64's range"),
+            ]
+    elif a.dtype.kind == "u":  # whose cast would wrap 2**64 - 1 to -1
+        reasons = [(a > np.iinfo(np.int64).max, "out of int64's range")]
+    for bad, why in reasons:
+        if bad.any():
+            raise ValueError(f"{what} row {int(np.argmax(bad))} is {why}")
+    ints = a.astype(np.int64, copy=False)
+    if nonnegative and (neg := ints < 0).any():
+        raise ValueError(f"{what} row {int(np.argmax(neg))} is negative")
+    return ints
 
 
 def _embeddings(X) -> np.ndarray:
@@ -74,17 +99,21 @@ class LabeledSlice(_EmbeddedRows):
     ids: np.ndarray
     labels: np.ndarray
     X: np.ndarray
+    _checked_norms: InitVar[np.ndarray | None] = None  # X's norms from a check made before
 
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+    def __post_init__(self, _checked_norms):
+        self.ids = _integers(self.ids, "labeled id")
+        self.labels = _integers(self.labels, "label", nonnegative=True)
         self.X = _embeddings(self.X)
         if not (len(self.ids) == len(self.labels) == self.X.shape[0]):
             raise ValueError(
                 "ids, labels and embeddings must have equal length, got "
                 f"{len(self.ids)}, {len(self.labels)} and {self.X.shape[0]}"
             )
-        self._keep_checked_norms("labeled")
+        if _checked_norms is None:
+            self._keep_checked_norms("labeled")
+        else:
+            self._keep_norms(_checked_norms)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -137,12 +166,18 @@ class SlicedLabeledPool:
                 raise ValueError(f"item id {i} is {'repeated' if i in fresh else 'already labeled'}")
             fresh.add(i)
 
-    def add(self, t: int, ids, labels, X) -> None:
-        """Append newly labeled items to slice t; ids must be globally new."""
-        new = LabeledSlice(ids, labels, X)
+    def add(self, t: int, ids, labels, X, *, _checked_norms=None) -> None:
+        """Append newly labeled items to slice t; ids must be globally new.
+
+        Only add_selected passes _checked_norms: the norms its buffer kept for
+        the rows X, whose ids it has already passed through check_new, so
+        neither the rows nor the ids are checked again.
+        """
+        new = LabeledSlice(ids, labels, X, _checked_norms)
         sl = self.slices[t]
         self._check_dim(t, new.X, sl.X.shape[1])
-        self.check_new(new.ids)
+        if _checked_norms is None:
+            self.check_new(new.ids)
         self._seen_ids.update(new.ids.tolist())
         kept = sl._kept_norms()
         sl.ids = np.concatenate([sl.ids, new.ids])
@@ -155,7 +190,10 @@ class SlicedLabeledPool:
         """Label the selected buffer ids and append their rows to slice t.
 
         ValueError names the first id outside the buffer, repeated or already
-        labeled, before label_oracle is asked for anything.
+        labeled, before label_oracle is asked for anything. The rows are
+        appended with the norms the buffer keeps, so no row is checked or
+        normed again; a buffer X reassigned since ingestion is checked anew
+        first. The labels are checked as LabeledSlice checks them.
         """
         ids = [int(i) for i in ids]
         if not ids:
@@ -164,9 +202,11 @@ class SlicedLabeledPool:
         if outside := [i for i in ids if i not in pos]:
             raise ValueError(f"selected id {outside[0]} is not in the buffer")
         self.check_new(ids)
+        if buffer._kept_norms() is None:
+            buffer._keep_checked_norms("buffer")
         sel = np.asarray(ids, dtype=np.int64)
         rows = np.array([pos[i] for i in ids], dtype=np.intp)
-        self.add(t, sel, label_oracle(sel), buffer.X[rows])
+        self.add(t, sel, label_oracle(sel), buffer.X[rows], _checked_norms=buffer._kept_norms()[rows])
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All labeled data as (X, labels), slices concatenated in order."""
@@ -186,7 +226,7 @@ class UnlabeledBuffer(_EmbeddedRows):
     true_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
+        self.ids = _integers(self.ids, "buffer id")
         self.X = _embeddings(self.X)
         if len(self.ids) == 0:
             raise ValueError("unlabeled buffer must be nonempty")
@@ -268,25 +308,65 @@ def smidentify_scores(kernels) -> np.ndarray:
     return scores
 
 
+def _distinct_unit_rows(buffer: UnlabeledBuffer) -> tuple[np.ndarray, np.ndarray | None]:
+    """The unit rows of the buffer's distinct rows, and each row's index among them.
+
+    Rows are copies when their bits are equal. Copies have equal kept norms,
+    so a buffer whose norms are all distinct has none; where norms repeat,
+    each row is compared with the first row of its norm, and only if two
+    unequal rows share a norm are the rows grouped by their bytes. The
+    distinct rows keep their first-occurrence order. Returns
+    (unit_rows(), None), the very array, when there are no copies or when
+    X has been reassigned since its norms were kept.
+    """
+    U, norms = buffer.unit_rows(), buffer._kept_norms()
+    if norms is None:
+        return U, None
+    _, first, group = np.unique(norms, return_index=True, return_inverse=True)
+    if len(first) < len(norms):
+        bits = buffer.X.view(np.int64)  # C-contiguous float64, as ingested
+        if not np.array_equal(bits, bits[first[group]]):
+            rows = bits.view(np.dtype((np.void, bits.strides[0]))).ravel()
+            _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    if len(first) == len(norms):
+        return U, None
+    rep = first[group]  # each row's first copy
+    distinct = np.flatnonzero(rep == np.arange(len(rep)))
+    return U[distinct], np.searchsorted(distinct, rep)
+
+
+def _maxima(R: np.ndarray, copy_of: np.ndarray | None, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_row_col_max(R, P) with the row maxima expanded to every copy of R's rows.
+
+    (R, copy_of) is _distinct_unit_rows(buffer); the column maxima need no
+    expansion, since a max over copies is a max over the distinct rows.
+    """
+    row, col = _row_col_max(R, P)
+    return (row if copy_of is None else row[copy_of]), col
+
+
 def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> IdentificationResult:
     """Identify the labeled slice the buffer most plausibly belongs to.
 
     Each slice's score is smidentify_scores of the cosine buffer x slice
-    kernel on raw embeddings, from its row and column maxima alone. Both
-    sides are unit_rows(): the buffer's once for all slices, each slice's
-    from the norms its rows had at ingestion, so no row is checked or
-    normed again. Ties break toward the smallest slice index. Returns the
-    winning index, the full score vector for diagnostics, and the buffer's
-    row maxima against the winner.
+    kernel on raw embeddings, from its row and column maxima alone. That
+    kernel is the one over the buffer's distinct rows (_distinct_unit_rows),
+    expanded by copy: exact copies cost one kernel row and share its
+    maximum. It can differ from the all-rows kernel in the last bit, as BLAS
+    may round a row's cells by where the row sits in the product. Each slice
+    side is unit_rows(), from the norms kept at ingestion, so no row is
+    checked or normed again. Ties break toward the smallest slice index.
+    Returns the winning index, the full score vector for diagnostics, and
+    the buffer's row maxima against the winner.
     """
     for t, sl in enumerate(pool.slices):
         if len(sl) == 0:
             raise EmptySliceError(t)
-    U = buffer.unit_rows()  # once, for every slice
+    R, copy_of = _distinct_unit_rows(buffer)  # once, for every slice
     scores, row_maxima = np.empty(pool.num_slices), []
     for t, sl in enumerate(pool.slices):
-        # smidentify_scores on the full kernel, from its row and column maxima
-        row, col = _row_col_max(U, sl.unit_rows())
+        # smidentify_scores on that kernel, from its row and column maxima
+        row, col = _maxima(R, copy_of, sl.unit_rows())
         scores[t] = (row.sum() + col.sum()) / flqmi_normalizer(len(row), len(col))
         row_maxima.append(row)
     t = int(np.argmax(scores))
@@ -335,7 +415,8 @@ def scg_select(
     Both kernels are cosine on raw embeddings, computed from the unit_rows()
     of the buffer and the slice; b is clamped to the buffer size. Returns
     global item ids in selection order. FLCG reads only
-    row_max[i] = max_j S_up[i, j], never S_up; pass the buffer's row maxima
+    row_max[i] = max_j S_up[i, j], never S_up, taken over the buffer's
+    distinct rows as smidentify takes it; pass the buffer's row maxima
     against slice t (as smidentify returns them) to skip that pass. S_uu is
     built transposed from two separate unit_rows() arrays, so the
     evaluators read its columns as contiguous rows. It lives in the thread's
@@ -346,7 +427,7 @@ def scg_select(
     if b <= 0:
         return []
     if row_max is None:
-        row_max, _ = _row_col_max(buffer.unit_rows(), pool.slices[t].unit_rows())
+        row_max, _ = _maxima(*_distinct_unit_rows(buffer), pool.slices[t].unit_rows())
     T = _transposed_self_kernel(buffer.unit_rows(), buffer.unit_rows())  # T.T is S_uu
     f = FLCG(T.T, row_max[:, None])  # a one-column private kernel
     trace = maximize(f, replace(maximizer_cfg, budget=b))

@@ -273,17 +273,70 @@ def test_scg_skips_duplicates_while_novel_items_remain():
 
 
 def test_scg_with_identify_row_maxima_picks_the_same_items():
-    rng = np.random.default_rng(7)
     pool, _ = make_pool([6, 9], [False, False], dim=5, seed=3)
-    buf = UnlabeledBuffer(
-        ids=np.arange(100, 112), X=np.abs(rng.normal(size=(12, 5))) + 0.1, true_slice=0
+    for copies in (1, 3):  # a buffer of 12 distinct rows, then of each copied 3 times
+        rng = np.random.default_rng(7)
+        X = np.tile(np.abs(rng.normal(size=(12, 5))) + 0.1, (copies, 1))
+        buf = UnlabeledBuffer(ids=np.arange(100, 100 + len(X)), X=X, true_slice=0)
+        ident = smidentify(pool, buf)
+        t = ident.slice_id
+        given = scg_select(pool, buf, t, 5, _maximizer(), row_max=ident.row_max)
+        assert given == scg_select(pool, buf, t, 5, _maximizer())
+        with pytest.raises(ValueError, match="ground size"):
+            scg_select(pool, buf, t, 5, _maximizer(), row_max=ident.row_max[:-1])
+
+
+def test_exact_copies_get_bitwise_equal_row_maxima():
+    """Two copies of 101 rows: BLAS rounds some cells of a row by where the
+    row sits in the product, so the copies' maxima could differ in the last bit."""
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        P = rng.normal(size=(300, 16))
+        pool = SlicedLabeledPool([LabeledSlice(np.arange(300), np.zeros(300, int), P)], [False])
+        buf = UnlabeledBuffer(ids=np.arange(300, 502), X=np.tile(rng.normal(size=(101, 16)), (2, 1)))
+        row_max = smidentify(pool, buf).row_max.reshape(2, 101).view(np.int64)
+        np.testing.assert_array_equal(row_max[1], row_max[0])
+
+
+def test_only_rows_with_equal_bits_are_copies():
+    from streamline.core import _distinct_unit_rows
+
+    x = np.array([3.0, 1.0, 2.0, 0.0])
+    near = x.copy()
+    near[1] = np.nextafter(1.0, 2.0)  # one ulp away
+    negzero = x.copy()
+    negzero[3] = -0.0  # equal values, other bits
+    X = np.array([x, x[[1, 0, 3, 2]], near, x, negzero, x[[1, 0, 3, 2]]])  # row 1: equal norm, permuted
+    buf = UnlabeledBuffer(ids=np.arange(100, 106), X=X)
+    R, copy_of = _distinct_unit_rows(buf)
+    assert copy_of.tolist() == [0, 1, 2, 0, 3, 1]
+    np.testing.assert_array_equal(R, buf.unit_rows()[[0, 1, 2, 4]])
+    pool, _ = make_pool([5], [False])
+    row_max = smidentify(pool, buf).row_max
+    assert row_max[3] == row_max[0] and row_max[5] == row_max[1]
+    no_copies = UnlabeledBuffer(ids=np.arange(100, 103), X=X[:3])
+    assert _distinct_unit_rows(no_copies)[1] is None
+
+
+def test_identify_multiplies_each_distinct_buffer_row_once(monkeypatch):
+    """On churn-shaped buffers (12 slices, 100 rows copied 4 times), each
+    buffer x slice product has 100 rows, in identify and in scg_select."""
+    import streamline.core as core
+    from streamline.simulator import StreamSpec, generate_stream
+
+    spec = StreamSpec(
+        n_slices=12, dim=32, common_pool_size=30, episode_size=400, redundancy=4, schedule=(0, 11), seed=5
     )
-    ident = smidentify(pool, buf)
-    t = ident.slice_id
-    given = scg_select(pool, buf, t, 5, _maximizer(), row_max=ident.row_max)
-    assert given == scg_select(pool, buf, t, 5, _maximizer())
-    with pytest.raises(ValueError, match="ground size"):
-        scg_select(pool, buf, t, 5, _maximizer(), row_max=ident.row_max[:-1])
+    pool, buffers, _ = generate_stream(spec)
+    rows = []
+    real = core._row_col_max
+    monkeypatch.setattr(core, "_row_col_max", lambda R, C: rows.append(len(R)) or real(R, C))
+    spread = UnlabeledBuffer(buffers[0].ids, buffers[0].X + np.arange(400)[:, None])  # no copies
+    for buf, distinct in [(buffers[0], 100), (buffers[1], 100), (spread, 400)]:
+        rows.clear()
+        t = smidentify(pool, buf).slice_id
+        scg_select(pool, buf, t, 10, _maximizer())
+        assert rows == [distinct] * (spec.n_slices + 1)
 
 
 def test_scg_budget_edges():
@@ -482,6 +535,62 @@ def test_pool_add_selected_appends_buffer_rows_after_its_checks():
     assert asked == [picked] and pool.slices[0].ids[3:].tolist() == picked
     np.testing.assert_array_equal(pool.slices[0].X[3:], buf.X[[4, 1]])
     assert pool.slices[0].labels[3:].tolist() == [2, 2]
+
+
+def test_pool_add_selected_checks_ids_once_and_reuses_the_buffer_norms(monkeypatch):
+    import streamline.core as core
+
+    pool, next_id = make_pool([3], [False])
+    buf = make_buffer(5, axis=1, next_id=next_id, true_slice=0)
+    checks, norms = [], []
+    real_check, real_norms = pool.check_new, core.row_norms
+    monkeypatch.setattr(pool, "check_new", lambda ids: checks.append(list(ids)) or real_check(ids))
+    monkeypatch.setattr(core, "row_norms", lambda X: norms.append(len(X)) or real_norms(X))
+    picked = [int(buf.ids[3]), int(buf.ids[0])]
+    pool.add_selected(0, buf, picked, lambda ids: np.zeros(len(ids), int))
+    assert checks == [picked] and norms == []
+    np.testing.assert_array_equal(pool.slices[0].unit_rows(), core.normalize_rows(pool.slices[0].X))
+    buf.X = buf.X + 0.0  # a reassigned X is checked again before the append
+    pool.add_selected(0, buf, [int(buf.ids[1])], lambda ids: np.zeros(len(ids), int))
+    assert norms == [5]
+    np.testing.assert_array_equal(pool.slices[0].unit_rows(), core.normalize_rows(pool.slices[0].X))
+
+
+@pytest.mark.parametrize(
+    "bad, why",
+    [(0.7, "not integral"), (-1, "negative"), (np.nan, "not finite"), (1.5, "not integral")],
+)
+def test_ingestion_rejects_labels_that_are_not_class_indices(bad, why):
+    X = np.ones((3, 2))
+    with pytest.raises(ValueError, match=f"label row 2 is {why}"):
+        LabeledSlice([0, 1, 2], [0, 1, bad], X)
+    pool, next_id = make_pool([3], [False], dim=2)
+    buf = UnlabeledBuffer(ids=np.arange(next_id, next_id + 3), X=X)
+    with pytest.raises(ValueError, match=f"label row 1 is {why}"):
+        pool.add_selected(0, buf, buf.ids[:2], lambda ids: np.array([1, bad]))
+    assert pool.sizes[0] == 3
+    pool.check_new(buf.ids)  # the failed append labeled nothing
+
+
+@pytest.mark.parametrize(
+    "bad, why",
+    [
+        (1.5, "not integral"),
+        (np.nan, "not finite"),
+        (np.inf, "not finite"),
+        (2.0**63, "out of int64's range"),
+        (2**64 - 1, "out of int64's range"),  # a uint64, whose cast would give -1
+    ],
+)
+def test_ingestion_rejects_ids_that_are_not_integers(bad, why):
+    X = np.ones((2, 2))
+    with pytest.raises(ValueError, match=f"labeled id row 1 is {why}"):
+        LabeledSlice([0, bad], [0, 0], X)
+    with pytest.raises(ValueError, match=f"buffer id row 1 is {why}"):
+        UnlabeledBuffer(ids=[0, bad], X=X)
+    with pytest.raises(ValueError, match=f"buffer id row 1 is {why}"):
+        UnlabeledBuffer(ids=np.array([0, bad], dtype=object), X=X)
+    assert UnlabeledBuffer(ids=[-4.0, 2.0], X=X).ids.tolist() == [-4, 2]  # integral floats and negative ids pass
 
 
 def _round_with_selector(selector):

@@ -3,7 +3,8 @@ and the class-major logistic learner.
 
 row_col_max, smidentify and scg_select never hold a |U| x |P| kernel; the
 first three tests check them against the definitional path built from full
-kernels. The next two check budget conservation over whole rounds and the
+kernels (for identify, the kernel over the buffer's distinct rows, expanded
+by copy). The next two check budget conservation over whole rounds and the
 budget law against an integer-only reference. The learner tests check
 logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
 row-major softmax they replaced. The tests after them check the transposed
@@ -86,6 +87,22 @@ def _pool(rng, sizes, dim, grid):
     return SlicedLabeledPool(slices, [False] * len(sizes)), next_id
 
 
+def _kernel_by_copy(X, P) -> np.ndarray:
+    """build_kernel over X's distinct rows (equal bits, first occurrence first),
+    one kernel row per row of X: the buffer x slice kernel identify reads.
+    Without copies it is build_kernel(X, P)."""
+    index: dict[bytes, int] = {}
+    distinct, copy_of = [], []
+    for row in X:
+        if row.tobytes() not in index:
+            index[row.tobytes()] = len(distinct)
+            distinct.append(row)
+        copy_of.append(index[row.tobytes()])
+    if len(distinct) == len(X):
+        return build_kernel(X, P).values
+    return build_kernel(np.array(distinct), P).values[copy_of]
+
+
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -95,13 +112,17 @@ def _pool(rng, sizes, dim, grid):
     grid=st.booleans(),
 )
 def test_smidentify_scores_equal_full_kernel_scores(seed, sizes, n_u, dim, grid):
+    """Identify scores the kernel over the buffer's distinct rows, expanded by
+    copy, bit for bit; that kernel is the all-rows one up to rounding."""
     rng = np.random.default_rng(seed)
     pool, next_id = _pool(rng, sizes, dim, grid)
     buf = UnlabeledBuffer(np.arange(next_id, next_id + n_u), _rows(rng, n_u, dim, grid))
-    full = smidentify_scores([build_kernel(buf.X, sl.X) for sl in pool.slices])
+    full = smidentify_scores([_kernel_by_copy(buf.X, sl.X) for sl in pool.slices])
     result = smidentify(pool, buf)
     np.testing.assert_array_equal(result.scores, full)
     assert result.slice_id == int(np.argmax(full))
+    all_rows = smidentify_scores([build_kernel(buf.X, sl.X) for sl in pool.slices])
+    np.testing.assert_allclose(result.scores, all_rows, rtol=0.0, atol=1e-12)
 
 
 @SETTINGS
@@ -543,7 +564,7 @@ def test_round_selects_what_scg_select_selects(seed, sizes, n_u, dim, B, grid):
     pool, buf = stream()
     ident = smidentify(pool, buf)
     t = ident.slice_id
-    full = build_kernel(buf.X, pool.slices[t].X).values
+    full = _kernel_by_copy(buf.X, pool.slices[t].X)
     np.testing.assert_array_equal(ident.row_max, full.max(axis=1))
     maximizer = MaximizerConfig(budget=0)
     cfg = StreamlineConfig(maximizer)

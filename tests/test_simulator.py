@@ -183,6 +183,10 @@ def test_fit_rejects_a_label_outside_the_classes(bad, row):
     y[row] = bad
     with pytest.raises(ValueError, match=rf"label {bad} at row {row} is outside \[0, 3\)"):
         fit_logistic(X, y, LearnerConfig(epochs=5), n_classes=3)
+    if bad < 0:  # the pool rejects a negative label at ingestion, before any fit
+        with pytest.raises(ValueError, match=f"label row {row} is negative"):
+            LabeledSlice(np.arange(10), y, X)
+        return
     pool = SlicedLabeledPool([LabeledSlice(np.arange(10), y, X)], [False])
     with pytest.raises(ValueError, match=f"label {bad} at row {row}"):
         train_learner(pool, LearnerConfig(epochs=5), n_classes=3)
