@@ -30,7 +30,6 @@ from .core import (
     smidentify,
     streamline_round,
 )
-from .embedio import EmbeddingCollection, EmbeddingFileError, read_embeddings, write_embeddings
 from .kernels import (
     KernelError,
     SimilarityMatrix,

@@ -32,10 +32,17 @@ class EmptySliceError(ValueError):
 
 def _integers(values, what: str, *, nonnegative: bool = False) -> np.ndarray:
     """values as an int64 array. ValueError names the first row that is not
-    finite, not integral, out of int64's range or (with nonnegative) negative."""
+    an integer, not finite, not integral, out of int64's range or (with
+    nonnegative) negative."""
     a = np.asarray(values)
-    if a.dtype == object:  # whose cast to int64 would truncate 1.5 quietly
-        a = np.asarray(a.tolist())
+    if a.dtype.kind not in "biuf":  # objects, strings, complex: judged one by one, as given
+        for row, v in enumerate(values):
+            if isinstance(v, (int, np.integer)):
+                if not -(2**63) <= int(v) < 2**63:
+                    raise ValueError(f"{what} row {row} is out of int64's range")
+            elif not isinstance(v, (float, np.floating)):
+                raise ValueError(f"{what} row {row} is not an integer")
+        a = np.asarray(a.tolist())  # numeric now, for the checks below
     reasons = []
     if a.dtype.kind == "f":
         with np.errstate(invalid="ignore"):
@@ -134,11 +141,12 @@ class SlicedLabeledPool:
             if len(sl) == 0:
                 raise EmptySliceError(t)
             self._check_dim(t, sl.X, self.slices[0].X.shape[1])
-            for i in sl.ids:
-                i = int(i)
-                if i in self._seen_ids:
-                    raise ValueError(f"item id {i} appears in more than one slice")
-                self._seen_ids.add(i)
+            ids = sl.ids.tolist()
+            try:
+                self.check_new(ids)
+            except ValueError as exc:
+                raise ValueError(f"slice {t}: {exc}") from None
+            self._seen_ids.update(ids)
 
     @staticmethod
     def _check_dim(t: int, X: np.ndarray, dim: int) -> None:

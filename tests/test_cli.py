@@ -1,16 +1,16 @@
 import csv
+import importlib.util
 import json
 import re
-import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import streamline
 import streamline.cli as cli
 from streamline.cli import METRICS_COLUMNS, SEED_ENV_VAR, main, run
 from streamline.config import DEFAULTS, ConfigError, config_from_dict, parse_config
-from streamline.embedio import EmbeddingFileError, read_embeddings, write_embeddings
 from streamline.simulator import METHODS, every_k_schedule
 
 
@@ -91,6 +91,15 @@ def test_readme_outputs_are_the_written_columns_and_keys(tmp_path):
     assert all(sorted(json.loads(line)) == sorted(listed("selections.jsonl")) for line in lines)
 
 
+def test_readme_module_references_resolve_and_the_tour_names_every_module():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for name in set(re.findall(r"\bstreamline\.(\w+)", readme)):
+        assert importlib.util.find_spec(f"streamline.{name}") or hasattr(streamline, name), name
+    tour = re.search(r"## Library tour\n\n((?:\|.*\n)+)", readme).group(1)
+    modules = {p.stem for p in Path(streamline.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
+    assert modules <= set(re.findall(r"`streamline\.(\w+)`", tour))
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -169,150 +178,6 @@ def test_parse_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="valid JSON"):
         parse_config(bad)
-
-
-# ------------------------------------------------------------------- embeddings
-
-
-def test_embeddings_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(7, 5)).astype(np.float32)
-    path = tmp_path / "emb.slem"
-    write_embeddings(path, X)
-    back = read_embeddings(path)
-    assert np.array_equal(back.X, X)
-    assert back.ids is None
-
-
-def test_embeddings_roundtrip_with_sidecar(tmp_path):
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(4, 3))
-    path = tmp_path / "emb.slem"
-    write_embeddings(path, X, ids=[10, 11, 12, 13], labels=[0, 1, 0, 1], slices=[0, 0, 1, 1])
-    back = read_embeddings(path)
-    assert np.array_equal(back.X, X.astype(np.float32))
-    assert list(back.ids) == [10, 11, 12, 13]
-    assert list(back.labels) == [0, 1, 0, 1]
-    assert list(back.slices) == [0, 0, 1, 1]
-
-
-@pytest.mark.parametrize(
-    "bad_row, why", [([np.nan, 1.0], "not finite"), ([1e300, 1.0], "not finite"), ([0.0, 0.0], "all zero")]
-)
-def test_write_embeddings_refuses_rows_read_embeddings_rejects(tmp_path, bad_row, why):
-    X = np.array([[1.0, 2.0], bad_row, [3.0, 4.0]])
-    path = tmp_path / "emb.slem"
-    with np.errstate(over="ignore"), pytest.raises(EmbeddingFileError, match=f"row 1 is {why}"):
-        write_embeddings(path, X, ids=[0, 1, 2])  # 1e300 overflows the float32 cast to inf
-    assert list(tmp_path.iterdir()) == []  # neither the file nor its sidecar
-    write_embeddings(path, X[[0, 2]], ids=[0, 2])
-    back = read_embeddings(path)
-    assert np.array_equal(back.X, X[[0, 2]].astype(np.float32)) and list(back.ids) == [0, 2]
-
-
-def test_embeddings_truncated_file(tmp_path):
-    path = tmp_path / "emb.slem"
-    write_embeddings(path, np.ones((3, 4)))
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-5])
-    with pytest.raises(EmbeddingFileError, match="expected 62 bytes"):
-        read_embeddings(path)
-
-
-def test_embeddings_bad_magic_is_not_silently_accepted(tmp_path):
-    path = tmp_path / "emb.slem"
-    write_embeddings(path, np.ones((2, 2)))
-    raw = bytearray(path.read_bytes())
-    raw[:4] = b"NOPE"  # no longer binary; garbage bytes fail the text fallback too
-    path.write_bytes(bytes(raw))
-    with pytest.raises(EmbeddingFileError):
-        read_embeddings(path)
-
-
-def test_embeddings_text_format(tmp_path):
-    path = tmp_path / "emb.csv"
-    path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
-    back = read_embeddings(path)
-    assert back.X.dtype == np.float32
-    assert np.array_equal(back.X, np.array([[1, 2, 3], [4, 5, 6]], dtype=np.float32))
-
-
-def test_embeddings_text_format_with_sidecar(tmp_path):
-    path = tmp_path / "emb.csv"
-    path.write_text("1.0,2.0\n3.0,4.0\n")
-    (tmp_path / "emb.csv.meta.csv").write_text("id,label,slice\n5,0,1\n6,1,0\n")
-    back = read_embeddings(path)
-    assert list(back.ids) == [5, 6]
-    assert list(back.slices) == [1, 0]
-
-
-@pytest.mark.parametrize(
-    "bad_row, why", [([1.0, np.nan], "not finite"), ([np.inf, 0.0], "not finite"), ([0.0, 0.0], "all zero")]
-)
-def test_embeddings_reject_bad_rows_naming_row_and_offset(tmp_path, bad_row, why):
-    X = np.array([[1.0, 2.0], [3.0, 4.0], bad_row])
-    binary = tmp_path / "emb.slem"  # written by hand: write_embeddings refuses bad rows
-    binary.write_bytes(struct.pack("<4sHII", b"SLEM", 1, 3, 2) + X.astype("<f4").tobytes())
-    # 14-byte header, then 2 float32 values (8 bytes) per row
-    with pytest.raises(EmbeddingFileError, match=f"row 2 at byte offset 30 is {why}"):
-        read_embeddings(binary)
-    text = tmp_path / "emb.csv"
-    text.write_text("\n".join(",".join(str(v) for v in row) for row in X) + "\n")
-    with pytest.raises(EmbeddingFileError, match=f"row 2 is {why}"):
-        read_embeddings(text)
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
-def test_embeddings_text_overflowing_float32_is_not_finite(tmp_path):
-    path = tmp_path / "emb.csv"
-    path.write_text("1e39,1.0\n")
-    with pytest.raises(EmbeddingFileError, match="row 0 is not finite"):
-        read_embeddings(path)
-
-
-def test_embeddings_text_format_errors(tmp_path):
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(EmbeddingFileError, match="row has 1 values"):
-        read_embeddings(ragged)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(EmbeddingFileError, match="empty text"):
-        read_embeddings(empty)
-
-
-@pytest.mark.parametrize(
-    "row, message",
-    [
-        ("5,0", r"meta\.csv:3: field slice is missing"),
-        ("5,0,1,7", r"meta\.csv:3: field 4 is extra"),
-        ("5,x,1", r"meta\.csv:3: field label is not an integer: 'x'"),
-        ("5.5,0,1", r"meta\.csv:3: field id is not an integer: '5\.5'"),
-    ],
-)
-def test_embeddings_sidecar_errors_name_file_line_and_field(tmp_path, row, message):
-    path = tmp_path / "emb.csv"
-    path.write_text("1.0,2.0\n3.0,4.0\n")
-    (tmp_path / "emb.csv.meta.csv").write_text(f"id,label,slice\n4,1,0\n{row}\n")
-    with pytest.raises(EmbeddingFileError, match=message):
-        read_embeddings(path)
-
-
-def test_embeddings_empty_sidecar_names_the_file(tmp_path):
-    path = tmp_path / "emb.csv"
-    path.write_text("1.0,2.0\n")
-    (tmp_path / "emb.csv.meta.csv").write_text("")
-    with pytest.raises(EmbeddingFileError, match=r"meta\.csv: header must be id,label,slice, got None"):
-        read_embeddings(path)
-
-
-def test_embeddings_empty_collection_rejected(tmp_path):
-    path = tmp_path / "emb.slem"
-    path.write_bytes(struct.pack("<4sHII", b"SLEM", 1, 0, 4))
-    with pytest.raises(EmbeddingFileError, match="empty collection"):
-        read_embeddings(path)
-    with pytest.raises(EmbeddingFileError):
-        write_embeddings(path, np.empty((0, 3)))
 
 
 # -------------------------------------------------------------------------- run

@@ -445,6 +445,19 @@ def test_pool_rejects_duplicate_ids():
         pool.add(0, np.array([0]), np.array([0]), np.ones((1, 4)))
 
 
+@pytest.mark.parametrize(
+    "slice_ids, message",
+    [
+        ([[1, 1]], "slice 0: item id 1 is repeated"),  # within the slice
+        ([[0, 1], [1, 2]], "slice 1: item id 1 is already labeled"),  # in an earlier slice
+    ],
+)
+def test_pool_names_a_repeated_id_and_its_slice(slice_ids, message):
+    slices = [LabeledSlice(ids, [0, 0], np.ones((2, 3))) for ids in slice_ids]
+    with pytest.raises(ValueError, match=message):
+        SlicedLabeledPool(slices, [False] * len(slices))
+
+
 def test_pool_rejects_mixed_embedding_dims():
     with pytest.raises(ValueError, match="slice 1: embedding dim 3 differs from the pool's 4"):
         SlicedLabeledPool(
@@ -558,7 +571,13 @@ def test_pool_add_selected_checks_ids_once_and_reuses_the_buffer_norms(monkeypat
 
 @pytest.mark.parametrize(
     "bad, why",
-    [(0.7, "not integral"), (-1, "negative"), (np.nan, "not finite"), (1.5, "not integral")],
+    [
+        (0.7, "not integral"),
+        (-1, "negative"),
+        (np.nan, "not finite"),
+        (1.5, "not integral"),
+        (2**70, "out of int64's range"),
+    ],
 )
 def test_ingestion_rejects_labels_that_are_not_class_indices(bad, why):
     X = np.ones((3, 2))
@@ -580,6 +599,11 @@ def test_ingestion_rejects_labels_that_are_not_class_indices(bad, why):
         (np.inf, "not finite"),
         (2.0**63, "out of int64's range"),
         (2**64 - 1, "out of int64's range"),  # a uint64, whose cast would give -1
+        (2**70, "out of int64's range"),
+        (-(2**70), "out of int64's range"),
+        ("1", "not an integer"),
+        (None, "not an integer"),
+        (1 + 0j, "not an integer"),
     ],
 )
 def test_ingestion_rejects_ids_that_are_not_integers(bad, why):
