@@ -18,7 +18,7 @@ import numpy as np
 
 from .kernels import _row_col_max, _transposed_self_kernel, first_bad_row, normalize_rows, row_norms
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
-from .maximize import MaximizerConfig, maximize
+from .maximize import MaximizerConfig, SelectionTrace, maximize
 from .setfunctions import FLCG, FLQMI, flqmi_normalizer
 
 
@@ -30,19 +30,29 @@ class EmptySliceError(ValueError):
         super().__init__(f"slice {slice_id} is empty; identification needs at least one exemplar")
 
 
+def _integer(v, what: str, row: int) -> int:
+    """One id or label as a Python int; ValueError names its row."""
+    if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise ValueError(f"{what} row {row} is not finite")
+        if v != math.trunc(v):
+            raise ValueError(f"{what} row {row} is not integral")
+    elif not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{what} row {row} is not an integer")
+    if not -(2**63) <= int(v) < 2**63:
+        raise ValueError(f"{what} row {row} is out of int64's range")
+    return int(v)
+
+
 def _integers(values, what: str, *, nonnegative: bool = False) -> np.ndarray:
     """values as an int64 array. ValueError names the first row that is not
     an integer, not finite, not integral, out of int64's range or (with
     nonnegative) negative."""
     a = np.asarray(values)
-    if a.dtype.kind not in "biuf":  # objects, strings, complex: judged one by one, as given
-        for row, v in enumerate(values):
-            if isinstance(v, (int, np.integer)):
-                if not -(2**63) <= int(v) < 2**63:
-                    raise ValueError(f"{what} row {row} is out of int64's range")
-            elif not isinstance(v, (float, np.floating)):
-                raise ValueError(f"{what} row {row} is not an integer")
-        a = np.asarray(a.tolist())  # numeric now, for the checks below
+    if a.dtype.kind not in "biuf" or (a.dtype.kind == "f" and not isinstance(values, np.ndarray)):
+        # Objects, strings and complex values are judged one by one, as given,
+        # and so is a sequence numpy made float, which rounds an int above 2**53.
+        a = np.array([_integer(v, what, row) for row, v in enumerate(values)], dtype=np.int64)
     reasons = []
     if a.dtype.kind == "f":
         with np.errstate(invalid="ignore"):
@@ -295,11 +305,21 @@ class IdentificationResult:
 
     row_max[i] is max_j S[i, j] over the buffer x identified-slice kernel,
     the private best that FLCG selection over that slice starts from.
+    distinct is _distinct_unit_rows(buffer), which selection reuses.
     """
 
     slice_id: int
     scores: np.ndarray
     row_max: np.ndarray
+    distinct: tuple[np.ndarray, np.ndarray | None]
+
+    @property
+    def margin(self) -> float:
+        """The winning score minus the runner-up's; 0.0 for a one-slice pool."""
+        if len(self.scores) < 2:
+            return 0.0
+        top = np.sort(self.scores)
+        return float(top[-1] - top[-2])
 
 
 def smidentify_scores(kernels) -> np.ndarray:
@@ -378,7 +398,7 @@ def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> Identificati
         scores[t] = (row.sum() + col.sum()) / flqmi_normalizer(len(row), len(col))
         row_maxima.append(row)
     t = int(np.argmax(scores))
-    return IdentificationResult(slice_id=t, scores=scores, row_max=row_maxima[t])
+    return IdentificationResult(slice_id=t, scores=scores, row_max=row_maxima[t], distinct=(R, copy_of))
 
 
 def slice_aware_budget(
@@ -417,29 +437,63 @@ def scg_select(
     maximizer_cfg: MaximizerConfig,
     *,
     row_max: np.ndarray | None = None,
-) -> list[int]:
+    distinct: tuple[np.ndarray, np.ndarray | None] | None = None,
+    return_trace: bool = False,
+):
     """Pick up to b buffer items maximizing conditional gain over slice t.
 
-    Both kernels are cosine on raw embeddings, computed from the unit_rows()
+    Both kernels are cosine on raw embeddings, computed from the unit rows
     of the buffer and the slice; b is clamped to the buffer size. Returns
-    global item ids in selection order. FLCG reads only
+    global item ids in selection order, and with return_trace also the
+    SelectionTrace over buffer indices. FLCG reads only
     row_max[i] = max_j S_up[i, j], never S_up, taken over the buffer's
-    distinct rows as smidentify takes it; pass the buffer's row maxima
-    against slice t (as smidentify returns them) to skip that pass. S_uu is
-    built transposed from two separate unit_rows() arrays, so the
-    evaluators read its columns as contiguous rows. It lives in the thread's
-    kernel workspace, so the maxima are taken before it is built and the
-    greedy makes no kernel call while it holds it.
+    distinct rows as smidentify takes it. Pass the buffer's row maxima
+    against slice t and the buffer's distinct rows, both as smidentify
+    returns them, to skip those passes.
+
+    A buffer with exact copies is selected over its distinct rows: S_uu is
+    the kernel between them, each distinct row is one candidate whose
+    baseline is the row maxima of its first occurrence, and each row's gain
+    term is weighted by its copy count, which is the all-rows FLCG summed by
+    copy. A pick maps to its first occurrence. At the first pick whose gain
+    is exactly 0 the greedy is done: gains never rise again and every tie
+    breaks to the smallest index, so the all-rows greedy would take the
+    remaining buffer indices in ascending order, and so does this fill. A
+    copy of a picked row adds exactly 0 by construction. The weighted sums
+    can differ from the all-rows sums in the last bits, which can move a
+    near tie. A buffer without copies, one whose X was reassigned after
+    ingestion, and stochastic greedy, whose seeded draws are over the
+    buffer's indices, are selected over every row.
+
+    S_uu is built transposed from two separate arrays of the same unit
+    rows, so the evaluators read its columns as contiguous rows. It lives
+    in the thread's kernel workspace, so the maxima are taken before it is
+    built and the greedy makes no kernel call while it holds it.
     """
-    b = min(int(b), len(buffer))
+    n = len(buffer)
+    b = min(int(b), n)
     if b <= 0:
-        return []
+        return ([], SelectionTrace()) if return_trace else []
+    R, copy_of = _distinct_unit_rows(buffer) if distinct is None else distinct
     if row_max is None:
-        row_max, _ = _maxima(*_distinct_unit_rows(buffer), pool.slices[t].unit_rows())
-    T = _transposed_self_kernel(buffer.unit_rows(), buffer.unit_rows())  # T.T is S_uu
-    f = FLCG(T.T, row_max[:, None])  # a one-column private kernel
-    trace = maximize(f, replace(maximizer_cfg, budget=b))
-    return [int(buffer.ids[i]) for i in trace.chosen]
+        row_max, _ = _maxima(R, copy_of, pool.slices[t].unit_rows())
+    if len(row_max) != n:
+        raise ValueError(f"row maxima disagree with the buffer on ground size: {len(row_max)} vs {n}")
+    if copy_of is not None and maximizer_cfg.algorithm == "stochastic":
+        R, copy_of = buffer.unit_rows(), None
+    T = _transposed_self_kernel(R, R.copy())  # T.T is S_uu
+    if copy_of is None:
+        trace = maximize(FLCG(T.T, row_max[:, None]), replace(maximizer_cfg, budget=b))
+    else:
+        first = np.unique(copy_of, return_index=True)[1]  # each distinct row's first occurrence
+        f = FLCG(T.T, row_max[first, None], np.bincount(copy_of).astype(np.float64))
+        greedy = maximize(f, replace(maximizer_cfg, budget=min(b, len(R))))
+        k = greedy.gains.index(0.0) if 0.0 in greedy.gains else len(greedy.gains)
+        picked = first[greedy.chosen[:k]].tolist()
+        rest = np.setdiff1d(np.arange(n), picked)[: b - k].tolist()  # ascending
+        trace = SelectionTrace(picked + rest, greedy.gains[:k] + [0.0] * len(rest), greedy.evaluations)
+    ids = [int(buffer.ids[i]) for i in trace.chosen]
+    return (ids, trace) if return_trace else ids
 
 
 @dataclass
@@ -459,13 +513,19 @@ class StreamlineConfig:
 
 @dataclass
 class RoundReport:
-    """What one round did: identification, budget internals, selections."""
+    """What one round did: identification, budget internals, selections.
+
+    margin is identification's top-2 score gap (IdentificationResult.margin);
+    select_evaluations is the greedy's evaluation count, 0 under selector_fn.
+    """
 
     identified_slice: int
     decision: BudgetDecision
     selected_ids: list[int]
     scores: np.ndarray
     gamma_after: float
+    margin: float
+    select_evaluations: int
 
 
 def streamline_round(
@@ -501,10 +561,15 @@ def streamline_round(
         decision, _ = slice_aware_budget(pool, state, t)
 
     granted = min(decision.b, len(buffer))
+    evaluations = 0
     if cfg.selector_fn is not None:
         selected = cfg.selector_fn(pool, buffer, t, granted)
-    else:  # identify already took the buffer's row maxima against slice t
-        selected = scg_select(pool, buffer, t, granted, cfg.maximizer, row_max=ident.row_max)
+    else:  # identify already found the distinct rows and took their maxima against slice t
+        selected, trace = scg_select(
+            pool, buffer, t, granted, cfg.maximizer,
+            row_max=ident.row_max, distinct=ident.distinct, return_trace=True,
+        )
+        evaluations = trace.evaluations
 
     selected = [int(i) for i in selected]
     if len(selected) > granted:
@@ -518,5 +583,7 @@ def streamline_round(
         selected_ids=selected,
         scores=ident.scores,
         gamma_after=new_state.gamma,
+        margin=ident.margin,
+        select_evaluations=evaluations,
     )
     return report, pool, new_state

@@ -5,8 +5,11 @@ Three monotone submodular objectives over similarity kernels:
 * ``FacilityLocation``  F(A)   = sum_i max_{j in A} S[i, j]
 * ``FLQMI``             I(A;P) = sum_{i in A} max_{j in P} S[i, j]
                                  + sum_{j in P} max_{i in A} S[i, j]
-* ``FLCG``              H(A|P) = sum_i max(max_{j in A} S_uu[i, j]
-                                           - max_{j in P} S_up[i, j], 0)
+* ``FLCG``              H(A|P) = sum_i w_i max(max_{j in A} S_uu[i, j]
+                                               - max_{j in P} S_up[i, j], 0)
+
+FLCG's row weights w_i default to 1; a weight counts the copies a row
+stands for, so a multiset's gain is summed over its distinct rows.
 
 The max over an empty set is 0 everywhere, so every function vanishes on the
 empty set and stays monotone on nonnegative kernels. Each instance exposes a
@@ -54,8 +57,10 @@ _ROWS = 64
 class _CoverageEvaluator:
     """Per-row best-match cache for FL/FLCG style gains.
 
-    Single-owner mutable state: gains(x) = sum_i max(S[i, x] - best_i, 0),
-    add(x) folds column x into the cache.
+    Single-owner mutable state: gains(x) = sum_i w_i max(S[i, x] - best_i, 0),
+    add(x) folds column x into the cache. Without weights every w_i is 1
+    and no multiply is made; with them each row's term is multiplied by its
+    weight before the same sum.
 
     The kernel is held as T = S.T in C order, free when S is F-ordered and
     one copy otherwise, so column x of S is the contiguous row T[x]. Every
@@ -70,9 +75,10 @@ class _CoverageEvaluator:
     call, and works in a reused row of its own.
     """
 
-    def __init__(self, S: np.ndarray, baseline: np.ndarray):
+    def __init__(self, S: np.ndarray, baseline: np.ndarray, weights: np.ndarray | None = None):
         self.T = np.ascontiguousarray(S.T)
         self.best = baseline.copy()
+        self.weights = weights
         self._scratch = np.empty((min(_ROWS, self.T.shape[0]), self.T.shape[1]))
         self._row = np.empty(self.T.shape[1])  # gain's scratch
 
@@ -85,13 +91,18 @@ class _CoverageEvaluator:
             block = np.take(self.T, c, axis=0, out=self._scratch[: len(c)], mode="clip")
             np.subtract(block, self.best, out=block)
             np.maximum(block, 0.0, out=block)
+            if self.weights is not None:
+                np.multiply(block, self.weights, out=block)
             block.sum(axis=1, out=out[k : k + len(c)])
         return out
 
     def gain(self, x: int) -> float:
         """gains(np.array([x]))[0] as a float, for an x in the ground set."""
         d = np.subtract(self.T[x], self.best, out=self._row)
-        return float(np.maximum(d, 0.0, out=d).sum())
+        np.maximum(d, 0.0, out=d)
+        if self.weights is not None:
+            np.multiply(d, self.weights, out=d)
+        return float(d.sum())
 
     def add(self, x: int) -> None:
         np.maximum(self.best, self.T[x], out=self.best)
@@ -175,10 +186,12 @@ class FLCG(_SetFunction):
 
     Needs two kernels sharing the same row ordering: ground x ground
     similarities and ground x P similarities. Rows already covered by P
-    contribute nothing until A covers them better.
+    contribute nothing until A covers them better. weights, one per row,
+    multiply each row's term in value and in the evaluator alike; None
+    weighs every row 1 and computes exactly the unweighted sum.
     """
 
-    def __init__(self, kernel_uu, kernel_up=None):
+    def __init__(self, kernel_uu, kernel_up=None, weights=None):
         self.S = _kernel_values(kernel_uu)
         if self.S.shape[0] != self.S.shape[1]:
             raise ValueError(f"ground kernel must be square, got {self.S.shape}")
@@ -192,16 +205,19 @@ class FLCG(_SetFunction):
                     f"kernels disagree on ground size: {self.S.shape[0]} vs {S_up.shape[0]}"
                 )
             self.private_best = S_up.max(axis=1) if S_up.shape[1] else np.zeros(S_up.shape[0])
+        self.weights = None if weights is None else np.asarray(weights, dtype=np.float64)
+        if self.weights is not None and self.weights.shape != (self.S.shape[0],):
+            raise ValueError(f"weights disagree on ground size: {self.S.shape[0]} vs {self.weights.shape}")
 
     def value(self, A) -> float:
         A = _indices(A, self.ground_size)
         if A.size == 0:
             return 0.0
-        covered = self.S[:, A].max(axis=1)
-        return float(np.maximum(covered - self.private_best, 0.0).sum())
+        terms = np.maximum(self.S[:, A].max(axis=1) - self.private_best, 0.0)
+        return float((terms if self.weights is None else terms * self.weights).sum())
 
     def evaluator(self) -> _CoverageEvaluator:
-        return _CoverageEvaluator(self.S, self.private_best)
+        return _CoverageEvaluator(self.S, self.private_best, self.weights)
 
 
 def smi_value(F: _SetFunction, A, B) -> float:

@@ -20,7 +20,8 @@ def random_self_kernel(rng, n, dim=5):
 
 
 def random_instance(rng, kind, n=8, p=3, dim=5):
-    """A random FL/FLQMI/FLCG instance with ground size n."""
+    """A random FL/FLQMI/FLCG instance with ground size n; "flcg_weighted"
+    weighs each row by a copy count in 1..4."""
     if kind == "fl":
         return FacilityLocation(random_self_kernel(rng, n, dim))
     if kind == "flqmi":
@@ -29,5 +30,11 @@ def random_instance(rng, kind, n=8, p=3, dim=5):
         return FLCG(
             random_self_kernel(rng, n, dim),
             random_cosine_kernel(rng, n, p, dim),
+        )
+    if kind == "flcg_weighted":
+        return FLCG(
+            random_self_kernel(rng, n, dim),
+            random_cosine_kernel(rng, n, p, dim),
+            rng.integers(1, 5, size=n).astype(float),
         )
     raise ValueError(kind)

@@ -318,25 +318,54 @@ def test_only_rows_with_equal_bits_are_copies():
     assert _distinct_unit_rows(no_copies)[1] is None
 
 
+def _churn_stream(**kw):
+    """A churn-shaped stream: 12 slices, buffers of 100 rows copied 4 times."""
+    from streamline.simulator import StreamSpec, generate_stream
+
+    spec = StreamSpec(**{
+        "n_slices": 12, "dim": 32, "common_pool_size": 30, "episode_size": 400, "redundancy": 4,
+        "schedule": (0, 11), "seed": 5, **kw,
+    })
+    return generate_stream(spec)
+
+
+def _without_copies(buf, id_offset=0):
+    """buf with every row moved apart, so no two rows are copies."""
+    return UnlabeledBuffer(buf.ids + id_offset, buf.X + np.arange(len(buf))[:, None], true_labels=buf.true_labels)
+
+
 def test_identify_multiplies_each_distinct_buffer_row_once(monkeypatch):
     """On churn-shaped buffers (12 slices, 100 rows copied 4 times), each
     buffer x slice product has 100 rows, in identify and in scg_select."""
     import streamline.core as core
-    from streamline.simulator import StreamSpec, generate_stream
 
-    spec = StreamSpec(
-        n_slices=12, dim=32, common_pool_size=30, episode_size=400, redundancy=4, schedule=(0, 11), seed=5
-    )
-    pool, buffers, _ = generate_stream(spec)
+    pool, buffers, _ = _churn_stream()
     rows = []
     real = core._row_col_max
     monkeypatch.setattr(core, "_row_col_max", lambda R, C: rows.append(len(R)) or real(R, C))
-    spread = UnlabeledBuffer(buffers[0].ids, buffers[0].X + np.arange(400)[:, None])  # no copies
-    for buf, distinct in [(buffers[0], 100), (buffers[1], 100), (spread, 400)]:
+    for buf, distinct in [(buffers[0], 100), (buffers[1], 100), (_without_copies(buffers[0]), 400)]:
         rows.clear()
         t = smidentify(pool, buf).slice_id
         scg_select(pool, buf, t, 10, _maximizer())
-        assert rows == [distinct] * (spec.n_slices + 1)
+        assert rows == [distinct] * (pool.num_slices + 1)
+
+
+def test_select_builds_s_uu_over_distinct_rows_once(monkeypatch):
+    """A round's S_uu is 100 x 100 on churn-shaped buffers (400 x 400 on one
+    without copies), and the round finds the buffer's copies once."""
+    import streamline.core as core
+
+    pool, buffers, _ = _churn_stream()
+    shapes, finds = [], []
+    kernel, distinct_rows = core._transposed_self_kernel, core._distinct_unit_rows
+    monkeypatch.setattr(core, "_transposed_self_kernel", lambda U, V: shapes.append(len(U) * len(V)) or kernel(U, V))
+    monkeypatch.setattr(core, "_distinct_unit_rows", lambda buf: finds.append(1) or distinct_rows(buf))
+    cfg = StreamlineConfig(maximizer=_maximizer())
+    for buf, distinct in [(buffers[0], 100), (buffers[1], 100), (_without_copies(buffers[0], 10**6), 400)]:
+        shapes.clear()
+        finds.clear()
+        report, pool, _ = streamline_round(pool, buf, BudgetState(B=10, rho=0.5), cfg, _oracle(buf))
+        assert report.selected_ids and shapes == [distinct * distinct] and len(finds) == 1
 
 
 def test_scg_budget_edges():
@@ -617,6 +646,19 @@ def test_ingestion_rejects_ids_that_are_not_integers(bad, why):
     assert UnlabeledBuffer(ids=[-4.0, 2.0], X=X).ids.tolist() == [-4, 2]  # integral floats and negative ids pass
 
 
+@pytest.mark.parametrize("given", [list, lambda v: np.array(v, dtype=object)])
+def test_ingestion_keeps_integers_that_float64_would_round(given):
+    """An int above 2**53 that comes with a float is kept exactly, not made float64."""
+    X, big = np.ones((2, 2)), 2**62 + 1
+    assert UnlabeledBuffer(ids=given([big, 1.0]), X=X).ids.tolist() == [big, 1]
+    assert LabeledSlice(given([big, 1.0]), given([big, 1.0]), X).ids.tolist() == [big, 1]
+    assert LabeledSlice([0, 1], given([big, 1.0]), X).labels.tolist() == [big, 1]
+    with pytest.raises(ValueError, match="buffer id row 1 is not integral"):
+        UnlabeledBuffer(ids=given([big, 1.5]), X=X)
+    with pytest.raises(ValueError, match="label row 0 is negative"):
+        LabeledSlice([0, 1], given([-big, 1.0]), X)
+
+
 def _round_with_selector(selector):
     pool, next_id = make_pool([10], [False], spread=0.02)
     buf = make_buffer(9, axis=0, next_id=next_id, true_slice=0)
@@ -653,6 +695,26 @@ def test_round_credits_a_short_selection_to_gamma():
     pool, buf, state, _ = _round_with_selector(None)
     report, _, new_state = streamline_round(pool, buf, state, fixed, _oracle(buf))
     assert len(report.selected_ids) == 1 and new_state.gamma == 0.0  # a fixed budget banks nothing
+
+
+def test_round_reports_its_margin_and_greedy_evaluations():
+    """The evaluation count of a fixed churn-shaped stream is pinned: lazy
+    greedy over the buffers' distinct rows makes 2,882 evaluations, where
+    naive greedy makes 60,194, so a lazy greedy that loses its laziness fails."""
+    from streamline.simulator import every_k_schedule
+
+    pool, buffers, _ = _churn_stream(common_pool_size=150, schedule=every_k_schedule(12, 12, k=2), rare_slices=(11,))
+    state, cfg = BudgetState(B=120, rho=0.5), StreamlineConfig(maximizer=_maximizer())
+    evaluations = 0
+    for buf in buffers:
+        report, pool, state = streamline_round(pool, buf, state, cfg, _oracle(buf))
+        top = np.sort(report.scores)
+        assert report.margin == top[-1] - top[-2] > 0
+        evaluations += report.select_evaluations
+    assert evaluations == 2882
+    pool, buf, state, cfg = _round_with_selector(lambda p, u, t, b: [int(u.ids[0])])
+    report, _, _ = streamline_round(pool, buf, state, cfg, _oracle(buf))
+    assert report.select_evaluations == 0 and report.margin == 0.0  # a one-slice pool has no runner-up
 
 
 def test_round_takes_row_maxima_once_per_slice(monkeypatch):

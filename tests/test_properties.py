@@ -4,7 +4,9 @@ and the class-major logistic learner.
 row_col_max, smidentify and scg_select never hold a |U| x |P| kernel; the
 first three tests check them against the definitional path built from full
 kernels (for identify, the kernel over the buffer's distinct rows, expanded
-by copy). The next two check budget conservation over whole rounds and the
+by copy); the fourth checks selection over a buffer's distinct rows, with
+copies at random positions, against the all-rows greedy on the kernels
+expanded by copy. The next two check budget conservation over whole rounds and the
 budget law against an integer-only reference. The learner tests check
 logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
 row-major softmax they replaced. The tests after them check the transposed
@@ -87,10 +89,8 @@ def _pool(rng, sizes, dim, grid):
     return SlicedLabeledPool(slices, [False] * len(sizes)), next_id
 
 
-def _kernel_by_copy(X, P) -> np.ndarray:
-    """build_kernel over X's distinct rows (equal bits, first occurrence first),
-    one kernel row per row of X: the buffer x slice kernel identify reads.
-    Without copies it is build_kernel(X, P)."""
+def _by_copy(X):
+    """X's distinct rows (equal bits, first occurrence first), and each row's index among them."""
     index: dict[bytes, int] = {}
     distinct, copy_of = [], []
     for row in X:
@@ -98,9 +98,22 @@ def _kernel_by_copy(X, P) -> np.ndarray:
             index[row.tobytes()] = len(distinct)
             distinct.append(row)
         copy_of.append(index[row.tobytes()])
+    return np.array(distinct), copy_of
+
+
+def _kernel_by_copy(X, P) -> np.ndarray:
+    """build_kernel over X's distinct rows, one kernel row per row of X: the
+    buffer x slice kernel identify reads. Without copies it is build_kernel(X, P)."""
+    distinct, copy_of = _by_copy(X)
     if len(distinct) == len(X):
         return build_kernel(X, P).values
-    return build_kernel(np.array(distinct), P).values[copy_of]
+    return build_kernel(distinct, P).values[copy_of]
+
+
+def _self_kernel_by_copy(X) -> np.ndarray:
+    """build_kernel over X's distinct rows, expanded by copy on both axes."""
+    distinct, copy_of = _by_copy(X)
+    return build_kernel(distinct, distinct).values[np.ix_(copy_of, copy_of)]
 
 
 @SETTINGS
@@ -142,6 +155,45 @@ def test_scg_select_equals_greedy_on_full_kernels(seed, n_u, n_p, dim, b, algori
     f = FLCG(build_kernel(buf.X, buf.X), build_kernel(buf.X, pool.slices[0].X))
     trace = maximize(f, MaximizerConfig(budget=min(b, n_u), algorithm=algorithm))
     assert scg_select(pool, buf, 0, b, cfg) == [int(buf.ids[i]) for i in trace.chosen]
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_distinct=st.integers(1, 15),
+    n_copies=st.integers(1, 30),
+    n_p=st.integers(0, 10),
+    dim=st.integers(2, 5),
+    cover=st.floats(0.0, 1.0),
+    b_share=st.floats(0.0, 1.0),
+    grid=st.booleans(),
+)
+def test_scg_select_over_distinct_rows_equals_all_rows_greedy(seed, n_distinct, n_copies, n_p, dim, cover, b_share, grid):
+    """A buffer with copies at random positions is selected over its distinct
+    rows: unique picks, lazy equal to naive, and the all-rows greedy's FLCG
+    value on the copy-expanded kernels (its picks too, off the grid). The
+    slice copies some buffer rows, so their gains can reach 0 and the fill runs."""
+    rng = np.random.default_rng(seed)
+    D = _rows(rng, n_distinct, dim, grid)
+    X = D[rng.permutation(np.concatenate([np.arange(n_distinct), rng.integers(0, n_distinct, n_copies)]))]
+    P = np.vstack([X[rng.random(len(X)) < cover], _rows(rng, n_p, dim, grid)])
+    if len(P) == 0:
+        P = _rows(rng, 1, dim, grid)
+    pool = SlicedLabeledPool([LabeledSlice(np.arange(len(P)), np.zeros(len(P), int), P)], [False])
+    buf = UnlabeledBuffer(np.arange(len(P), len(P) + len(X)), X)
+    b = int(round(b_share * len(X)))
+    f = FLCG(_self_kernel_by_copy(X), _kernel_by_copy(X, P).max(axis=1)[:, None])
+    expected = maximize(f, MaximizerConfig(budget=b, algorithm="naive")).chosen
+    picks = {alg: scg_select(pool, buf, 0, b, MaximizerConfig(budget=0, algorithm=alg)) for alg in ("naive", "lazy")}
+    assert picks["lazy"] == picks["naive"]
+    rows = [i - len(P) for i in picks["lazy"]]
+    assert len(set(rows)) == len(rows) == b and all(0 <= i < len(X) for i in rows)
+    assert abs(f.value(rows) - f.value(expected)) <= 1e-9
+    if not grid:
+        assert rows == expected
+    stochastic = MaximizerConfig(budget=b, algorithm="stochastic", epsilon=0.3, seed=seed)
+    all_rows = maximize(FLCG(build_kernel(X, X), f.private_best[:, None]), stochastic)
+    assert scg_select(pool, buf, 0, b, stochastic) == [int(buf.ids[i]) for i in all_rows.chosen]
 
 
 @SETTINGS
@@ -493,7 +545,7 @@ def test_coverage_gains_equal_gathered_column_sums(seed, n_rows, n, which, adds,
     n=st.integers(1, 2 * _ROWS + 10),
     adds=st.integers(0, 3),
     grid=st.booleans(),
-    kind=st.sampled_from(["fl", "flcg", "flqmi"]),
+    kind=st.sampled_from(["fl", "flcg", "flcg_weighted", "flqmi"]),
 )
 def test_scalar_gain_equals_one_candidate_gains(seed, n_rows, n, adds, grid, kind):
     """gain(x), lazy greedy's re-evaluation, is gains([x])[0] bit for bit, as a float."""
@@ -501,8 +553,9 @@ def test_scalar_gain_equals_one_candidate_gains(seed, n_rows, n, adds, grid, kin
     draw = lambda *shape: rng.integers(0, 4, size=shape) / 3.0 if grid else rng.random(shape)  # noqa: E731
     if kind == "fl":
         f = FacilityLocation(draw(n_rows, n))
-    elif kind == "flcg":
-        f = FLCG(draw(n, n), draw(n, 3) * rng.integers(0, 2, size=(n, 1)))
+    elif kind.startswith("flcg"):
+        weights = rng.integers(1, 5, size=n).astype(float) if kind == "flcg_weighted" else None
+        f = FLCG(draw(n, n), draw(n, 3) * rng.integers(0, 2, size=(n, 1)), weights)
     else:
         f = FLQMI(draw(n, n_rows))
     ev = f.evaluator()

@@ -138,7 +138,7 @@ def test_marginal_gain_matches_two_evaluations():
         )
 
 
-@pytest.mark.parametrize("kind", ["fl", "flqmi", "flcg"])
+@pytest.mark.parametrize("kind", ["fl", "flqmi", "flcg", "flcg_weighted"])
 def test_incremental_evaluator_matches_marginal_gain(kind):
     rng = np.random.default_rng(6)
     for _ in range(10):
@@ -242,6 +242,26 @@ def test_flcg_is_fl_conditional_gain_on_joined_kernel():
         A = list(rng.choice(n, size=rng.integers(0, n + 1), replace=False))
         expected = fl.value(sorted(A) + P) - fl.value(P)
         assert cg.value(A) == pytest.approx(expected, abs=1e-9)
+
+
+def test_weighted_flcg_is_flcg_over_the_rows_copied():
+    """Row weights count copies: the weighted value and gains equal the
+    unweighted ones on the kernel whose rows are copied that many times."""
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        S_uu, S_up = random_self_kernel(rng, 6), random_cosine_kernel(rng, 6, 3)
+        w = rng.integers(1, 4, size=6)
+        rows = np.repeat(np.arange(6), w)
+        # square again by zero columns past the 6 candidates, which no A holds
+        copied = FLCG(np.hstack([S_uu[rows], np.zeros((len(rows), len(rows) - 6))]), S_up[rows])
+        weighted = FLCG(S_uu, S_up, w)
+        A = list(rng.choice(6, size=rng.integers(0, 7), replace=False))
+        assert weighted.value(A) == pytest.approx(copied.value(A), abs=1e-9)
+        cand = np.arange(6)
+        np.testing.assert_allclose(weighted.evaluator().gains(cand), copied.evaluator().gains(cand), atol=1e-9)
+    assert FLCG(S_uu, S_up, None).value(A) == FLCG(S_uu, S_up).value(A)  # no weights: today's bits
+    with pytest.raises(ValueError, match="ground size"):
+        FLCG(S_uu, S_up, np.ones(5))
 
 
 def test_flqmi_normalizer_is_axis_length_sum():
