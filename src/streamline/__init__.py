@@ -35,7 +35,6 @@ from .kernels import (
     SimilarityMatrix,
     build_kernel,
     normalize_rows,
-    row_col_max,
 )
 from .maximize import (
     MaximizerConfig,

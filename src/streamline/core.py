@@ -207,13 +207,14 @@ class SlicedLabeledPool:
     def add_selected(self, t: int, buffer: UnlabeledBuffer, ids, label_oracle) -> None:
         """Label the selected buffer ids and append their rows to slice t.
 
-        ValueError names the first id outside the buffer, repeated or already
-        labeled, before label_oracle is asked for anything. The rows are
-        appended with the norms the buffer keeps, so no row is checked or
-        normed again; a buffer X reassigned since ingestion is checked anew
-        first. The labels are checked as LabeledSlice checks them.
+        ValueError names the first id that is not an integer, outside the
+        buffer, repeated or already labeled, before label_oracle is asked for
+        anything; it is asked with a copy of the ids. The rows are appended
+        with the norms the buffer keeps, so no row is checked or normed
+        again; a buffer X reassigned since ingestion is checked anew first.
+        The labels are checked as LabeledSlice checks them.
         """
-        ids = [int(i) for i in ids]
+        ids = _integers(ids, "selected id").tolist()
         if not ids:
             return
         pos = {i: k for k, i in enumerate(buffer.ids.tolist())}
@@ -224,7 +225,7 @@ class SlicedLabeledPool:
             buffer._keep_checked_norms("buffer")
         sel = np.asarray(ids, dtype=np.int64)
         rows = np.array([pos[i] for i in ids], dtype=np.intp)
-        self.add(t, sel, label_oracle(sel), buffer.X[rows], _checked_norms=buffer._kept_norms()[rows])
+        self.add(t, sel, label_oracle(sel.copy()), buffer.X[rows], _checked_norms=buffer._kept_norms()[rows])
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All labeled data as (X, labels), slices concatenated in order."""
@@ -311,7 +312,7 @@ class IdentificationResult:
     slice_id: int
     scores: np.ndarray
     row_max: np.ndarray
-    distinct: tuple[np.ndarray, np.ndarray | None]
+    distinct: tuple[np.ndarray, np.ndarray]
 
     @property
     def margin(self) -> float:
@@ -336,7 +337,7 @@ def smidentify_scores(kernels) -> np.ndarray:
     return scores
 
 
-def _distinct_unit_rows(buffer: UnlabeledBuffer) -> tuple[np.ndarray, np.ndarray | None]:
+def _distinct_unit_rows(buffer: UnlabeledBuffer) -> tuple[np.ndarray, np.ndarray]:
     """The unit rows of the buffer's distinct rows, and each row's index among them.
 
     Rows are copies when their bits are equal. Copies have equal kept norms,
@@ -344,12 +345,12 @@ def _distinct_unit_rows(buffer: UnlabeledBuffer) -> tuple[np.ndarray, np.ndarray
     each row is compared with the first row of its norm, and only if two
     unequal rows share a norm are the rows grouped by their bytes. The
     distinct rows keep their first-occurrence order. Returns
-    (unit_rows(), None), the very array, when there are no copies or when
-    X has been reassigned since its norms were kept.
+    (unit_rows(), arange(n)), the very array, when there are no copies or
+    when X has been reassigned since its norms were kept.
     """
     U, norms = buffer.unit_rows(), buffer._kept_norms()
     if norms is None:
-        return U, None
+        return U, np.arange(len(U))
     _, first, group = np.unique(norms, return_index=True, return_inverse=True)
     if len(first) < len(norms):
         bits = buffer.X.view(np.int64)  # C-contiguous float64, as ingested
@@ -357,20 +358,10 @@ def _distinct_unit_rows(buffer: UnlabeledBuffer) -> tuple[np.ndarray, np.ndarray
             rows = bits.view(np.dtype((np.void, bits.strides[0]))).ravel()
             _, first, group = np.unique(rows, return_index=True, return_inverse=True)
     if len(first) == len(norms):
-        return U, None
+        return U, np.arange(len(U))
     rep = first[group]  # each row's first copy
     distinct = np.flatnonzero(rep == np.arange(len(rep)))
     return U[distinct], np.searchsorted(distinct, rep)
-
-
-def _maxima(R: np.ndarray, copy_of: np.ndarray | None, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_row_col_max(R, P) with the row maxima expanded to every copy of R's rows.
-
-    (R, copy_of) is _distinct_unit_rows(buffer); the column maxima need no
-    expansion, since a max over copies is a max over the distinct rows.
-    """
-    row, col = _row_col_max(R, P)
-    return (row if copy_of is None else row[copy_of]), col
 
 
 def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> IdentificationResult:
@@ -394,7 +385,8 @@ def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> Identificati
     scores, row_maxima = np.empty(pool.num_slices), []
     for t, sl in enumerate(pool.slices):
         # smidentify_scores on that kernel, from its row and column maxima
-        row, col = _maxima(R, copy_of, sl.unit_rows())
+        row, col = _row_col_max(R, sl.unit_rows())
+        row = row[copy_of]  # col needs no expansion: a max over copies is a max over the distinct rows
         scores[t] = (row.sum() + col.sum()) / flqmi_normalizer(len(row), len(col))
         row_maxima.append(row)
     t = int(np.argmax(scores))
@@ -437,7 +429,7 @@ def scg_select(
     maximizer_cfg: MaximizerConfig,
     *,
     row_max: np.ndarray | None = None,
-    distinct: tuple[np.ndarray, np.ndarray | None] | None = None,
+    distinct: tuple[np.ndarray, np.ndarray] | None = None,
     return_trace: bool = False,
 ):
     """Pick up to b buffer items maximizing conditional gain over slice t.
@@ -451,19 +443,18 @@ def scg_select(
     against slice t and the buffer's distinct rows, both as smidentify
     returns them, to skip those passes.
 
-    A buffer with exact copies is selected over its distinct rows: S_uu is
-    the kernel between them, each distinct row is one candidate whose
-    baseline is the row maxima of its first occurrence, and each row's gain
-    term is weighted by its copy count, which is the all-rows FLCG summed by
-    copy. A pick maps to its first occurrence. At the first pick whose gain
-    is exactly 0 the greedy is done: gains never rise again and every tie
-    breaks to the smallest index, so the all-rows greedy would take the
-    remaining buffer indices in ascending order, and so does this fill. A
-    copy of a picked row adds exactly 0 by construction. The weighted sums
-    can differ from the all-rows sums in the last bits, which can move a
-    near tie. A buffer without copies, one whose X was reassigned after
-    ingestion, and stochastic greedy, whose seeded draws are over the
-    buffer's indices, are selected over every row.
+    One greedy runs over the buffer's distinct rows: S_uu is the kernel
+    between them, and each distinct row is one candidate that stands for
+    its first occurrence, starts from that occurrence's row maxima and has
+    its gain term weighted by its copy count (unweighted when every row is
+    distinct): the all-rows FLCG summed by copy, in which a copy of a
+    picked row adds exactly 0. Once the best gain is exactly 0 the greedy
+    is done, and the budget is filled with the remaining buffer indices in
+    ascending order, as the all-rows greedy takes them: gains never rise
+    again and ties break to the smallest index. The weighted sums can
+    differ from the all-rows sums in the last bits, which can move a near
+    tie. Stochastic greedy, whose seeded draws are over buffer indices,
+    runs over every row with no fill.
 
     S_uu is built transposed from two separate arrays of the same unit
     rows, so the evaluators read its columns as contiguous rows. It lives
@@ -476,22 +467,19 @@ def scg_select(
         return ([], SelectionTrace()) if return_trace else []
     R, copy_of = _distinct_unit_rows(buffer) if distinct is None else distinct
     if row_max is None:
-        row_max, _ = _maxima(R, copy_of, pool.slices[t].unit_rows())
+        row_max = _row_col_max(R, pool.slices[t].unit_rows())[0][copy_of]
     if len(row_max) != n:
         raise ValueError(f"row maxima disagree with the buffer on ground size: {len(row_max)} vs {n}")
-    if copy_of is not None and maximizer_cfg.algorithm == "stochastic":
-        R, copy_of = buffer.unit_rows(), None
+    if stochastic := maximizer_cfg.algorithm == "stochastic":
+        R, copy_of = buffer.unit_rows(), np.arange(n)
+    first, counts = np.unique(copy_of, return_index=True, return_counts=True)[1:]  # per distinct row
     T = _transposed_self_kernel(R, R.copy())  # T.T is S_uu
-    if copy_of is None:
-        trace = maximize(FLCG(T.T, row_max[:, None]), replace(maximizer_cfg, budget=b))
-    else:
-        first = np.unique(copy_of, return_index=True)[1]  # each distinct row's first occurrence
-        f = FLCG(T.T, row_max[first, None], np.bincount(copy_of).astype(np.float64))
-        greedy = maximize(f, replace(maximizer_cfg, budget=min(b, len(R))))
-        k = greedy.gains.index(0.0) if 0.0 in greedy.gains else len(greedy.gains)
-        picked = first[greedy.chosen[:k]].tolist()
-        rest = np.setdiff1d(np.arange(n), picked)[: b - k].tolist()  # ascending
-        trace = SelectionTrace(picked + rest, greedy.gains[:k] + [0.0] * len(rest), greedy.evaluations)
+    f = FLCG(T.T, row_max[first, None], None if len(R) == n else counts.astype(np.float64))
+    greedy = maximize(f, replace(maximizer_cfg, budget=min(b, len(R))))
+    k = len(greedy.gains) if stochastic or 0.0 not in greedy.gains else greedy.gains.index(0.0)
+    picked = first[greedy.chosen[:k]].tolist()
+    rest = np.setdiff1d(np.arange(n), picked)[: b - k].tolist()  # ascending
+    trace = SelectionTrace(picked + rest, greedy.gains[:k] + [0.0] * len(rest), greedy.evaluations)
     ids = [int(buffer.ids[i]) for i in trace.chosen]
     return (ids, trace) if return_trace else ids
 
@@ -571,7 +559,7 @@ def streamline_round(
         )
         evaluations = trace.evaluations
 
-    selected = [int(i) for i in selected]
+    selected = _integers(selected, "selected id").tolist()
     if len(selected) > granted:
         raise ValueError(f"selection of {len(selected)} ids exceeds the granted {granted}")
     pool.add_selected(t, buffer, selected, label_oracle)

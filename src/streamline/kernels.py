@@ -122,7 +122,7 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
     it, and it stays valid until the next _row_col_max or
     _transposed_self_kernel call on the same thread: scg_select, the only
     holder, keeps its transposed S_uu for the greedy and makes no kernel
-    call meanwhile. Nothing returned by build_kernel or row_col_max is a
+    call meanwhile. Nothing returned by build_kernel or _row_col_max is a
     view of it.
     """
     size = rows * cols
@@ -135,7 +135,7 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
 def build_kernel(rows, cols) -> SimilarityMatrix:
     """The clipped cosine kernel between two 2-D arrays of embeddings.
 
-    Entries are computed in the column blocks row_col_max reads, so the two
+    Entries are computed in the column blocks _row_col_max reads, so the two
     agree bit for bit; with 2 * _BLOCK columns or more, a multi-threaded
     BLAS may differ in the last bit from one whole matrix product, which can
     move near-tie selections.
@@ -144,27 +144,14 @@ def build_kernel(rows, cols) -> SimilarityMatrix:
     return SimilarityMatrix(_kernel(R, C, np.empty((len(R), len(C)))))
 
 
-def row_col_max(rows, cols):
-    """Row and column maxima of the cosine kernel build_kernel(rows, cols).
-
-    rows and cols are 2-D arrays of embeddings; anything else raises
-    KernelError. The kernel is never held whole: its column blocks are the
-    ones build_kernel computes, each folded into a running row max and its
-    own column max. A call writes every block into its thread's kernel
-    workspace, which the round's |U| x |U| buffer kernel reuses. A fresh
-    scratch per call measured no slower alone, but in the first scaled
-    streams (|U| 2000, 4 x 4000 slices, retrains between them) it cost tens
-    of minor faults per round in identify and select, most likely
-    zero-filled 2 MB huge pages, and it kept about 63 MB of kernel memory
-    resident where 32 MB is used at a time. Only the two max vectors are
-    clipped, since clipping commutes with max. The maxima equal the full
-    kernel's exactly, and both are fresh arrays.
-    """
-    return _row_col_max(normalize_rows(rows), normalize_rows(cols))
-
-
 def _row_col_max(R: np.ndarray, C: np.ndarray):
-    """row_col_max over sides normalize_rows has already prepared."""
+    """build_kernel's row and column maxima, exactly, from sides normalize_rows prepared.
+
+    The kernel is never held whole: each of its column blocks is written
+    into the thread's kernel workspace and folded into a running row max and
+    its own column max. Only the two max vectors are clipped, since clipping
+    commutes with max; both are fresh arrays.
+    """
     blocks = _blocks(R, C)
     scratch = _workspace(R.shape[0], blocks[-1].stop - blocks[-1].start)  # the widest block
     row_max, col_max = np.full(R.shape[0], -np.inf), []

@@ -315,7 +315,7 @@ def test_only_rows_with_equal_bits_are_copies():
     row_max = smidentify(pool, buf).row_max
     assert row_max[3] == row_max[0] and row_max[5] == row_max[1]
     no_copies = UnlabeledBuffer(ids=np.arange(100, 103), X=X[:3])
-    assert _distinct_unit_rows(no_copies)[1] is None
+    assert _distinct_unit_rows(no_copies)[1].tolist() == [0, 1, 2]
 
 
 def _churn_stream(**kw):
@@ -565,9 +565,11 @@ def test_pool_add_selected_appends_buffer_rows_after_its_checks():
     buf = make_buffer(5, axis=1, next_id=next_id, true_slice=0)
     buf.ids[2] = 1  # one buffer id that the pool has already labeled
     asked = []
-    oracle = lambda ids: asked.append(ids.tolist()) or np.full(len(ids), 2)  # noqa: E731
+    # it writes an id the pool holds into the ids it is asked; the checked ids are appended
+    oracle = lambda ids: asked.append(ids.tolist()) or ids.fill(1) or np.full(len(ids), 2)  # noqa: E731
     for bad, message in (([int(buf.ids[0]), 99], "selected id 99 is not in the buffer"),
-                         ([1], "item id 1 is already labeled")):
+                         ([1], "item id 1 is already labeled"),
+                         ([buf.ids[0] + 0.9, np.float64(buf.ids[3] + 0.5)], "selected id row 0 is not integral")):
         with pytest.raises(ValueError, match=message):
             pool.add_selected(0, buf, bad, oracle)
     pool.add_selected(0, buf, [], oracle)
@@ -674,6 +676,8 @@ def _round_with_selector(selector):
         (lambda ids: [int(ids[0]), int(ids[0])], r"item id \d+ is repeated"),
         (lambda ids: [int(ids[0]), 3], "item id 3 is already labeled"),
         (lambda ids: [int(i) for i in ids[:4]], "selection of 4 ids exceeds the granted 3"),
+        (lambda ids: [ids[0] + 0.7, str(ids[2])], "selected id row 0 is not integral"),
+        (lambda ids: [int(ids[0]), str(ids[2])], "selected id row 1 is not an integer"),
     ],
 )
 def test_round_rejects_bad_selections_before_labeling(pick, message):

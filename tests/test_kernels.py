@@ -16,7 +16,6 @@ from streamline.kernels import (
     _workspace,
     build_kernel,
     normalize_rows,
-    row_col_max,
 )
 
 
@@ -82,9 +81,9 @@ def test_single_identical_item_kernel():
 def test_flat_kernels_are_cosine_only():
     ragged = [[1.0, 2.0, 3.0], [1.0]]
     with pytest.raises(KernelError, match="ragged"):
-        row_col_max(ragged, ragged)
+        normalize_rows(ragged)
     with pytest.raises(KernelError, match=r"shape \(2, 2, 3\)"):
-        row_col_max([np.ones((2, 3)), np.ones((2, 3))], np.ones((4, 3)))
+        normalize_rows([np.ones((2, 3)), np.ones((2, 3))])
 
 
 @pytest.mark.parametrize("row", [[1e200, 1e200], [1e-200, 1e-200], [0.0, 0.0]])
@@ -156,12 +155,12 @@ def test_kernel_results_share_no_memory_with_the_workspace():
     rng = np.random.default_rng(0)
     U, P = rng.normal(size=(30, 4)), rng.normal(size=(2 * _BLOCK + 5, 4))
     K = build_kernel(U, P).values
-    row, col = row_col_max(U, P)
+    row, col = _row_col_max(normalize_rows(U), normalize_rows(P))
     kept = [a.copy() for a in (K, row, col)]
     for a in (K, row, col):
         assert not np.shares_memory(a, kernels._local.buf)
     # later kernel calls overwrite the workspace, not the results
-    row_col_max(-U, P)
+    _row_col_max(normalize_rows(-U), normalize_rows(P))
     _transposed_self_kernel(normalize_rows(-U), normalize_rows(-U))
     build_kernel(P[:40], U)
     for a, b in zip((K, row, col), kept):

@@ -1,11 +1,11 @@
 """Property tests for the fused kernel path of identify and select, the round,
 and the class-major logistic learner.
 
-row_col_max, smidentify and scg_select never hold a |U| x |P| kernel; the
+_row_col_max, smidentify and scg_select never hold a |U| x |P| kernel; the
 first three tests check them against the definitional path built from full
 kernels (for identify, the kernel over the buffer's distinct rows, expanded
 by copy); the fourth checks selection over a buffer's distinct rows, with
-copies at random positions, against the all-rows greedy on the kernels
+copies at random positions or none, against the all-rows greedy on the kernels
 expanded by copy. The next two check budget conservation over whole rounds and the
 budget law against an integer-only reference. The learner tests check
 logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
@@ -40,7 +40,6 @@ from streamline import (
     UnlabeledBuffer,
     build_kernel,
     maximize,
-    row_col_max,
     scg_select,
     slice_aware_budget,
     smidentify,
@@ -75,7 +74,7 @@ def test_row_col_max_equals_full_kernel_maxima(seed, n_u, dim, n_p, grid):
     rng = np.random.default_rng(seed)
     U, P = _rows(rng, n_u, dim, grid), _rows(rng, n_p, dim, grid)
     K = build_kernel(U, P).values
-    row, col = row_col_max(U, P)
+    row, col = _row_col_max(normalize_rows(U), normalize_rows(P))
     np.testing.assert_array_equal(row, K.max(axis=1))
     np.testing.assert_array_equal(col, K.max(axis=0))
 
@@ -161,7 +160,7 @@ def test_scg_select_equals_greedy_on_full_kernels(seed, n_u, n_p, dim, b, algori
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_distinct=st.integers(1, 15),
-    n_copies=st.integers(1, 30),
+    n_copies=st.integers(0, 30),
     n_p=st.integers(0, 10),
     dim=st.integers(2, 5),
     cover=st.floats(0.0, 1.0),
@@ -169,10 +168,11 @@ def test_scg_select_equals_greedy_on_full_kernels(seed, n_u, n_p, dim, b, algori
     grid=st.booleans(),
 )
 def test_scg_select_over_distinct_rows_equals_all_rows_greedy(seed, n_distinct, n_copies, n_p, dim, cover, b_share, grid):
-    """A buffer with copies at random positions is selected over its distinct
-    rows: unique picks, lazy equal to naive, and the all-rows greedy's FLCG
-    value on the copy-expanded kernels (its picks too, off the grid). The
-    slice copies some buffer rows, so their gains can reach 0 and the fill runs."""
+    """A buffer with copies at random positions, or with none, is selected
+    over its distinct rows: unique picks, lazy equal to naive, and the
+    all-rows greedy's FLCG value on the copy-expanded kernels (its picks
+    too, off the grid). The slice copies some buffer rows, so their gains
+    can reach 0 and the fill runs."""
     rng = np.random.default_rng(seed)
     D = _rows(rng, n_distinct, dim, grid)
     X = D[rng.permutation(np.concatenate([np.arange(n_distinct), rng.integers(0, n_distinct, n_copies)]))]
@@ -422,7 +422,7 @@ def test_transposed_self_kernel_equals_build_kernel(seed, n, dim, grid):
     assert T.flags.c_contiguous
     np.testing.assert_array_equal(T.T, K)
     # one array on both sides must not take numpy's SYRK path, whose bits differ
-    row, col = row_col_max(U, U)
+    row, col = _row_col_max(normalize_rows(U), normalize_rows(U))
     np.testing.assert_array_equal(row, K.max(axis=1))
     np.testing.assert_array_equal(col, K.max(axis=0))
 
