@@ -193,18 +193,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     else:
         raise ConfigError(f"schedule: must be a string preset or list, got {schedule!r}")
 
-    algorithm, epsilon = c["maximizer.algorithm"], c["maximizer.epsilon"]
-    _require(
-        algorithm in ("naive", "lazy", "stochastic"),
-        "maximizer.algorithm",
-        "one of naive, lazy, stochastic",
-        algorithm,
-    )
-    if algorithm == "stochastic":  # a float in (0, 1) as given, so no conversion
-        ok = epsilon is not None and 0.0 < _as(float, epsilon, "maximizer.epsilon") < 1.0
-        _require(ok, "maximizer.epsilon", "in (0, 1)", epsilon)
-    else:
-        _require(epsilon is None, "maximizer.epsilon", "absent unless stochastic", epsilon)
+    epsilon = c["maximizer.epsilon"]
+    if epsilon is not None:  # a finite number, passed on as given
+        _as(float, epsilon, "maximizer.epsilon")
+    try:
+        maximizer = MaximizerConfig(budget=0, algorithm=c["maximizer.algorithm"], epsilon=epsilon)
+    except ValueError as exc:  # which names the field and its constraint
+        raise ConfigError(f"maximizer.{exc}") from None
 
     spec = StreamSpec(
         **{name: c[key] for key, name in _SPEC_KEYS.items()},
@@ -214,7 +209,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     run = RunConfig(
         budget=c["budget"],
         rho=c["rho"],
-        maximizer=MaximizerConfig(budget=0, algorithm=algorithm, epsilon=epsilon),
+        maximizer=maximizer,
         learner=LearnerConfig(**{key: c[f"learner.{key}"] for key in DEFAULTS["learner"]}),
     )
     return ExperimentConfig(methods=list(methods), seeds=list(seeds), spec=spec, run=run)

@@ -10,13 +10,13 @@ add the most coverage beyond what the identified slice already has.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _row_col_max, _transposed_self_kernel, first_bad_row, normalize_rows, row_norms
+from .kernels import _row_col_max, _transposed_self_kernel, first_bad_row, row_norms
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
 from .maximize import MaximizerConfig, SelectionTrace, maximize
 from .setfunctions import FLCG, FLQMI, flqmi_normalizer
@@ -45,10 +45,15 @@ def _integer(v, what: str, row: int) -> int:
 
 
 def _integers(values, what: str, *, nonnegative: bool = False) -> np.ndarray:
-    """values as an int64 array. ValueError names the first row that is not
-    an integer, not finite, not integral, out of int64's range or (with
-    nonnegative) negative."""
-    a = np.asarray(values)
+    """values as a 1-D int64 array. ValueError names the field when values is
+    not 1-D, and the first row that is not an integer, not finite, not
+    integral, out of int64's range or (with nonnegative) negative."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged nest of sequences
+        raise ValueError(f"{what}s must be 1-D, got a ragged sequence") from None
+    if a.ndim != 1:
+        raise ValueError(f"{what}s must be 1-D, got shape {a.shape}")
     if a.dtype.kind not in "biuf" or (a.dtype.kind == "f" and not isinstance(values, np.ndarray)):
         # Objects, strings and complex values are judged one by one, as given,
         # and so is a sequence numpy made float, which rounds an int above 2**53.
@@ -72,41 +77,36 @@ def _integers(values, what: str, *, nonnegative: bool = False) -> np.ndarray:
     return ints
 
 
-def _embeddings(X) -> np.ndarray:
-    """X as a C-contiguous 2-D float64 array, whose row norms do not depend on its layout."""
-    return np.atleast_2d(np.ascontiguousarray(X, dtype=np.float64))
-
-
 class _EmbeddedRows:
-    """Rows of embeddings X whose L2 norms ingestion computed once.
+    """Rows of embeddings X, checked and normed whenever X is set.
 
-    The norms are tied to the X array they were computed from: X is never
-    written in place, and an X reassigned since is normalized afresh.
+    Setting X, at construction or later, makes it a C-contiguous 2-D float64
+    array (whose row norms do not depend on the layout given), raises
+    ValueError naming its first row whose norm is 0 or not finite, and keeps
+    the norms. X is never written in place, so every reader trusts them.
     """
 
-    X: np.ndarray
+    _what = ""  # the rows' name in errors
 
-    def _keep_checked_norms(self, what: str) -> None:
-        """Reject the first row of X whose norm is 0 or not finite; keep the norms."""
-        norms = row_norms(self.X)
-        if bad := first_bad_row(self.X, norms):
-            raise ValueError(f"{what} embedding row %d is %s" % bad)
-        self._keep_norms(norms)
+    @property
+    def X(self) -> np.ndarray:
+        return self._X
 
-    def _keep_norms(self, norms: np.ndarray) -> None:
-        self._norms, self._norms_of = norms, self.X
+    @X.setter
+    def X(self, X) -> None:
+        X = np.atleast_2d(np.ascontiguousarray(X, dtype=np.float64))
+        norms = row_norms(X)
+        if bad := first_bad_row(X, norms):
+            raise ValueError(f"{self._what} embedding row %d is %s" % bad)
+        self._keep(X, norms)
 
-    def _kept_norms(self) -> np.ndarray | None:
-        """The kept row norms, or None when X is no longer the array they came from."""
-        return self._norms if self._norms_of is self.X else None
+    def _keep(self, X: np.ndarray, norms: np.ndarray) -> None:
+        """Keep rows X, already checked, and their norms."""
+        self._X, self._norms = X, norms
 
     def unit_rows(self) -> np.ndarray:
-        """normalize_rows(X), bit for bit, divided by the kept norms when they still hold.
-
-        Each call returns a fresh array.
-        """
-        norms = self._kept_norms()
-        return normalize_rows(self.X) if norms is None else self.X / norms[:, None]
+        """normalize_rows(X), bit for bit, from the kept norms; each call returns a fresh array."""
+        return self.X / self._norms[:, None]
 
 
 @dataclass
@@ -115,22 +115,17 @@ class LabeledSlice(_EmbeddedRows):
 
     ids: np.ndarray
     labels: np.ndarray
-    X: np.ndarray
-    _checked_norms: InitVar[np.ndarray | None] = None  # X's norms from a check made before
+    X: np.ndarray = field()  # without a default, __init__ sets X through _EmbeddedRows.X
+    _what = "labeled"
 
-    def __post_init__(self, _checked_norms):
+    def __post_init__(self):
         self.ids = _integers(self.ids, "labeled id")
         self.labels = _integers(self.labels, "label", nonnegative=True)
-        self.X = _embeddings(self.X)
         if not (len(self.ids) == len(self.labels) == self.X.shape[0]):
             raise ValueError(
                 "ids, labels and embeddings must have equal length, got "
                 f"{len(self.ids)}, {len(self.labels)} and {self.X.shape[0]}"
             )
-        if _checked_norms is None:
-            self._keep_checked_norms("labeled")
-        else:
-            self._keep_norms(_checked_norms)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -184,35 +179,28 @@ class SlicedLabeledPool:
                 raise ValueError(f"item id {i} is {'repeated' if i in fresh else 'already labeled'}")
             fresh.add(i)
 
-    def add(self, t: int, ids, labels, X, *, _checked_norms=None) -> None:
+    def add(self, t: int, ids, labels, X) -> None:
         """Append newly labeled items to slice t; ids must be globally new.
 
-        Only add_selected passes _checked_norms: the norms its buffer kept for
-        the rows X, whose ids it has already passed through check_new, so
-        neither the rows nor the ids are checked again.
+        The new items are checked as LabeledSlice checks them, so only the new
+        rows are normed; the slice keeps the norms of the rows it had.
         """
-        new = LabeledSlice(ids, labels, X, _checked_norms)
+        new = LabeledSlice(ids, labels, X)
         sl = self.slices[t]
         self._check_dim(t, new.X, sl.X.shape[1])
-        if _checked_norms is None:
-            self.check_new(new.ids)
+        self.check_new(new.ids)
         self._seen_ids.update(new.ids.tolist())
-        kept = sl._kept_norms()
         sl.ids = np.concatenate([sl.ids, new.ids])
         sl.labels = np.concatenate([sl.labels, new.labels])
-        sl.X = np.vstack([sl.X, new.X])
-        if kept is not None:
-            sl._keep_norms(np.concatenate([kept, new._norms]))
+        sl._keep(np.vstack([sl.X, new.X]), np.concatenate([sl._norms, new._norms]))
 
     def add_selected(self, t: int, buffer: UnlabeledBuffer, ids, label_oracle) -> None:
         """Label the selected buffer ids and append their rows to slice t.
 
         ValueError names the first id that is not an integer, outside the
         buffer, repeated or already labeled, before label_oracle is asked for
-        anything; it is asked with a copy of the ids. The rows are appended
-        with the norms the buffer keeps, so no row is checked or normed
-        again; a buffer X reassigned since ingestion is checked anew first.
-        The labels are checked as LabeledSlice checks them.
+        anything; it is asked with a copy of the ids. The picked rows and
+        their labels are then appended through add.
         """
         ids = _integers(ids, "selected id").tolist()
         if not ids:
@@ -221,11 +209,8 @@ class SlicedLabeledPool:
         if outside := [i for i in ids if i not in pos]:
             raise ValueError(f"selected id {outside[0]} is not in the buffer")
         self.check_new(ids)
-        if buffer._kept_norms() is None:
-            buffer._keep_checked_norms("buffer")
         sel = np.asarray(ids, dtype=np.int64)
-        rows = np.array([pos[i] for i in ids], dtype=np.intp)
-        self.add(t, sel, label_oracle(sel.copy()), buffer.X[rows], _checked_norms=buffer._kept_norms()[rows])
+        self.add(t, sel, label_oracle(sel.copy()), buffer.X[[pos[i] for i in ids]])
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All labeled data as (X, labels), slices concatenated in order."""
@@ -234,19 +219,43 @@ class SlicedLabeledPool:
         return X, y
 
 
+def _copies(X: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each group of copies in X, ascending, and each row's group.
+
+    X is C-contiguous float64 and norms are its row norms. Rows are copies
+    when their bits are equal. Copies have equal norms, so a buffer whose
+    norms are all distinct has none; where norms repeat, each row is
+    compared with the first row of its norm, and only if two unequal rows
+    share a norm are the rows grouped by their bytes.
+    """
+    _, first, group = np.unique(norms, return_index=True, return_inverse=True)
+    if len(first) < len(norms):
+        bits = X.view(np.int64)
+        if not np.array_equal(bits, bits[first[group]]):
+            rows = bits.view(np.dtype((np.void, bits.strides[0]))).ravel()
+            _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    rep = first[group]  # each row's first copy
+    distinct = np.flatnonzero(rep == np.arange(len(rep)))
+    return distinct, np.searchsorted(distinct, rep)
+
+
 @dataclass
 class UnlabeledBuffer(_EmbeddedRows):
     """One arriving episode. true_slice/true_labels are harness-side ground
-    truth, invisible to identification and selection."""
+    truth, invisible to identification and selection.
+
+    Setting X also finds its copies (_copies), which identification and
+    selection read through _distinct_unit_rows.
+    """
 
     ids: np.ndarray
-    X: np.ndarray
+    X: np.ndarray = field()  # without a default, __init__ sets X through _EmbeddedRows.X
     true_slice: int = -1
     true_labels: np.ndarray | None = None
+    _what = "buffer"
 
     def __post_init__(self):
         self.ids = _integers(self.ids, "buffer id")
-        self.X = _embeddings(self.X)
         if len(self.ids) == 0:
             raise ValueError("unlabeled buffer must be nonempty")
         if len(self.ids) != self.X.shape[0]:
@@ -254,7 +263,6 @@ class UnlabeledBuffer(_EmbeddedRows):
                 "ids and embeddings must have equal length, got "
                 f"{len(self.ids)} and {self.X.shape[0]}"
             )
-        self._keep_checked_norms("buffer")
         if len(np.unique(self.ids)) != len(self.ids):
             seen: set[int] = set()
             for i in self.ids.tolist():
@@ -264,6 +272,14 @@ class UnlabeledBuffer(_EmbeddedRows):
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def _keep(self, X: np.ndarray, norms: np.ndarray) -> None:
+        super()._keep(X, norms)
+        self._distinct, self._copy_of = _copies(X, norms)
+
+    def _distinct_unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The unit rows of the distinct rows, first occurrences in order, and each row's index among them."""
+        return self.X[self._distinct] / self._norms[self._distinct, None], self._copy_of
 
 
 @dataclass(frozen=True)
@@ -306,13 +322,11 @@ class IdentificationResult:
 
     row_max[i] is max_j S[i, j] over the buffer x identified-slice kernel,
     the private best that FLCG selection over that slice starts from.
-    distinct is _distinct_unit_rows(buffer), which selection reuses.
     """
 
     slice_id: int
     scores: np.ndarray
     row_max: np.ndarray
-    distinct: tuple[np.ndarray, np.ndarray]
 
     @property
     def margin(self) -> float:
@@ -337,51 +351,24 @@ def smidentify_scores(kernels) -> np.ndarray:
     return scores
 
 
-def _distinct_unit_rows(buffer: UnlabeledBuffer) -> tuple[np.ndarray, np.ndarray]:
-    """The unit rows of the buffer's distinct rows, and each row's index among them.
-
-    Rows are copies when their bits are equal. Copies have equal kept norms,
-    so a buffer whose norms are all distinct has none; where norms repeat,
-    each row is compared with the first row of its norm, and only if two
-    unequal rows share a norm are the rows grouped by their bytes. The
-    distinct rows keep their first-occurrence order. Returns
-    (unit_rows(), arange(n)), the very array, when there are no copies or
-    when X has been reassigned since its norms were kept.
-    """
-    U, norms = buffer.unit_rows(), buffer._kept_norms()
-    if norms is None:
-        return U, np.arange(len(U))
-    _, first, group = np.unique(norms, return_index=True, return_inverse=True)
-    if len(first) < len(norms):
-        bits = buffer.X.view(np.int64)  # C-contiguous float64, as ingested
-        if not np.array_equal(bits, bits[first[group]]):
-            rows = bits.view(np.dtype((np.void, bits.strides[0]))).ravel()
-            _, first, group = np.unique(rows, return_index=True, return_inverse=True)
-    if len(first) == len(norms):
-        return U, np.arange(len(U))
-    rep = first[group]  # each row's first copy
-    distinct = np.flatnonzero(rep == np.arange(len(rep)))
-    return U[distinct], np.searchsorted(distinct, rep)
-
-
 def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> IdentificationResult:
     """Identify the labeled slice the buffer most plausibly belongs to.
 
     Each slice's score is smidentify_scores of the cosine buffer x slice
     kernel on raw embeddings, from its row and column maxima alone. That
-    kernel is the one over the buffer's distinct rows (_distinct_unit_rows),
-    expanded by copy: exact copies cost one kernel row and share its
-    maximum. It can differ from the all-rows kernel in the last bit, as BLAS
-    may round a row's cells by where the row sits in the product. Each slice
-    side is unit_rows(), from the norms kept at ingestion, so no row is
-    checked or normed again. Ties break toward the smallest slice index.
+    kernel is the one over the buffer's distinct rows, expanded by copy:
+    exact copies cost one kernel row and share its maximum. It can differ
+    from the all-rows kernel in the last bit, as BLAS may round a row's
+    cells by where the row sits in the product. Both sides are divided by
+    the norms kept when X was set, so no row is checked or normed again.
+    Ties break toward the smallest slice index.
     Returns the winning index, the full score vector for diagnostics, and
     the buffer's row maxima against the winner.
     """
     for t, sl in enumerate(pool.slices):
         if len(sl) == 0:
             raise EmptySliceError(t)
-    R, copy_of = _distinct_unit_rows(buffer)  # once, for every slice
+    R, copy_of = buffer._distinct_unit_rows()  # once, for every slice
     scores, row_maxima = np.empty(pool.num_slices), []
     for t, sl in enumerate(pool.slices):
         # smidentify_scores on that kernel, from its row and column maxima
@@ -390,7 +377,7 @@ def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> Identificati
         scores[t] = (row.sum() + col.sum()) / flqmi_normalizer(len(row), len(col))
         row_maxima.append(row)
     t = int(np.argmax(scores))
-    return IdentificationResult(slice_id=t, scores=scores, row_max=row_maxima[t], distinct=(R, copy_of))
+    return IdentificationResult(slice_id=t, scores=scores, row_max=row_maxima[t])
 
 
 def slice_aware_budget(
@@ -429,7 +416,6 @@ def scg_select(
     maximizer_cfg: MaximizerConfig,
     *,
     row_max: np.ndarray | None = None,
-    distinct: tuple[np.ndarray, np.ndarray] | None = None,
     return_trace: bool = False,
 ):
     """Pick up to b buffer items maximizing conditional gain over slice t.
@@ -440,8 +426,7 @@ def scg_select(
     SelectionTrace over buffer indices. FLCG reads only
     row_max[i] = max_j S_up[i, j], never S_up, taken over the buffer's
     distinct rows as smidentify takes it. Pass the buffer's row maxima
-    against slice t and the buffer's distinct rows, both as smidentify
-    returns them, to skip those passes.
+    against slice t, as smidentify returns them, to skip that pass.
 
     One greedy runs over the buffer's distinct rows: S_uu is the kernel
     between them, and each distinct row is one candidate that stands for
@@ -465,7 +450,7 @@ def scg_select(
     b = min(int(b), n)
     if b <= 0:
         return ([], SelectionTrace()) if return_trace else []
-    R, copy_of = _distinct_unit_rows(buffer) if distinct is None else distinct
+    R, copy_of = buffer._distinct_unit_rows()
     if row_max is None:
         row_max = _row_col_max(R, pool.slices[t].unit_rows())[0][copy_of]
     if len(row_max) != n:
@@ -552,11 +537,8 @@ def streamline_round(
     evaluations = 0
     if cfg.selector_fn is not None:
         selected = cfg.selector_fn(pool, buffer, t, granted)
-    else:  # identify already found the distinct rows and took their maxima against slice t
-        selected, trace = scg_select(
-            pool, buffer, t, granted, cfg.maximizer,
-            row_max=ident.row_max, distinct=ident.distinct, return_trace=True,
-        )
+    else:  # identify already took the buffer's row maxima against slice t
+        selected, trace = scg_select(pool, buffer, t, granted, cfg.maximizer, row_max=ident.row_max, return_trace=True)
         evaluations = trace.evaluations
 
     selected = _integers(selected, "selected id").tolist()

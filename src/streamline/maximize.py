@@ -32,13 +32,13 @@ class MaximizerConfig:
     def __post_init__(self):
         if self.budget < 0:
             raise ValueError(f"budget must be nonnegative, got {self.budget}")
-        if self.algorithm not in ("naive", "lazy", "stochastic"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if not isinstance(self.algorithm, str) or self.algorithm not in _ALGORITHMS:
+            raise ValueError(f"algorithm: must be one of {', '.join(_ALGORITHMS)}, got {self.algorithm!r}")
         if self.algorithm == "stochastic":
             if self.epsilon is None or not (0.0 < self.epsilon < 1.0):
-                raise ValueError("stochastic greedy needs epsilon in (0, 1)")
+                raise ValueError(f"epsilon: must be in (0, 1), got {self.epsilon!r}")
         elif self.epsilon is not None:
-            raise ValueError("epsilon is only meaningful for stochastic greedy")
+            raise ValueError(f"epsilon: must be absent unless stochastic, got {self.epsilon!r}")
 
 
 @dataclass

@@ -171,6 +171,22 @@ def test_config_stochastic_epsilon_rules():
         config_from_dict({**minimal_config(), "maximizer": {"epsilon": 0.1}})
 
 
+@pytest.mark.parametrize(
+    "maximizer, message",
+    [
+        ({"algorithm": "greedy"}, r"maximizer\.algorithm: must be one of naive, lazy, stochastic, got 'greedy'"),
+        ({"algorithm": ["lazy"]}, r"maximizer\.algorithm: must be one of naive, lazy, stochastic, got \['lazy'\]"),
+        ({"algorithm": "stochastic", "epsilon": 1}, r"maximizer\.epsilon: must be in \(0, 1\), got 1"),
+        ({"algorithm": "stochastic", "epsilon": "0.1"}, r"maximizer\.epsilon: must be a number, got '0\.1'"),
+        ({"epsilon": 0.1}, r"maximizer\.epsilon: must be absent unless stochastic, got 0\.1"),
+    ],
+)
+def test_config_names_the_maximizer_field_it_rejects(maximizer, message):
+    """MaximizerConfig's own checks, reported under the config's field names."""
+    with pytest.raises(ConfigError, match=rf"^{message}$"):
+        config_from_dict({**minimal_config(), "maximizer": maximizer})
+
+
 def test_parse_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "missing.json")

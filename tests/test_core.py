@@ -299,8 +299,6 @@ def test_exact_copies_get_bitwise_equal_row_maxima():
 
 
 def test_only_rows_with_equal_bits_are_copies():
-    from streamline.core import _distinct_unit_rows
-
     x = np.array([3.0, 1.0, 2.0, 0.0])
     near = x.copy()
     near[1] = np.nextafter(1.0, 2.0)  # one ulp away
@@ -308,14 +306,18 @@ def test_only_rows_with_equal_bits_are_copies():
     negzero[3] = -0.0  # equal values, other bits
     X = np.array([x, x[[1, 0, 3, 2]], near, x, negzero, x[[1, 0, 3, 2]]])  # row 1: equal norm, permuted
     buf = UnlabeledBuffer(ids=np.arange(100, 106), X=X)
-    R, copy_of = _distinct_unit_rows(buf)
+    R, copy_of = buf._distinct_unit_rows()
     assert copy_of.tolist() == [0, 1, 2, 0, 3, 1]
     np.testing.assert_array_equal(R, buf.unit_rows()[[0, 1, 2, 4]])
     pool, _ = make_pool([5], [False])
     row_max = smidentify(pool, buf).row_max
     assert row_max[3] == row_max[0] and row_max[5] == row_max[1]
     no_copies = UnlabeledBuffer(ids=np.arange(100, 103), X=X[:3])
-    assert _distinct_unit_rows(no_copies)[1].tolist() == [0, 1, 2]
+    assert no_copies._distinct_unit_rows()[1].tolist() == [0, 1, 2]
+    buf.X = X[[0, 1, 2, 2, 3, 4]]  # a reassigned X has its copies found anew
+    R, copy_of = buf._distinct_unit_rows()
+    assert copy_of.tolist() == [0, 1, 2, 2, 0, 3]
+    np.testing.assert_array_equal(R, buf.unit_rows()[[0, 1, 2, 5]])
 
 
 def _churn_stream(**kw):
@@ -352,20 +354,24 @@ def test_identify_multiplies_each_distinct_buffer_row_once(monkeypatch):
 
 def test_select_builds_s_uu_over_distinct_rows_once(monkeypatch):
     """A round's S_uu is 100 x 100 on churn-shaped buffers (400 x 400 on one
-    without copies), and the round finds the buffer's copies once."""
+    without copies). A buffer's copies are found once, when its X is set,
+    and never inside the round."""
     import streamline.core as core
 
-    pool, buffers, _ = _churn_stream()
     shapes, finds = [], []
-    kernel, distinct_rows = core._transposed_self_kernel, core._distinct_unit_rows
+    kernel, copies = core._transposed_self_kernel, core._copies
     monkeypatch.setattr(core, "_transposed_self_kernel", lambda U, V: shapes.append(len(U) * len(V)) or kernel(U, V))
-    monkeypatch.setattr(core, "_distinct_unit_rows", lambda buf: finds.append(1) or distinct_rows(buf))
+    monkeypatch.setattr(core, "_copies", lambda X, norms: finds.append(len(X)) or copies(X, norms))
+    pool, buffers, _ = _churn_stream()
+    rounds = [(buffers[0], 100), (buffers[1], 100), (_without_copies(buffers[0], 10**6), 400)]
+    assert finds == [400] * (len(buffers) + 1)  # once per buffer, slices never
+    finds.clear()
     cfg = StreamlineConfig(maximizer=_maximizer())
-    for buf, distinct in [(buffers[0], 100), (buffers[1], 100), (_without_copies(buffers[0], 10**6), 400)]:
+    for buf, distinct in rounds:
         shapes.clear()
-        finds.clear()
         report, pool, _ = streamline_round(pool, buf, BudgetState(B=10, rho=0.5), cfg, _oracle(buf))
-        assert report.selected_ids and shapes == [distinct * distinct] and len(finds) == 1
+        assert report.selected_ids and shapes == [distinct * distinct]
+    assert finds == []
 
 
 def test_scg_budget_edges():
@@ -581,23 +587,52 @@ def test_pool_add_selected_appends_buffer_rows_after_its_checks():
     assert pool.slices[0].labels[3:].tolist() == [2, 2]
 
 
-def test_pool_add_selected_checks_ids_once_and_reuses_the_buffer_norms(monkeypatch):
+def test_pool_add_selected_norms_only_the_picked_rows(monkeypatch):
+    """The append norms the picked rows, to the bits the buffer kept for them,
+    and keeps the slice's norms for the rows it had; a reassigned buffer X
+    is normed when it is set, not at the append."""
     import streamline.core as core
+    from streamline.kernels import normalize_rows
 
     pool, next_id = make_pool([3], [False])
     buf = make_buffer(5, axis=1, next_id=next_id, true_slice=0)
-    checks, norms = [], []
-    real_check, real_norms = pool.check_new, core.row_norms
-    monkeypatch.setattr(pool, "check_new", lambda ids: checks.append(list(ids)) or real_check(ids))
+    norms = []
+    real_norms = core.row_norms
     monkeypatch.setattr(core, "row_norms", lambda X: norms.append(len(X)) or real_norms(X))
     picked = [int(buf.ids[3]), int(buf.ids[0])]
     pool.add_selected(0, buf, picked, lambda ids: np.zeros(len(ids), int))
-    assert checks == [picked] and norms == []
-    np.testing.assert_array_equal(pool.slices[0].unit_rows(), core.normalize_rows(pool.slices[0].X))
-    buf.X = buf.X + 0.0  # a reassigned X is checked again before the append
+    assert norms == [2]
+    np.testing.assert_array_equal(pool.slices[0].unit_rows(), normalize_rows(pool.slices[0].X))
+    np.testing.assert_array_equal(pool.slices[0].unit_rows()[3:], buf.unit_rows()[[3, 0]])
+    buf.X = buf.X + 0.0
+    assert norms == [2, 5]
     pool.add_selected(0, buf, [int(buf.ids[1])], lambda ids: np.zeros(len(ids), int))
-    assert norms == [5]
-    np.testing.assert_array_equal(pool.slices[0].unit_rows(), core.normalize_rows(pool.slices[0].X))
+    assert norms == [2, 5, 1]
+    np.testing.assert_array_equal(pool.slices[0].unit_rows(), normalize_rows(pool.slices[0].X))
+
+
+@pytest.mark.parametrize(
+    "bad_row, why",
+    [
+        ([0, 0, 0, 0], "all zero"),
+        ([np.nan, 1, 0, 0], "not finite"),
+        ([1e200, 1e200, 0, 0], "out of float64's range when squared"),
+    ],
+)
+def test_assigning_x_checks_its_rows(bad_row, why):
+    """A slice or buffer X set after construction is checked when it is set,
+    naming the row, and a rejected X leaves the rows and norms as they were."""
+    pool, next_id = make_pool([3], [False], spread=0.02)
+    buf = make_buffer(4, axis=0, next_id=next_id)
+    for rows, what in ((pool.slices[0], "labeled"), (buf, "buffer")):
+        X0, unit0 = rows.X, rows.unit_rows()
+        with pytest.raises(ValueError, match=f"{what} embedding row 2 is {why}"):
+            rows.X = np.vstack([X0[:2], bad_row, X0[2:]])
+        assert rows.X is X0
+        np.testing.assert_array_equal(rows.unit_rows(), unit0)
+    cfg = StreamlineConfig(maximizer=_maximizer())
+    report, pool, _ = streamline_round(pool, buf, BudgetState(B=2, rho=0.5), cfg, _oracle(buf))
+    assert len(report.selected_ids) == 2 and pool.sizes[0] == 5
 
 
 @pytest.mark.parametrize(
@@ -648,6 +683,22 @@ def test_ingestion_rejects_ids_that_are_not_integers(bad, why):
     assert UnlabeledBuffer(ids=[-4.0, 2.0], X=X).ids.tolist() == [-4, 2]  # integral floats and negative ids pass
 
 
+def test_ingestion_rejects_ids_and_labels_that_are_not_1d():
+    X = np.ones((2, 2))
+    with pytest.raises(ValueError, match=r"labeled ids must be 1-D, got shape \(2, 2\)"):
+        LabeledSlice([[1, 2], [3, 4]], [0, 1], X)
+    with pytest.raises(ValueError, match=r"labels must be 1-D, got shape \(2, 1\)"):
+        LabeledSlice([1, 2], [[0], [1]], X)
+    with pytest.raises(ValueError, match=r"buffer ids must be 1-D, got shape \(2, 1\)"):
+        UnlabeledBuffer(ids=[[1], [3]], X=X)
+    with pytest.raises(ValueError, match=r"buffer ids must be 1-D, got shape \(2, 2\)"):
+        UnlabeledBuffer(ids=[[1, 2], [3, 4]], X=X)
+    with pytest.raises(ValueError, match="buffer ids must be 1-D, got a ragged sequence"):
+        UnlabeledBuffer(ids=[[1], [2, 3]], X=X)
+    with pytest.raises(ValueError, match=r"buffer ids must be 1-D, got shape \(\)"):
+        UnlabeledBuffer(ids=5, X=X[:1])
+
+
 @pytest.mark.parametrize("given", [list, lambda v: np.array(v, dtype=object)])
 def test_ingestion_keeps_integers_that_float64_would_round(given):
     """An int above 2**53 that comes with a float is kept exactly, not made float64."""
@@ -678,6 +729,7 @@ def _round_with_selector(selector):
         (lambda ids: [int(i) for i in ids[:4]], "selection of 4 ids exceeds the granted 3"),
         (lambda ids: [ids[0] + 0.7, str(ids[2])], "selected id row 0 is not integral"),
         (lambda ids: [int(ids[0]), str(ids[2])], "selected id row 1 is not an integer"),
+        (lambda ids: [[int(ids[0]), int(ids[2])]], r"selected ids must be 1-D, got shape \(1, 2\)"),
     ],
 )
 def test_round_rejects_bad_selections_before_labeling(pick, message):

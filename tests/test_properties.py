@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import streamline.simulator as simulator
@@ -167,12 +167,17 @@ def test_scg_select_equals_greedy_on_full_kernels(seed, n_u, n_p, dim, b, algori
     b_share=st.floats(0.0, 1.0),
     grid=st.booleans(),
 )
+# rows 0 and 5 tie exactly in real arithmetic (every other row's term is
+# clipped to 0), and the two sums round the tie apart in opposite ways
+@example(seed=101533, n_distinct=4, n_copies=3, n_p=0, dim=5, cover=0.0, b_share=1.0, grid=False)
 def test_scg_select_over_distinct_rows_equals_all_rows_greedy(seed, n_distinct, n_copies, n_p, dim, cover, b_share, grid):
     """A buffer with copies at random positions, or with none, is selected
     over its distinct rows: unique picks, lazy equal to naive, and the
-    all-rows greedy's FLCG value on the copy-expanded kernels (its picks
-    too, off the grid). The slice copies some buffer rows, so their gains
-    can reach 0 and the fill runs."""
+    all-rows greedy's FLCG value on the copy-expanded kernels. Off the grid
+    each pick also has the best all-rows gain, within rounding: the weighted
+    sums can round an exact tie the other way, which may reorder the picks.
+    The slice copies some buffer rows, so their gains can reach 0 and the
+    fill runs."""
     rng = np.random.default_rng(seed)
     D = _rows(rng, n_distinct, dim, grid)
     X = D[rng.permutation(np.concatenate([np.arange(n_distinct), rng.integers(0, n_distinct, n_copies)]))]
@@ -190,7 +195,9 @@ def test_scg_select_over_distinct_rows_equals_all_rows_greedy(seed, n_distinct, 
     assert len(set(rows)) == len(rows) == b and all(0 <= i < len(X) for i in rows)
     assert abs(f.value(rows) - f.value(expected)) <= 1e-9
     if not grid:
-        assert rows == expected
+        for k, i in enumerate(rows):
+            gain = {j: f.value(rows[:k] + [j]) - f.value(rows[:k]) for j in range(len(X)) if j not in rows[:k]}
+            assert gain[i] >= max(gain.values()) - 1e-12
     stochastic = MaximizerConfig(budget=b, algorithm="stochastic", epsilon=0.3, seed=seed)
     all_rows = maximize(FLCG(build_kernel(X, X), f.private_best[:, None]), stochastic)
     assert scg_select(pool, buf, 0, b, stochastic) == [int(buf.ids[i]) for i in all_rows.chosen]
