@@ -16,26 +16,23 @@ SRC = Path(streamline.__file__).parent
 KEPT = {("core.py", "build_kernel")}  # perfbench/spans.py traces core.build_kernel
 
 
-def _imports(path: Path):
-    """(name bound, marked # noqa: F401) for each import in the module."""
-    lines = path.read_text().splitlines()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
-            marked = any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
-            for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0], marked
-
-
 def test_no_module_imports_a_name_it_does_not_use():
     unused, marked = [], set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":  # its imports are the package's public names
             continue
-        used = {n.id for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Name)}
-        for name, noqa in _imports(path):
-            if noqa:
-                marked.add((path.name, name))
-            elif name not in used:
-                unused.append(f"{path.name}: {name}")
+        source = path.read_text()
+        tree, lines = ast.parse(source), source.splitlines()
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            noqa = any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if noqa:
+                    marked.add((path.name, name))
+                elif name not in used:
+                    unused.append(f"{path.name}: {name}")
     assert unused == []
     assert marked == KEPT
