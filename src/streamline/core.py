@@ -94,7 +94,8 @@ class _EmbeddedRows:
 
     @X.setter
     def X(self, X) -> None:
-        X = np.atleast_2d(np.ascontiguousarray(X, dtype=np.float64))
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        X = X.reshape(0, 0) if X.ndim == 1 and not X.size else np.atleast_2d(X)  # [] has no rows
         norms = row_norms(X)
         if bad := first_bad_row(X, norms):
             raise ValueError(f"{self._what} embedding row %d is %s" % bad)
@@ -277,9 +278,9 @@ class UnlabeledBuffer(_EmbeddedRows):
         super()._keep(X, norms)
         self._distinct, self._copy_of = _copies(X, norms)
 
-    def _distinct_unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The unit rows of the distinct rows, first occurrences in order, and each row's index among them."""
-        return self.X[self._distinct] / self._norms[self._distinct, None], self._copy_of
+    def _distinct_unit_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The unit rows of the distinct rows, their first occurrences in order, and each row's index among them."""
+        return self.X[self._distinct] / self._norms[self._distinct, None], self._distinct, self._copy_of
 
 
 @dataclass(frozen=True)
@@ -368,7 +369,7 @@ def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> Identificati
     for t, sl in enumerate(pool.slices):
         if len(sl) == 0:
             raise EmptySliceError(t)
-    R, copy_of = buffer._distinct_unit_rows()  # once, for every slice
+    R, _, copy_of = buffer._distinct_unit_rows()  # once, for every slice
     scores, row_maxima = np.empty(pool.num_slices), []
     for t, sl in enumerate(pool.slices):
         # smidentify_scores on that kernel, from its row and column maxima
@@ -450,16 +451,15 @@ def scg_select(
     b = min(int(b), n)
     if b <= 0:
         return ([], SelectionTrace()) if return_trace else []
-    R, copy_of = buffer._distinct_unit_rows()
+    R, first, copy_of = buffer._distinct_unit_rows()
     if row_max is None:
         row_max = _row_col_max(R, pool.slices[t].unit_rows())[0][copy_of]
     if len(row_max) != n:
         raise ValueError(f"row maxima disagree with the buffer on ground size: {len(row_max)} vs {n}")
     if stochastic := maximizer_cfg.algorithm == "stochastic":
-        R, copy_of = buffer.unit_rows(), np.arange(n)
-    first, counts = np.unique(copy_of, return_index=True, return_counts=True)[1:]  # per distinct row
+        R, first = buffer.unit_rows(), np.arange(n)
     T = _transposed_self_kernel(R, R.copy())  # T.T is S_uu
-    f = FLCG(T.T, row_max[first, None], None if len(R) == n else counts.astype(np.float64))
+    f = FLCG(T.T, row_max[first, None], None if len(R) == n else np.bincount(copy_of).astype(np.float64))
     greedy = maximize(f, replace(maximizer_cfg, budget=min(b, len(R))))
     k = len(greedy.gains) if stochastic or 0.0 not in greedy.gains else greedy.gains.index(0.0)
     picked = first[greedy.chosen[:k]].tolist()

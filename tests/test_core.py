@@ -306,16 +306,16 @@ def test_only_rows_with_equal_bits_are_copies():
     negzero[3] = -0.0  # equal values, other bits
     X = np.array([x, x[[1, 0, 3, 2]], near, x, negzero, x[[1, 0, 3, 2]]])  # row 1: equal norm, permuted
     buf = UnlabeledBuffer(ids=np.arange(100, 106), X=X)
-    R, copy_of = buf._distinct_unit_rows()
-    assert copy_of.tolist() == [0, 1, 2, 0, 3, 1]
+    R, first, copy_of = buf._distinct_unit_rows()
+    assert first.tolist() == [0, 1, 2, 4] and copy_of.tolist() == [0, 1, 2, 0, 3, 1]
     np.testing.assert_array_equal(R, buf.unit_rows()[[0, 1, 2, 4]])
     pool, _ = make_pool([5], [False])
     row_max = smidentify(pool, buf).row_max
     assert row_max[3] == row_max[0] and row_max[5] == row_max[1]
     no_copies = UnlabeledBuffer(ids=np.arange(100, 103), X=X[:3])
-    assert no_copies._distinct_unit_rows()[1].tolist() == [0, 1, 2]
+    assert no_copies._distinct_unit_rows()[2].tolist() == [0, 1, 2]
     buf.X = X[[0, 1, 2, 2, 3, 4]]  # a reassigned X has its copies found anew
-    R, copy_of = buf._distinct_unit_rows()
+    R, _, copy_of = buf._distinct_unit_rows()
     assert copy_of.tolist() == [0, 1, 2, 2, 0, 3]
     np.testing.assert_array_equal(R, buf.unit_rows()[[0, 1, 2, 5]])
 
@@ -697,6 +697,10 @@ def test_ingestion_rejects_ids_and_labels_that_are_not_1d():
         UnlabeledBuffer(ids=[[1], [2, 3]], X=X)
     with pytest.raises(ValueError, match=r"buffer ids must be 1-D, got shape \(\)"):
         UnlabeledBuffer(ids=5, X=X[:1])
+    with pytest.raises(ValueError, match="unlabeled buffer must be nonempty"):
+        UnlabeledBuffer(ids=[], X=[])
+    with pytest.raises(ValueError, match="must have equal length, got 1, 1 and 0"):
+        LabeledSlice([1], [0], [])
 
 
 @pytest.mark.parametrize("given", [list, lambda v: np.array(v, dtype=object)])

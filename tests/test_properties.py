@@ -156,6 +156,18 @@ def test_scg_select_equals_greedy_on_full_kernels(seed, n_u, n_p, dim, b, algori
     assert scg_select(pool, buf, 0, b, cfg) == [int(buf.ids[i]) for i in trace.chosen]
 
 
+def _breaks_a_near_tie(f, X, chosen, tol=1e-12) -> bool:
+    """Whether some positive-gain pick of a greedy over f beat a row with
+    other bits by no more than tol."""
+    _, copy_of = _by_copy(X)
+    for k, i in enumerate(chosen):
+        base = f.value(chosen[:k])
+        gains = {j: f.value(chosen[:k] + [j]) - base for j in range(len(X)) if j not in chosen[:k]}
+        if gains[i] > 0 and any(copy_of[j] != copy_of[i] and gains[i] - g <= tol for j, g in gains.items()):
+            return True
+    return False
+
+
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -173,11 +185,11 @@ def test_scg_select_equals_greedy_on_full_kernels(seed, n_u, n_p, dim, b, algori
 def test_scg_select_over_distinct_rows_equals_all_rows_greedy(seed, n_distinct, n_copies, n_p, dim, cover, b_share, grid):
     """A buffer with copies at random positions, or with none, is selected
     over its distinct rows: unique picks, lazy equal to naive, and the
-    all-rows greedy's FLCG value on the copy-expanded kernels. Off the grid
-    each pick also has the best all-rows gain, within rounding: the weighted
-    sums can round an exact tie the other way, which may reorder the picks.
-    The slice copies some buffer rows, so their gains can reach 0 and the
-    fill runs."""
+    all-rows greedy's FLCG value on the copy-expanded kernels (its picks
+    too, off the grid, unless the all-rows greedy broke a near tie between
+    rows with other bits, which sums taken in another order can round the
+    other way). The slice copies some buffer rows, so their gains can reach
+    0 and the fill runs."""
     rng = np.random.default_rng(seed)
     D = _rows(rng, n_distinct, dim, grid)
     X = D[rng.permutation(np.concatenate([np.arange(n_distinct), rng.integers(0, n_distinct, n_copies)]))]
@@ -194,10 +206,8 @@ def test_scg_select_over_distinct_rows_equals_all_rows_greedy(seed, n_distinct, 
     rows = [i - len(P) for i in picks["lazy"]]
     assert len(set(rows)) == len(rows) == b and all(0 <= i < len(X) for i in rows)
     assert abs(f.value(rows) - f.value(expected)) <= 1e-9
-    if not grid:
-        for k, i in enumerate(rows):
-            gain = {j: f.value(rows[:k] + [j]) - f.value(rows[:k]) for j in range(len(X)) if j not in rows[:k]}
-            assert gain[i] >= max(gain.values()) - 1e-12
+    if not grid and not _breaks_a_near_tie(f, X, expected):
+        assert rows == expected
     stochastic = MaximizerConfig(budget=b, algorithm="stochastic", epsilon=0.3, seed=seed)
     all_rows = maximize(FLCG(build_kernel(X, X), f.private_best[:, None]), stochastic)
     assert scg_select(pool, buf, 0, b, stochastic) == [int(buf.ids[i]) for i in all_rows.chosen]
