@@ -11,10 +11,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import SlicedLabeledPool, UnlabeledBuffer
+from .core import SlicedLabeledPool, UnlabeledBuffer, _distinct_row_greedy
 from .kernels import build_kernel
 from .maximize import MaximizerConfig, maximize
-from .setfunctions import FLQMI, FacilityLocation
+from .setfunctions import FLQMI
 
 UNCERTAINTY_MODES = ("entropy", "least_conf", "margin")
 
@@ -82,17 +82,13 @@ def uncertainty_select(buffer: UnlabeledBuffer, preds, mode: str, b: int) -> lis
     return [int(buffer.ids[i]) for i in order[:b]]
 
 
-def submodular_fl_select(
-    buffer: UnlabeledBuffer,
-    b: int,
-    maximizer_cfg: MaximizerConfig,
-) -> list[int]:
-    """Coverage-only selection: maximize facility location over the buffer's cosine kernel."""
+def submodular_fl_select(buffer: UnlabeledBuffer, b: int, maximizer_cfg: MaximizerConfig) -> list[int]:
+    """Coverage-only selection: maximize facility location over the buffer's cosine kernel.
+    That is FLCG with no private set, so it is scg_select's greedy with every private best 0."""
     b = min(int(b), len(buffer))
     if b <= 0:
         return []
-    S = build_kernel(buffer.X, buffer.X).values
-    trace = maximize(FacilityLocation(S), replace(maximizer_cfg, budget=b))
+    trace = _distinct_row_greedy(buffer, b, maximizer_cfg, np.zeros(len(buffer)))
     return [int(buffer.ids[i]) for i in trace.chosen]
 
 

@@ -78,7 +78,7 @@ def _integers(values, what: str, *, nonnegative: bool = False) -> np.ndarray:
 
 
 class _EmbeddedRows:
-    """Rows of embeddings X, checked and normed whenever X is set.
+    """Items with ids and embedding rows X, checked and normed whenever X is set.
 
     Setting X, at construction or later, makes it a C-contiguous 2-D float64
     array (whose row norms do not depend on the layout given), raises
@@ -96,6 +96,8 @@ class _EmbeddedRows:
     def X(self, X) -> None:
         X = np.ascontiguousarray(X, dtype=np.float64)
         X = X.reshape(0, 0) if X.ndim == 1 and not X.size else np.atleast_2d(X)  # [] has no rows
+        if X.ndim != 2:
+            raise ValueError(f"{self._what} embeddings must be 2-D, got shape {X.shape}")
         norms = row_norms(X)
         if bad := first_bad_row(X, norms):
             raise ValueError(f"{self._what} embedding row %d is %s" % bad)
@@ -108,6 +110,9 @@ class _EmbeddedRows:
     def unit_rows(self) -> np.ndarray:
         """normalize_rows(X), bit for bit, from the kept norms; each call returns a fresh array."""
         return self.X / self._norms[:, None]
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
@@ -128,9 +133,6 @@ class LabeledSlice(_EmbeddedRows):
                 f"{len(self.ids)}, {len(self.labels)} and {self.X.shape[0]}"
             )
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 class SlicedLabeledPool:
     """Labeled buffer partitioned into slices, disjoint by item id."""
@@ -146,7 +148,7 @@ class SlicedLabeledPool:
         for t, sl in enumerate(self.slices):
             if len(sl) == 0:
                 raise EmptySliceError(t)
-            self._check_dim(t, sl.X, self.slices[0].X.shape[1])
+            self._check_dim(f"slice {t}", sl.X, self.slices[0].X.shape[1])
             ids = sl.ids.tolist()
             try:
                 self.check_new(ids)
@@ -155,9 +157,9 @@ class SlicedLabeledPool:
             self._seen_ids.update(ids)
 
     @staticmethod
-    def _check_dim(t: int, X: np.ndarray, dim: int) -> None:
+    def _check_dim(what: str, X: np.ndarray, dim: int) -> None:
         if X.shape[1] != dim:
-            raise ValueError(f"slice {t}: embedding dim {X.shape[1]} differs from the pool's {dim}")
+            raise ValueError(f"{what}: embedding dim {X.shape[1]} differs from the pool's {dim}")
 
     @property
     def num_slices(self) -> int:
@@ -188,7 +190,7 @@ class SlicedLabeledPool:
         """
         new = LabeledSlice(ids, labels, X)
         sl = self.slices[t]
-        self._check_dim(t, new.X, sl.X.shape[1])
+        self._check_dim(f"slice {t}", new.X, sl.X.shape[1])
         self.check_new(new.ids)
         self._seen_ids.update(new.ids.tolist())
         sl.ids = np.concatenate([sl.ids, new.ids])
@@ -264,15 +266,9 @@ class UnlabeledBuffer(_EmbeddedRows):
                 "ids and embeddings must have equal length, got "
                 f"{len(self.ids)} and {self.X.shape[0]}"
             )
-        if len(np.unique(self.ids)) != len(self.ids):
-            seen: set[int] = set()
-            for i in self.ids.tolist():
-                if i in seen:
-                    raise ValueError(f"buffer id {i} is repeated")
-                seen.add(i)
-
-    def __len__(self) -> int:
-        return len(self.ids)
+        if len(first := np.unique(self.ids, return_index=True)[1]) != len(self.ids):
+            repeat = np.setdiff1d(np.arange(len(self.ids)), first)[0]  # the first row that repeats an id
+            raise ValueError(f"buffer id {self.ids[repeat]} is repeated")
 
     def _keep(self, X: np.ndarray, norms: np.ndarray) -> None:
         super()._keep(X, norms)
@@ -292,12 +288,12 @@ class BudgetState:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.B < 0:
-            raise ValueError(f"base budget must be nonnegative, got {self.B}")
+        if isinstance(self.B, bool) or not isinstance(self.B, (int, np.integer)) or self.B < 0:
+            raise ValueError(f"base budget B must be a nonnegative integer, got {self.B!r}")
         if not (0.0 <= self.rho <= 1.0):
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not (0.0 <= self.gamma < math.inf):
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -362,13 +358,15 @@ def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> Identificati
     from the all-rows kernel in the last bit, as BLAS may round a row's
     cells by where the row sits in the product. Both sides are divided by
     the norms kept when X was set, so no row is checked or normed again.
-    Ties break toward the smallest slice index.
+    A buffer whose dim differs from the pool's raises ValueError before any
+    product. Ties break toward the smallest slice index.
     Returns the winning index, the full score vector for diagnostics, and
     the buffer's row maxima against the winner.
     """
     for t, sl in enumerate(pool.slices):
         if len(sl) == 0:
             raise EmptySliceError(t)
+    pool._check_dim("buffer", buffer.X, pool.slices[0].X.shape[1])
     R, _, copy_of = buffer._distinct_unit_rows()  # once, for every slice
     scores, row_maxima = np.empty(pool.num_slices), []
     for t, sl in enumerate(pool.slices):
@@ -409,6 +407,36 @@ def slice_aware_budget(
     return decision, replace(state, gamma=gamma + (B - decision.b))
 
 
+def _distinct_row_greedy(
+    buffer: UnlabeledBuffer, b: int, maximizer_cfg: MaximizerConfig, private_best: np.ndarray
+) -> SelectionTrace:
+    """The FLCG greedy's trace of b buffer indices, 0 < b <= len(buffer),
+    from each buffer row's private best (all 0 for facility location).
+
+    Each distinct row of the buffer is one candidate: it stands for its
+    first occurrence, starts from that occurrence's private best and has
+    its gain weighted by its copy count, so a copy of a picked row adds
+    exactly 0. Once the best gain is exactly 0, the budget is filled with
+    the unpicked indices in ascending order, as the all-rows greedy takes
+    them; the weighted sums can round a near tie the other way. Stochastic
+    greedy, whose seeded draws are over buffer indices, runs over every row
+    with no fill. S_uu is built transposed in the thread's kernel workspace,
+    from two separate arrays of the same unit rows, and no kernel call is
+    made while the greedy holds it.
+    """
+    n = len(buffer)
+    R, first, copy_of = buffer._distinct_unit_rows()
+    if stochastic := maximizer_cfg.algorithm == "stochastic":
+        R, first = buffer.unit_rows(), np.arange(n)
+    T = _transposed_self_kernel(R, R.copy())  # T.T is S_uu
+    f = FLCG(T.T, private_best[first, None], None if len(R) == n else np.bincount(copy_of).astype(np.float64))
+    greedy = maximize(f, replace(maximizer_cfg, budget=min(b, len(R))))
+    k = len(greedy.gains) if stochastic or 0.0 not in greedy.gains else greedy.gains.index(0.0)
+    picked = first[greedy.chosen[:k]].tolist()
+    rest = np.setdiff1d(np.arange(n), picked)[: b - k].tolist()  # ascending
+    return SelectionTrace(picked + rest, greedy.gains[:k] + [0.0] * len(rest), greedy.evaluations)
+
+
 def scg_select(
     pool: SlicedLabeledPool,
     buffer: UnlabeledBuffer,
@@ -421,50 +449,23 @@ def scg_select(
 ):
     """Pick up to b buffer items maximizing conditional gain over slice t.
 
-    Both kernels are cosine on raw embeddings, computed from the unit rows
-    of the buffer and the slice; b is clamped to the buffer size. Returns
-    global item ids in selection order, and with return_trace also the
-    SelectionTrace over buffer indices. FLCG reads only
-    row_max[i] = max_j S_up[i, j], never S_up, taken over the buffer's
-    distinct rows as smidentify takes it. Pass the buffer's row maxima
-    against slice t, as smidentify returns them, to skip that pass.
-
-    One greedy runs over the buffer's distinct rows: S_uu is the kernel
-    between them, and each distinct row is one candidate that stands for
-    its first occurrence, starts from that occurrence's row maxima and has
-    its gain term weighted by its copy count (unweighted when every row is
-    distinct): the all-rows FLCG summed by copy, in which a copy of a
-    picked row adds exactly 0. Once the best gain is exactly 0 the greedy
-    is done, and the budget is filled with the remaining buffer indices in
-    ascending order, as the all-rows greedy takes them: gains never rise
-    again and ties break to the smallest index. The weighted sums can
-    differ from the all-rows sums in the last bits, which can move a near
-    tie. Stochastic greedy, whose seeded draws are over buffer indices,
-    runs over every row with no fill.
-
-    S_uu is built transposed from two separate arrays of the same unit
-    rows, so the evaluators read its columns as contiguous rows. It lives
-    in the thread's kernel workspace, so the maxima are taken before it is
-    built and the greedy makes no kernel call while it holds it.
+    Kernels are cosine on raw embeddings; b is clamped to the buffer size.
+    Returns global item ids in selection order, and with return_trace also
+    the SelectionTrace over buffer indices. The greedy is
+    _distinct_row_greedy's, from row_max[i] = max_j S_up[i, j] taken over the
+    buffer's distinct rows as smidentify takes it; pass smidentify's row_max
+    against slice t to skip that pass.
     """
     n = len(buffer)
     b = min(int(b), n)
     if b <= 0:
         return ([], SelectionTrace()) if return_trace else []
-    R, first, copy_of = buffer._distinct_unit_rows()
     if row_max is None:
+        R, _, copy_of = buffer._distinct_unit_rows()
         row_max = _row_col_max(R, pool.slices[t].unit_rows())[0][copy_of]
     if len(row_max) != n:
         raise ValueError(f"row maxima disagree with the buffer on ground size: {len(row_max)} vs {n}")
-    if stochastic := maximizer_cfg.algorithm == "stochastic":
-        R, first = buffer.unit_rows(), np.arange(n)
-    T = _transposed_self_kernel(R, R.copy())  # T.T is S_uu
-    f = FLCG(T.T, row_max[first, None], None if len(R) == n else np.bincount(copy_of).astype(np.float64))
-    greedy = maximize(f, replace(maximizer_cfg, budget=min(b, len(R))))
-    k = len(greedy.gains) if stochastic or 0.0 not in greedy.gains else greedy.gains.index(0.0)
-    picked = first[greedy.chosen[:k]].tolist()
-    rest = np.setdiff1d(np.arange(n), picked)[: b - k].tolist()  # ascending
-    trace = SelectionTrace(picked + rest, greedy.gains[:k] + [0.0] * len(rest), greedy.evaluations)
+    trace = _distinct_row_greedy(buffer, b, maximizer_cfg, row_max)
     ids = [int(buffer.ids[i]) for i in trace.chosen]
     return (ids, trace) if return_trace else ids
 

@@ -120,10 +120,10 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
     widest-block scratch and its |U| x |U| buffer kernel reuse memory that
     was faulted in once. A view starts with whatever an earlier call left in
     it, and it stays valid until the next _row_col_max or
-    _transposed_self_kernel call on the same thread: scg_select, the only
-    holder, keeps its transposed S_uu for the greedy and makes no kernel
-    call meanwhile. Nothing returned by build_kernel or _row_col_max is a
-    view of it.
+    _transposed_self_kernel call on the same thread: core._distinct_row_greedy,
+    the only holder, keeps its transposed S_uu for the greedy and makes no
+    kernel call meanwhile. Nothing returned by build_kernel or _row_col_max
+    is a view of it.
     """
     size = rows * cols
     if getattr(_local, "buf", None) is None or _local.buf.size < size:

@@ -232,6 +232,15 @@ def test_budget_state_validation():
         BudgetState(B=10, rho=1.5)
     with pytest.raises(ValueError):
         BudgetState(B=10, rho=0.5, gamma=-0.1)
+    # a rare round grants B + sigma labels, so B must be a whole count and
+    # gamma a finite one: math.floor(inf) raises OverflowError in the rare branch
+    for B in (2.5, True, "3", None):
+        with pytest.raises(ValueError, match="base budget B must be a nonnegative integer"):
+            BudgetState(B=B, rho=0.5)
+    for gamma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+            BudgetState(B=10, rho=0.5, gamma=gamma)
+    assert BudgetState(B=np.int64(10), rho=0.5).B == 10
 
 
 # --------------------------------------------------------------------- selection
@@ -633,6 +642,32 @@ def test_assigning_x_checks_its_rows(bad_row, why):
     cfg = StreamlineConfig(maximizer=_maximizer())
     report, pool, _ = streamline_round(pool, buf, BudgetState(B=2, rho=0.5), cfg, _oracle(buf))
     assert len(report.selected_ids) == 2 and pool.sizes[0] == 5
+
+
+def test_setting_x_of_more_than_two_dims_names_the_rows():
+    with pytest.raises(ValueError, match=r"buffer embeddings must be 2-D, got shape \(1, 2, 2\)"):
+        UnlabeledBuffer(ids=[1], X=np.ones((1, 2, 2)))
+    with pytest.raises(ValueError, match=r"labeled embeddings must be 2-D, got shape \(1, 2, 2\)"):
+        LabeledSlice([1], [0], np.ones((1, 2, 2)))
+    pool, next_id = make_pool([3], [False])
+    with pytest.raises(ValueError, match=r"labeled embeddings must be 2-D, got shape \(3, 4, 1\)"):
+        pool.slices[0].X = pool.slices[0].X[:, :, None]
+    assert pool.slices[0].X.shape == (3, 4)
+
+
+def test_round_rejects_a_buffer_whose_dim_differs_from_the_pool():
+    """The round fails before any kernel product, naming the buffer and both
+    dims, and leaves the pool, its seen ids and the budget state as they were."""
+    pool, next_id = make_pool([6, 6], [False, True])
+    buf = make_buffer(5, axis=0, next_id=next_id, dim=5)
+    state = BudgetState(B=3, rho=0.5, gamma=2.0)
+    seen = set(pool._seen_ids)
+    asked = []
+    cfg = StreamlineConfig(maximizer=_maximizer())
+    with pytest.raises(ValueError, match="buffer: embedding dim 5 differs from the pool's 4"):
+        streamline_round(pool, buf, state, cfg, lambda ids: asked.append(ids) or np.zeros(len(ids), int))
+    assert pool.sizes.tolist() == [6, 6] and pool._seen_ids == seen and not asked
+    assert state == BudgetState(B=3, rho=0.5, gamma=2.0)
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,10 @@ _row_col_max, smidentify and scg_select never hold a |U| x |P| kernel; the
 first three tests check them against the definitional path built from full
 kernels (for identify, the kernel over the buffer's distinct rows, expanded
 by copy); the fourth checks selection over a buffer's distinct rows, with
-copies at random positions or none, against the all-rows greedy on the kernels
-expanded by copy. The next two check budget conservation over whole rounds and the
+copies at random positions or none, by scg_select and by submodular_fl_select
+(no private set), against a greedy over the distinct rows built from
+build_kernel and FLCG and against the all-rows greedy on the kernels expanded
+by copy. The next two check budget conservation over whole rounds and the
 budget law against an integer-only reference. The learner tests check
 logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
 row-major softmax they replaced. The tests after them check the transposed
@@ -44,6 +46,7 @@ from streamline import (
     slice_aware_budget,
     smidentify,
     streamline_round,
+    submodular_fl_select,
 )
 from streamline.cli import run
 from streamline.config import config_from_dict
@@ -168,6 +171,19 @@ def _breaks_a_near_tie(f, X, chosen, tol=1e-12) -> bool:
     return False
 
 
+def _greedy_over_distinct_rows(X, private_best, b) -> list[int]:
+    """The selection over X's distinct rows, from build_kernel and FLCG alone:
+    naive greedy over the distinct rows, each weighted by its copy count and
+    starting from its first occurrence's private best, while gains are
+    positive; then the remaining rows of X in ascending order."""
+    distinct, copy_of = _by_copy(X)
+    first = [copy_of.index(k) for k in range(len(distinct))]
+    f = FLCG(build_kernel(distinct, distinct), private_best[first, None], np.bincount(copy_of).astype(float))
+    greedy = maximize(f, MaximizerConfig(budget=min(b, len(distinct)), algorithm="naive"))
+    picked = [first[i] for i, g in zip(greedy.chosen, greedy.gains) if g > 0.0]
+    return picked + [i for i in range(len(X)) if i not in picked][: b - len(picked)]
+
+
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -178,39 +194,52 @@ def _breaks_a_near_tie(f, X, chosen, tol=1e-12) -> bool:
     cover=st.floats(0.0, 1.0),
     b_share=st.floats(0.0, 1.0),
     grid=st.booleans(),
+    private=st.booleans(),
 )
 # rows 0 and 5 tie exactly in real arithmetic (every other row's term is
 # clipped to 0), and the two sums round the tie apart in opposite ways
-@example(seed=101533, n_distinct=4, n_copies=3, n_p=0, dim=5, cover=0.0, b_share=1.0, grid=False)
-def test_scg_select_over_distinct_rows_equals_all_rows_greedy(seed, n_distinct, n_copies, n_p, dim, cover, b_share, grid):
+@example(seed=101533, n_distinct=4, n_copies=3, n_p=0, dim=5, cover=0.0, b_share=1.0, grid=False, private=True)
+def test_scg_select_over_distinct_rows_equals_all_rows_greedy(
+    seed, n_distinct, n_copies, n_p, dim, cover, b_share, grid, private
+):
     """A buffer with copies at random positions, or with none, is selected
-    over its distinct rows: unique picks, lazy equal to naive, and the
-    all-rows greedy's FLCG value on the copy-expanded kernels (its picks
-    too, off the grid, unless the all-rows greedy broke a near tie between
-    rows with other bits, which sums taken in another order can round the
-    other way). The slice copies some buffer rows, so their gains can reach
-    0 and the fill runs."""
+    over its distinct rows, by scg_select against a slice (private) or by
+    submodular_fl_select with no private set: unique picks, lazy equal to
+    naive, exactly the picks of the greedy over the distinct rows with the
+    same weights, and the all-rows greedy's value on the copy-expanded
+    kernels (its picks too, off the grid, unless the all-rows greedy broke
+    a near tie between rows with other bits, which sums taken in another
+    order can round the other way). The slice copies some buffer rows, so
+    their gains can reach 0 and the fill runs; without it the fill runs
+    once every distinct row is picked."""
     rng = np.random.default_rng(seed)
     D = _rows(rng, n_distinct, dim, grid)
     X = D[rng.permutation(np.concatenate([np.arange(n_distinct), rng.integers(0, n_distinct, n_copies)]))]
     P = np.vstack([X[rng.random(len(X)) < cover], _rows(rng, n_p, dim, grid)])
     if len(P) == 0:
         P = _rows(rng, 1, dim, grid)
-    pool = SlicedLabeledPool([LabeledSlice(np.arange(len(P)), np.zeros(len(P), int), P)], [False])
     buf = UnlabeledBuffer(np.arange(len(P), len(P) + len(X)), X)
     b = int(round(b_share * len(X)))
-    f = FLCG(_self_kernel_by_copy(X), _kernel_by_copy(X, P).max(axis=1)[:, None])
+    if private:
+        pool = SlicedLabeledPool([LabeledSlice(np.arange(len(P)), np.zeros(len(P), int), P)], [False])
+        private_best = _kernel_by_copy(X, P).max(axis=1)
+        f, all_rows = (FLCG(K, private_best[:, None]) for K in (_self_kernel_by_copy(X), build_kernel(X, X)))
+        select = lambda cfg: scg_select(pool, buf, 0, b, cfg)  # noqa: E731
+    else:
+        private_best = np.zeros(len(X))
+        f, all_rows = (FacilityLocation(K) for K in (_self_kernel_by_copy(X), build_kernel(X, X)))
+        select = lambda cfg: submodular_fl_select(buf, b, cfg)  # noqa: E731
     expected = maximize(f, MaximizerConfig(budget=b, algorithm="naive")).chosen
-    picks = {alg: scg_select(pool, buf, 0, b, MaximizerConfig(budget=0, algorithm=alg)) for alg in ("naive", "lazy")}
+    picks = {alg: select(MaximizerConfig(budget=0, algorithm=alg)) for alg in ("naive", "lazy")}
     assert picks["lazy"] == picks["naive"]
     rows = [i - len(P) for i in picks["lazy"]]
     assert len(set(rows)) == len(rows) == b and all(0 <= i < len(X) for i in rows)
+    assert rows == _greedy_over_distinct_rows(X, private_best, b)
     assert abs(f.value(rows) - f.value(expected)) <= 1e-9
     if not grid and not _breaks_a_near_tie(f, X, expected):
         assert rows == expected
     stochastic = MaximizerConfig(budget=b, algorithm="stochastic", epsilon=0.3, seed=seed)
-    all_rows = maximize(FLCG(build_kernel(X, X), f.private_best[:, None]), stochastic)
-    assert scg_select(pool, buf, 0, b, stochastic) == [int(buf.ids[i]) for i in all_rows.chosen]
+    assert select(stochastic) == [int(buf.ids[i]) for i in maximize(all_rows, stochastic).chosen]
 
 
 @SETTINGS
