@@ -10,6 +10,7 @@ add the most coverage beyond what the identified slice already has.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -290,8 +291,8 @@ class BudgetState:
     def __post_init__(self):
         if isinstance(self.B, bool) or not isinstance(self.B, (int, np.integer)) or self.B < 0:
             raise ValueError(f"base budget B must be a nonnegative integer, got {self.B!r}")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
+        if isinstance(self.rho, bool) or not isinstance(self.rho, numbers.Real) or not 0.0 <= self.rho <= 1.0:
+            raise ValueError(f"rho must be a real number in [0, 1], got {self.rho!r}")
         if not (0.0 <= self.gamma < math.inf):
             raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
 

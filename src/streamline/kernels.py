@@ -7,6 +7,7 @@ nonnegative kernels for monotonicity.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass
 
@@ -96,15 +97,85 @@ def _blocks(R: np.ndarray, C: np.ndarray) -> list[slice]:
     return [slice(j0, j1) for j0, j1 in zip(starts, starts[1:])]
 
 
+# A block product of at least _SPLIT_CELLS cells (rows x block columns) is
+# computed as two column parts, the second on a helper thread, cut at a
+# multiple of _SPLIT_ALIGN columns near the middle. A cut can move a cell's
+# last bit, since BLAS may round a cell by where its column sits in the
+# product: on OpenBLAS's SkylakeX kernels it did at the churn and desk
+# benchmark shapes, so smaller blocks stay one product, and it did not at
+# the ROADMAP's scaled shape (|U| 2000, dim 64).
+_SPLIT_CELLS = 2**20
+_SPLIT_ALIGN = 64
+
+# The helper thread's executor, made at the first split and shared by every
+# thread. A forked child (cli.run's workers) has no helper thread, and the
+# lock may have been held at the fork, so the child drops both and makes
+# its own.
+_helper, _helper_lock = None, threading.Lock()
+
+
+def _drop_helper():
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _start_helper():
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kernels")
+        return _helper
+
+
+def _product(R: np.ndarray, C: np.ndarray, out: np.ndarray, fold) -> list:
+    """Write R @ C.T into out and return [fold(part) for each column part of out].
+
+    out is a (len(R), len(C)) float64 view each of whose rows is
+    contiguous. A product of _SPLIT_CELLS cells or more is two column
+    parts, cut at a multiple of _SPLIT_ALIGN columns near the middle; the
+    second part and its fold run on the helper thread, and both write into
+    out, so no memory is added. The cut depends only on out's shape, so the
+    bits do too, whichever thread computes a part. An exception in either
+    part is raised here, once both parts are done with out.
+    """
+    n, w = out.shape
+    cut = w // (2 * _SPLIT_ALIGN) * _SPLIT_ALIGN
+    if n * w < _SPLIT_CELLS or cut == 0:
+        return [fold(np.matmul(R, C.T, out=out))]
+
+    def part(j: slice):
+        return fold(np.matmul(R, C[j].T, out=out[:, j]))
+
+    second = (_helper or _start_helper()).submit(part, slice(cut, w))
+    try:
+        first = part(slice(0, cut))
+    finally:
+        second.exception()  # waits until the helper's part is done with out
+    return [first, second.result()]
+
+
+def _clip(part: np.ndarray) -> np.ndarray:
+    return np.clip(part, 0.0, 1.0, out=part)
+
+
+def _maxima(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return part.max(axis=1), part.max(axis=0)
+
+
 def _kernel(R: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The clipped cosine kernel of two sides normalize_rows prepared, into out.
 
     out is a C-contiguous (len(R), len(C)) float64 array. Its column blocks
-    are written in place, one matrix product each.
+    are written and clipped in place, one _product each.
     """
     for j in _blocks(R, C):
-        np.matmul(R, C[j].T, out=out[:, j])
-    return np.clip(out, 0.0, 1.0, out=out)
+        _product(R, C[j], out[:, j], _clip)
+    return out
 
 
 # Each thread's kernel workspace: one flat float64 buffer, in attribute "buf".
@@ -123,7 +194,8 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
     _transposed_self_kernel call on the same thread: core._distinct_row_greedy,
     the only holder, keeps its transposed S_uu for the greedy and makes no
     kernel call meanwhile. Nothing returned by build_kernel or _row_col_max
-    is a view of it.
+    is a view of it. The helper thread of a split block product writes its
+    part into the caller's view and has no workspace of its own.
     """
     size = rows * cols
     if getattr(_local, "buf", None) is None or _local.buf.size < size:
@@ -135,10 +207,14 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
 def build_kernel(rows, cols) -> SimilarityMatrix:
     """The clipped cosine kernel between two 2-D arrays of embeddings.
 
-    Entries are computed in the column blocks _row_col_max reads, so the two
-    agree bit for bit; with 2 * _BLOCK columns or more, a multi-threaded
-    BLAS may differ in the last bit from one whole matrix product, which can
-    move near-tie selections.
+    Entries are computed in the column blocks _row_col_max reads, and in
+    the same parts, so the two agree bit for bit. A block of 2**20 cells or
+    more (rows x block columns) is two column parts, cut at a multiple of 64
+    columns near the middle and computed on two threads (see _product).
+    Which blocks and parts a kernel has depends only on its shape, so its
+    bits depend only on the inputs and their shapes, never on which thread
+    finishes first; they may differ in the last bit from one whole matrix
+    product, which can move near-tie selections.
     """
     R, C = normalize_rows(rows), normalize_rows(cols)
     return SimilarityMatrix(_kernel(R, C, np.empty((len(R), len(C)))))
@@ -149,16 +225,19 @@ def _row_col_max(R: np.ndarray, C: np.ndarray):
 
     The kernel is never held whole: each of its column blocks is written
     into the thread's kernel workspace and folded into a running row max and
-    its own column max. Only the two max vectors are clipped, since clipping
-    commutes with max; both are fresh arrays.
+    its own column max. A block build_kernel splits is split here too, and
+    each part's row max is folded in, first part first, and its column max
+    appended; max is exact, so the folds equal one block's. Only the two max
+    vectors are clipped, since clipping commutes with max; both are fresh
+    arrays.
     """
     blocks = _blocks(R, C)
     scratch = _workspace(R.shape[0], blocks[-1].stop - blocks[-1].start)  # the widest block
     row_max, col_max = np.full(R.shape[0], -np.inf), []
     for j in blocks:
-        block = np.matmul(R, C[j].T, out=scratch[:, : j.stop - j.start])
-        np.maximum(row_max, block.max(axis=1), out=row_max)
-        col_max.append(block.max(axis=0))
+        for part_row, part_col in _product(R, C[j], scratch[:, : j.stop - j.start], _maxima):
+            np.maximum(row_max, part_row, out=row_max)
+            col_max.append(part_col)
     return np.clip(row_max, 0.0, 1.0), np.clip(np.concatenate(col_max), 0.0, 1.0)
 
 
@@ -173,9 +252,10 @@ def _transposed_self_kernel(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     U and V both hold normalize_rows(X), in two separate arrays: numpy
     multiplies one array by its own transpose through SYRK, whose last bits
     differ from the general product build_kernel uses. The kernel is
-    computed as build_kernel computes it, so every entry is the same product
-    bit for bit (a product of the transposed operands is not: BLAS may order
-    its sums differently), and then transposed in place, tile by tile.
+    computed as build_kernel computes it, in the same blocks and parts, so
+    every entry is the same product bit for bit (a product of the transposed
+    operands is not: BLAS may order its sums differently), and then
+    transposed in place, tile by tile, on the calling thread.
     Column j of the kernel is the contiguous row j of the result. Entries
     are clipped here and no SimilarityMatrix checks them again. The result
     is a view of the thread's kernel workspace (see _workspace for how long

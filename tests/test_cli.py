@@ -1,7 +1,11 @@
 import csv
 import importlib.util
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +304,52 @@ def test_run_writes_the_same_bytes_with_one_or_two_workers(tmp_path):
     cfg = config_from_dict({**tiny_run_config(), "methods": list(METHODS), "learner": {"epochs": 10}})
     assert run(cfg, tmp_path / "serial", workers=1) == 0
     assert run(cfg, tmp_path / "parallel", workers=2) == 0
+    for name in ("metrics.csv", "selections.jsonl", "summary.json"):
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
+
+
+def above_gate_config():
+    """A run whose identify and S_uu block products have 2**20 cells or more,
+    so kernels computes each in two parts, the second on its helper thread."""
+    return {
+        "methods": ["streamline", "submodular"],
+        "seeds": [0, 1],
+        "rounds": 2,
+        "dim": 8,
+        "common_pool_size": 1000,
+        "episode_size": 1100,
+        "learner": {"epochs": 10},
+    }
+
+
+def test_a_parent_that_split_a_kernel_block_still_forks_its_workers(tmp_path):
+    """cli.run's workers are forked, and a child has no helper thread: it
+    starts its own rather than wait on the parent's."""
+    path = write_config(tmp_path, above_gate_config())
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from streamline import build_kernel, kernels\n"
+        "from streamline.cli import main\n"
+        "X = np.random.default_rng(0).normal(size=(1030, 4))\n"
+        "build_kernel(X, X)  # one 1030 x 1030 block: split, so the helper exists before the fork\n"
+        "assert kernels._helper is not None\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(streamline.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "parallel"), "--workers", "2"]
+    # its own session, so that a hung run's forked workers are killed with it
+    proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("run --workers 2 hung after its parent split a kernel block")
+    assert proc.returncode == 0, err
+    assert run(config_from_dict(above_gate_config()), tmp_path / "serial") == 0
     for name in ("metrics.csv", "selections.jsonl", "summary.json"):
         assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
 

@@ -241,6 +241,11 @@ def test_budget_state_validation():
         with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
             BudgetState(B=10, rho=0.5, gamma=gamma)
     assert BudgetState(B=np.int64(10), rho=0.5).B == 10
+    # rho is read as Fraction(str(rho)) in a common round: a bool or a string must fail here
+    for rho in (True, "0.5", None, np.nan, 1.5, -0.1):
+        with pytest.raises(ValueError, match=r"rho must be a real number in \[0, 1\]"):
+            BudgetState(B=10, rho=rho)
+    assert BudgetState(B=10, rho=np.float64(0.5)).rho == 0.5
 
 
 # --------------------------------------------------------------------- selection

@@ -9,8 +9,11 @@ import pytest
 import streamline.kernels as kernels
 from streamline.kernels import (
     _BLOCK,
+    _SPLIT_ALIGN,
+    _SPLIT_CELLS,
     KernelError,
     SimilarityMatrix,
+    _product,
     _row_col_max,
     _transposed_self_kernel,
     _workspace,
@@ -169,7 +172,8 @@ def test_kernel_results_share_no_memory_with_the_workspace():
 
 def test_threads_building_different_kernels_at_once_each_get_the_serial_result():
     rng = np.random.default_rng(1)
-    shapes = [(40, 2 * _BLOCK + 7), (70, 300), (25, 2 * _BLOCK), (90, 5)]  # more threads than 2 cores
+    # more threads than 2 cores; the last shape's blocks are split, so its threads share the helper
+    shapes = [(40, 2 * _BLOCK + 7), (70, 300), (25, 2 * _BLOCK), (90, 5), (1030, 1100)]
     sides = [(normalize_rows(rng.normal(size=(n_u, 6))), normalize_rows(rng.normal(size=(n_p, 6))))
              for n_u, n_p in shapes]
 
@@ -210,3 +214,49 @@ def test_a_grown_workspace_leaves_one_buffer_on_its_thread():
     [(old_freed, size, peak)] = _in_threads(grow)
     assert old_freed and size == 1000 * 1000
     assert peak < 8_000_000 + 100_000  # the old buffer was freed before the new one was allocated
+
+
+# ------------------------------------------------------------------ split blocks
+
+
+def _parts(n, w):
+    """(thread, columns) of each part _product computes a (n, w) block in."""
+    rng = np.random.default_rng(2)
+    R, C = normalize_rows(rng.normal(size=(n, 3))), normalize_rows(rng.normal(size=(w, 3)))
+    out = np.empty((n, w))
+    parts = _product(R, C, out, lambda part: (threading.get_ident(), part.shape[1]))
+    np.testing.assert_allclose(out, R @ C.T, rtol=0, atol=1e-12)  # a cut may move last bits
+    return parts
+
+
+def test_a_block_product_of_2_20_cells_or_more_is_split_in_two():
+    caller = threading.get_ident()
+    assert _SPLIT_CELLS == 2**20
+    # below the gate, and too narrow to cut: one product on the calling thread
+    assert _parts(1023, 1024) == [(caller, 1024)]
+    assert _parts(2**14, 127) == [(caller, 127)]
+    # at the gate: two parts, cut at a multiple of _SPLIT_ALIGN columns, the second on the helper
+    for n, w, cut in [(1024, 1024, 512), (1030, 1030, 512), (2**13, 128, 64), (700, 2000, 960)]:
+        (first, first_w), (second, second_w) = _parts(n, w)
+        assert first == caller and second != caller
+        assert first_w == cut and cut % _SPLIT_ALIGN == 0 and first_w + second_w == w
+
+
+def test_an_error_in_the_helpers_part_is_raised_in_the_caller():
+    caller = threading.get_ident()
+    rng = np.random.default_rng(3)
+    X, Y = rng.normal(size=(1030, 4)), rng.normal(size=(1100, 4))
+    U, P = normalize_rows(X), normalize_rows(Y)
+
+    def fold(part):
+        if threading.get_ident() != caller:
+            raise ArithmeticError("in the helper's part")
+        return part.max(axis=1), part.max(axis=0)
+
+    with pytest.raises(ArithmeticError, match="in the helper's part"):
+        _product(U, P, _workspace(len(U), len(P)), fold)
+    # the helper is still there, and the next call gets the whole kernel's maxima
+    K = build_kernel(X, Y).values
+    row, col = _row_col_max(U, P)
+    np.testing.assert_array_equal(row, K.max(axis=1))
+    np.testing.assert_array_equal(col, K.max(axis=0))
