@@ -2,7 +2,7 @@
 
 All selectors take the episode buffer and a budget and return item ids; none
 of them touch the accumulated-budget machinery, so per round they spend at
-most the base budget.
+most the base budget, which core._capped_budget checks and caps.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import SlicedLabeledPool, UnlabeledBuffer, _distinct_row_greedy
+from .core import SlicedLabeledPool, UnlabeledBuffer, _capped_budget, _distinct_row_greedy
 from .kernels import build_kernel
 from .maximize import MaximizerConfig, maximize
 from .setfunctions import FLQMI
@@ -21,8 +21,7 @@ UNCERTAINTY_MODES = ("entropy", "least_conf", "margin")
 
 def random_select(buffer: UnlabeledBuffer, b: int, seed) -> list[int]:
     """Uniform sample without replacement; deterministic for a given seed."""
-    b = min(int(b), len(buffer))
-    if b <= 0:
+    if not (b := _capped_budget(b, buffer)):
         return []
     rng = np.random.default_rng(seed)
     picked = rng.choice(buffer.ids, size=b, replace=False)
@@ -73,8 +72,7 @@ def uncertainty_select(buffer: UnlabeledBuffer, preds, mode: str, b: int) -> lis
     Ties keep buffer order. preds holds one entry per buffer item.
     """
     _check_row_counts(buffer, prediction=preds)
-    b = min(int(b), len(buffer))
-    if b <= 0:
+    if not (b := _capped_budget(b, buffer)):
         return []
     scores = uncertainty_scores(preds, mode)
     keys = scores if mode == "margin" else -scores
@@ -85,8 +83,7 @@ def uncertainty_select(buffer: UnlabeledBuffer, preds, mode: str, b: int) -> lis
 def submodular_fl_select(buffer: UnlabeledBuffer, b: int, maximizer_cfg: MaximizerConfig) -> list[int]:
     """Coverage-only selection: maximize facility location over the buffer's cosine kernel.
     That is FLCG with no private set, so it is scg_select's greedy with every private best 0."""
-    b = min(int(b), len(buffer))
-    if b <= 0:
+    if not (b := _capped_budget(b, buffer)):
         return []
     trace = _distinct_row_greedy(buffer, b, maximizer_cfg, np.zeros(len(buffer)))
     return [int(buffer.ids[i]) for i in trace.chosen]
@@ -106,8 +103,7 @@ def similar_select(
     """
     if len(pool.slices[t]) == 0:
         raise ValueError(f"query slice {t} is empty")
-    b = min(int(b), len(buffer))
-    if b <= 0:
+    if not (b := _capped_budget(b, buffer)):
         return []
     S_up = build_kernel(buffer.X, pool.slices[t].X).values
     trace = maximize(FLQMI(S_up), replace(maximizer_cfg, budget=b))
@@ -148,8 +144,7 @@ def badge_select(
     hold one row per buffer item.
     """
     _check_row_counts(buffer, probability=probs, feature=features)
-    b = min(int(b), len(buffer))
-    if b <= 0:
+    if not (b := _capped_budget(b, buffer)):
         return []
     rng = np.random.default_rng(seed)
     emb = badge_gradient_embeddings(probs, features)

@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _row_col_max, _transposed_self_kernel, first_bad_row, row_norms
+from .kernels import _kernel, _row_col_max, _workspace, first_bad_row, row_norms
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
-from .maximize import MaximizerConfig, SelectionTrace, maximize
+from .maximize import MaximizerConfig, SelectionTrace, _check_budget, maximize
 from .setfunctions import FLCG, FLQMI, flqmi_normalizer
 
 
@@ -408,6 +408,11 @@ def slice_aware_budget(
     return decision, replace(state, gamma=gamma + (B - decision.b))
 
 
+def _capped_budget(b, buffer: UnlabeledBuffer) -> int:
+    """b capped at the buffer size; ValueError naming budget unless b is a non-bool integer >= 0."""
+    return min(_check_budget(b), len(buffer))
+
+
 def _distinct_row_greedy(
     buffer: UnlabeledBuffer, b: int, maximizer_cfg: MaximizerConfig, private_best: np.ndarray
 ) -> SelectionTrace:
@@ -417,20 +422,19 @@ def _distinct_row_greedy(
     Each distinct row of the buffer is one candidate: it stands for its
     first occurrence, starts from that occurrence's private best and has
     its gain weighted by its copy count, so a copy of a picked row adds
-    exactly 0. Once the best gain is exactly 0, the budget is filled with
+    exactly 0. Once the best gain rounds to 0, the budget is filled with
     the unpicked indices in ascending order, as the all-rows greedy takes
-    them; the weighted sums can round a near tie the other way. Stochastic
-    greedy, whose seeded draws are over buffer indices, runs over every row
-    with no fill. S_uu is built transposed in the thread's kernel workspace,
-    from two separate arrays of the same unit rows, and no kernel call is
-    made while the greedy holds it.
+    them. Stochastic greedy, whose seeded draws are over buffer indices,
+    runs over every row with no fill. S_uu is built in the thread's kernel
+    workspace, and no kernel call is made while the greedy holds it; FLCG
+    gets its transpose view, whose rows the evaluator reads contiguously.
     """
     n = len(buffer)
     R, first, copy_of = buffer._distinct_unit_rows()
     if stochastic := maximizer_cfg.algorithm == "stochastic":
         R, first = buffer.unit_rows(), np.arange(n)
-    T = _transposed_self_kernel(R, R.copy())  # T.T is S_uu
-    f = FLCG(T.T, private_best[first, None], None if len(R) == n else np.bincount(copy_of).astype(np.float64))
+    S = _kernel(R, R, _workspace(len(R), len(R)))
+    f = FLCG(S.T, private_best[first, None], None if len(R) == n else np.bincount(copy_of).astype(np.float64))
     greedy = maximize(f, replace(maximizer_cfg, budget=min(b, len(R))))
     k = len(greedy.gains) if stochastic or 0.0 not in greedy.gains else greedy.gains.index(0.0)
     picked = first[greedy.chosen[:k]].tolist()
@@ -450,7 +454,7 @@ def scg_select(
 ):
     """Pick up to b buffer items maximizing conditional gain over slice t.
 
-    Kernels are cosine on raw embeddings; b is clamped to the buffer size.
+    Kernels are cosine on raw embeddings; _capped_budget checks and caps b.
     Returns global item ids in selection order, and with return_trace also
     the SelectionTrace over buffer indices. The greedy is
     _distinct_row_greedy's, from row_max[i] = max_j S_up[i, j] taken over the
@@ -458,8 +462,7 @@ def scg_select(
     against slice t to skip that pass.
     """
     n = len(buffer)
-    b = min(int(b), n)
-    if b <= 0:
+    if not (b := _capped_budget(b, buffer)):
         return ([], SelectionTrace()) if return_trace else []
     if row_max is None:
         R, _, copy_of = buffer._distinct_unit_rows()

@@ -23,10 +23,7 @@ def normalize_rows(X) -> np.ndarray:
 
     A ragged list, an empty or non-2-D array, and a row whose norm is 0 or
     not finite raise KernelError. Each row's norm is computed once, by
-    row_norms, and the check reads those norms. Each call returns a buffer
-    of its own: numpy multiplies one buffer by its own transpose through
-    SYRK, whose last bits differ from the general product, so a self kernel
-    normalizes its input once per side.
+    row_norms, and the check reads those norms.
     """
     try:
         X = np.asarray(X, dtype=np.float64)
@@ -190,12 +187,12 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
     never shrinks, and lives as long as its thread, so a round's |U| x
     widest-block scratch and its |U| x |U| buffer kernel reuse memory that
     was faulted in once. A view starts with whatever an earlier call left in
-    it, and it stays valid until the next _row_col_max or
-    _transposed_self_kernel call on the same thread: core._distinct_row_greedy,
-    the only holder, keeps its transposed S_uu for the greedy and makes no
-    kernel call meanwhile. Nothing returned by build_kernel or _row_col_max
-    is a view of it. The helper thread of a split block product writes its
-    part into the caller's view and has no workspace of its own.
+    it, and it stays valid until the next _workspace call on the same
+    thread: core._distinct_row_greedy, the only holder, keeps its S_uu for
+    the greedy and makes no kernel call meanwhile. Nothing returned by
+    build_kernel or _row_col_max is a view of it. The helper thread of a
+    split block product writes its part into the caller's view and has no
+    workspace of its own.
     """
     size = rows * cols
     if getattr(_local, "buf", None) is None or _local.buf.size < size:
@@ -213,8 +210,7 @@ def build_kernel(rows, cols) -> SimilarityMatrix:
     columns near the middle and computed on two threads (see _product).
     Which blocks and parts a kernel has depends only on its shape, so its
     bits depend only on the inputs and their shapes, never on which thread
-    finishes first; they may differ in the last bit from one whole matrix
-    product, which can move near-tie selections.
+    finishes first.
     """
     R, C = normalize_rows(rows), normalize_rows(cols)
     return SimilarityMatrix(_kernel(R, C, np.empty((len(R), len(C)))))
@@ -239,37 +235,3 @@ def _row_col_max(R: np.ndarray, C: np.ndarray):
             np.maximum(row_max, part_row, out=row_max)
             col_max.append(part_col)
     return np.clip(row_max, 0.0, 1.0), np.clip(np.concatenate(col_max), 0.0, 1.0)
-
-
-# Side of the square tiles a kernel is transposed in: two tiles and their
-# transposes stay in cache, which a whole-kernel transposed copy does not.
-_TILE = 64
-
-
-def _transposed_self_kernel(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """build_kernel(X, X).values.T, as a C-contiguous array, from X's unit rows.
-
-    U and V both hold normalize_rows(X), in two separate arrays: numpy
-    multiplies one array by its own transpose through SYRK, whose last bits
-    differ from the general product build_kernel uses. The kernel is
-    computed as build_kernel computes it, in the same blocks and parts, so
-    every entry is the same product bit for bit (a product of the transposed
-    operands is not: BLAS may order its sums differently), and then
-    transposed in place, tile by tile, on the calling thread.
-    Column j of the kernel is the contiguous row j of the result. Entries
-    are clipped here and no SimilarityMatrix checks them again. The result
-    is a view of the thread's kernel workspace (see _workspace for how long
-    it stays valid).
-    """
-    S = _kernel(U, V, _workspace(len(U), len(V)))
-    n, scratch = S.shape[0], np.empty((_TILE, _TILE))
-    for i in range(0, n, _TILE):
-        diag = S[i : i + _TILE, i : i + _TILE]
-        diag[...] = diag.T.copy()
-        for j in range(i + _TILE, n, _TILE):
-            upper, lower = S[i : i + _TILE, j : j + _TILE], S[j : j + _TILE, i : i + _TILE]
-            tile = scratch[: upper.shape[0], : upper.shape[1]]
-            np.copyto(tile, upper)
-            upper[...] = lower.T
-            lower[...] = tile.T
-    return S

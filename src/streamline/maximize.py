@@ -1,10 +1,10 @@
 """Cardinality-constrained greedy maximization of monotone submodular functions.
 
 Three interchangeable algorithms (naive, lazy, stochastic), each one greedy
-pass over the whole ground set. Ties in every argmax break toward the
-smallest item id so that all algorithms are mutually reproducible; lazy
-greedy must return the exact trace naive greedy would, in no more function
-evaluations.
+pass over the whole ground set. Gains are compared and recorded on _GRID,
+with ties breaking toward the smallest item id, so all algorithms are
+mutually reproducible; lazy greedy must return the exact trace naive greedy
+would, in no more function evaluations.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ class MaximizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError(f"budget must be nonnegative, got {self.budget}")
+        _check_budget(self.budget)
         if not isinstance(self.algorithm, str) or self.algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm: must be one of {', '.join(_ALGORITHMS)}, got {self.algorithm!r}")
         if self.algorithm == "stochastic":
@@ -41,9 +40,27 @@ class MaximizerConfig:
             raise ValueError(f"epsilon: must be absent unless stochastic, got {self.epsilon!r}")
 
 
+def _check_budget(budget) -> int:
+    """budget as an int; ValueError naming budget unless it is a non-bool integer >= 0."""
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
+        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
+    return int(budget)
+
+
+# Gains are compared on this grid: rounded to the nearest multiple, half to
+# even, so a pick never rests on the last bits of a sum. Equal sums taken in
+# two orders land on one grid point unless they straddle a half-grid edge;
+# rounding is monotone, so lazy greedy's stale bounds stay bounds.
+_GRID = 2.0**-30
+
+
+def _on_grid(gains: np.ndarray) -> np.ndarray:
+    return np.rint(gains / _GRID) * _GRID
+
+
 @dataclass
 class SelectionTrace:
-    """Greedy pick sequence with per-pick marginal gains and query count."""
+    """Greedy pick sequence with per-pick marginal gains, on the grid, and query count."""
 
     chosen: list[int] = field(default_factory=list)
     gains: list[float] = field(default_factory=list)
@@ -66,9 +83,9 @@ def _sweep(f, cfg: MaximizerConfig, sample_size) -> SelectionTrace:
     for _ in range(b):
         sampled = size < len(remaining)
         cand = np.sort(rng.choice(remaining, size=size, replace=False)) if sampled else remaining
-        gains = ev.gains(cand)
+        gains = _on_grid(ev.gains(cand))
         trace.evaluations += len(cand)
-        k = int(np.argmax(gains))  # first max = smallest id on ties
+        k = int(np.argmax(gains))  # first max = smallest id on grid ties
         x = int(cand[k])
         trace.chosen.append(x)
         trace.gains.append(float(gains[k]))
@@ -87,9 +104,11 @@ def lazy_greedy(f, cfg: MaximizerConfig) -> SelectionTrace:
 
     Heap entries are (-gain, id, round_stamp); a popped entry whose stamp is
     current needs no re-evaluation; a stale one is re-evaluated alone,
-    through the evaluator's scalar gain(x). A refreshed entry is accepted
-    only if it still beats the best remaining bound, with the id as
-    tiebreaker, which reproduces naive greedy's choices exactly.
+    through the evaluator's scalar gain(x), and put on the grid by Python's
+    round, with _on_grid's bits (both round half to even) at a fraction of
+    a numpy scalar's cost. A refreshed entry is accepted only if it still
+    beats the best remaining bound, with the id as tiebreaker, which
+    reproduces naive greedy's choices exactly.
     """
     n = f.ground_size
     b = min(cfg.budget, n)
@@ -97,13 +116,13 @@ def lazy_greedy(f, cfg: MaximizerConfig) -> SelectionTrace:
     if b == 0:
         return trace
     ev = f.evaluator()
-    heap = [(-g, i, 0) for i, g in enumerate(ev.gains(np.arange(n)).tolist())]
+    heap = [(-g, i, 0) for i, g in enumerate(_on_grid(ev.gains(np.arange(n))).tolist())]
     trace.evaluations += n
     heapq.heapify(heap)
     while heap and len(trace.chosen) < b:
         neg_gain, x, stamp = heapq.heappop(heap)
         if stamp != len(trace.chosen):
-            fresh = ev.gain(x)
+            fresh = round(ev.gain(x) / _GRID) * _GRID
             trace.evaluations += 1
             entry = (-fresh, x, len(trace.chosen))
             if heap and entry > heap[0]:

@@ -104,6 +104,24 @@ def test_selectors_reject_predictions_that_do_not_match_the_buffer():
         badge_select(buf, np.full((5, 2), 0.5), buf.X[:3], 2, seed=0)
 
 
+def test_selectors_reject_a_budget_that_is_not_a_nonnegative_integer():
+    buf = make_buffer(np.eye(5))
+    pool = SlicedLabeledPool([LabeledSlice(np.arange(10, 12), np.zeros(2, int), np.eye(5)[:2])], [False])
+    probs = np.full((5, 2), 0.5)
+    selectors = [
+        lambda b: random_select(buf, b, seed=0),
+        lambda b: uncertainty_select(buf, probs, "entropy", b),
+        lambda b: submodular_fl_select(buf, b, lazy_cfg()),
+        lambda b: similar_select(buf, pool, 0, b, lazy_cfg()),
+        lambda b: badge_select(buf, probs, buf.X, b, seed=0),
+    ]
+    for select in selectors:
+        for budget in (2.7, np.float64(2.9), "3", True, -4, None):
+            with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
+                select(budget)
+        assert len(select(np.int64(2))) == 2
+
+
 def test_invalid_probabilities_rejected():
     with pytest.raises(ValueError):
         uncertainty_scores(np.array([[0.5, 0.6]]), "entropy")

@@ -373,8 +373,8 @@ def test_select_builds_s_uu_over_distinct_rows_once(monkeypatch):
     import streamline.core as core
 
     shapes, finds = [], []
-    kernel, copies = core._transposed_self_kernel, core._copies
-    monkeypatch.setattr(core, "_transposed_self_kernel", lambda U, V: shapes.append(len(U) * len(V)) or kernel(U, V))
+    kernel, copies = core._kernel, core._copies
+    monkeypatch.setattr(core, "_kernel", lambda R, C, out: shapes.append(len(R) * len(C)) or kernel(R, C, out))
     monkeypatch.setattr(core, "_copies", lambda X, norms: finds.append(len(X)) or copies(X, norms))
     pool, buffers, _ = _churn_stream()
     rounds = [(buffers[0], 100), (buffers[1], 100), (_without_copies(buffers[0], 10**6), 400)]
@@ -392,6 +392,10 @@ def test_scg_budget_edges():
     pool, next_id = make_pool([5], [False])
     buf = make_buffer(6, axis=0, next_id=next_id)
     assert scg_select(pool, buf, 0, 0, _maximizer()) == []
+    for budget in (2.7, np.float64(2.9), "3", True, -4, None):
+        with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
+            scg_select(pool, buf, 0, budget, _maximizer())
+    assert len(scg_select(pool, buf, 0, np.int64(2), _maximizer())) == 2
     everything = scg_select(pool, buf, 0, 99, _maximizer())  # clamped, not an error
     assert sorted(everything) == [int(i) for i in buf.ids]
     exact = scg_select(pool, buf, 0, len(buf), _maximizer())
@@ -799,7 +803,7 @@ def test_round_credits_a_short_selection_to_gamma():
 
 def test_round_reports_its_margin_and_greedy_evaluations():
     """The evaluation count of a fixed churn-shaped stream is pinned: lazy
-    greedy over the buffers' distinct rows makes 2,882 evaluations, where
+    greedy over the buffers' distinct rows makes 2,880 evaluations, where
     naive greedy makes 60,194, so a lazy greedy that loses its laziness fails."""
     from streamline.simulator import every_k_schedule
 
@@ -811,7 +815,7 @@ def test_round_reports_its_margin_and_greedy_evaluations():
         top = np.sort(report.scores)
         assert report.margin == top[-1] - top[-2] > 0
         evaluations += report.select_evaluations
-    assert evaluations == 2882
+    assert evaluations == 2880
     pool, buf, state, cfg = _round_with_selector(lambda p, u, t, b: [int(u.ids[0])])
     report, _, _ = streamline_round(pool, buf, state, cfg, _oracle(buf))
     assert report.select_evaluations == 0 and report.margin == 0.0  # a one-slice pool has no runner-up

@@ -13,9 +13,9 @@ from streamline.kernels import (
     _SPLIT_CELLS,
     KernelError,
     SimilarityMatrix,
+    _kernel,
     _product,
     _row_col_max,
-    _transposed_self_kernel,
     _workspace,
     build_kernel,
     normalize_rows,
@@ -164,7 +164,8 @@ def test_kernel_results_share_no_memory_with_the_workspace():
         assert not np.shares_memory(a, kernels._local.buf)
     # later kernel calls overwrite the workspace, not the results
     _row_col_max(normalize_rows(-U), normalize_rows(P))
-    _transposed_self_kernel(normalize_rows(-U), normalize_rows(-U))
+    V = normalize_rows(-U)
+    _kernel(V, V, _workspace(len(V), len(V)))
     build_kernel(P[:40], U)
     for a, b in zip((K, row, col), kept):
         np.testing.assert_array_equal(a, b)
@@ -179,7 +180,7 @@ def test_threads_building_different_kernels_at_once_each_get_the_serial_result()
 
     def kernels_of(U, P):
         row, col = _row_col_max(U, P)
-        return row, col, _transposed_self_kernel(U, U.copy()).copy()
+        return row, col, _kernel(U, U, _workspace(len(U), len(U))).copy()
 
     serial = [kernels_of(U, P) for U, P in sides]
 

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import random_instance, random_self_kernel
 from streamline.maximize import (
+    _GRID,
     MaximizerConfig,
+    _on_grid,
     lazy_greedy,
     maximize,
     naive_greedy,
@@ -34,6 +36,50 @@ def test_naive_tie_breaks_to_smallest_id():
     trace = naive_greedy(f, MaximizerConfig(budget=1, algorithm="naive"))
     assert trace.chosen == [0]
     assert trace.gains[0] == pytest.approx(1.2)
+
+
+def test_gains_a_rounding_apart_tie_to_the_smallest_id():
+    """Column gains 2 - 2**-52 and 2 are one tie on the grid: every greedy
+    takes index 0, though its float gain is the smaller one."""
+    f = FacilityLocation(np.array([[1.0, 1.0], [1.0 - 2**-52, 1.0]]))
+    assert f.value([0]) < f.value([1])
+    full_sample = MaximizerConfig(budget=1, algorithm="stochastic", epsilon=1e-9)
+    one = MaximizerConfig(budget=1)
+    traces = [naive_greedy(f, one), lazy_greedy(f, one), stochastic_greedy(f, full_sample)]
+    for trace in traces:
+        assert trace.chosen == [0] and trace.gains == [2.0]
+    assert traces[1].evaluations <= traces[0].evaluations
+
+
+class _ScriptedGains:
+    """A stand-in set function: gains(candidates) reads `first`, and gain(x),
+    lazy greedy's re-evaluation, returns fresh[x]."""
+
+    def __init__(self, first, fresh):
+        self.first, self.fresh, self.ground_size = np.asarray(first), fresh, len(first)
+
+    def evaluator(self):
+        return self
+
+    def gains(self, candidates):
+        return self.first[candidates]
+
+    def gain(self, x):
+        return self.fresh[x]
+
+    def add(self, x):
+        pass
+
+
+def test_lazy_rounds_a_fresh_gain_as_the_batched_gains_are_rounded():
+    """Halfway values (k + 1/2) * 2**-30 round half to even in lazy greedy's
+    scalar path exactly as _on_grid rounds them."""
+    halfway = [(k + 0.5) * _GRID for k in (14 * 2**30 + 1, 14 * 2**30, 2**32 + 1, 2**32, 3, 2, 1, 0)]
+    f = _ScriptedGains([20.0] * (len(halfway) + 1), [20.0] + halfway)
+    trace = lazy_greedy(f, MaximizerConfig(budget=len(halfway) + 1))
+    assert trace.chosen == list(range(len(halfway) + 1))  # descending, ties to the smallest id
+    assert trace.gains == [20.0] + _on_grid(np.array(halfway)).tolist()
+    assert trace.gains[-4:] == [4 * _GRID, 2 * _GRID, 2 * _GRID, 0.0]  # half to even
 
 
 def test_naive_greedy_approximation_ratio():
@@ -136,8 +182,10 @@ def test_gains_nonincreasing(kind, algorithm):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MaximizerConfig(budget=-1)
+    for budget in (-1, 2.5, np.float64(2.0), "2", True, None):
+        with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
+            MaximizerConfig(budget=budget)
+    assert MaximizerConfig(budget=np.int64(2)).budget == 2
     with pytest.raises(ValueError):
         MaximizerConfig(budget=1, algorithm="other")
     with pytest.raises(ValueError):
