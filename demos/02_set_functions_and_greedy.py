@@ -25,7 +25,7 @@ from streamline import (
 
 rng = np.random.default_rng(1)
 X = normalize_rows(rng.normal(size=(40, 10)))
-S = build_kernel(X, X).values
+S = build_kernel(X, X)
 
 # --- values and identities ---------------------------------------------------
 
@@ -51,7 +51,7 @@ print("stoch : value", round(fl.value(t_stoch.chosen), 4), "evaluations", t_stoc
 # --- conditional gain ignores what the private set covers --------------------
 
 private = X[:3] + 0.01 * rng.normal(size=(3, 10))  # near-copies of items 0..2
-S_up = build_kernel(X, normalize_rows(private)).values
+S_up = build_kernel(X, normalize_rows(private))
 flcg = FLCG(S, S_up)
 trace = lazy_greedy(flcg, MaximizerConfig(budget=5, algorithm="lazy"))
 print("\nconditional-gain picks avoid the privately covered items 0-2:", trace.chosen)
@@ -59,6 +59,6 @@ print("\nconditional-gain picks avoid the privately covered items 0-2:", trace.c
 # --- query-targeted selection -------------------------------------------------
 
 query = X[30:]  # pretend the last ten items are the slice we care about
-flqmi = FLQMI(build_kernel(X[:30], query).values)
+flqmi = FLQMI(build_kernel(X[:30], query))
 trace = lazy_greedy(flqmi, MaximizerConfig(budget=4, algorithm="lazy"))
 print("query-matched picks from the first 30 items:", trace.chosen)

@@ -32,7 +32,6 @@ from .core import (
 )
 from .kernels import (
     KernelError,
-    SimilarityMatrix,
     build_kernel,
     normalize_rows,
 )

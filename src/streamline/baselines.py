@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 
 from .core import SlicedLabeledPool, UnlabeledBuffer, _capped_budget, _distinct_row_greedy
-from .kernels import build_kernel
+from .kernels import _kernel
+from .kernels import build_kernel  # noqa: F401  perfbench/spans.py getattrs baselines.build_kernel
 from .maximize import MaximizerConfig, maximize
 from .setfunctions import FLQMI
 
@@ -101,11 +102,12 @@ def similar_select(
     Deliberately uses the fixed budget b regardless of slice balance, which
     is the behavior the slice-aware budgeting is designed to improve on.
     """
-    if len(pool.slices[t]) == 0:
+    query = pool.slices[pool.check_slice(t)]
+    if len(query) == 0:
         raise ValueError(f"query slice {t} is empty")
     if not (b := _capped_budget(b, buffer)):
         return []
-    S_up = build_kernel(buffer.X, pool.slices[t].X).values
+    S_up = _kernel(buffer.unit_rows(), query.unit_rows(), np.empty((len(buffer), len(query))))
     trace = maximize(FLQMI(S_up), replace(maximizer_cfg, budget=b))
     return [int(buffer.ids[i]) for i in trace.chosen]
 

@@ -174,6 +174,12 @@ class SlicedLabeledPool:
     def total_size(self) -> int:
         return int(self.sizes.sum())
 
+    def check_slice(self, t) -> int:
+        """t as an int; ValueError unless it is a non-bool integer in [0, num_slices)."""
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t < self.num_slices:
+            raise ValueError(f"slice {t} is not in [0, {self.num_slices})")
+        return int(t)
+
     def check_new(self, ids) -> None:
         """Raise ValueError naming the first id that is repeated or already labeled."""
         fresh: set[int] = set()
@@ -189,6 +195,7 @@ class SlicedLabeledPool:
         The new items are checked as LabeledSlice checks them, so only the new
         rows are normed; the slice keeps the norms of the rows it had.
         """
+        t = self.check_slice(t)
         new = LabeledSlice(ids, labels, X)
         sl = self.slices[t]
         self._check_dim(f"slice {t}", new.X, sl.X.shape[1])
@@ -201,11 +208,12 @@ class SlicedLabeledPool:
     def add_selected(self, t: int, buffer: UnlabeledBuffer, ids, label_oracle) -> None:
         """Label the selected buffer ids and append their rows to slice t.
 
-        ValueError names the first id that is not an integer, outside the
-        buffer, repeated or already labeled, before label_oracle is asked for
-        anything; it is asked with a copy of the ids. The picked rows and
-        their labels are then appended through add.
+        ValueError names a bad slice t, or the first id that is not an
+        integer, outside the buffer, repeated or already labeled, before
+        label_oracle is asked for anything; it is asked with a copy of the
+        ids. The picked rows and their labels are then appended through add.
         """
+        self.check_slice(t)
         ids = _integers(ids, "selected id").tolist()
         if not ids:
             return
@@ -391,6 +399,7 @@ def slice_aware_budget(
     common-slice size. All granted budgets are integers and gamma never goes
     negative.
     """
+    t = pool.check_slice(t)
     sizes = pool.sizes
     B, gamma = state.B, state.gamma
     beta = int(sizes.min())
@@ -461,7 +470,7 @@ def scg_select(
     buffer's distinct rows as smidentify takes it; pass smidentify's row_max
     against slice t to skip that pass.
     """
-    n = len(buffer)
+    t, n = pool.check_slice(t), len(buffer)
     if not (b := _capped_budget(b, buffer)):
         return ([], SelectionTrace()) if return_trace else []
     if row_max is None:

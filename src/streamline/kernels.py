@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,23 +59,6 @@ def first_bad_row(X: np.ndarray, norms: np.ndarray) -> tuple[int, str] | None:
     if not np.isfinite(X[i]).all():
         return i, "not finite"
     return i, "out of float64's range when squared" if X[i].any() else "all zero"
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Rectangular nonnegative similarity kernel with finite entries."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise KernelError(f"kernel must be 2-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise KernelError("kernel contains non-finite entries")
-        if np.any(values < 0.0):
-            raise KernelError("kernel contains negative entries")
-        object.__setattr__(self, "values", values)
 
 
 # Columns per kernel block. The last block takes the remainder, so no
@@ -201,8 +183,8 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
     return _local.buf[:size].reshape(rows, cols)
 
 
-def build_kernel(rows, cols) -> SimilarityMatrix:
-    """The clipped cosine kernel between two 2-D arrays of embeddings.
+def build_kernel(rows, cols) -> np.ndarray:
+    """The clipped cosine kernel between two 2-D arrays of embeddings, as a fresh array.
 
     Entries are computed in the column blocks _row_col_max reads, and in
     the same parts, so the two agree bit for bit. A block of 2**20 cells or
@@ -213,7 +195,7 @@ def build_kernel(rows, cols) -> SimilarityMatrix:
     finishes first.
     """
     R, C = normalize_rows(rows), normalize_rows(cols)
-    return SimilarityMatrix(_kernel(R, C, np.empty((len(R), len(C)))))
+    return _kernel(R, C, np.empty((len(R), len(C))))
 
 
 def _row_col_max(R: np.ndarray, C: np.ndarray):

@@ -12,7 +12,9 @@ FLCG's row weights w_i default to 1; a weight counts the copies a row
 stands for, so a multiset's gain is summed over its distinct rows.
 
 The max over an empty set is 0 everywhere, so every function vanishes on the
-empty set and stays monotone on nonnegative kernels. Each instance exposes a
+empty set and stays monotone on nonnegative kernels. Each function checks
+its kernels once, when it is made: they must be 2-D, finite and
+nonnegative, and so must FLCG's weights. Each instance exposes a
 definitional ``value``/``marginal_gain`` pair plus an incremental evaluator
 used by the greedy maximizers; the two paths must agree to 1e-9.
 """
@@ -21,20 +23,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import SimilarityMatrix
-
 
 class GroundIndexError(IndexError):
     """Raised when a subset refers to an item outside the ground set."""
 
 
+def _checked(a: np.ndarray, entry: str) -> np.ndarray:
+    """a, or ValueError naming its first entry that is negative or not finite,
+    as entry formatted with its indices. A min and a max pass decide, as NaN fails both."""
+    if a.size and not (a.min() >= 0.0 and a.max() < np.inf):
+        at = tuple(np.argwhere(~((a >= 0.0) & (a < np.inf)))[0].tolist())
+        raise ValueError(f"{entry.format(*at)} is {'negative' if np.isfinite(a[at]) else 'not finite'}")
+    return a
+
+
 def _kernel_values(kernel) -> np.ndarray:
-    if isinstance(kernel, SimilarityMatrix):
-        return kernel.values
-    arr = np.asarray(kernel, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"kernel must be 2-D, got shape {arr.shape}")
-    return arr
+    """kernel as a float64 array; ValueError unless it is 2-D, finite and nonnegative."""
+    S = np.asarray(kernel, dtype=np.float64)
+    if S.ndim != 2:
+        raise ValueError(f"kernel must be 2-D, got shape {S.shape}")
+    return _checked(S, "kernel entry ({}, {})")
 
 
 def _check_range(lo: int, hi: int, n: int) -> None:
@@ -113,7 +121,7 @@ class _FlqmiEvaluator(_CoverageEvaluator):
 
     def __init__(self, S: np.ndarray):
         super().__init__(S.T, np.zeros(S.shape[1]))
-        self.row_best = S.max(axis=1)  # max_{j in P} S[x, j], fixed
+        self.row_best = S.max(axis=1, initial=0.0)  # max_{j in P} S[x, j], fixed; 0 for an empty P
 
     def gains(self, candidates: np.ndarray) -> np.ndarray:
         return super().gains(candidates) + self.row_best[candidates]  # the range is checked first
@@ -127,12 +135,6 @@ class _SetFunction:
 
     ground_size: int
 
-    def value(self, A) -> float:
-        raise NotImplementedError
-
-    def evaluator(self):
-        raise NotImplementedError
-
     def marginal_gain(self, A, x: int) -> float:
         """value(A + {x}) - value(A); x must not already be in A."""
         A = _indices(A, self.ground_size)
@@ -144,26 +146,34 @@ class _SetFunction:
 
 
 class FacilityLocation(_SetFunction):
-    """F(A) = sum over kernel rows of the best similarity to any item of A."""
+    """F(A) = sum over kernel rows of the best similarity to any item of A.
+
+    On a nonnegative kernel this is FLCG with every private best 0 and no
+    weights, so the two share one value and one evaluator.
+    """
 
     def __init__(self, kernel):
         self.S = _kernel_values(kernel)
         self.ground_size = self.S.shape[1]
+        self.private_best = np.zeros(self.S.shape[0])
+        self.weights = None
 
     def value(self, A) -> float:
         A = _indices(A, self.ground_size)
         if A.size == 0:
             return 0.0
-        return float(self.S[:, A].max(axis=1).sum())
+        terms = np.maximum(self.S[:, A].max(axis=1) - self.private_best, 0.0)
+        return float((terms if self.weights is None else terms * self.weights).sum())
 
     def evaluator(self) -> _CoverageEvaluator:
-        return _CoverageEvaluator(self.S, np.zeros(self.S.shape[0]))
+        return _CoverageEvaluator(self.S, self.private_best, self.weights)
 
 
 class FLQMI(_SetFunction):
     """Mutual-information variant against a fixed query set P.
 
     The kernel is |ground| x |P|; subsets A are drawn from the row axis.
+    An empty P gives I(A; P) = 0.
     """
 
     def __init__(self, kernel):
@@ -175,49 +185,37 @@ class FLQMI(_SetFunction):
         if A.size == 0:
             return 0.0
         sub = self.S[A, :]
-        return float(sub.max(axis=1).sum() + sub.max(axis=0).sum())
+        return float(sub.max(axis=1, initial=0.0).sum() + sub.max(axis=0).sum())
 
     def evaluator(self) -> _FlqmiEvaluator:
         return _FlqmiEvaluator(self.S)
 
 
-class FLCG(_SetFunction):
+class FLCG(FacilityLocation):
     """Conditional gain of A over a private set P.
 
     Needs two kernels sharing the same row ordering: ground x ground
     similarities and ground x P similarities. Rows already covered by P
-    contribute nothing until A covers them better. weights, one per row,
-    multiply each row's term in value and in the evaluator alike; None
+    contribute nothing until A covers them better. weights, one finite,
+    nonnegative weight per row, multiply each row's term in value and in the evaluator alike; None
     weighs every row 1 and computes exactly the unweighted sum.
     """
 
     def __init__(self, kernel_uu, kernel_up=None, weights=None):
-        self.S = _kernel_values(kernel_uu)
-        if self.S.shape[0] != self.S.shape[1]:
+        super().__init__(kernel_uu)
+        n = self.S.shape[0]
+        if n != self.S.shape[1]:
             raise ValueError(f"ground kernel must be square, got {self.S.shape}")
-        self.ground_size = self.S.shape[1]
-        if kernel_up is None:
-            self.private_best = np.zeros(self.S.shape[0])
-        else:
+        if kernel_up is not None:
             S_up = _kernel_values(kernel_up)
-            if S_up.shape[0] != self.S.shape[0]:
-                raise ValueError(
-                    f"kernels disagree on ground size: {self.S.shape[0]} vs {S_up.shape[0]}"
-                )
-            self.private_best = S_up.max(axis=1) if S_up.shape[1] else np.zeros(S_up.shape[0])
-        self.weights = None if weights is None else np.asarray(weights, dtype=np.float64)
-        if self.weights is not None and self.weights.shape != (self.S.shape[0],):
-            raise ValueError(f"weights disagree on ground size: {self.S.shape[0]} vs {self.weights.shape}")
-
-    def value(self, A) -> float:
-        A = _indices(A, self.ground_size)
-        if A.size == 0:
-            return 0.0
-        terms = np.maximum(self.S[:, A].max(axis=1) - self.private_best, 0.0)
-        return float((terms if self.weights is None else terms * self.weights).sum())
-
-    def evaluator(self) -> _CoverageEvaluator:
-        return _CoverageEvaluator(self.S, self.private_best, self.weights)
+            if S_up.shape[0] != n:
+                raise ValueError(f"kernels disagree on ground size: {n} vs {S_up.shape[0]}")
+            self.private_best = S_up.max(axis=1, initial=0.0)
+        if weights is not None:
+            w = np.asarray(weights, dtype=np.float64)
+            if w.shape != (n,):
+                raise ValueError(f"weights disagree on ground size: {n} vs {w.shape}")
+            self.weights = _checked(w, "weight row {}")
 
 
 def smi_value(F: _SetFunction, A, B) -> float:

@@ -10,13 +10,13 @@ def unit_vectors(rng, n, dim):
 
 def random_cosine_kernel(rng, n_rows, n_cols, dim=5):
     """Nonnegative [0,1] kernel from random unit embeddings."""
-    return build_kernel(unit_vectors(rng, n_rows, dim), unit_vectors(rng, n_cols, dim)).values
+    return build_kernel(unit_vectors(rng, n_rows, dim), unit_vectors(rng, n_cols, dim))
 
 
 def random_self_kernel(rng, n, dim=5):
     """Symmetric unit-diagonal kernel of one embedding collection."""
     X = unit_vectors(rng, n, dim)
-    return build_kernel(X, X).values
+    return build_kernel(X, X)
 
 
 def random_instance(rng, kind, n=8, p=3, dim=5):

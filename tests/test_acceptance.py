@@ -49,7 +49,7 @@ def _unit_vectors(rng, n, dim=6):
 
 def _random_fl(rng, n, dim=6):
     X = _unit_vectors(rng, n, dim)
-    return FacilityLocation(build_kernel(X, X).values)
+    return FacilityLocation(build_kernel(X, X))
 
 
 def _brute_fl(S, A):
@@ -98,13 +98,13 @@ def test_criterion_2_lazy_equals_naive():
         n = int(rng.integers(6, 16))
         X = _unit_vectors(rng, n)
         if kind == "fl":
-            inst = FacilityLocation(build_kernel(X, X).values)
+            inst = FacilityLocation(build_kernel(X, X))
         elif kind == "flqmi":
-            inst = FLQMI(build_kernel(X, _unit_vectors(rng, int(rng.integers(2, 6)))).values)
+            inst = FLQMI(build_kernel(X, _unit_vectors(rng, int(rng.integers(2, 6)))))
         else:
             inst = FLCG(
-                build_kernel(X, X).values,
-                build_kernel(X, _unit_vectors(rng, int(rng.integers(2, 6)))).values,
+                build_kernel(X, X),
+                build_kernel(X, _unit_vectors(rng, int(rng.integers(2, 6)))),
             )
         b = int(rng.integers(1, n + 1))
         t_naive = naive_greedy(inst, MaximizerConfig(budget=b, algorithm="naive"))
@@ -161,7 +161,7 @@ def test_criterion_4_information_identities():
     for _ in range(200):
         n = int(rng.integers(3, 7))
         X = _unit_vectors(rng, n)
-        S = build_kernel(X, X).values
+        S = build_kernel(X, X)
         F = FacilityLocation(S)
         A = list(rng.choice(n, size=rng.integers(0, n), replace=False))
         B = list(rng.choice(n, size=rng.integers(0, n), replace=False))
@@ -170,7 +170,7 @@ def test_criterion_4_information_identities():
         ok &= abs(scg_value(F, A, B) - (_brute_fl(S, union) - _brute_fl(S, B))) <= 1e-9
 
         p = int(rng.integers(1, 4))
-        S_up = build_kernel(X, _unit_vectors(rng, p)).values
+        S_up = build_kernel(X, _unit_vectors(rng, p))
         joined = np.hstack([S, S_up])
         fl_joined = FacilityLocation(joined)
         P = list(range(n, n + p))
@@ -275,7 +275,7 @@ def test_criterion_6_identification():
         correct += result.slice_id == target
 
         kernels = [
-            build_kernel(buf.X, sl.X).values for sl in pool.slices
+            build_kernel(buf.X, sl.X) for sl in pool.slices
         ]
         base = int(np.argmax(smidentify_scores(kernels)))
         for c in (0.3, 2.0, 11.0):
@@ -320,8 +320,8 @@ def test_criterion_7_redundancy():
         ok &= len(set(pairs)) == len(pairs)  # at most one copy of each pair
 
         # brute-force FLCG oracle: some duplicate-free subset attains the optimum
-        S_uu = build_kernel(X, X).values
-        S_up = build_kernel(X, P).values
+        S_uu = build_kernel(X, X)
+        S_up = build_kernel(X, P)
         best_val, best_sets = -1.0, []
         for A in itertools.combinations(range(2 * uniques), b):
             val = _brute_flcg(S_uu, S_up, list(A))

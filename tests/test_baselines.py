@@ -185,7 +185,7 @@ def test_similar_targets_on_slice_cluster():
     # brute-force oracle: the optimal FLQMI subset also sits on-slice
     from streamline.kernels import build_kernel
 
-    S = build_kernel(X, query).values
+    S = build_kernel(X, query)
     best = max(itertools.combinations(range(8), 3), key=lambda A: brute_flqmi(S, list(A)))
     assert set(best) <= {0, 1, 2, 3}
 

@@ -584,6 +584,40 @@ def test_pool_check_new_names_the_first_bad_id():
         pool.check_new([100, 101, 101, 2])
 
 
+@pytest.mark.parametrize(
+    "t, shown", [(-1, "-1"), (np.int64(-1), "-1"), (3, "3"), (5, "5"), (1.5, "1.5"), (True, "True")]
+)
+def test_every_slice_index_is_checked_before_use(t, shown):
+    """Unchecked, -1 targeted the last slice, 5 raised a bare IndexError and 1.5 a TypeError."""
+    from streamline.baselines import similar_select
+
+    pool, next_id = make_pool([2, 3, 4], [False, False, True])
+    buf = make_buffer(5, axis=1, next_id=next_id)
+    asked = []
+    oracle = lambda ids: asked.append(ids) or np.zeros(len(ids), int)  # noqa: E731
+    cfg = MaximizerConfig(budget=0)
+    calls = [
+        lambda: pool.add(t, [100], [0], np.ones((1, 4))),
+        lambda: pool.add_selected(t, buf, [int(buf.ids[0])], oracle),
+        lambda: slice_aware_budget(pool, BudgetState(B=2, rho=0.5), t),
+        lambda: scg_select(pool, buf, t, 2, cfg),
+        lambda: similar_select(buf, pool, t, 2, cfg),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^slice {shown} is not in \[0, 3\)$"):
+            call()
+    assert asked == [] and pool.sizes.tolist() == [2, 3, 4]
+
+
+def test_a_buffer_with_no_true_slice_cannot_be_appended_by_it():
+    pool, next_id = make_pool([2, 3], [False, True])
+    buf = make_buffer(4, axis=1, next_id=next_id)  # true_slice left at its default, -1
+    with pytest.raises(ValueError, match=r"slice -1 is not in \[0, 2\)"):
+        pool.add_selected(buf.true_slice, buf, [int(buf.ids[0])], lambda ids: np.zeros(len(ids), int))
+    pool.add_selected(np.int64(1), buf, [int(buf.ids[0])], lambda ids: np.zeros(len(ids), int))
+    assert pool.sizes.tolist() == [2, 4]
+
+
 def test_pool_add_selected_appends_buffer_rows_after_its_checks():
     pool, next_id = make_pool([3], [False])
     buf = make_buffer(5, axis=1, next_id=next_id, true_slice=0)

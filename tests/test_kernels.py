@@ -12,7 +12,6 @@ from streamline.kernels import (
     _SPLIT_ALIGN,
     _SPLIT_CELLS,
     KernelError,
-    SimilarityMatrix,
     _kernel,
     _product,
     _row_col_max,
@@ -20,6 +19,7 @@ from streamline.kernels import (
     build_kernel,
     normalize_rows,
 )
+from streamline.setfunctions import FLCG, FLQMI, FacilityLocation
 
 
 def _cosine(a, b) -> float:
@@ -39,7 +39,7 @@ def _cosine(a, b) -> float:
     ids=["identical", "orthogonal", "45_degrees", "negative_clamps_to_zero"],
 )
 def test_build_kernel_1x1_is_the_clamped_cosine(a, b, expected):
-    K = build_kernel(np.array([a]), np.array([b])).values
+    K = build_kernel(np.array([a]), np.array([b]))
     assert K.shape == (1, 1)
     assert K[0, 0] == pytest.approx(expected, abs=1e-12)
 
@@ -53,7 +53,7 @@ def test_build_kernel_matches_bruteforce_cosine():
     rng = np.random.default_rng(4)
     rows = rng.normal(size=(5, 6))
     cols = rng.normal(size=(7, 6))
-    K = build_kernel(rows, cols).values
+    K = build_kernel(rows, cols)
     for i in range(5):
         for j in range(7):
             assert K[i, j] == pytest.approx(_cosine(rows[i], cols[j]), abs=1e-9)
@@ -62,21 +62,21 @@ def test_build_kernel_matches_bruteforce_cosine():
 def test_self_kernel_symmetric_unit_diagonal():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(6, 4))
-    K = build_kernel(X, X).values
+    K = build_kernel(X, X)
     assert np.allclose(K, K.T, atol=1e-6)
     assert np.allclose(np.diag(K), 1.0, atol=1e-6)
 
 
 def test_kernel_entries_in_unit_range():
     rng = np.random.default_rng(9)
-    K = build_kernel(rng.normal(size=(8, 5)), rng.normal(size=(9, 5))).values
+    K = build_kernel(rng.normal(size=(8, 5)), rng.normal(size=(9, 5)))
     assert np.all(K >= 0.0)
     assert np.all(K <= 1.0 + 1e-9)
 
 
 def test_single_identical_item_kernel():
     x = np.array([[2.0, 1.0]])
-    K = build_kernel(x, x).values
+    K = build_kernel(x, x)
     assert K.shape == (1, 1)
     assert K[0, 0] == pytest.approx(1.0)
 
@@ -107,9 +107,9 @@ def test_build_kernel_empty_rejected():
 def test_build_kernel_of_a_list_of_vectors_equals_the_stacked_array():
     rng = np.random.default_rng(11)
     rows, cols = rng.normal(size=(5, 4)), rng.normal(size=(7, 4))
-    stacked = build_kernel(rows, cols).values
-    assert np.array_equal(build_kernel(list(rows), list(cols)).values, stacked)
-    assert np.array_equal(build_kernel(list(rows), cols).values, stacked)
+    stacked = build_kernel(rows, cols)
+    assert np.array_equal(build_kernel(list(rows), list(cols)), stacked)
+    assert np.array_equal(build_kernel(list(rows), cols), stacked)
 
 
 def test_empty_or_ragged_rows_cannot_be_normalized():
@@ -119,13 +119,38 @@ def test_empty_or_ragged_rows_cannot_be_normalized():
         normalize_rows([[1.0, 2.0], [1.0]])
 
 
-def test_similarity_matrix_invariants():
-    with pytest.raises(KernelError):
-        SimilarityMatrix(np.array([[0.5, -0.1]]))
-    with pytest.raises(KernelError):
-        SimilarityMatrix(np.array([[np.inf, 0.0]]))
-    m = SimilarityMatrix(np.ones((2, 3)))
-    assert m.values.shape == (2, 3)
+_SET_FUNCTIONS = {
+    "FacilityLocation": FacilityLocation,
+    "FLQMI": FLQMI,
+    "FLCG_kernel_uu": FLCG,
+    "FLCG_kernel_up": lambda K: FLCG(np.ones((len(K), len(K))), K),
+}
+
+
+@pytest.mark.parametrize("make", _SET_FUNCTIONS.values(), ids=_SET_FUNCTIONS.keys())
+@pytest.mark.parametrize(
+    "bad, why",
+    [(np.nan, "not finite"), (np.inf, "not finite"), (-np.inf, "not finite"), (-0.5, "negative")],
+    ids=["nan", "inf", "-inf", "negative"],
+)
+def test_set_functions_reject_a_kernel_entry_and_name_it(make, bad, why):
+    K = np.full((2, 2), 0.5)
+    K[1, 1] = np.nan  # a later bad entry is not the one named
+    K[1, 0] = bad
+    with pytest.raises(ValueError, match=rf"^kernel entry \(1, 0\) is {why}$"):
+        make(K)
+
+
+@pytest.mark.parametrize("make", _SET_FUNCTIONS.values(), ids=_SET_FUNCTIONS.keys())
+def test_set_functions_reject_a_3d_kernel(make):
+    with pytest.raises(ValueError, match=r"kernel must be 2-D, got shape \(2, 2, 2\)"):
+        make(np.ones((2, 2, 2)))
+
+
+def test_a_nan_kernel_is_rejected_before_any_greedy_runs():
+    """Unchecked, naive greedy recorded nan gains and lazy greedy raised an unnamed float error."""
+    with pytest.raises(ValueError, match=r"kernel entry \(0, 0\) is not finite"):
+        FacilityLocation(np.array([[np.nan, 1.0], [1.0, -1.0]]))
 
 
 # ------------------------------------------------------------------ workspace
@@ -157,7 +182,7 @@ def _in_threads(*fns):
 def test_kernel_results_share_no_memory_with_the_workspace():
     rng = np.random.default_rng(0)
     U, P = rng.normal(size=(30, 4)), rng.normal(size=(2 * _BLOCK + 5, 4))
-    K = build_kernel(U, P).values
+    K = build_kernel(U, P)
     row, col = _row_col_max(normalize_rows(U), normalize_rows(P))
     kept = [a.copy() for a in (K, row, col)]
     for a in (K, row, col):
@@ -257,7 +282,7 @@ def test_an_error_in_the_helpers_part_is_raised_in_the_caller():
     with pytest.raises(ArithmeticError, match="in the helper's part"):
         _product(U, P, _workspace(len(U), len(P)), fold)
     # the helper is still there, and the next call gets the whole kernel's maxima
-    K = build_kernel(X, Y).values
+    K = build_kernel(X, Y)
     row, col = _row_col_max(U, P)
     np.testing.assert_array_equal(row, K.max(axis=1))
     np.testing.assert_array_equal(col, K.max(axis=0))

@@ -17,7 +17,8 @@ kernel's maxima (with split blocks too), the kernels built in a thread's
 reused workspace, the row norms each slice keeps from ingestion, the
 column-contiguous coverage gains, the scalar gain of lazy greedy's
 re-evaluations and the round's reuse of identify's row maxima bit for bit,
-and lazy greedy against naive greedy. The last one checks that a failing
+lazy greedy against naive greedy, and facility location against FLCG with
+no private set. The last one checks that a failing
 property test still shows its example.
 """
 
@@ -78,7 +79,7 @@ def _rows(rng, n, dim, grid):
 def test_row_col_max_equals_full_kernel_maxima(seed, n_u, dim, n_p, grid):
     rng = np.random.default_rng(seed)
     U, P = _rows(rng, n_u, dim, grid), _rows(rng, n_p, dim, grid)
-    K = build_kernel(U, P).values
+    K = build_kernel(U, P)
     row, col = _row_col_max(normalize_rows(U), normalize_rows(P))
     np.testing.assert_array_equal(row, K.max(axis=1))
     np.testing.assert_array_equal(col, K.max(axis=0))
@@ -110,14 +111,14 @@ def _kernel_by_copy(X, P) -> np.ndarray:
     buffer x slice kernel identify reads. Without copies it is build_kernel(X, P)."""
     distinct, copy_of = _by_copy(X)
     if len(distinct) == len(X):
-        return build_kernel(X, P).values
-    return build_kernel(distinct, P).values[copy_of]
+        return build_kernel(X, P)
+    return build_kernel(distinct, P)[copy_of]
 
 
 def _self_kernel_by_copy(X) -> np.ndarray:
     """build_kernel over X's distinct rows, expanded by copy on both axes."""
     distinct, copy_of = _by_copy(X)
-    return build_kernel(distinct, distinct).values[np.ix_(copy_of, copy_of)]
+    return build_kernel(distinct, distinct)[np.ix_(copy_of, copy_of)]
 
 
 @SETTINGS
@@ -453,7 +454,7 @@ def test_fit_equals_the_reference_fit_when_backtracking_fires():
 def test_self_row_col_max_equals_build_kernel(seed, n, dim, grid):
     rng = np.random.default_rng(seed)
     U = _rows(rng, n, dim, grid)
-    K = build_kernel(U, U).values
+    K = build_kernel(U, U)
     row, col = _row_col_max(normalize_rows(U), normalize_rows(U))
     np.testing.assert_array_equal(row, K.max(axis=1))
     np.testing.assert_array_equal(col, K.max(axis=0))
@@ -474,7 +475,7 @@ def test_workspace_kernels_equal_build_kernel(seed, n_u, n_p, dim, grid, before)
     whatever the workspace held."""
     rng = np.random.default_rng(seed)
     U, P = _rows(rng, n_u, dim, grid), _rows(rng, n_p, dim, grid)
-    K_up, R = build_kernel(U, P).values, normalize_rows(U)
+    K_up, R = build_kernel(U, P), normalize_rows(U)
     K_uu = _kernel(R, R, _workspace(n_u, n_u)).copy()
 
     def on_a_new_thread():
@@ -490,7 +491,7 @@ def test_workspace_kernels_equal_build_kernel(seed, n_u, n_p, dim, grid, before)
     np.testing.assert_array_equal(row, K_up.max(axis=1))
     np.testing.assert_array_equal(col, K_up.max(axis=0))
     np.testing.assert_array_equal(S, K_uu)
-    np.testing.assert_allclose(S, build_kernel(U, U).values, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(S, build_kernel(U, U), rtol=0.0, atol=1e-15)
 
 
 @SETTINGS
@@ -630,6 +631,37 @@ def test_lazy_greedy_equals_naive_greedy(seed, n_rows, n, b, dups, grid, kind):
     assert lazy.chosen == naive.chosen
     assert lazy.gains == naive.gains
     assert lazy.evaluations <= naive.evaluations
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 40),
+    n=st.integers(1, 40),
+    square=st.booleans(),
+    b=st.integers(0, 45),
+    grid=st.booleans(),
+)
+def test_facility_location_is_flcg_with_no_private_set(seed, n_rows, n, square, b, grid):
+    """On a nonnegative kernel, FacilityLocation(S) and FLCG(S) have equal
+    value bits and equal naive and lazy traces. Only facility location takes
+    a rectangular S, and its value there is still the plain sum of row maxima."""
+    rng = np.random.default_rng(seed)
+    if square:
+        n_rows = n
+    S = rng.integers(0, 3, size=(n_rows, n)) / 2.0 if grid else rng.random((n_rows, n))
+    fl = FacilityLocation(S)
+    subsets = [rng.choice(n, size=rng.integers(0, n + 1), replace=False) for _ in range(5)]
+    for A in subsets:
+        assert fl.value(A).hex() == float(S[:, A].max(axis=1).sum() if len(A) else 0.0).hex()
+    traces = {alg: maximize(fl, MaximizerConfig(budget=b, algorithm=alg)) for alg in ("naive", "lazy")}
+    if not square:
+        return
+    cg = FLCG(S)
+    for A in subsets:
+        assert cg.value(A).hex() == fl.value(A).hex()
+    for alg, trace in traces.items():
+        assert maximize(cg, MaximizerConfig(budget=b, algorithm=alg)) == trace
 
 
 @SETTINGS

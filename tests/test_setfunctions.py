@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_cosine_kernel, random_instance, random_self_kernel
+from streamline.maximize import MaximizerConfig, maximize
 from streamline.setfunctions import (
     FLCG,
     FLQMI,
@@ -262,6 +263,35 @@ def test_weighted_flcg_is_flcg_over_the_rows_copied():
     assert FLCG(S_uu, S_up, None).value(A) == FLCG(S_uu, S_up).value(A)  # no weights: today's bits
     with pytest.raises(ValueError, match="ground size"):
         FLCG(S_uu, S_up, np.ones(5))
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([np.nan, 1.0], "weight row 0 is not finite"),
+        ([1.0, np.inf], "weight row 1 is not finite"),
+        ([-1.0, 1.0], "weight row 0 is negative"),
+        ([[1.0, 1.0]], r"ground size: 2 vs \(1, 2\)"),
+        ([1.0, 1.0, 1.0], r"ground size: 2 vs \(3,\)"),
+    ],
+)
+def test_flcg_weights_are_checked_when_made(weights, message):
+    """Unchecked, a nan weight made lazy greedy raise an unnamed float error
+    and a negative one gave a negative gain."""
+    with pytest.raises(ValueError, match=message):
+        FLCG(np.ones((2, 2)), weights=weights)
+
+
+def test_flqmi_against_an_empty_query_set_is_zero():
+    """I(A; {}) = 0, as the max over an empty set is 0."""
+    f = FLQMI(np.ones((3, 0)))
+    assert f.value([0, 2]) == 0.0
+    ev = f.evaluator()
+    np.testing.assert_array_equal(ev.gains(np.arange(3)), np.zeros(3))
+    ev.add(1)
+    assert ev.gain(0) == 0.0
+    trace = maximize(f, MaximizerConfig(budget=2, algorithm="lazy"))
+    assert trace.chosen == [0, 1] and trace.gains == [0.0, 0.0]
 
 
 def test_flqmi_normalizer_is_axis_length_sum():
