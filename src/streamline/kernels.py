@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,35 +62,65 @@ def first_bad_row(X: np.ndarray, norms: np.ndarray) -> tuple[int, str] | None:
     return i, "out of float64's range when squared" if X[i].any() else "all zero"
 
 
-# Columns per kernel block. The last block takes the remainder, so no
-# block is narrow and a kernel with fewer than 2 * _BLOCK columns is one
-# matrix product.
+# Columns per kernel block below the gate. The last block takes the
+# remainder, so no block is narrow and a kernel with fewer than 2 * _BLOCK
+# columns is one block.
 _BLOCK = 1024
 
-
-def _blocks(R: np.ndarray, C: np.ndarray) -> list[slice]:
-    """The column blocks of the kernel between prepared sides R and C, whose dims must agree."""
-    if R.shape[1] != C.shape[1]:
-        raise KernelError(f"embedding dims differ: {R.shape[1]} vs {C.shape[1]}")
-    m = C.shape[0]
-    starts = [k * _BLOCK for k in range(max(m // _BLOCK, 1))] + [m]
-    return [slice(j0, j1) for j0, j1 in zip(starts, starts[1:])]
-
-
-# A block product of at least _SPLIT_CELLS cells (rows x block columns) is
-# computed as two column parts, the second on a helper thread, cut at a
-# multiple of _SPLIT_ALIGN columns near the middle. A cut can move a cell's
-# last bit, since BLAS may round a cell by where its column sits in the
-# product: on OpenBLAS's SkylakeX kernels it did at the churn and desk
-# benchmark shapes, so smaller blocks stay one product, and it did not at
-# the ROADMAP's scaled shape (|U| 2000, dim 64).
+# The gate: a kernel whose first column block (none is narrower) has at
+# least _SPLIT_CELLS cells, and which has at least 2 * _SPLIT_ALIGN columns,
+# is walked on two threads. Its columns are cut once, at a multiple of
+# _SPLIT_ALIGN near the middle, and each half is walked in tiles of at most
+# _TILE_ROWS x _TILE_COLS cells (1 MB of float64, half a core's 2 MB L2).
+# BLAS may round a cell by where its row and column sit in a product: cut
+# differently, blocks moved last bits at the churn and desk benchmark
+# shapes, so a kernel below the gate stays one product per block; tiles
+# starting at these multiples moved none at the ROADMAP's scaled shape
+# (|U| 2000, dim 64).
 _SPLIT_CELLS = 2**20
 _SPLIT_ALIGN = 64
+_TILE_ROWS, _TILE_COLS = 256, 512
 
-# The helper thread's executor, made at the first split and shared by every
-# thread. A forked child (cli.run's workers) has no helper thread, and the
-# lock may have been held at the fork, so the child drops both and makes
-# its own.
+
+def _spans(lo: int, hi: int, step: int) -> list[slice]:
+    """[lo, hi) cut every step, the last span taking what is left."""
+    return [slice(a, min(a + step, hi)) for a in range(lo, hi, step)]
+
+
+# Cached for the shapes of a round or two: rebuilding the tiles took about
+# 1 us of a 36 us kernel at the churn benchmark's shapes, and 256 entries
+# kept about 1 MB more resident there than 32.
+@lru_cache(maxsize=32)
+def _tiles(n: int, m: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
+    """The (rows, columns) tiles of an (n, m) kernel, one tuple per thread.
+
+    Below the gate there is one tuple, for the calling thread: each column
+    block, full height. At or above it there are two, the calling thread's
+    columns and then the helper thread's; each half is walked column tile
+    by column tile, down the rows of each. Every cell is in exactly one
+    tile, and the tiles depend on n and m alone.
+    """
+    starts = [k * _BLOCK for k in range(max(m // _BLOCK, 1))] + [m]
+    cut = m // (2 * _SPLIT_ALIGN) * _SPLIT_ALIGN
+    if n * starts[1] < _SPLIT_CELLS or cut == 0:
+        return (tuple((slice(0, n), slice(j0, j1)) for j0, j1 in zip(starts, starts[1:])),)
+    return tuple(
+        tuple((i, j) for j in _spans(lo, hi, _TILE_COLS) for i in _spans(0, n, _TILE_ROWS))
+        for lo, hi in ((0, cut), (cut, m))
+    )
+
+
+def _plan(R: np.ndarray, C: np.ndarray) -> tuple[tuple[tuple[slice, slice], ...], ...]:
+    """_tiles of the kernel between prepared sides R and C, whose dims must agree."""
+    if R.shape[1] != C.shape[1]:
+        raise KernelError(f"embedding dims differ: {R.shape[1]} vs {C.shape[1]}")
+    return _tiles(len(R), len(C))
+
+
+# The helper thread's executor, made at the first walk above the gate and
+# shared by every thread. A forked child (cli.run's workers) has no helper
+# thread, and the lock may have been held at the fork, so the child drops
+# both and makes its own.
 _helper, _helper_lock = None, threading.Lock()
 
 
@@ -111,49 +142,42 @@ def _start_helper():
         return _helper
 
 
-def _product(R: np.ndarray, C: np.ndarray, out: np.ndarray, fold) -> list:
-    """Write R @ C.T into out and return [fold(part) for each column part of out].
+def _walk(R, C, shares, tile, fold) -> None:
+    """Compute R @ C.T tile by tile and call fold(k, i, j, product) on each tile.
 
-    out is a (len(R), len(C)) float64 view each of whose rows is
-    contiguous. A product of _SPLIT_CELLS cells or more is two column
-    parts, cut at a multiple of _SPLIT_ALIGN columns near the middle; the
-    second part and its fold run on the helper thread, and both write into
-    out, so no memory is added. The cut depends only on out's shape, so the
-    bits do too, whichever thread computes a part. An exception in either
-    part is raised here, once both parts are done with out.
+    shares is _plan's list of tiles per thread; share k computes tile
+    (i, j) into tile(k, i, j), a C-contiguous or row-contiguous float64
+    view of its shape. Share 1, if any, runs on the helper thread, handed
+    off once per call; it allocates nothing. An exception in either share
+    is raised here, once both are done with their views.
     """
-    n, w = out.shape
-    cut = w // (2 * _SPLIT_ALIGN) * _SPLIT_ALIGN
-    if n * w < _SPLIT_CELLS or cut == 0:
-        return [fold(np.matmul(R, C.T, out=out))]
 
-    def part(j: slice):
-        return fold(np.matmul(R, C[j].T, out=out[:, j]))
+    def walk(k: int) -> None:
+        for i, j in shares[k]:
+            fold(k, i, j, np.matmul(R[i], C[j].T, out=tile(k, i, j)))
 
-    second = (_helper or _start_helper()).submit(part, slice(cut, w))
+    if len(shares) == 1:
+        return walk(0)
+    second = (_helper or _start_helper()).submit(walk, 1)
     try:
-        first = part(slice(0, cut))
+        walk(0)
     finally:
-        second.exception()  # waits until the helper's part is done with out
-    return [first, second.result()]
-
-
-def _clip(part: np.ndarray) -> np.ndarray:
-    return np.clip(part, 0.0, 1.0, out=part)
-
-
-def _maxima(part: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return part.max(axis=1), part.max(axis=0)
+        second.exception()  # waits until the helper's share is done with its views
+    second.result()
 
 
 def _kernel(R: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The clipped cosine kernel of two sides normalize_rows prepared, into out.
 
-    out is a C-contiguous (len(R), len(C)) float64 array. Its column blocks
-    are written and clipped in place, one _product each.
+    out is a C-contiguous (len(R), len(C)) float64 array. Each tile is
+    computed straight into out and clipped there, while it is still in
+    cache; below the gate a tile is a whole column block.
     """
-    for j in _blocks(R, C):
-        _product(R, C[j], out[:, j], _clip)
+
+    def clip(k, i, j, product):
+        np.clip(product, 0.0, 1.0, out=product)
+
+    _walk(R, C, _plan(R, C), lambda k, i, j: out[i, j], clip)
     return out
 
 
@@ -166,15 +190,14 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
 
     The workspace is one flat buffer per thread. It grows to the largest
     request so far, dropping the old buffer before the new one is allocated,
-    never shrinks, and lives as long as its thread, so a round's |U| x
-    widest-block scratch and its |U| x |U| buffer kernel reuse memory that
-    was faulted in once. A view starts with whatever an earlier call left in
-    it, and it stays valid until the next _workspace call on the same
-    thread: core._distinct_row_greedy, the only holder, keeps its S_uu for
-    the greedy and makes no kernel call meanwhile. Nothing returned by
-    build_kernel or _row_col_max is a view of it. The helper thread of a
-    split block product writes its part into the caller's view and has no
-    workspace of its own.
+    never shrinks, and lives as long as its thread, so a round's tile
+    scratch and its |U| x |U| buffer kernel reuse memory that was faulted in
+    once. A view starts with whatever an earlier call left in it, and it
+    stays valid until the next _workspace call on the same thread, which
+    every _row_col_max makes: core._distinct_row_greedy keeps its S_uu for
+    the greedy and makes no kernel call meanwhile. Nothing build_kernel or _row_col_max returns is a
+    view of it. The helper thread computes its share of a walk into the
+    calling thread's views and has no workspace of its own.
     """
     size = rows * cols
     if getattr(_local, "buf", None) is None or _local.buf.size < size:
@@ -186,34 +209,50 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
 def build_kernel(rows, cols) -> np.ndarray:
     """The clipped cosine kernel between two 2-D arrays of embeddings, as a fresh array.
 
-    Entries are computed in the column blocks _row_col_max reads, and in
-    the same parts, so the two agree bit for bit. A block of 2**20 cells or
-    more (rows x block columns) is two column parts, cut at a multiple of 64
-    columns near the middle and computed on two threads (see _product).
-    Which blocks and parts a kernel has depends only on its shape, so its
-    bits depend only on the inputs and their shapes, never on which thread
-    finishes first.
+    Each cell is computed by the product _row_col_max computes it in, so
+    the two agree bit for bit (see _tiles for how a kernel is cut). Which
+    products a kernel has depends only on its shape, so its bits depend
+    only on the inputs and their shapes, never on which thread finishes
+    first.
     """
     R, C = normalize_rows(rows), normalize_rows(cols)
     return _kernel(R, C, np.empty((len(R), len(C))))
 
 
+def _fold_max(product: np.ndarray, axis: int, acc: np.ndarray, first: bool) -> None:
+    """Store product's maxima along axis in acc when first, else fold them into acc."""
+    if first:
+        product.max(axis=axis, out=acc)
+    else:
+        np.maximum(acc, product.max(axis=axis), out=acc)
+
+
 def _row_col_max(R: np.ndarray, C: np.ndarray):
     """build_kernel's row and column maxima, exactly, from sides normalize_rows prepared.
 
-    The kernel is never held whole: each of its column blocks is written
-    into the thread's kernel workspace and folded into a running row max and
-    its own column max. A block build_kernel splits is split here too, and
-    each part's row max is folded in, first part first, and its column max
-    appended; max is exact, so the folds equal one block's. Only the two max
-    vectors are clipped, since clipping commutes with max; both are fresh
-    arrays.
+    The kernel is never held whole: each tile is computed into its thread's
+    tile scratch, carved from the calling thread's workspace, and folded
+    into that thread's running row maxima and the running maxima of its
+    columns while it is still in cache. The two threads' row maxima are
+    folded at the end; max is exact, so the folds equal the whole kernel's.
+    Only the two max vectors are clipped, since clipping commutes with max;
+    both are fresh arrays.
     """
-    blocks = _blocks(R, C)
-    scratch = _workspace(R.shape[0], blocks[-1].stop - blocks[-1].start)  # the widest block
-    row_max, col_max = np.full(R.shape[0], -np.inf), []
-    for j in blocks:
-        for part_row, part_col in _product(R, C[j], scratch[:, : j.stop - j.start], _maxima):
-            np.maximum(row_max, part_row, out=row_max)
-            col_max.append(part_col)
-    return np.clip(row_max, 0.0, 1.0), np.clip(np.concatenate(col_max), 0.0, 1.0)
+    shares = _plan(R, C)
+    cells = max((i.stop - i.start) * (j.stop - j.start) for share in shares for i, j in share)
+    scratch = _workspace(len(shares), cells)
+    row_max, col_max = np.empty((len(shares), len(R))), np.empty(len(C))
+
+    def tile(k, i, j):
+        h, w = i.stop - i.start, j.stop - j.start
+        return scratch[k, : h * w].reshape(h, w)
+
+    def fold(k, i, j, product):
+        _fold_max(product, 1, row_max[k, i], first=j.start == shares[k][0][1].start)
+        _fold_max(product, 0, col_max[j], first=i.start == 0)
+
+    _walk(R, C, shares, tile, fold)
+    row = row_max[0]
+    for other in row_max[1:]:
+        np.maximum(row, other, out=row)
+    return np.clip(row, 0.0, 1.0, out=row), np.clip(col_max, 0.0, 1.0, out=col_max)

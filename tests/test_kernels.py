@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -11,10 +12,14 @@ from streamline.kernels import (
     _BLOCK,
     _SPLIT_ALIGN,
     _SPLIT_CELLS,
+    _TILE_COLS,
+    _TILE_ROWS,
     KernelError,
     _kernel,
-    _product,
+    _plan,
     _row_col_max,
+    _tiles,
+    _walk,
     _workspace,
     build_kernel,
     normalize_rows,
@@ -198,7 +203,7 @@ def test_kernel_results_share_no_memory_with_the_workspace():
 
 def test_threads_building_different_kernels_at_once_each_get_the_serial_result():
     rng = np.random.default_rng(1)
-    # more threads than 2 cores; the last shape's blocks are split, so its threads share the helper
+    # more threads than 2 cores; the last shape is above the gate, so its threads share the helper
     shapes = [(40, 2 * _BLOCK + 7), (70, 300), (25, 2 * _BLOCK), (90, 5), (1030, 1100)]
     sides = [(normalize_rows(rng.normal(size=(n_u, 6))), normalize_rows(rng.normal(size=(n_p, 6))))
              for n_u, n_p in shapes]
@@ -242,47 +247,171 @@ def test_a_grown_workspace_leaves_one_buffer_on_its_thread():
     assert peak < 8_000_000 + 100_000  # the old buffer was freed before the new one was allocated
 
 
-# ------------------------------------------------------------------ split blocks
+# ------------------------------------------------------------------ the tile walk
+
+_SHAPES = [  # below the gate, then at or above it, with partial last tiles in both axes
+    (1, 1), (1023, 1024), (2**14, 127), (600, 3000), (1024, 1024), (1030, 1030), (2**13, 128), (2000, 4000),
+    (2000, 2000), (1100, 2100), (1037, 2099),
+]
 
 
-def _parts(n, w):
-    """(thread, columns) of each part _product computes a (n, w) block in."""
-    rng = np.random.default_rng(2)
+@pytest.mark.parametrize("n, w", _SHAPES)
+def test_the_tiles_cover_every_cell_once_and_depend_on_the_shape_alone(n, w):
+    shares = _tiles(n, w)
+    covered = np.zeros((n, w), dtype=int)
+    for share in shares:
+        for i, j in share:
+            covered[i, j] += 1
+    assert (covered == 1).all()
+    rng = np.random.default_rng(n + w)
+    for dim in (1, 7):  # _plan reads the shapes, not the data
+        R, C = rng.normal(size=(n, dim)), rng.normal(size=(w, dim))
+        assert _plan(R, C) == shares
+    first_block = w if w < 2 * _BLOCK else _BLOCK
+    if n * first_block < _SPLIT_CELLS or w < 2 * _SPLIT_ALIGN:  # below the gate: full-height blocks
+        [share] = shares
+        assert all(i == slice(0, n) for i, _ in share)
+        assert [j.stop - j.start for _, j in share][:-1] == [_BLOCK] * (len(share) - 1)
+    else:  # two halves cut at a multiple of _SPLIT_ALIGN near the middle, in tiles of at most 1 MB
+        first, second = shares
+        cut = first[-1][1].stop
+        assert cut == second[0][1].start and cut % _SPLIT_ALIGN == 0 and abs(w - 2 * cut) < 2 * _SPLIT_ALIGN
+        assert all(i.stop - i.start <= _TILE_ROWS and j.stop - j.start <= _TILE_COLS for i, j in first + second)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """(thread, out) of every np.matmul call, in the order made."""
+    made, matmul = [], np.matmul
+
+    def spy(*args, out):
+        made.append((threading.get_ident(), out))
+        return matmul(*args, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return made
+
+
+@pytest.fixture
+def handoffs(monkeypatch):
+    """The shares submitted to the helper thread."""
+    submitted, helper = [], kernels._start_helper()
+
+    class Spy:
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return helper.submit(fn, *args)
+
+    monkeypatch.setattr(kernels, "_helper", Spy())
+    return submitted
+
+
+@pytest.mark.parametrize("n, w", [(1023, 1024), (2**14, 127), (600, 3000), (30, 2 * _BLOCK + 5)])
+def test_a_kernel_below_the_gate_is_one_full_height_product_per_block_on_the_calling_thread(
+    n, w, products, handoffs
+):
+    rng = np.random.default_rng(5)
     R, C = normalize_rows(rng.normal(size=(n, 3))), normalize_rows(rng.normal(size=(w, 3)))
     out = np.empty((n, w))
-    parts = _product(R, C, out, lambda part: (threading.get_ident(), part.shape[1]))
-    np.testing.assert_allclose(out, R @ C.T, rtol=0, atol=1e-12)  # a cut may move last bits
-    return parts
-
-
-def test_a_block_product_of_2_20_cells_or_more_is_split_in_two():
+    _kernel(R, C, out)
+    blocks = [j for _, j in _tiles(n, w)[0]]
     caller = threading.get_ident()
-    assert _SPLIT_CELLS == 2**20
-    # below the gate, and too narrow to cut: one product on the calling thread
-    assert _parts(1023, 1024) == [(caller, 1024)]
-    assert _parts(2**14, 127) == [(caller, 127)]
-    # at the gate: two parts, cut at a multiple of _SPLIT_ALIGN columns, the second on the helper
-    for n, w, cut in [(1024, 1024, 512), (1030, 1030, 512), (2**13, 128, 64), (700, 2000, 960)]:
-        (first, first_w), (second, second_w) = _parts(n, w)
-        assert first == caller and second != caller
-        assert first_w == cut and cut % _SPLIT_ALIGN == 0 and first_w + second_w == w
+    assert [thread for thread, _ in products] == [caller] * len(blocks)
+    # straight into out, one full-height block each, as before the walk
+    for (_, tile), j in zip(products, blocks):
+        assert tile.shape == (n, j.stop - j.start) and tile.base is out
+        assert tile.__array_interface__["data"][0] == out[:, j].__array_interface__["data"][0]
+    products.clear()
+    _row_col_max(R, C)
+    assert [(thread, tile.shape) for thread, tile in products] == [(caller, (n, j.stop - j.start)) for j in blocks]
+    assert handoffs == []
 
 
-def test_an_error_in_the_helpers_part_is_raised_in_the_caller():
+@pytest.mark.parametrize("n, w", [(2000, 4000), (1030, 1030), (1100, 2100)])
+def test_a_kernel_above_the_gate_is_handed_to_the_helper_once(n, w, products, handoffs):
+    rng = np.random.default_rng(6)
+    X, Y = rng.normal(size=(n, 8)), rng.normal(size=(w, 8))
+    R, C = normalize_rows(X), normalize_rows(Y)
+    first, second = _tiles(n, w)
+    caller = threading.get_ident()
+    out = np.empty((n, w))
+    for run in (lambda: _row_col_max(R, C), lambda: _kernel(R, C, out), lambda: build_kernel(X, Y)):
+        products.clear()
+        handoffs.clear()
+        run()
+        assert handoffs == [(1,)]
+        mine = [tile.shape for thread, tile in products if thread == caller]
+        theirs = [tile.shape for thread, tile in products if thread != caller]
+        assert mine == [(i.stop - i.start, j.stop - j.start) for i, j in first]
+        assert theirs == [(i.stop - i.start, j.stop - j.start) for i, j in second]
+    # _kernel computes each tile straight into its place in out
+    products.clear()
+    _kernel(R, C, out)
+    assert all(tile.base is out for _, tile in products)
+
+
+def test_an_error_in_the_helpers_share_is_raised_in_the_caller():
     caller = threading.get_ident()
     rng = np.random.default_rng(3)
     X, Y = rng.normal(size=(1030, 4)), rng.normal(size=(1100, 4))
     U, P = normalize_rows(X), normalize_rows(Y)
+    shares = _plan(U, P)
+    out, folded = np.empty((len(U), len(P))), []
 
-    def fold(part):
+    def fold(k, i, j, tile):
         if threading.get_ident() != caller:
-            raise ArithmeticError("in the helper's part")
-        return part.max(axis=1), part.max(axis=0)
+            raise ArithmeticError("in the helper's share")
+        folded.append((i, j))
 
-    with pytest.raises(ArithmeticError, match="in the helper's part"):
-        _product(U, P, _workspace(len(U), len(P)), fold)
+    with pytest.raises(ArithmeticError, match="in the helper's share"):
+        _walk(U, P, shares, lambda k, i, j: out[i, j], fold)
+    assert folded == list(shares[0])  # the caller's share ran to its end
     # the helper is still there, and the next call gets the whole kernel's maxima
     K = build_kernel(X, Y)
     row, col = _row_col_max(U, P)
     np.testing.assert_array_equal(row, K.max(axis=1))
     np.testing.assert_array_equal(col, K.max(axis=0))
+
+
+def test_an_error_in_the_callers_share_is_raised_once_the_helper_is_done():
+    caller = threading.get_ident()
+    rng = np.random.default_rng(4)
+    U, P = normalize_rows(rng.normal(size=(1030, 4))), normalize_rows(rng.normal(size=(1100, 4)))
+    shares = _plan(U, P)
+    out, folded = np.empty((len(U), len(P))), []
+
+    def fold(k, i, j, tile):
+        if threading.get_ident() == caller:
+            raise ArithmeticError("in the caller's share")
+        time.sleep(0.01)
+        folded.append((i, j))
+
+    with pytest.raises(ArithmeticError, match="in the caller's share"):
+        _walk(U, P, shares, lambda k, i, j: out[i, j], fold)
+    assert folded == list(shares[1])  # the helper was done with its views before the raise
+
+
+def test_kernels_above_the_gate_allocate_no_tile_on_either_thread():
+    """Each thread's tile scratch comes from the caller's workspace, so a
+    warmed _row_col_max allocates only its maxima, and S_uu built in the
+    workspace allocates nothing: less than one tile's bytes either way."""
+    rng = np.random.default_rng(8)
+    n, w = 2000, 4000
+    R, C = normalize_rows(rng.normal(size=(n, 16))), normalize_rows(rng.normal(size=(w, 16)))
+    assert len(_tiles(n, w)) == len(_tiles(n, n)) == 2
+    _kernel(R, R, _workspace(n, n))  # grows the workspace and starts the helper
+    expected = _row_col_max(R, C)
+    tracemalloc.start()
+    try:
+        row, col = _row_col_max(R, C)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        S = _kernel(R, R, _workspace(n, n))
+        _, self_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(row, expected[0])
+    np.testing.assert_array_equal(col, expected[1])
+    np.testing.assert_array_equal(S, _kernel(R, R, np.empty((n, n))))
+    tile = _TILE_ROWS * _TILE_COLS * 8
+    assert peak < tile + (n + w) * 8 and self_peak < tile

@@ -4,16 +4,16 @@ and the class-major logistic learner.
 _row_col_max, smidentify and scg_select never hold a |U| x |P| kernel; the
 first three tests check them against the definitional path built from full
 kernels (for identify, the kernel over the buffer's distinct rows, expanded
-by copy), the first also at shapes whose block products are split across
-two threads; the fourth checks selection over a buffer's distinct rows, with
-copies at random positions or none, by scg_select and by submodular_fl_select
-(no private set), against a greedy over the distinct rows built from
-build_kernel and FLCG and against the all-rows greedy on the kernels expanded
-by copy. The next two check budget conservation over whole rounds and the
-budget law against an integer-only reference. The learner tests check
+by copy), the first also at shapes walked in tiles on two threads; the
+fourth checks selection over a buffer's distinct rows, with copies at random
+positions or none, by scg_select and by submodular_fl_select (no private
+set), against a greedy over the distinct rows built from build_kernel and
+FLCG and against the all-rows greedy on the kernels expanded by copy. The
+next two check budget conservation over whole rounds and the budget law
+against an integer-only reference. The learner tests check
 logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
 row-major softmax they replaced. The tests after them check a self
-kernel's maxima (with split blocks too), the kernels built in a thread's
+kernel's maxima (walked in tiles too), the kernels built in a thread's
 reused workspace, the row norms each slice keeps from ingestion, the
 column-contiguous coverage gains, the scalar gain of lazy greedy's
 re-evaluations and the round's reuse of identify's row maxima bit for bit,
@@ -71,7 +71,8 @@ def _rows(rng, n, dim, grid):
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_u=st.one_of(st.integers(1, 6), st.integers(1030, 1040)),  # 1030 x 1030 blocks are split
+    # from 1030 x 1030 the kernel is walked in tiles, the last of each axis partial
+    n_u=st.one_of(st.integers(1, 6), st.integers(1030, 1040)),
     dim=st.integers(1, 5),
     n_p=st.one_of(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]), st.integers(1030, 2100)),
     grid=st.booleans(),
@@ -444,7 +445,7 @@ def test_fit_equals_the_reference_fit_when_backtracking_fires():
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    # from 1024 x 1024, a block's product is split in two column parts
+    # from 1024 x 1024 the kernel is walked in tiles; from 1030, the last of each axis is partial
     n=st.one_of(
         st.integers(1, 70), st.integers(1030, 1100), st.sampled_from([_BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 3])
     ),
