@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import reduce
 from pathlib import Path
 
 from .maximize import MaximizerConfig
@@ -174,14 +175,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     schedule = c["schedule"]
     if isinstance(schedule, str):
         k = schedule.split("_", 1)[1] if schedule.startswith("every_") else ""
-        ok = schedule == "sequential" or (k.isdecimal() and int(k) >= 1)
-        _require(ok, "schedule", '"sequential", "every_<k>" with k >= 1, or a list of slice ids', schedule)
+        # read digit by digit and capped, since int() refuses a string of over 4,300 digits
+        k = reduce(lambda v, d: min(10 * v + int(d), 10_001), k, 0) if k.isdecimal() else 0
+        ok = schedule == "sequential" or 1 <= k <= 10_000
+        _require(ok, "schedule", '"sequential", "every_<k>" with k within [1, 10000], or a list of slice ids', schedule)
         # every_<k> with k > 1 fills the other rounds with slices besides the rare one
-        _require(not k or int(k) == 1 or slices >= 2, "slices", f">= 2 under schedule {schedule}", slices)
-        if k:
-            schedule = every_k_schedule(rounds, slices, rare_slice, int(k))
-        else:
-            schedule = sequential_schedule(rounds, slices)
+        _require(k <= 1 or slices >= 2, "slices", f">= 2 under schedule {schedule}", slices)
+        schedule = every_k_schedule(rounds, slices, rare_slice, k) if k else sequential_schedule(rounds, slices)
     elif isinstance(schedule, list):
         for s in schedule:
             _require(0 <= _as(int, s, "schedule") < slices, "schedule", f"a slice id in [0, {slices})", s)
@@ -222,6 +222,6 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {p}")
     try:
         data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over int()'s 4,300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(data)

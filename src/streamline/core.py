@@ -59,19 +59,15 @@ def _integers(values, what: str, *, nonnegative: bool = False) -> np.ndarray:
         # Objects, strings and complex values are judged one by one, as given,
         # and so is a sequence numpy made float, which rounds an int above 2**53.
         a = np.array([_integer(v, what, row) for row, v in enumerate(values)], dtype=np.int64)
-    reasons = []
-    if a.dtype.kind == "f":
+    bad = None
+    if a.dtype.kind == "f":  # the rows _integer rejects
         with np.errstate(invalid="ignore"):
-            reasons = [
-                (~np.isfinite(a), "not finite"),
-                (a != np.trunc(a), "not integral"),
-                (np.abs(a) >= 2.0**63, "out of int64's range"),
-            ]
+            bad = ~np.isfinite(a) | (a != np.trunc(a)) | (a < -(2.0**63)) | (a >= 2.0**63)
     elif a.dtype.kind == "u":  # whose cast would wrap 2**64 - 1 to -1
-        reasons = [(a > np.iinfo(np.int64).max, "out of int64's range")]
-    for bad, why in reasons:
-        if bad.any():
-            raise ValueError(f"{what} row {int(np.argmax(bad))} is {why}")
+        bad = a > np.iinfo(np.int64).max
+    if bad is not None and bad.any():
+        row = int(np.argmax(bad))
+        _integer(a[row], what, row)  # raises, naming why
     ints = a.astype(np.int64, copy=False)
     if nonnegative and (neg := ints < 0).any():
         raise ValueError(f"{what} row {int(np.argmax(neg))} is negative")
@@ -430,13 +426,16 @@ def _distinct_row_greedy(
 
     Each distinct row of the buffer is one candidate: it stands for its
     first occurrence, starts from that occurrence's private best and has
-    its gain weighted by its copy count, so a copy of a picked row adds
-    exactly 0. Once the best gain rounds to 0, the budget is filled with
-    the unpicked indices in ascending order, as the all-rows greedy takes
-    them. Stochastic greedy, whose seeded draws are over buffer indices,
-    runs over every row with no fill. S_uu is built in the thread's kernel
-    workspace, and no kernel call is made while the greedy holds it; FLCG
-    gets its transpose view, whose rows the evaluator reads contiguously.
+    its gain weighted by its copy count, the all-rows gain summed by copy,
+    so a copy of a picked row adds exactly 0. Picks stop at the first gain
+    that rounds to 0, and the budget is filled with the unpicked indices in
+    ascending order: the all-rows greedy takes the same items, since gains
+    never rise again, ties break to the smallest index and the 2**-30 grid
+    hides the weighted sums' last bits. Stochastic greedy, whose seeded
+    draws are over buffer indices, runs over every row with no fill. S_uu,
+    one plain product of the distinct unit rows, is built in the thread's
+    kernel workspace, and no kernel call is made while the greedy holds it;
+    FLCG gets its transpose view, whose rows the evaluator reads contiguously.
     """
     n = len(buffer)
     R, first, copy_of = buffer._distinct_unit_rows()

@@ -78,9 +78,10 @@ class _CoverageEvaluator:
     blocked. gains gathers its candidates _ROWS at a time into one reused
     scratch array; an index outside the ground set raises GroundIndexError.
     gain(x) is gains of the one candidate x, the same bits as a float, for
-    lazy greedy's re-evaluations: it skips the range check, the gather and
-    the output array, which are most of the cost of a one-candidate gains
-    call, and works in a reused row of its own.
+    lazy greedy, which re-evaluates each stale candidate alone: it skips
+    the range check, the gather and the output array, which are most of
+    the cost of a one-candidate gains call, and works in a reused row of
+    its own.
     """
 
     def __init__(self, S: np.ndarray, baseline: np.ndarray, weights: np.ndarray | None = None):

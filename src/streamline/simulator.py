@@ -244,7 +244,7 @@ def logistic_loss_and_grad(W, b, X, y, l2: float = 0.0, *, at_y=None):
     per call. Likewise the loss divides the sum of the log-likelihoods by
     n, which is what mean computes.
     at_y holds the flat positions y * n + arange(n) of P[i, y_i] in the
-    (C, n) softmax; a caller in a loop can compute them once.
+    (C, n) softmax; fit_logistic computes them once per fit, not per epoch.
     """
     n = len(y)
     if at_y is None:

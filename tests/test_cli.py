@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import os
 import re
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import streamline
 import streamline.cli as cli
@@ -198,6 +202,9 @@ def test_parse_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="valid JSON"):
         parse_config(bad)
+    bad.write_text('{"methods": ["random"], "seeds": [0], "rounds": ' + "9" * 5000 + "}")
+    with pytest.raises(ConfigError, match="valid JSON: .*4300 digits"):  # past int()'s limit
+        parse_config(bad)
 
 
 # -------------------------------------------------------------------------- run
@@ -285,6 +292,8 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
         ({"rounds": 10**9}, "rounds: must be within [1, 10000]"),
         ({"budget": 10**319}, "budget: must be within [0, 1000000000]"),
         ({"slices": 10**400, "dim": 10**400}, "slices: must be within [1, 10000]"),
+        ({"schedule": "every_" + "9" * 5000}, '"every_<k>" with k within [1, 10000]'),  # over int()'s 4,300 digits
+        ({"schedule": "every_10001"}, '"every_<k>" with k within [1, 10000]'),
     ],
 )
 def test_cli_validate_exit_2_names_the_field(tmp_path, capsys, overrides, message):
@@ -294,6 +303,44 @@ def test_cli_validate_exit_2_names_the_field(tmp_path, capsys, overrides, messag
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    # huge integers, short of the 4,300 digits past which json writes none
+    st.builds(lambda n, sign: sign * (10**n - 1), st.integers(1, 4000), st.sampled_from([1, -1])),
+    st.floats(),  # NaN and Infinity too, which json writes and reads
+    st.text(max_size=12),
+    st.text(alphabet="0123456789", max_size=6000),
+    st.text(alphabet="0123456789", max_size=6000).map("every_".__add__),
+    st.sampled_from(["sequential", "every_3", "lazy", "naive", "stochastic", *METHODS]),
+)
+_HOSTILE = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from([*DEFAULTS["maximizer"], *DEFAULTS["learner"], "junk"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(changed=st.dictionaries(st.sampled_from(["methods", "seeds", *DEFAULTS]), _HOSTILE, min_size=1, max_size=3))
+@example(changed={"schedule": "every_" + "9" * 5000})
+def test_validate_exits_0_or_2_naming_a_changed_key_for_any_values(tmp_path_factory, changed):
+    """Hostile values for up to three schema keys never escape as a traceback
+    (exit 1) or a run-time error (exit 3), and a rejection names a key
+    that was changed; a key whose rule reads another names both."""
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps({**minimal_config(), **changed}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["validate", "--config", str(path)])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("config error: ")
+        assert any(key in err.getvalue() for key in changed), err.getvalue()
 
 
 def test_cli_missing_config_exit_2(tmp_path):
@@ -323,17 +370,17 @@ def above_gate_config():
 
 
 def test_a_parent_that_split_a_kernel_block_still_forks_its_workers(tmp_path):
-    """cli.run's workers are forked, and a child has no helper thread: it
-    starts its own rather than wait on the parent's."""
+    """cli.run's workers are forked after the parent has walked a kernel on
+    two threads; the walk's helper is gone by then, so the children run
+    as the serial run does."""
     path = write_config(tmp_path, above_gate_config())
     script = (
         "import sys\n"
         "import numpy as np\n"
-        "from streamline import build_kernel, kernels\n"
+        "from streamline import build_kernel\n"
         "from streamline.cli import main\n"
         "X = np.random.default_rng(0).normal(size=(1030, 4))\n"
-        "build_kernel(X, X)  # one 1030 x 1030 block: split, so the helper exists before the fork\n"
-        "assert kernels._helper is not None\n"
+        "build_kernel(X, X)  # one 1030 x 1030 block: walked on two threads before the fork\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
     src = str(Path(streamline.__file__).parents[1])
@@ -422,6 +469,12 @@ def test_cli_schedule_without_common_rounds_exit_2(tmp_path, capsys, override, f
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_reads_every_k_whatever_its_leading_zeros():
+    for k in ("3", "0" * 5000 + "3", "0" * 5000 + "10000"):
+        cfg = config_from_dict({**minimal_config(), "schedule": f"every_{k}"})
+        assert cfg.spec.schedule == every_k_schedule(12, 4, 3, k=int(k.lstrip("0")))
 
 
 def test_config_single_slice_schedules_that_need_no_common_slice():

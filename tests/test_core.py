@@ -794,6 +794,23 @@ def test_ingestion_keeps_integers_that_float64_would_round(given):
         LabeledSlice([0, 1], given([-big, 1.0]), X)
 
 
+@pytest.mark.parametrize("given", [list, np.array, lambda v: np.array(v, dtype=object)])
+@pytest.mark.parametrize(
+    "values, why",
+    [
+        ([1.5, np.nan], "row 0 is not integral"),
+        ([np.nan, 1.5], "row 0 is not finite"),
+        ([3.0, 2.0**63, np.inf], "row 1 is out of int64's range"),
+    ],
+)
+def test_ingestion_names_the_same_first_bad_row_for_a_list_and_an_array(given, values, why):
+    """The first bad row, whatever its reason, is named for every input kind."""
+    with pytest.raises(ValueError, match=f"buffer id {why}"):
+        UnlabeledBuffer(ids=given(values), X=np.ones((len(values), 2)))
+    # int64's least value is in range as a float too
+    assert UnlabeledBuffer(ids=given([-(2.0**63), 1.0]), X=np.ones((2, 2))).ids.tolist() == [-(2**63), 1]
+
+
 def _round_with_selector(selector):
     pool, next_id = make_pool([10], [False], spread=0.02)
     buf = make_buffer(9, axis=0, next_id=next_id, true_slice=0)
