@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import reduce
 from pathlib import Path
 
 from .maximize import MaximizerConfig
@@ -175,10 +174,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     schedule = c["schedule"]
     if isinstance(schedule, str):
         k = schedule.split("_", 1)[1] if schedule.startswith("every_") else ""
-        # read digit by digit and capped, since int() refuses a string of over 4,300 digits
-        k = reduce(lambda v, d: min(10 * v + int(d), 10_001), k, 0) if k.isdecimal() else 0
-        ok = schedule == "sequential" or 1 <= k <= 10_000
-        _require(ok, "schedule", '"sequential", "every_<k>" with k within [1, 10000], or a list of slice ids', schedule)
+        # every k above rounds (at most 10000) gives the same schedule, so six
+        # digits after the leading zeros decide k, and int() never sees 4,300
+        k = min(int(k.lstrip("0")[:6] or 0), rounds + 1) if k.isdecimal() else 0
+        ok = schedule == "sequential" or k >= 1
+        _require(ok, "schedule", '"sequential", "every_<k>" with k >= 1, or a list of slice ids', schedule)
         # every_<k> with k > 1 fills the other rounds with slices besides the rare one
         _require(k <= 1 or slices >= 2, "slices", f">= 2 under schedule {schedule}", slices)
         schedule = every_k_schedule(rounds, slices, rare_slice, k) if k else sequential_schedule(rounds, slices)

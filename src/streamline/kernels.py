@@ -7,6 +7,7 @@ nonnegative kernels for monotonicity.
 
 from __future__ import annotations
 
+import os
 import threading
 from functools import lru_cache
 
@@ -68,13 +69,11 @@ _BLOCK = 1024
 
 # The gate: a kernel whose first column block (none is narrower) has at
 # least _SPLIT_CELLS cells, and which has at least 2 * _SPLIT_ALIGN columns,
-# is walked on two threads, the caller and a helper started for that call
-# (0.1 ms against 2.1 ms at the gate, dim 64, BLAS at 1 thread; up to 20 ms
-# with a multi-threaded OpenBLAS). Its columns are cut once, at a multiple
-# of _SPLIT_ALIGN near the middle, and each half is walked in tiles of at
-# most _TILE_ROWS x _TILE_COLS cells (1 MB of float64, half a core's 2 MB
-# L2). BLAS may round a cell by where its row and column sit in a product:
-# cut differently, blocks moved last bits at the churn and desk benchmark
+# is walked on two threads. Its columns are cut once, at a multiple of
+# _SPLIT_ALIGN near the middle, and each half is walked in tiles of at most
+# _TILE_ROWS x _TILE_COLS cells (1 MB of float64, half a core's 2 MB L2).
+# BLAS may round a cell by where its row and column sit in a product: cut
+# differently, blocks moved last bits at the churn and desk benchmark
 # shapes, so a kernel below the gate stays one product per block; tiles
 # starting at these multiples moved none at the ROADMAP's scaled shape
 # (|U| 2000, dim 64).
@@ -118,15 +117,41 @@ def _plan(R: np.ndarray, C: np.ndarray) -> tuple[tuple[tuple[slice, slice], ...]
     return _tiles(len(R), len(C))
 
 
+# The helper thread's executor, made at the first walk above the gate and
+# shared by every thread. A forked child (cli.run's workers) has no helper
+# thread, and the lock may have been held at the fork, so the child drops
+# both and makes its own. The helper stays resident: with a multi-threaded
+# OpenBLAS (2 cores), a thread started and joined per call made a
+# 2000 x 4000 _row_col_max take about 30 ms against 14 ms.
+_helper, _helper_lock = None, threading.Lock()
+
+
+def _drop_helper():
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _start_helper():
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kernels")
+        return _helper
+
+
 def _walk(R, C, shares, tile, fold) -> None:
     """Compute R @ C.T tile by tile and call fold(k, i, j, product) on each tile.
 
     shares is _plan's list of tiles per thread; share k computes tile
     (i, j) into tile(k, i, j), a C-contiguous or row-contiguous float64
-    view of its shape. Share 1, if any, runs on a helper thread started for
-    this call and joined before it returns, so no thread outlives a kernel
-    call; the helper allocates nothing. An exception in either share is
-    raised here, once both are done with their views; the caller's wins
+    view of its shape. Share 1, if any, runs on the helper thread, handed
+    off once per call; it allocates nothing. An exception in either share
+    is raised here, once both are done with their views; the caller's wins
     when both raise.
     """
 
@@ -136,22 +161,12 @@ def _walk(R, C, shares, tile, fold) -> None:
 
     if len(shares) == 1:
         return walk(0)
-    errors = []
-
-    def second() -> None:
-        try:
-            walk(1)
-        except BaseException as exc:  # raised on the calling thread after the join
-            errors.append(exc)
-
-    helper = threading.Thread(target=second, name="kernels")
-    helper.start()
+    second = (_helper or _start_helper()).submit(walk, 1)
     try:
         walk(0)
     finally:
-        helper.join()  # a raise in the caller's share propagates from here, and wins
-    if errors:
-        raise errors[0]
+        second.exception()  # waits until the helper's share is done with its views
+    second.result()
 
 
 def _kernel(R: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -161,7 +176,11 @@ def _kernel(R: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
     computed straight into out and clipped there, while it is still in
     cache; below the gate a tile is a whole column block.
     """
-    _walk(R, C, _plan(R, C), lambda k, i, j: out[i, j], lambda k, i, j, tile: np.clip(tile, 0.0, 1.0, out=tile))
+
+    def clip(k, i, j, product):
+        np.clip(product, 0.0, 1.0, out=product)
+
+    _walk(R, C, _plan(R, C), lambda k, i, j: out[i, j], clip)
     return out
 
 
@@ -180,8 +199,9 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
     stays valid until the next _workspace call on the same thread, which
     every _row_col_max makes: core._distinct_row_greedy keeps its S_uu for
     the greedy and makes no kernel call meanwhile. Nothing build_kernel or
-    _row_col_max returns is a view of it. A walk's helper thread lives for
-    one call and computes its share into the calling thread's views.
+    _row_col_max returns is a view of it. The helper thread computes its
+    share of a walk into the calling thread's views and has no workspace
+    of its own.
     """
     size = rows * cols
     if getattr(_local, "buf", None) is None or _local.buf.size < size:

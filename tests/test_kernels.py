@@ -203,7 +203,7 @@ def test_kernel_results_share_no_memory_with_the_workspace():
 
 def test_threads_building_different_kernels_at_once_each_get_the_serial_result():
     rng = np.random.default_rng(1)
-    # more threads than 2 cores; the last shape is above the gate, so each of its calls starts a helper
+    # more threads than 2 cores; the last shape is above the gate, so its threads share the helper
     shapes = [(40, 2 * _BLOCK + 7), (70, 300), (25, 2 * _BLOCK), (90, 5), (1030, 1100)]
     sides = [(normalize_rows(rng.normal(size=(n_u, 6))), normalize_rows(rng.normal(size=(n_p, 6))))
              for n_u, n_p in shapes]
@@ -285,7 +285,7 @@ def products(monkeypatch):
     made, matmul = [], np.matmul
 
     def spy(*args, out):
-        made.append((threading.current_thread(), out))
+        made.append((threading.get_ident(), out))
         return matmul(*args, out=out)
 
     monkeypatch.setattr(np, "matmul", spy)
@@ -293,14 +293,17 @@ def products(monkeypatch):
 
 
 @pytest.fixture
-def handoffs(products):
-    """The threads other than the caller that made products so far, in order.
+def handoffs(monkeypatch):
+    """The shares submitted to the helper thread."""
+    submitted, helper = [], kernels._start_helper()
 
-    Each is a Thread object of its own, so two helpers count twice even
-    when the second reuses the first's ident.
-    """
-    caller = threading.current_thread()
-    return lambda: list(dict.fromkeys(thread for thread, _ in products if thread is not caller))
+    class Spy:
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return helper.submit(fn, *args)
+
+    monkeypatch.setattr(kernels, "_helper", Spy())
+    return submitted
 
 
 @pytest.mark.parametrize("n, w", [(1023, 1024), (2**14, 127), (600, 3000), (30, 2 * _BLOCK + 5)])
@@ -312,7 +315,7 @@ def test_a_kernel_below_the_gate_is_one_full_height_product_per_block_on_the_cal
     out = np.empty((n, w))
     _kernel(R, C, out)
     blocks = [j for _, j in _tiles(n, w)[0]]
-    caller = threading.current_thread()
+    caller = threading.get_ident()
     assert [thread for thread, _ in products] == [caller] * len(blocks)
     # straight into out, one full-height block each, as before the walk
     for (_, tile), j in zip(products, blocks):
@@ -321,7 +324,7 @@ def test_a_kernel_below_the_gate_is_one_full_height_product_per_block_on_the_cal
     products.clear()
     _row_col_max(R, C)
     assert [(thread, tile.shape) for thread, tile in products] == [(caller, (n, j.stop - j.start)) for j in blocks]
-    assert handoffs() == []
+    assert handoffs == []
 
 
 @pytest.mark.parametrize("n, w", [(2000, 4000), (1030, 1030), (1100, 2100)])
@@ -330,14 +333,15 @@ def test_a_kernel_above_the_gate_is_handed_to_the_helper_once(n, w, products, ha
     X, Y = rng.normal(size=(n, 8)), rng.normal(size=(w, 8))
     R, C = normalize_rows(X), normalize_rows(Y)
     first, second = _tiles(n, w)
-    caller = threading.current_thread()
+    caller = threading.get_ident()
     out = np.empty((n, w))
     for run in (lambda: _row_col_max(R, C), lambda: _kernel(R, C, out), lambda: build_kernel(X, Y)):
         products.clear()
+        handoffs.clear()
         run()
-        assert len(handoffs()) == 1
-        mine = [tile.shape for thread, tile in products if thread is caller]
-        theirs = [tile.shape for thread, tile in products if thread is not caller]
+        assert handoffs == [(1,)]
+        mine = [tile.shape for thread, tile in products if thread == caller]
+        theirs = [tile.shape for thread, tile in products if thread != caller]
         assert mine == [(i.stop - i.start, j.stop - j.start) for i, j in first]
         assert theirs == [(i.stop - i.start, j.stop - j.start) for i, j in second]
     # _kernel computes each tile straight into its place in out
@@ -362,7 +366,7 @@ def test_an_error_in_the_helpers_share_is_raised_in_the_caller():
     with pytest.raises(ArithmeticError, match="in the helper's share"):
         _walk(U, P, shares, lambda k, i, j: out[i, j], fold)
     assert folded == list(shares[0])  # the caller's share ran to its end
-    # the next call gets the whole kernel's maxima
+    # the helper is still there, and the next call gets the whole kernel's maxima
     K = build_kernel(X, Y)
     row, col = _row_col_max(U, P)
     np.testing.assert_array_equal(row, K.max(axis=1))
@@ -387,15 +391,16 @@ def test_an_error_in_the_callers_share_is_raised_once_the_helper_is_done():
     assert folded == list(shares[1])  # the helper was done with its views before the raise
 
 
-def test_no_thread_outlives_a_kernel_call_that_returns_or_raises():
+def test_kernel_calls_that_return_or_raise_reuse_one_helper_and_the_callers_error_wins():
     rng = np.random.default_rng(9)
     X, Y = rng.normal(size=(1030, 4)), rng.normal(size=(1100, 4))
     R, C = normalize_rows(X), normalize_rows(Y)
     shares = _plan(R, C)
     assert len(shares) == 2
     out = np.empty((len(R), len(C)))
+    build_kernel(X, Y)  # the helper exists from here on
     before = threading.enumerate()
-    assert not [t for t in before if t.name.startswith("kernels")]  # nor did an earlier call leave one
+    assert len([t for t in before if t.name.startswith("kernels")]) == 1
     for run in (lambda: _row_col_max(R, C), lambda: _kernel(R, C, out), lambda: build_kernel(X, Y)):
         run()
         assert threading.enumerate() == before
@@ -423,7 +428,7 @@ def test_kernels_above_the_gate_allocate_no_tile_on_either_thread():
     n, w = 2000, 4000
     R, C = normalize_rows(rng.normal(size=(n, 16))), normalize_rows(rng.normal(size=(w, 16)))
     assert len(_tiles(n, w)) == len(_tiles(n, n)) == 2
-    _kernel(R, R, _workspace(n, n))  # grows the workspace
+    _kernel(R, R, _workspace(n, n))  # grows the workspace and starts the helper
     expected = _row_col_max(R, C)
     tracemalloc.start()
     try:
