@@ -54,17 +54,17 @@ DEFAULTS = {
 _RULES = (
     ("slices", int, lambda v, c: 1 <= v <= 10_000, "within [1, 10000]"),
     ("classes", int, lambda v, c: v >= 2, ">= 2"),
-    ("dim", int, lambda v, c: v >= c["slices"], ">= slices"),
+    ("dim", int, lambda v, c: c["slices"] <= v <= 10**6, "within [slices, 1000000]"),
     ("class_sep", float, lambda v, c: v > 0, "> 0"),
     ("class_twist", float, lambda v, c: v > 0, "> 0"),
     ("slice_sep", float, lambda v, c: v > 0, "> 0"),
     ("noise_std", float, lambda v, c: v > 0, "> 0"),
     ("imbalance", int, lambda v, c: v >= 1, ">= 1"),
-    ("common_pool_size", int, lambda v, c: v >= c["imbalance"], ">= imbalance"),
+    ("common_pool_size", int, lambda v, c: c["imbalance"] <= v <= 10**6, "within [imbalance, 1000000]"),
     ("rounds", int, lambda v, c: 1 <= v <= 10_000, "within [1, 10000]"),
-    ("episode_size", int, lambda v, c: v >= 1, ">= 1"),
+    ("episode_size", int, lambda v, c: 1 <= v <= 10**6, "within [1, 1000000]"),
     ("redundancy", int, lambda v, c: v >= 1, ">= 1"),
-    ("eval_per_slice", int, lambda v, c: v >= 1, ">= 1"),
+    ("eval_per_slice", int, lambda v, c: 1 <= v <= 10**6, "within [1, 1000000]"),
     ("budget", int, lambda v, c: 0 <= v <= 10**9, "within [0, 1000000000]"),
     ("rho", float, lambda v, c: 0.0 <= v <= 1.0, "within [0, 1]"),
     ("learner.step_size", float, lambda v, c: v > 0, "> 0"),

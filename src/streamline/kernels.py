@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -62,21 +63,14 @@ def first_bad_row(X: np.ndarray, norms: np.ndarray) -> tuple[int, str] | None:
     return i, "out of float64's range when squared" if X[i].any() else "all zero"
 
 
-# Columns per kernel block below the gate. The last block takes the
-# remainder, so no block is narrow and a kernel with fewer than 2 * _BLOCK
-# columns is one block.
-_BLOCK = 1024
-
-# The gate: a kernel whose first column block (none is narrower) has at
-# least _SPLIT_CELLS cells, and which has at least 2 * _SPLIT_ALIGN columns,
-# is walked on two threads. Its columns are cut once, at a multiple of
-# _SPLIT_ALIGN near the middle, and each half is walked in tiles of at most
-# _TILE_ROWS x _TILE_COLS cells (1 MB of float64, half a core's 2 MB L2).
-# BLAS may round a cell by where its row and column sit in a product: cut
-# differently, blocks moved last bits at the churn and desk benchmark
-# shapes, so a kernel below the gate stays one product per block; tiles
-# starting at these multiples moved none at the ROADMAP's scaled shape
-# (|U| 2000, dim 64).
+# A kernel of at least _SPLIT_CELLS cells and 2 * _SPLIT_ALIGN columns is
+# walked on two threads: its columns are cut once, at a multiple of
+# _SPLIT_ALIGN near the middle. Every kernel, below the gate too, is walked
+# in tiles of at most _TILE_ROWS rows and _TILE_ROWS * _TILE_COLS cells
+# (1 MB of float64, half a core's 2 MB L2), as wide as that allows in whole
+# multiples of _SPLIT_ALIGN: a kernel of fewer rows gets wider tiles, and
+# so fewer products. Where a cell sits in a tile may move its last bits,
+# but no output: greedy gains are compared on a 2**-30 grid.
 _SPLIT_CELLS = 2**20
 _SPLIT_ALIGN = 64
 _TILE_ROWS, _TILE_COLS = 256, 512
@@ -94,19 +88,18 @@ def _spans(lo: int, hi: int, step: int) -> list[slice]:
 def _tiles(n: int, m: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
     """The (rows, columns) tiles of an (n, m) kernel, one tuple per thread.
 
-    Below the gate there is one tuple, for the calling thread: each column
-    block, full height. At or above it there are two, the calling thread's
-    columns and then the helper thread's; each half is walked column tile
-    by column tile, down the rows of each. Every cell is in exactly one
-    tile, and the tiles depend on n and m alone.
+    Below the gate there is one tuple, for the calling thread. At or above
+    it there are two, the calling thread's columns and then the helper
+    thread's. Each is walked column tile by column tile, down the rows of
+    each. Every cell is in exactly one tile, and the tiles depend on n and
+    m alone.
     """
-    starts = [k * _BLOCK for k in range(max(m // _BLOCK, 1))] + [m]
     cut = m // (2 * _SPLIT_ALIGN) * _SPLIT_ALIGN
-    if n * starts[1] < _SPLIT_CELLS or cut == 0:
-        return (tuple((slice(0, n), slice(j0, j1)) for j0, j1 in zip(starts, starts[1:])),)
+    halves = ((0, m),) if n * m < _SPLIT_CELLS or cut == 0 else ((0, cut), (cut, m))
+    width = _TILE_ROWS * _TILE_COLS // min(n, _TILE_ROWS) // _SPLIT_ALIGN * _SPLIT_ALIGN
     return tuple(
-        tuple((i, j) for j in _spans(lo, hi, _TILE_COLS) for i in _spans(0, n, _TILE_ROWS))
-        for lo, hi in ((0, cut), (cut, m))
+        tuple((i, j) for j in _spans(lo, hi, width) for i in _spans(0, n, _TILE_ROWS))
+        for lo, hi in halves
     )
 
 
@@ -117,31 +110,20 @@ def _plan(R: np.ndarray, C: np.ndarray) -> tuple[tuple[tuple[slice, slice], ...]
     return _tiles(len(R), len(C))
 
 
-# The helper thread's executor, made at the first walk above the gate and
-# shared by every thread. A forked child (cli.run's workers) has no helper
-# thread, and the lock may have been held at the fork, so the child drops
-# both and makes its own. The helper stays resident: with a multi-threaded
-# OpenBLAS (2 cores), a thread started and joined per call made a
-# 2000 x 4000 _row_col_max take about 30 ms against 14 ms.
-_helper, _helper_lock = None, threading.Lock()
+def _new_helper() -> None:
+    """Make the helper thread's executor, shared by every thread.
 
-
-def _drop_helper():
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_drop_helper)
-
-
-def _start_helper():
+    It starts its one thread at the first hand-off and keeps it: with a
+    multi-threaded OpenBLAS (2 cores), a thread started and joined per call
+    made a 2000 x 4000 _row_col_max take about 30 ms against 14 ms. A forked
+    child (cli.run's workers) has no helper thread, so it makes its own.
+    """
     global _helper
-    with _helper_lock:
-        if _helper is None:
-            from concurrent.futures import ThreadPoolExecutor
+    _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kernels")
 
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kernels")
-        return _helper
+
+_new_helper()
+os.register_at_fork(after_in_child=_new_helper)
 
 
 def _walk(R, C, shares, tile, fold) -> None:
@@ -161,7 +143,7 @@ def _walk(R, C, shares, tile, fold) -> None:
 
     if len(shares) == 1:
         return walk(0)
-    second = (_helper or _start_helper()).submit(walk, 1)
+    second = _helper.submit(walk, 1)
     try:
         walk(0)
     finally:
@@ -174,7 +156,7 @@ def _kernel(R: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     out is a C-contiguous (len(R), len(C)) float64 array. Each tile is
     computed straight into out and clipped there, while it is still in
-    cache; below the gate a tile is a whole column block.
+    cache.
     """
 
     def clip(k, i, j, product):

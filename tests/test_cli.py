@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import importlib.util
@@ -106,6 +107,18 @@ def test_readme_module_references_resolve_and_the_tour_names_every_module():
     tour = re.search(r"## Library tour\n\n((?:\|.*\n)+)", readme).group(1)
     modules = {p.stem for p in Path(streamline.__file__).parent.glob("*.py")} - {"__init__", "__main__"}
     assert modules <= set(re.findall(r"`streamline\.(\w+)`", tour))
+
+
+def test_every_test_the_readme_cites_exists():
+    root = Path(__file__).parents[1]
+    cited = set(re.findall(r"`(tests/\w+\.py)::(\w+)`", (root / "README.md").read_text()))
+    assert cited
+    missing = []
+    for path, name in sorted(cited):
+        tree = ast.parse((root / path).read_text()) if (root / path).is_file() else ast.Module(body=[])
+        if name not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}:
+            missing.append(f"{path}::{name}")
+    assert missing == []
 
 
 @pytest.mark.parametrize(
@@ -292,6 +305,10 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
         ({"rounds": 10**9}, "rounds: must be within [1, 10000]"),
         ({"budget": 10**319}, "budget: must be within [0, 1000000000]"),
         ({"slices": 10**400, "dim": 10**400}, "slices: must be within [1, 10000]"),
+        ({"dim": 10**20}, "dim: must be within [slices, 1000000]"),
+        ({"common_pool_size": 10**20}, "common_pool_size: must be within [imbalance, 1000000]"),
+        ({"episode_size": 10**20}, "episode_size: must be within [1, 1000000]"),
+        ({"eval_per_slice": 10**20}, "eval_per_slice: must be within [1, 1000000]"),
         ({"schedule": "every_" + "0" * 5000}, '"every_<k>" with k >= 1'),  # over int()'s 4,300 digits
     ],
 )
@@ -355,8 +372,8 @@ def test_run_writes_the_same_bytes_with_one_or_two_workers(tmp_path):
 
 
 def above_gate_config():
-    """A run whose identify and S_uu block products have 2**20 cells or more,
-    so kernels computes each in two parts, the second on its helper thread."""
+    """A run whose identify and S_uu kernels have 2**20 cells or more, so
+    kernels computes each in two parts, the second on its helper thread."""
     return {
         "methods": ["streamline", "submodular"],
         "seeds": [0, 1],
@@ -370,16 +387,17 @@ def above_gate_config():
 
 def test_a_parent_that_split_a_kernel_block_still_forks_its_workers(tmp_path):
     """cli.run's workers are forked, and a child has no helper thread: it
-    starts its own rather than wait on the parent's."""
+    makes its own executor rather than wait on the parent's thread."""
     path = write_config(tmp_path, above_gate_config())
     script = (
         "import sys\n"
+        "import threading\n"
         "import numpy as np\n"
-        "from streamline import build_kernel, kernels\n"
+        "from streamline import build_kernel\n"
         "from streamline.cli import main\n"
         "X = np.random.default_rng(0).normal(size=(1030, 4))\n"
-        "build_kernel(X, X)  # one 1030 x 1030 block: split, so the helper exists before the fork\n"
-        "assert kernels._helper is not None\n"
+        "build_kernel(X, X)  # 1030 x 1030: split, so the helper's thread runs before the fork\n"
+        "assert any(t.name.startswith('kernels') and t.is_alive() for t in threading.enumerate())\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
     src = str(Path(streamline.__file__).parents[1])

@@ -9,7 +9,6 @@ import pytest
 
 import streamline.kernels as kernels
 from streamline.kernels import (
-    _BLOCK,
     _SPLIT_ALIGN,
     _SPLIT_CELLS,
     _TILE_COLS,
@@ -186,7 +185,7 @@ def _in_threads(*fns):
 
 def test_kernel_results_share_no_memory_with_the_workspace():
     rng = np.random.default_rng(0)
-    U, P = rng.normal(size=(30, 4)), rng.normal(size=(2 * _BLOCK + 5, 4))
+    U, P = rng.normal(size=(30, 4)), rng.normal(size=(5000, 4))
     K = build_kernel(U, P)
     row, col = _row_col_max(normalize_rows(U), normalize_rows(P))
     kept = [a.copy() for a in (K, row, col)]
@@ -204,7 +203,7 @@ def test_kernel_results_share_no_memory_with_the_workspace():
 def test_threads_building_different_kernels_at_once_each_get_the_serial_result():
     rng = np.random.default_rng(1)
     # more threads than 2 cores; the last shape is above the gate, so its threads share the helper
-    shapes = [(40, 2 * _BLOCK + 7), (70, 300), (25, 2 * _BLOCK), (90, 5), (1030, 1100)]
+    shapes = [(40, 4000), (70, 300), (_TILE_ROWS + 3, 2 * _TILE_COLS), (90, 5), (1030, 1100)]
     sides = [(normalize_rows(rng.normal(size=(n_u, 6))), normalize_rows(rng.normal(size=(n_p, 6))))
              for n_u, n_p in shapes]
 
@@ -249,15 +248,18 @@ def test_a_grown_workspace_leaves_one_buffer_on_its_thread():
 
 # ------------------------------------------------------------------ the tile walk
 
-_SHAPES = [  # below the gate, then at or above it, with partial last tiles in both axes
-    (1, 1), (1023, 1024), (2**14, 127), (600, 3000), (1024, 1024), (1030, 1030), (2**13, 128), (2000, 4000),
-    (2000, 2000), (1100, 2100), (1037, 2099),
+_SHAPES = [  # (n, w, threads): the gate's edges, and partial last tiles in both axes on either side
+    (1, 1, 1), (1023, 1024, 1), (2**14, 127, 1), (_TILE_ROWS + 1, 2 * _TILE_COLS + 1, 1), (100, 3000, 1),
+    (3, 2**18, 1),
+    (1024, 1024, 2), (600, 3000, 2), (2**13, 128, 2), (1030, 1030, 2), (2000, 4000, 2), (2000, 2000, 2),
+    (1100, 2100, 2), (1037, 2099, 2),
 ]
 
 
-@pytest.mark.parametrize("n, w", _SHAPES)
-def test_the_tiles_cover_every_cell_once_and_depend_on_the_shape_alone(n, w):
+@pytest.mark.parametrize("n, w, threads", _SHAPES)
+def test_the_tiles_cover_every_cell_once_and_depend_on_the_shape_alone(n, w, threads):
     shares = _tiles(n, w)
+    assert len(shares) == threads == (1 if n * w < _SPLIT_CELLS or w < 2 * _SPLIT_ALIGN else 2)
     covered = np.zeros((n, w), dtype=int)
     for share in shares:
         for i, j in share:
@@ -267,16 +269,18 @@ def test_the_tiles_cover_every_cell_once_and_depend_on_the_shape_alone(n, w):
     for dim in (1, 7):  # _plan reads the shapes, not the data
         R, C = rng.normal(size=(n, dim)), rng.normal(size=(w, dim))
         assert _plan(R, C) == shares
-    first_block = w if w < 2 * _BLOCK else _BLOCK
-    if n * first_block < _SPLIT_CELLS or w < 2 * _SPLIT_ALIGN:  # below the gate: full-height blocks
-        [share] = shares
-        assert all(i == slice(0, n) for i, _ in share)
-        assert [j.stop - j.start for _, j in share][:-1] == [_BLOCK] * (len(share) - 1)
-    else:  # two halves cut at a multiple of _SPLIT_ALIGN near the middle, in tiles of at most 1 MB
+    # either side of the gate: tiles of at most 1 MB
+    height, cells = min(n, _TILE_ROWS), _TILE_ROWS * _TILE_COLS
+    for share in shares:
+        widths = [stop - start for start, stop in dict.fromkeys((j.start, j.stop) for _, j in share)]
+        assert all(i.stop - i.start <= height for i, _ in share) and height * widths[0] <= cells
+        if len(widths) > 1:  # as wide as 1 MB allows in multiples of _SPLIT_ALIGN, the last taking what is left
+            assert widths[0] % _SPLIT_ALIGN == 0 and height * (widths[0] + _SPLIT_ALIGN) > cells
+            assert widths[:-1] == [widths[0]] * (len(widths) - 1) and widths[-1] <= widths[0]
+    if threads == 2:  # two halves cut at a multiple of _SPLIT_ALIGN near the middle
         first, second = shares
         cut = first[-1][1].stop
         assert cut == second[0][1].start and cut % _SPLIT_ALIGN == 0 and abs(w - 2 * cut) < 2 * _SPLIT_ALIGN
-        assert all(i.stop - i.start <= _TILE_ROWS and j.stop - j.start <= _TILE_COLS for i, j in first + second)
 
 
 @pytest.fixture
@@ -295,7 +299,7 @@ def products(monkeypatch):
 @pytest.fixture
 def handoffs(monkeypatch):
     """The shares submitted to the helper thread."""
-    submitted, helper = [], kernels._start_helper()
+    submitted, helper = [], kernels._helper
 
     class Spy:
         def submit(self, fn, *args):
@@ -306,24 +310,22 @@ def handoffs(monkeypatch):
     return submitted
 
 
-@pytest.mark.parametrize("n, w", [(1023, 1024), (2**14, 127), (600, 3000), (30, 2 * _BLOCK + 5)])
-def test_a_kernel_below_the_gate_is_one_full_height_product_per_block_on_the_calling_thread(
-    n, w, products, handoffs
-):
+@pytest.mark.parametrize("n, w", [(1023, 1024), (2**14, 127), (100, 3000), (_TILE_ROWS + 1, 700)])
+def test_a_kernel_below_the_gate_is_walked_in_tiles_on_the_calling_thread(n, w, products, handoffs):
     rng = np.random.default_rng(5)
     R, C = normalize_rows(rng.normal(size=(n, 3))), normalize_rows(rng.normal(size=(w, 3)))
+    [share] = _tiles(n, w)
+    expected = [(threading.get_ident(), (i.stop - i.start, j.stop - j.start)) for i, j in share]
+    assert all(h <= _TILE_ROWS and h * c <= _TILE_ROWS * _TILE_COLS for _, (h, c) in expected)
+    assert len(expected) > 1
     out = np.empty((n, w))
     _kernel(R, C, out)
-    blocks = [j for _, j in _tiles(n, w)[0]]
-    caller = threading.get_ident()
-    assert [thread for thread, _ in products] == [caller] * len(blocks)
-    # straight into out, one full-height block each, as before the walk
-    for (_, tile), j in zip(products, blocks):
-        assert tile.shape == (n, j.stop - j.start) and tile.base is out
-        assert tile.__array_interface__["data"][0] == out[:, j].__array_interface__["data"][0]
+    assert [(thread, tile.shape) for thread, tile in products] == expected
+    for (_, tile), (i, j) in zip(products, share):  # straight into its place in out
+        assert tile.base is out and tile.__array_interface__["data"][0] == out[i, j].__array_interface__["data"][0]
     products.clear()
     _row_col_max(R, C)
-    assert [(thread, tile.shape) for thread, tile in products] == [(caller, (n, j.stop - j.start)) for j in blocks]
+    assert [(thread, tile.shape) for thread, tile in products] == expected
     assert handoffs == []
 
 
@@ -398,7 +400,7 @@ def test_kernel_calls_that_return_or_raise_reuse_one_helper_and_the_callers_erro
     shares = _plan(R, C)
     assert len(shares) == 2
     out = np.empty((len(R), len(C)))
-    build_kernel(X, Y)  # the helper exists from here on
+    build_kernel(X, Y)  # the helper's thread runs from here on
     before = threading.enumerate()
     assert len([t for t in before if t.name.startswith("kernels")]) == 1
     for run in (lambda: _row_col_max(R, C), lambda: _kernel(R, C, out), lambda: build_kernel(X, Y)):

@@ -54,7 +54,7 @@ from streamline import (
 from streamline.cli import run
 from streamline.config import config_from_dict
 from streamline.core import smidentify_scores
-from streamline.kernels import _BLOCK, _kernel, _row_col_max, _workspace, normalize_rows
+from streamline.kernels import _TILE_COLS, _TILE_ROWS, _kernel, _row_col_max, _workspace, normalize_rows
 from streamline.setfunctions import _ROWS, _CoverageEvaluator
 from streamline.simulator import Learner, LearnerConfig, fit_logistic, logistic_loss_and_grad
 
@@ -71,10 +71,16 @@ def _rows(rng, n, dim, grid):
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    # from 1030 x 1030 the kernel is walked in tiles, the last of each axis partial
-    n_u=st.one_of(st.integers(1, 6), st.integers(1030, 1040)),
+    # tile edges in both axes below the gate, wider tiles at half height; from 1030 x 1030 on two threads
+    n_u=st.one_of(
+        st.integers(1, 6),
+        st.sampled_from([_TILE_ROWS // 2 + 1, _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1]),
+        st.integers(1030, 1040),
+    ),
     dim=st.integers(1, 5),
-    n_p=st.one_of(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]), st.integers(1030, 2100)),
+    n_p=st.one_of(
+        st.sampled_from([_TILE_COLS - 1, _TILE_COLS, _TILE_COLS + 1, 2 * _TILE_COLS + 1]), st.integers(1030, 2100)
+    ),
     grid=st.booleans(),
 )
 def test_row_col_max_equals_full_kernel_maxima(seed, n_u, dim, n_p, grid):
@@ -445,9 +451,11 @@ def test_fit_equals_the_reference_fit_when_backtracking_fires():
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    # from 1024 x 1024 the kernel is walked in tiles; from 1030, the last of each axis is partial
+    # partial tiles below the gate; from 1024 x 1024 on two threads, from 1030 with partial tiles
     n=st.one_of(
-        st.integers(1, 70), st.integers(1030, 1100), st.sampled_from([_BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 3])
+        st.integers(1, 70),
+        st.integers(1030, 1100),
+        st.sampled_from([_TILE_ROWS + 1, _TILE_COLS - 1, _TILE_COLS + 1, 4 * _TILE_COLS, 4 * _TILE_COLS + 3]),
     ),
     dim=st.integers(1, 6),
     grid=st.booleans(),
@@ -464,8 +472,10 @@ def test_self_row_col_max_equals_build_kernel(seed, n, dim, grid):
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_u=st.one_of(st.integers(1, 40), st.just(2 * _BLOCK)),
-    n_p=st.one_of(st.integers(1, 70), st.sampled_from([2 * _BLOCK, 2 * _BLOCK + 3, 3 * _BLOCK + 1])),
+    n_u=st.one_of(st.integers(1, 40), st.sampled_from([_TILE_ROWS + 1, 4 * _TILE_COLS])),
+    n_p=st.one_of(
+        st.integers(1, 70), st.sampled_from([_TILE_COLS + 1, 4 * _TILE_COLS, 4 * _TILE_COLS + 3, 6 * _TILE_COLS + 1])
+    ),
     dim=st.integers(1, 6),
     grid=st.booleans(),
     before=st.sampled_from(["fresh", "larger", "smaller"]),
