@@ -17,10 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _kernel, _row_col_max, _workspace, first_bad_row, row_norms
+from .kernels import _PANEL, _kernel, _row_col_max, _workspace, first_bad_row, row_norms
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
 from .maximize import MaximizerConfig, SelectionTrace, _check_budget, maximize
-from .setfunctions import FLCG, FLQMI, flqmi_normalizer
+from .setfunctions import FLCG, FLQMI, _checked, _coverage_gains, flqmi_normalizer
 
 
 class EmptySliceError(ValueError):
@@ -418,6 +418,31 @@ def _capped_budget(b, buffer: UnlabeledBuffer) -> int:
     return min(_check_budget(b), len(buffer))
 
 
+def _scored_self_kernel(R: np.ndarray, best: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """S_uu, the clipped cosine kernel of unit rows R, in the thread's kernel
+    workspace, and each row x's gain sum_i w_i max(S_uu[x, i] - best_i, 0).
+
+    S_uu is built band by band (kernels._kernel). Each panel of a band is,
+    while still in cache, checked by _kernel_values' rule, naming its entry
+    of S_uu (kernel entry (i, j) is not finite), and scored by
+    _coverage_gains, the evaluator's own gains, in the panel scratch of the
+    thread that built it. That scratch is fresh per call, as the
+    evaluator's is: carved from the workspace, it stayed resident and
+    raised peak RSS at the scaled shape by 2 MB. So S_uu is read once, and
+    FLCG._built takes it as checked. Above the gate the helper thread
+    builds, checks and scores the second half of the bands; an error is
+    raised once both halves are done.
+    """
+    m = len(R)
+    S, scratch, gains = _workspace(m, m), np.empty((2, min(_PANEL, m), m)), np.empty(m)
+
+    def visit(k: int, rows: slice) -> None:
+        panel = _checked(S[rows], "kernel entry ({}, {})", rows.start)
+        _coverage_gains(panel, best, weights, scratch[k, : len(panel)], gains[rows])
+
+    return _kernel(R, R, S, visit), gains
+
+
 def _distinct_row_greedy(
     buffer: UnlabeledBuffer, b: int, maximizer_cfg: MaximizerConfig, private_best: np.ndarray
 ) -> SelectionTrace:
@@ -432,17 +457,18 @@ def _distinct_row_greedy(
     ascending order: the all-rows greedy takes the same items, since gains
     never rise again, ties break to the smallest index and the 2**-30 grid
     hides the weighted sums' last bits. Stochastic greedy, whose seeded
-    draws are over buffer indices, runs over every row with no fill. S_uu,
-    one plain product of the distinct unit rows, is built in the thread's
-    kernel workspace, and no kernel call is made while the greedy holds it;
-    FLCG gets its transpose view, whose rows the evaluator reads contiguously.
+    draws are over buffer indices, runs over every row with no fill. S_uu
+    and each candidate's first gain come from _scored_self_kernel, and no
+    kernel call is made while the greedy holds S_uu; FLCG gets its
+    transpose view, whose rows the evaluator reads contiguously.
     """
     n = len(buffer)
     R, first, copy_of = buffer._distinct_unit_rows()
     if stochastic := maximizer_cfg.algorithm == "stochastic":
         R, first = buffer.unit_rows(), np.arange(n)
-    S = _kernel(R, R, _workspace(len(R), len(R)))
-    f = FLCG(S.T, private_best[first, None], None if len(R) == n else np.bincount(copy_of).astype(np.float64))
+    best, weights = private_best[first], None if len(R) == n else np.bincount(copy_of).astype(np.float64)
+    S, gains = _scored_self_kernel(R, best, weights)
+    f = FLCG._built(S.T, best, weights, gains)
     greedy = maximize(f, replace(maximizer_cfg, budget=min(b, len(R))))
     k = len(greedy.gains) if stochastic or 0.0 not in greedy.gains else greedy.gains.index(0.0)
     picked = first[greedy.chosen[:k]].tolist()
@@ -467,7 +493,9 @@ def scg_select(
     the SelectionTrace over buffer indices. The greedy is
     _distinct_row_greedy's, from row_max[i] = max_j S_up[i, j] taken over the
     buffer's distinct rows as smidentify takes it; pass smidentify's row_max
-    against slice t to skip that pass.
+    against slice t to skip that pass. A row_max given must be 1-D, with
+    one finite, nonnegative entry per buffer row; ValueError names it and
+    its first bad row (row_max row 0 is not finite) before any product.
     """
     t, n = pool.check_slice(t), len(buffer)
     if not (b := _capped_budget(b, buffer)):
@@ -475,8 +503,15 @@ def scg_select(
     if row_max is None:
         R, _, copy_of = buffer._distinct_unit_rows()
         row_max = _row_col_max(R, pool.slices[t].unit_rows())[0][copy_of]
+    try:
+        row_max = np.asarray(row_max, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise ValueError("row_max must be a 1-D array of numbers") from None
+    if row_max.ndim != 1:
+        raise ValueError(f"row_max must be 1-D, got shape {row_max.shape}")
     if len(row_max) != n:
         raise ValueError(f"row maxima disagree with the buffer on ground size: {len(row_max)} vs {n}")
+    _checked(row_max, "row_max row {}")
     trace = _distinct_row_greedy(buffer, b, maximizer_cfg, row_max)
     ids = [int(buffer.ids[i]) for i in trace.chosen]
     return (ids, trace) if return_trace else ids

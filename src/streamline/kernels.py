@@ -103,11 +103,30 @@ def _tiles(n: int, m: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
     )
 
 
-def _plan(R: np.ndarray, C: np.ndarray) -> tuple[tuple[tuple[slice, slice], ...], ...]:
-    """_tiles of the kernel between prepared sides R and C, whose dims must agree."""
+@lru_cache(maxsize=32)
+def _bands(n: int, m: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
+    """The tiles of _tiles(n, m), one tuple per thread, walked band by band.
+
+    A band is one row span of the tiles, across every column tile of its
+    share, left to right. A kernel above the gate with at least 4 *
+    _TILE_ROWS rows, S_uu among them, is cut between bands instead of
+    between columns, at the band edge nearest its middle, so each thread's
+    bands are whole rows. A kernel of fewer rows keeps _tiles' column
+    halves, which split its work more evenly than a band edge can.
+    """
+    shares = _tiles(n, m)
+    if len(shares) == 2 and n >= 4 * _TILE_ROWS:
+        cut = round(n / (2 * _TILE_ROWS)) * _TILE_ROWS
+        tiles = shares[0] + shares[1]
+        shares = tuple(t for t in tiles if t[0].start < cut), tuple(t for t in tiles if t[0].start >= cut)
+    return tuple(tuple(sorted(share, key=lambda t: (t[0].start, t[1].start))) for share in shares)
+
+
+def _plan(R: np.ndarray, C: np.ndarray, cut=_tiles) -> tuple[tuple[tuple[slice, slice], ...], ...]:
+    """cut (_tiles or _bands) of the kernel between prepared sides R and C, whose dims must agree."""
     if R.shape[1] != C.shape[1]:
         raise KernelError(f"embedding dims differ: {R.shape[1]} vs {C.shape[1]}")
-    return _tiles(len(R), len(C))
+    return cut(len(R), len(C))
 
 
 def _new_helper() -> None:
@@ -129,12 +148,14 @@ os.register_at_fork(after_in_child=_new_helper)
 def _walk(R, C, shares, tile, fold) -> None:
     """Compute R @ C.T tile by tile and call fold(k, i, j, product) on each tile.
 
-    shares is _plan's list of tiles per thread; share k computes tile
-    (i, j) into tile(k, i, j), a C-contiguous or row-contiguous float64
-    view of its shape. Share 1, if any, runs on the helper thread, handed
-    off once per call; it allocates nothing. An exception in either share
-    is raised here, once both are done with their views; the caller's wins
-    when both raise.
+    shares is _plan's list of tiles per thread, in the order walked:
+    _tiles' column by column for _row_col_max, _bands' band by band for
+    _kernel, whose fold clips and visits a band after its last tile. Share
+    k computes tile (i, j) into tile(k, i, j), a C-contiguous or
+    row-contiguous float64 view of its shape. Share 1, if any, runs on the
+    helper thread, handed off once per call; it allocates nothing. An
+    exception in either share is raised here, once both are done with
+    their views; the caller's wins when both raise.
     """
 
     def walk(k: int) -> None:
@@ -151,18 +172,40 @@ def _walk(R, C, shares, tile, fold) -> None:
     second.result()
 
 
-def _kernel(R: np.ndarray, C: np.ndarray, out: np.ndarray) -> np.ndarray:
+# Rows of a band clipped and visited at once: 64 rows of a 2000-column S_uu
+# are 1 MB, so a panel and its gains scratch stay in a core's 2 MB L2 from
+# its clip through the set function's check and first gains (65 rows took
+# 9% longer there).
+_PANEL = 64
+
+
+def _kernel(R: np.ndarray, C: np.ndarray, out: np.ndarray, visit=None) -> np.ndarray:
     """The clipped cosine kernel of two sides normalize_rows prepared, into out.
 
-    out is a C-contiguous (len(R), len(C)) float64 array. Each tile is
-    computed straight into out and clipped there, while it is still in
-    cache.
+    out is a C-contiguous (len(R), len(C)) float64 array. The kernel is
+    walked band by band (_bands), each tile computed straight into out.
+    Once a band's last tile is in, the band is clipped as one block of its
+    share's columns: contiguous where a share has every column, which numpy
+    clips about twice as fast as a tile of a wider array. Given a visit,
+    the band is clipped _PANEL rows at a time instead, and visit(k, rows)
+    is called on each panel, on the thread k that built it, while it is
+    still in cache. A visit reads whole rows, so it is for kernels whose
+    shares have every column: those below the gate, and S_uu above it. An
+    exception from visit is raised as _walk raises one.
     """
+    shares = _plan(R, C, _bands)
+    cols = [slice(share[0][1].start, share[-1][1].stop) for share in shares]
+    step = _TILE_ROWS if visit is None else _PANEL
 
     def clip(k, i, j, product):
-        np.clip(product, 0.0, 1.0, out=product)
+        if j.stop == cols[k].stop:  # the band's last tile
+            for rows in _spans(i.start, i.stop, step):
+                panel = out[rows, cols[k]]
+                np.clip(panel, 0.0, 1.0, out=panel)
+                if visit is not None:
+                    visit(k, rows)
 
-    _walk(R, C, _plan(R, C), lambda k, i, j: out[i, j], clip)
+    _walk(R, C, shares, lambda k, i, j: out[i, j], clip)
     return out
 
 

@@ -13,8 +13,9 @@ stands for, so a multiset's gain is summed over its distinct rows.
 
 The max over an empty set is 0 everywhere, so every function vanishes on the
 empty set and stays monotone on nonnegative kernels. Each function checks
-its kernels once, when it is made: they must be 2-D, finite and
-nonnegative, and so must FLCG's weights. Each instance exposes a
+its kernels once, when it is made (or, through FLCG._built, as its caller
+built them): they must be 2-D, finite and nonnegative, and so must FLCG's
+weights. Each instance exposes a
 definitional ``value``/``marginal_gain`` pair plus an incremental evaluator
 used by the greedy maximizers; the two paths must agree to 1e-9.
 """
@@ -28,12 +29,14 @@ class GroundIndexError(IndexError):
     """Raised when a subset refers to an item outside the ground set."""
 
 
-def _checked(a: np.ndarray, entry: str) -> np.ndarray:
+def _checked(a: np.ndarray, entry: str, first_row: int = 0) -> np.ndarray:
     """a, or ValueError naming its first entry that is negative or not finite,
-    as entry formatted with its indices. A min and a max pass decide, as NaN fails both."""
+    as entry formatted with its indices, the first offset by first_row for a
+    band of a larger array. A min and a max pass decide, as NaN fails both."""
     if a.size and not (a.min() >= 0.0 and a.max() < np.inf):
         at = tuple(np.argwhere(~((a >= 0.0) & (a < np.inf)))[0].tolist())
-        raise ValueError(f"{entry.format(*at)} is {'negative' if np.isfinite(a[at]) else 'not finite'}")
+        why = "negative" if np.isfinite(a[at]) else "not finite"
+        raise ValueError(f"{entry.format(at[0] + first_row, *at[1:])} is {why}")
     return a
 
 
@@ -62,6 +65,20 @@ def _indices(A, n: int) -> np.ndarray:
 _ROWS = 64
 
 
+def _coverage_gains(rows: np.ndarray, best: np.ndarray, weights, scratch: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = sum_i w_i max(rows[k, i] - best_i, 0) for each row k of rows, worked in scratch.
+
+    scratch has the shape of rows and may be rows itself. Each row is summed
+    whole, in numpy's pairwise order, so a row's gain does not depend on
+    the rows around it.
+    """
+    d = np.subtract(rows, best, out=scratch)
+    np.maximum(d, 0.0, out=d)
+    if weights is not None:
+        np.multiply(d, weights, out=d)
+    d.sum(axis=1, out=out)
+
+
 class _CoverageEvaluator:
     """Per-row best-match cache for FL/FLCG style gains.
 
@@ -82,27 +99,32 @@ class _CoverageEvaluator:
     the range check, the gather and the output array, which are most of
     the cost of a one-candidate gains call, and works in a reused row of
     its own.
+
+    first, if given, holds every candidate's gain before any add, as
+    _coverage_gains took them from T's rows while they were built (the band
+    visit of core._scored_self_kernel); every gains call before the first
+    add is answered from it, with the same bits: lazy greedy's heap, naive
+    greedy's first sweep and stochastic greedy's first sample.
     """
 
-    def __init__(self, S: np.ndarray, baseline: np.ndarray, weights: np.ndarray | None = None):
+    def __init__(self, S: np.ndarray, baseline: np.ndarray, weights: np.ndarray | None = None, first=None):
         self.T = np.ascontiguousarray(S.T)
         self.best = baseline.copy()
         self.weights = weights
+        self.first = first
         self._scratch = np.empty((min(_ROWS, self.T.shape[0]), self.T.shape[1]))
         self._row = np.empty(self.T.shape[1])  # gain's scratch
 
     def gains(self, candidates: np.ndarray) -> np.ndarray:
         if len(candidates):
             _check_range(candidates.min(), candidates.max(), self.T.shape[0])
+        if self.first is not None:
+            return self.first[candidates]
         out = np.empty(len(candidates))
         for k in range(0, len(candidates), _ROWS):
             c = candidates[k : k + _ROWS]
             block = np.take(self.T, c, axis=0, out=self._scratch[: len(c)], mode="clip")
-            np.subtract(block, self.best, out=block)
-            np.maximum(block, 0.0, out=block)
-            if self.weights is not None:
-                np.multiply(block, self.weights, out=block)
-            block.sum(axis=1, out=out[k : k + len(c)])
+            _coverage_gains(block, self.best, self.weights, block, out[k : k + len(c)])
         return out
 
     def gain(self, x: int) -> float:
@@ -114,6 +136,7 @@ class _CoverageEvaluator:
         return float(d.sum())
 
     def add(self, x: int) -> None:
+        self.first = None
         np.maximum(self.best, self.T[x], out=self.best)
 
 
@@ -153,6 +176,8 @@ class FacilityLocation(_SetFunction):
     weights, so the two share one value and one evaluator.
     """
 
+    first_gains = None  # see FLCG._built
+
     def __init__(self, kernel):
         self.S = _kernel_values(kernel)
         self.ground_size = self.S.shape[1]
@@ -167,7 +192,7 @@ class FacilityLocation(_SetFunction):
         return float((terms if self.weights is None else terms * self.weights).sum())
 
     def evaluator(self) -> _CoverageEvaluator:
-        return _CoverageEvaluator(self.S, self.private_best, self.weights)
+        return _CoverageEvaluator(self.S, self.private_best, self.weights, self.first_gains)
 
 
 class FLQMI(_SetFunction):
@@ -217,6 +242,20 @@ class FLCG(FacilityLocation):
             if w.shape != (n,):
                 raise ValueError(f"weights disagree on ground size: {n} vs {w.shape}")
             self.weights = _checked(w, "weight row {}")
+
+    @classmethod
+    def _built(cls, kernel_uu: np.ndarray, private_best: np.ndarray, weights, first_gains: np.ndarray) -> FLCG:
+        """FLCG(kernel_uu, private_best[:, None], weights) without its checks.
+
+        For a caller that checked kernel_uu as _kernel_values would, the
+        private best and the weights already, and took each column's gain
+        over private_best with _coverage_gains: its evaluators answer from
+        first_gains until their first add.
+        """
+        f = cls.__new__(cls)
+        f.S, f.ground_size, f.private_best, f.weights = kernel_uu, kernel_uu.shape[1], private_best, weights
+        f.first_gains = first_gains
+        return f
 
 
 def smi_value(F: _SetFunction, A, B) -> float:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,35 @@ def test_scg_with_identify_row_maxima_picks_the_same_items():
             scg_select(pool, buf, t, 5, _maximizer(), row_max=ident.row_max[:-1])
 
 
+def test_scg_select_takes_row_maxima_given_as_a_list():
+    """A list failed three layers down, indexed as an array (list indices must be integers)."""
+    pool, next_id = make_pool([20, 25], [False, False], spread=0.3)
+    buf = make_buffer(15, 0, next_id, spread=0.3)
+    ident = smidentify(pool, buf)
+    t = ident.slice_id
+    given = scg_select(pool, buf, t, 5, _maximizer(), row_max=ident.row_max.tolist())
+    assert given == scg_select(pool, buf, t, 5, _maximizer(), row_max=ident.row_max)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda r: np.stack([r, r], axis=1), r"row_max must be 1-D, got shape \(15, 2\)"),  # was: kernel must be 2-D
+        (lambda r: np.where(np.arange(len(r)) == 0, np.nan, r), "row_max row 0 is not finite"),  # was: kernel entry
+        (lambda r: np.where(np.arange(len(r)) == 3, -1.0, r), "row_max row 3 is negative"),  # was: kernel entry
+        (lambda r: np.where(np.arange(len(r)) == 4, np.inf, r), "row_max row 4 is not finite"),
+        (lambda r: ["a"] * len(r), "row_max must be a 1-D array of numbers"),
+    ],
+    ids=["2-D", "nan", "negative", "inf", "strings"],
+)
+def test_scg_select_rejects_bad_row_maxima_at_the_door_naming_the_row(bad, message):
+    pool, next_id = make_pool([20, 25], [False, False], spread=0.3)
+    buf = make_buffer(15, 0, next_id, spread=0.3)
+    ident = smidentify(pool, buf)
+    with pytest.raises(ValueError, match=message):
+        scg_select(pool, buf, ident.slice_id, 5, _maximizer(), row_max=bad(ident.row_max))
+
+
 def test_exact_copies_get_bitwise_equal_row_maxima():
     """Two copies of 101 rows: BLAS rounds some cells of a row by where the
     row sits in the product, so the copies' maxima could differ in the last bit."""
@@ -373,8 +404,10 @@ def test_select_builds_s_uu_over_distinct_rows_once(monkeypatch):
     import streamline.core as core
 
     shapes, finds = [], []
-    kernel, copies = core._kernel, core._copies
-    monkeypatch.setattr(core, "_kernel", lambda R, C, out: shapes.append(len(R) * len(C)) or kernel(R, C, out))
+    scored, copies = core._scored_self_kernel, core._copies
+    monkeypatch.setattr(
+        core, "_scored_self_kernel", lambda R, best, w: shapes.append(len(R) ** 2) or scored(R, best, w)
+    )
     monkeypatch.setattr(core, "_copies", lambda X, norms: finds.append(len(X)) or copies(X, norms))
     pool, buffers, _ = _churn_stream()
     rounds = [(buffers[0], 100), (buffers[1], 100), (_without_copies(buffers[0], 10**6), 400)]
@@ -386,6 +419,72 @@ def test_select_builds_s_uu_over_distinct_rows_once(monkeypatch):
         report, pool, _ = streamline_round(pool, buf, BudgetState(B=10, rho=0.5), cfg, _oracle(buf))
         assert report.selected_ids and shapes == [distinct * distinct]
     assert finds == []
+
+
+def _tiles_built(monkeypatch):
+    """(built on this thread, shape) of every tile np.matmul computes, in order."""
+    caller, made, matmul = threading.get_ident(), [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, out: made.append((threading.get_ident() == caller, out.shape))
+                        or matmul(*a, out=out))
+    return made
+
+
+@pytest.mark.parametrize("r", [5, 1050])  # a row of the caller's share, and of the helper's
+def test_a_nan_row_of_s_uu_on_either_share_is_named_once_the_helper_is_done(r, monkeypatch):
+    """Row r's NaNs fill row r and column r, so each thread's first panel
+    fails; the caller's error, at entry (0, r), is raised once the helper's
+    share has stopped at its own."""
+    import streamline.core as core
+    from streamline.kernels import _bands, normalize_rows
+
+    R = normalize_rows(np.random.default_rng(2).normal(size=(1100, 4)))
+    R[r] = np.nan
+    made = _tiles_built(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^kernel entry \(0, {r}\) is not finite$"):
+        core._scored_self_kernel(R, np.zeros(1100), None)
+    second = _bands(1100, 1100)[1]
+    assert [shape for mine, shape in made if not mine] == [
+        (i.stop - i.start, j.stop - j.start) for i, j in second if i == second[0][0]
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_a_nan_entry_on_the_helpers_share_is_named_by_its_place_in_s_uu(monkeypatch):
+    """Rows 600 and 700, both in the helper's half, meet only in inf * 0:
+    the helper's error names the entry of S_uu, not of its band, and the
+    caller's share, whose cells of column 600 are infinite and clip to 0
+    or 1, has run to its end."""
+    import streamline.core as core
+    from streamline.kernels import _bands, normalize_rows
+
+    R = normalize_rows(np.random.default_rng(3).normal(size=(1100, 2)))
+    R[600], R[700] = [np.inf, 0.0], [0.0, 1.0]
+    first, second = _bands(1100, 1100)
+    assert first[-1][0].stop <= 600
+    made = _tiles_built(monkeypatch)
+    with pytest.raises(ValueError, match=r"^kernel entry \(600, 700\) is not finite$"):
+        core._scored_self_kernel(R, np.zeros(1100), np.ones(1100))
+    assert [shape for mine, shape in made if mine] == [(i.stop - i.start, j.stop - j.start) for i, j in first]
+
+
+def test_every_cell_of_s_uu_is_checked_once(monkeypatch):
+    """S_uu is scanned once, as it is built: the panels checked cover each of its cells once."""
+    import streamline.core as core
+    from streamline.kernels import normalize_rows
+
+    check = core._checked
+    for m in (257, 1100):  # on the calling thread, and on both
+        checked = np.zeros((m, m), int)
+
+        def spy(a, entry, first_row=0):
+            checked[first_row : first_row + len(a)] += 1
+            assert a.shape[1] == m and a.flags.c_contiguous
+            return check(a, entry, first_row)
+
+        monkeypatch.setattr(core, "_checked", spy)
+        R = normalize_rows(np.random.default_rng(m).normal(size=(m, 3)))
+        core._scored_self_kernel(R, np.zeros(m), None)
+        assert (checked == 1).all()
 
 
 def test_scg_budget_edges():
@@ -858,15 +957,20 @@ def test_round_reports_its_margin_and_greedy_evaluations():
     naive greedy makes 60,194, so a lazy greedy that loses its laziness fails."""
     from streamline.simulator import every_k_schedule
 
-    pool, buffers, _ = _churn_stream(common_pool_size=150, schedule=every_k_schedule(12, 12, k=2), rare_slices=(11,))
-    state, cfg = BudgetState(B=120, rho=0.5), StreamlineConfig(maximizer=_maximizer())
-    evaluations = 0
-    for buf in buffers:
-        report, pool, state = streamline_round(pool, buf, state, cfg, _oracle(buf))
-        top = np.sort(report.scores)
-        assert report.margin == top[-1] - top[-2] > 0
-        evaluations += report.select_evaluations
-    assert evaluations == 2880
+    picks, schedule = {}, every_k_schedule(12, 12, k=2)
+    for algorithm, expected in (("lazy", 2880), ("naive", 60194)):
+        pool, buffers, _ = _churn_stream(common_pool_size=150, schedule=schedule, rare_slices=(11,))
+        state = BudgetState(B=120, rho=0.5)
+        cfg = StreamlineConfig(maximizer=MaximizerConfig(budget=0, algorithm=algorithm))
+        evaluations, picks[algorithm] = 0, []
+        for buf in buffers:
+            report, pool, state = streamline_round(pool, buf, state, cfg, _oracle(buf))
+            top = np.sort(report.scores)
+            assert report.margin == top[-1] - top[-2] > 0
+            evaluations += report.select_evaluations
+            picks[algorithm].append(report.selected_ids)
+        assert evaluations == expected
+    assert picks["lazy"] == picks["naive"]
     pool, buf, state, cfg = _round_with_selector(lambda p, u, t, b: [int(u.ids[0])])
     report, _, _ = streamline_round(pool, buf, state, cfg, _oracle(buf))
     assert report.select_evaluations == 0 and report.margin == 0.0  # a one-slice pool has no runner-up

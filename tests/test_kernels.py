@@ -14,6 +14,7 @@ from streamline.kernels import (
     _TILE_COLS,
     _TILE_ROWS,
     KernelError,
+    _bands,
     _kernel,
     _plan,
     _row_col_max,
@@ -281,6 +282,22 @@ def test_the_tiles_cover_every_cell_once_and_depend_on_the_shape_alone(n, w, thr
         first, second = shares
         cut = first[-1][1].stop
         assert cut == second[0][1].start and cut % _SPLIT_ALIGN == 0 and abs(w - 2 * cut) < 2 * _SPLIT_ALIGN
+    # _bands: the same tiles on as many threads, each share walked band by band
+    bands = _bands(n, w)
+    assert len(bands) == threads and sorted(sum(bands, ()), key=_start) == sorted(sum(shares, ()), key=_start)
+    assert all(list(share) == sorted(share, key=_start) for share in bands)
+    if threads == 2 and n >= 4 * _TILE_ROWS:  # whole rows, cut between bands near the middle row
+        cut = bands[1][0][0].start
+        assert cut % _TILE_ROWS == 0 and abs(n - 2 * cut) <= _TILE_ROWS
+        assert {i.start < cut for i, _ in bands[0]} == {True} and {i.start < cut for i, _ in bands[1]} == {False}
+    else:
+        assert [sorted(share, key=_start) for share in bands] == [sorted(share, key=_start) for share in shares]
+
+
+def _start(tile):
+    """A tile's place in band order: its first row, then its first column."""
+    i, j = tile
+    return i.start, j.start
 
 
 @pytest.fixture
@@ -314,17 +331,19 @@ def handoffs(monkeypatch):
 def test_a_kernel_below_the_gate_is_walked_in_tiles_on_the_calling_thread(n, w, products, handoffs):
     rng = np.random.default_rng(5)
     R, C = normalize_rows(rng.normal(size=(n, 3))), normalize_rows(rng.normal(size=(w, 3)))
-    [share] = _tiles(n, w)
-    expected = [(threading.get_ident(), (i.stop - i.start, j.stop - j.start)) for i, j in share]
+    [share], [bands] = _tiles(n, w), _bands(n, w)
+    caller = threading.get_ident()
+    expected = [(caller, (i.stop - i.start, j.stop - j.start)) for i, j in share]
     assert all(h <= _TILE_ROWS and h * c <= _TILE_ROWS * _TILE_COLS for _, (h, c) in expected)
     assert len(expected) > 1
     out = np.empty((n, w))
-    _kernel(R, C, out)
-    assert [(thread, tile.shape) for thread, tile in products] == expected
-    for (_, tile), (i, j) in zip(products, share):  # straight into its place in out
+    _kernel(R, C, out)  # band by band
+    in_bands = [(caller, (i.stop - i.start, j.stop - j.start)) for i, j in bands]
+    assert [(thread, tile.shape) for thread, tile in products] == in_bands
+    for (_, tile), (i, j) in zip(products, bands):  # straight into its place in out
         assert tile.base is out and tile.__array_interface__["data"][0] == out[i, j].__array_interface__["data"][0]
     products.clear()
-    _row_col_max(R, C)
+    _row_col_max(R, C)  # column tile by column tile
     assert [(thread, tile.shape) for thread, tile in products] == expected
     assert handoffs == []
 
@@ -334,10 +353,13 @@ def test_a_kernel_above_the_gate_is_handed_to_the_helper_once(n, w, products, ha
     rng = np.random.default_rng(6)
     X, Y = rng.normal(size=(n, 8)), rng.normal(size=(w, 8))
     R, C = normalize_rows(X), normalize_rows(Y)
-    first, second = _tiles(n, w)
     caller = threading.get_ident()
     out = np.empty((n, w))
-    for run in (lambda: _row_col_max(R, C), lambda: _kernel(R, C, out), lambda: build_kernel(X, Y)):
+    for run, (first, second) in (
+        (lambda: _row_col_max(R, C), _tiles(n, w)),  # column halves
+        (lambda: _kernel(R, C, out), _bands(n, w)),  # row halves
+        (lambda: build_kernel(X, Y), _bands(n, w)),
+    ):
         products.clear()
         handoffs.clear()
         run()

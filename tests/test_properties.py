@@ -14,7 +14,8 @@ against an integer-only reference. The learner tests check
 logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
 row-major softmax they replaced. The tests after them check a self
 kernel's maxima (walked in tiles too), the kernels built in a thread's
-reused workspace, the row norms each slice keeps from ingestion, the
+reused workspace, the first gains S_uu's band visit takes and the greedy
+traces that start from them, the row norms each slice keeps from ingestion, the
 column-contiguous coverage gains, the scalar gain of lazy greedy's
 re-evaluations and the round's reuse of identify's row maxima bit for bit,
 lazy greedy against naive greedy, and facility location against FLCG with
@@ -53,7 +54,7 @@ from streamline import (
 )
 from streamline.cli import run
 from streamline.config import config_from_dict
-from streamline.core import smidentify_scores
+from streamline.core import _scored_self_kernel, smidentify_scores
 from streamline.kernels import _TILE_COLS, _TILE_ROWS, _kernel, _row_col_max, _workspace, normalize_rows
 from streamline.setfunctions import _ROWS, _CoverageEvaluator
 from streamline.simulator import Learner, LearnerConfig, fit_logistic, logistic_loss_and_grad
@@ -503,6 +504,52 @@ def test_workspace_kernels_equal_build_kernel(seed, n_u, n_p, dim, grid, before)
     np.testing.assert_array_equal(col, K_up.max(axis=0))
     np.testing.assert_array_equal(S, K_uu)
     np.testing.assert_allclose(S, build_kernel(U, U), rtol=0.0, atol=1e-15)
+
+
+# S_uu shapes about the tile height, and about the gate (1024 x 1024), above which two threads split its bands
+_SELF_SIZES = st.sampled_from([255, 256, 257, 1023, 1024, 1025, 1100])
+
+
+def _scored_inputs(seed, n, dim, weighted, grid):
+    """Unit rows, private bests (some 0) and copy weights (or None) for one S_uu."""
+    rng = np.random.default_rng(seed)
+    R = normalize_rows(_rows(rng, n, dim, grid))
+    best = (rng.integers(0, 4, size=n) / 3.0 if grid else rng.random(n)) * rng.integers(0, 2, size=n)
+    return R, best, rng.integers(1, 5, size=n).astype(float) if weighted else None
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=_SELF_SIZES, dim=st.integers(1, 6), weighted=st.booleans(), grid=st.booleans())
+def test_the_band_visits_first_gains_equal_the_evaluators(seed, n, dim, weighted, grid):
+    """S_uu built band by band has _kernel's bits, and the gains taken from
+    its bands have those of FLCG's evaluator on it, before any add."""
+    R, best, weights = _scored_inputs(seed, n, dim, weighted, grid)
+    S, first = _scored_self_kernel(R, best, weights)
+    S = S.copy()
+    np.testing.assert_array_equal(S, _kernel(R, R, np.empty((n, n))))
+    gains = FLCG(S.T, best[:, None], weights).evaluator().gains(np.arange(n))
+    np.testing.assert_array_equal(first.view(np.int64), gains.view(np.int64))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 9), _SELF_SIZES),
+    dim=st.integers(1, 6),
+    weighted=st.booleans(),
+    grid=st.booleans(),
+    b=st.integers(0, 12),
+    algorithm=st.sampled_from(["lazy", "naive", "stochastic"]),
+)
+def test_greedy_from_the_band_visits_gains_equals_the_unfused_greedy(seed, n, dim, weighted, grid, b, algorithm):
+    """Lazy, naive and stochastic greedy take their first gains from the band
+    visit and every later one from the evaluator: the same trace as on the
+    same kernel with every gain from the evaluator."""
+    R, best, weights = _scored_inputs(seed, n, dim, weighted, grid)
+    S, first = _scored_self_kernel(R, best, weights)
+    cfg = MaximizerConfig(budget=b, algorithm=algorithm, epsilon=0.2 if algorithm == "stochastic" else None, seed=seed)
+    unfused = maximize(FLCG(S.T, best[:, None], weights), cfg)
+    assert maximize(FLCG._built(S.T, best, weights, first), cfg) == unfused
 
 
 @SETTINGS
