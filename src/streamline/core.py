@@ -423,22 +423,18 @@ def _scored_self_kernel(R: np.ndarray, best: np.ndarray, weights) -> tuple[np.nd
     workspace, and each row x's gain sum_i w_i max(S_uu[x, i] - best_i, 0).
 
     S_uu is built band by band (kernels._kernel). Each panel of a band is,
-    while still in cache, checked by _kernel_values' rule, naming its entry
-    of S_uu (kernel entry (i, j) is not finite), and scored by
-    _coverage_gains, the evaluator's own gains, in the panel scratch of the
-    thread that built it. That scratch is fresh per call, as the
-    evaluator's is: carved from the workspace, it stayed resident and
-    raised peak RSS at the scaled shape by 2 MB. So S_uu is read once, and
-    FLCG._built takes it as checked. Above the gate the helper thread
-    builds, checks and scores the second half of the bands; an error is
-    raised once both halves are done.
+    while still in cache, scored by _coverage_gains, the evaluator's own
+    gains, in the panel scratch of the thread that built it. That scratch
+    is fresh per call, as the evaluator's is: carved from the workspace, it
+    stayed resident and raised peak RSS at the scaled shape by 2 MB. So
+    S_uu is read once. Above the gate the helper thread builds and scores
+    the second half of the rows.
     """
     m = len(R)
     S, scratch, gains = _workspace(m, m), np.empty((2, min(_PANEL, m), m)), np.empty(m)
 
     def visit(k: int, rows: slice) -> None:
-        panel = _checked(S[rows], "kernel entry ({}, {})", rows.start)
-        _coverage_gains(panel, best, weights, scratch[k, : len(panel)], gains[rows])
+        _coverage_gains(S[rows], best, weights, scratch[k, : rows.stop - rows.start], gains[rows])
 
     return _kernel(R, R, S, visit), gains
 
@@ -495,23 +491,25 @@ def scg_select(
     buffer's distinct rows as smidentify takes it; pass smidentify's row_max
     against slice t to skip that pass. A row_max given must be 1-D, with
     one finite, nonnegative entry per buffer row; ValueError names it and
-    its first bad row (row_max row 0 is not finite) before any product.
+    its first bad row (row_max row 0 is not finite) at any budget, before
+    any product.
     """
-    t, n = pool.check_slice(t), len(buffer)
-    if not (b := _capped_budget(b, buffer)):
+    t, n, b = pool.check_slice(t), len(buffer), _capped_budget(b, buffer)
+    if row_max is not None:
+        try:
+            row_max = np.asarray(row_max, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            raise ValueError("row_max must be a 1-D array of numbers") from None
+        if row_max.ndim != 1:
+            raise ValueError(f"row_max must be 1-D, got shape {row_max.shape}")
+        if len(row_max) != n:
+            raise ValueError(f"row maxima disagree with the buffer on ground size: {len(row_max)} vs {n}")
+        _checked(row_max, "row_max row {}")
+    if not b:
         return ([], SelectionTrace()) if return_trace else []
     if row_max is None:
         R, _, copy_of = buffer._distinct_unit_rows()
         row_max = _row_col_max(R, pool.slices[t].unit_rows())[0][copy_of]
-    try:
-        row_max = np.asarray(row_max, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        raise ValueError("row_max must be a 1-D array of numbers") from None
-    if row_max.ndim != 1:
-        raise ValueError(f"row_max must be 1-D, got shape {row_max.shape}")
-    if len(row_max) != n:
-        raise ValueError(f"row maxima disagree with the buffer on ground size: {len(row_max)} vs {n}")
-    _checked(row_max, "row_max row {}")
     trace = _distinct_row_greedy(buffer, b, maximizer_cfg, row_max)
     ids = [int(buffer.ids[i]) for i in trace.chosen]
     return (ids, trace) if return_trace else ids

@@ -63,14 +63,14 @@ def first_bad_row(X: np.ndarray, norms: np.ndarray) -> tuple[int, str] | None:
     return i, "out of float64's range when squared" if X[i].any() else "all zero"
 
 
-# A kernel of at least _SPLIT_CELLS cells and 2 * _SPLIT_ALIGN columns is
-# walked on two threads: its columns are cut once, at a multiple of
-# _SPLIT_ALIGN near the middle. Every kernel, below the gate too, is walked
-# in tiles of at most _TILE_ROWS rows and _TILE_ROWS * _TILE_COLS cells
-# (1 MB of float64, half a core's 2 MB L2), as wide as that allows in whole
-# multiples of _SPLIT_ALIGN: a kernel of fewer rows gets wider tiles, and
-# so fewer products. Where a cell sits in a tile may move its last bits,
-# but no output: greedy gains are compared on a 2**-30 grid.
+# A kernel of at least _SPLIT_CELLS cells and more than one row is walked
+# on two threads: its rows are cut once, at n // 2. Every kernel, below the
+# gate too, is walked band by band, in bands of at most _TILE_ROWS rows cut
+# into column tiles of at most _TILE_ROWS * _TILE_COLS cells (1 MB of
+# float64, half a core's 2 MB L2). A tile is as wide as that allows in whole
+# multiples of _SPLIT_ALIGN: a share of fewer rows gets wider tiles, and so
+# fewer products. Where a cell sits in a tile may move its last bits, but no
+# output: greedy gains are compared on a 2**-30 grid.
 _SPLIT_CELLS = 2**20
 _SPLIT_ALIGN = 64
 _TILE_ROWS, _TILE_COLS = 256, 512
@@ -89,44 +89,25 @@ def _tiles(n: int, m: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
     """The (rows, columns) tiles of an (n, m) kernel, one tuple per thread.
 
     Below the gate there is one tuple, for the calling thread. At or above
-    it there are two, the calling thread's columns and then the helper
-    thread's. Each is walked column tile by column tile, down the rows of
-    each. Every cell is in exactly one tile, and the tiles depend on n and
-    m alone.
+    it there are two: the calling thread's rows [0, n // 2), then the
+    helper thread's [n // 2, n). Each share is walked band by band, each
+    band's column tiles left to right across all m columns, their width
+    set by the share's height. Every cell is in exactly one tile, and the
+    tiles depend on n and m alone.
     """
-    cut = m // (2 * _SPLIT_ALIGN) * _SPLIT_ALIGN
-    halves = ((0, m),) if n * m < _SPLIT_CELLS or cut == 0 else ((0, cut), (cut, m))
-    width = _TILE_ROWS * _TILE_COLS // min(n, _TILE_ROWS) // _SPLIT_ALIGN * _SPLIT_ALIGN
-    return tuple(
-        tuple((i, j) for j in _spans(lo, hi, width) for i in _spans(0, n, _TILE_ROWS))
-        for lo, hi in halves
-    )
+    halves = ((0, n),) if n * m < _SPLIT_CELLS or n == 1 else ((0, n // 2), (n // 2, n))
+    shares = []
+    for lo, hi in halves:
+        width = _TILE_ROWS * _TILE_COLS // min(hi - lo, _TILE_ROWS) // _SPLIT_ALIGN * _SPLIT_ALIGN
+        shares.append(tuple((i, j) for i in _spans(lo, hi, _TILE_ROWS) for j in _spans(0, m, width)))
+    return tuple(shares)
 
 
-@lru_cache(maxsize=32)
-def _bands(n: int, m: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
-    """The tiles of _tiles(n, m), one tuple per thread, walked band by band.
-
-    A band is one row span of the tiles, across every column tile of its
-    share, left to right. A kernel above the gate with at least 4 *
-    _TILE_ROWS rows, S_uu among them, is cut between bands instead of
-    between columns, at the band edge nearest its middle, so each thread's
-    bands are whole rows. A kernel of fewer rows keeps _tiles' column
-    halves, which split its work more evenly than a band edge can.
-    """
-    shares = _tiles(n, m)
-    if len(shares) == 2 and n >= 4 * _TILE_ROWS:
-        cut = round(n / (2 * _TILE_ROWS)) * _TILE_ROWS
-        tiles = shares[0] + shares[1]
-        shares = tuple(t for t in tiles if t[0].start < cut), tuple(t for t in tiles if t[0].start >= cut)
-    return tuple(tuple(sorted(share, key=lambda t: (t[0].start, t[1].start))) for share in shares)
-
-
-def _plan(R: np.ndarray, C: np.ndarray, cut=_tiles) -> tuple[tuple[tuple[slice, slice], ...], ...]:
-    """cut (_tiles or _bands) of the kernel between prepared sides R and C, whose dims must agree."""
+def _plan(R: np.ndarray, C: np.ndarray) -> tuple[tuple[tuple[slice, slice], ...], ...]:
+    """_tiles of the kernel between prepared sides R and C, whose dims must agree."""
     if R.shape[1] != C.shape[1]:
         raise KernelError(f"embedding dims differ: {R.shape[1]} vs {C.shape[1]}")
-    return cut(len(R), len(C))
+    return _tiles(len(R), len(C))
 
 
 def _new_helper() -> None:
@@ -148,10 +129,8 @@ os.register_at_fork(after_in_child=_new_helper)
 def _walk(R, C, shares, tile, fold) -> None:
     """Compute R @ C.T tile by tile and call fold(k, i, j, product) on each tile.
 
-    shares is _plan's list of tiles per thread, in the order walked:
-    _tiles' column by column for _row_col_max, _bands' band by band for
-    _kernel, whose fold clips and visits a band after its last tile. Share
-    k computes tile (i, j) into tile(k, i, j), a C-contiguous or
+    shares is _plan's tuple of tiles per thread, each walked band by band.
+    Share k computes tile (i, j) into tile(k, i, j), a C-contiguous or
     row-contiguous float64 view of its shape. Share 1, if any, runs on the
     helper thread, handed off once per call; it allocates nothing. An
     exception in either share is raised here, once both are done with
@@ -174,8 +153,7 @@ def _walk(R, C, shares, tile, fold) -> None:
 
 # Rows of a band clipped and visited at once: 64 rows of a 2000-column S_uu
 # are 1 MB, so a panel and its gains scratch stay in a core's 2 MB L2 from
-# its clip through the set function's check and first gains (65 rows took
-# 9% longer there).
+# its clip through the first gains (65 rows took 9% longer there).
 _PANEL = 64
 
 
@@ -183,29 +161,25 @@ def _kernel(R: np.ndarray, C: np.ndarray, out: np.ndarray, visit=None) -> np.nda
     """The clipped cosine kernel of two sides normalize_rows prepared, into out.
 
     out is a C-contiguous (len(R), len(C)) float64 array. The kernel is
-    walked band by band (_bands), each tile computed straight into out.
-    Once a band's last tile is in, the band is clipped as one block of its
-    share's columns: contiguous where a share has every column, which numpy
-    clips about twice as fast as a tile of a wider array. Given a visit,
-    the band is clipped _PANEL rows at a time instead, and visit(k, rows)
-    is called on each panel, on the thread k that built it, while it is
-    still in cache. A visit reads whole rows, so it is for kernels whose
-    shares have every column: those below the gate, and S_uu above it. An
-    exception from visit is raised as _walk raises one.
+    walked band by band (_tiles), each tile computed straight into out.
+    Once a band's last tile is in, the band is clipped _PANEL whole rows
+    at a time, each panel a contiguous block, which numpy clips about twice
+    as fast as a tile of a wider array. Given a visit, visit(k, rows) is
+    called on each panel once it is clipped, on the thread k that built it,
+    while it is still in cache. An exception from visit is raised as _walk
+    raises one.
     """
-    shares = _plan(R, C, _bands)
-    cols = [slice(share[0][1].start, share[-1][1].stop) for share in shares]
-    step = _TILE_ROWS if visit is None else _PANEL
+    m = len(C)
 
     def clip(k, i, j, product):
-        if j.stop == cols[k].stop:  # the band's last tile
-            for rows in _spans(i.start, i.stop, step):
-                panel = out[rows, cols[k]]
+        if j.stop == m:  # the band's last tile
+            for rows in _spans(i.start, i.stop, _PANEL):
+                panel = out[rows]
                 np.clip(panel, 0.0, 1.0, out=panel)
                 if visit is not None:
                     visit(k, rows)
 
-    _walk(R, C, shares, lambda k, i, j: out[i, j], clip)
+    _walk(R, C, _plan(R, C), lambda k, i, j: out[i, j], clip)
     return out
 
 
@@ -253,24 +227,25 @@ def _row_col_max(R: np.ndarray, C: np.ndarray):
 
     The kernel is never held whole: each tile is computed into its thread's
     tile scratch, carved from the calling thread's workspace, and folded
-    into that thread's running row maxima and the running maxima of its
-    columns while it is still in cache. The maxima start at 0, the kernel's
-    floor, and end capped at 1, so clipping the two vectors is clipping
-    every cell; max is exact, so the two threads' folded row maxima equal
-    the whole kernel's. Both vectors are fresh arrays.
+    into the running maxima of its rows and of its share's columns while it
+    is still in cache. The shares own disjoint rows, so they share one row
+    maxima vector; each keeps its own column maxima, reduced by max at the
+    end. The maxima start at 0, the kernel's floor, and end capped at 1, so
+    clipping the two vectors is clipping every cell; max is exact, so the
+    result is the whole kernel's. Both vectors are fresh arrays.
     """
     shares = _plan(R, C)
     cells = max((i.stop - i.start) * (j.stop - j.start) for share in shares for i, j in share)
     scratch = _workspace(len(shares), cells)
-    row_max, col_max = np.zeros((len(shares), len(R))), np.zeros(len(C))
+    row_max, col_max = np.zeros(len(R)), np.zeros((len(shares), len(C)))
 
     def tile(k, i, j):
         h, w = i.stop - i.start, j.stop - j.start
         return scratch[k, : h * w].reshape(h, w)
 
     def fold(k, i, j, product):
-        np.maximum(row_max[k, i], product.max(axis=1), out=row_max[k, i])
-        np.maximum(col_max[j], product.max(axis=0), out=col_max[j])
+        np.maximum(row_max[i], product.max(axis=1), out=row_max[i])
+        np.maximum(col_max[k, j], product.max(axis=0), out=col_max[k, j])
 
     _walk(R, C, shares, tile, fold)
-    return np.minimum(np.maximum.reduce(row_max), 1.0), np.minimum(col_max, 1.0, out=col_max)
+    return np.minimum(row_max, 1.0, out=row_max), np.minimum(np.maximum.reduce(col_max), 1.0)

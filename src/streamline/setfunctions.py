@@ -13,9 +13,9 @@ stands for, so a multiset's gain is summed over its distinct rows.
 
 The max over an empty set is 0 everywhere, so every function vanishes on the
 empty set and stays monotone on nonnegative kernels. Each function checks
-its kernels once, when it is made (or, through FLCG._built, as its caller
-built them): they must be 2-D, finite and nonnegative, and so must FLCG's
-weights. Each instance exposes a
+its kernels once, when it is made (FLCG._built takes a self kernel that is
+in [0, 1] by construction): they must be 2-D, finite and nonnegative, and
+so must FLCG's weights. Each instance exposes a
 definitional ``value``/``marginal_gain`` pair plus an incremental evaluator
 used by the greedy maximizers; the two paths must agree to 1e-9.
 """
@@ -29,14 +29,14 @@ class GroundIndexError(IndexError):
     """Raised when a subset refers to an item outside the ground set."""
 
 
-def _checked(a: np.ndarray, entry: str, first_row: int = 0) -> np.ndarray:
+def _checked(a: np.ndarray, entry: str) -> np.ndarray:
     """a, or ValueError naming its first entry that is negative or not finite,
-    as entry formatted with its indices, the first offset by first_row for a
-    band of a larger array. A min and a max pass decide, as NaN fails both."""
+    as entry formatted with its indices. A min and a max pass decide, as NaN
+    fails both."""
     if a.size and not (a.min() >= 0.0 and a.max() < np.inf):
         at = tuple(np.argwhere(~((a >= 0.0) & (a < np.inf)))[0].tolist())
         why = "negative" if np.isfinite(a[at]) else "not finite"
-        raise ValueError(f"{entry.format(at[0] + first_row, *at[1:])} is {why}")
+        raise ValueError(f"{entry.format(*at)} is {why}")
     return a
 
 
@@ -247,10 +247,12 @@ class FLCG(FacilityLocation):
     def _built(cls, kernel_uu: np.ndarray, private_best: np.ndarray, weights, first_gains: np.ndarray) -> FLCG:
         """FLCG(kernel_uu, private_best[:, None], weights) without its checks.
 
-        For a caller that checked kernel_uu as _kernel_values would, the
-        private best and the weights already, and took each column's gain
-        over private_best with _coverage_gains: its evaluators answer from
-        first_gains until their first add.
+        For a caller that checked the private best and the weights already,
+        and took each column's gain over private_best with _coverage_gains:
+        its evaluators answer from first_gains until their first add.
+        kernel_uu is taken unchecked, as core builds it: the clipped cosines
+        of unit rows whose embeddings were checked finite and nonzero when
+        they were set, so every entry lies in [0, 1] by construction.
         """
         f = cls.__new__(cls)
         f.S, f.ground_size, f.private_best, f.weights = kernel_uu, kernel_uu.shape[1], private_best, weights

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -327,8 +325,9 @@ def test_scg_select_rejects_bad_row_maxima_at_the_door_naming_the_row(bad, messa
     pool, next_id = make_pool([20, 25], [False, False], spread=0.3)
     buf = make_buffer(15, 0, next_id, spread=0.3)
     ident = smidentify(pool, buf)
-    with pytest.raises(ValueError, match=message):
-        scg_select(pool, buf, ident.slice_id, 5, _maximizer(), row_max=bad(ident.row_max))
+    for b in (5, 0):  # at budget 0 too, which returned [] unchecked
+        with pytest.raises(ValueError, match=message):
+            scg_select(pool, buf, ident.slice_id, b, _maximizer(), row_max=bad(ident.row_max))
 
 
 def test_exact_copies_get_bitwise_equal_row_maxima():
@@ -419,72 +418,6 @@ def test_select_builds_s_uu_over_distinct_rows_once(monkeypatch):
         report, pool, _ = streamline_round(pool, buf, BudgetState(B=10, rho=0.5), cfg, _oracle(buf))
         assert report.selected_ids and shapes == [distinct * distinct]
     assert finds == []
-
-
-def _tiles_built(monkeypatch):
-    """(built on this thread, shape) of every tile np.matmul computes, in order."""
-    caller, made, matmul = threading.get_ident(), [], np.matmul
-    monkeypatch.setattr(np, "matmul", lambda *a, out: made.append((threading.get_ident() == caller, out.shape))
-                        or matmul(*a, out=out))
-    return made
-
-
-@pytest.mark.parametrize("r", [5, 1050])  # a row of the caller's share, and of the helper's
-def test_a_nan_row_of_s_uu_on_either_share_is_named_once_the_helper_is_done(r, monkeypatch):
-    """Row r's NaNs fill row r and column r, so each thread's first panel
-    fails; the caller's error, at entry (0, r), is raised once the helper's
-    share has stopped at its own."""
-    import streamline.core as core
-    from streamline.kernels import _bands, normalize_rows
-
-    R = normalize_rows(np.random.default_rng(2).normal(size=(1100, 4)))
-    R[r] = np.nan
-    made = _tiles_built(monkeypatch)
-    with pytest.raises(ValueError, match=rf"^kernel entry \(0, {r}\) is not finite$"):
-        core._scored_self_kernel(R, np.zeros(1100), None)
-    second = _bands(1100, 1100)[1]
-    assert [shape for mine, shape in made if not mine] == [
-        (i.stop - i.start, j.stop - j.start) for i, j in second if i == second[0][0]
-    ]
-
-
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
-def test_a_nan_entry_on_the_helpers_share_is_named_by_its_place_in_s_uu(monkeypatch):
-    """Rows 600 and 700, both in the helper's half, meet only in inf * 0:
-    the helper's error names the entry of S_uu, not of its band, and the
-    caller's share, whose cells of column 600 are infinite and clip to 0
-    or 1, has run to its end."""
-    import streamline.core as core
-    from streamline.kernels import _bands, normalize_rows
-
-    R = normalize_rows(np.random.default_rng(3).normal(size=(1100, 2)))
-    R[600], R[700] = [np.inf, 0.0], [0.0, 1.0]
-    first, second = _bands(1100, 1100)
-    assert first[-1][0].stop <= 600
-    made = _tiles_built(monkeypatch)
-    with pytest.raises(ValueError, match=r"^kernel entry \(600, 700\) is not finite$"):
-        core._scored_self_kernel(R, np.zeros(1100), np.ones(1100))
-    assert [shape for mine, shape in made if mine] == [(i.stop - i.start, j.stop - j.start) for i, j in first]
-
-
-def test_every_cell_of_s_uu_is_checked_once(monkeypatch):
-    """S_uu is scanned once, as it is built: the panels checked cover each of its cells once."""
-    import streamline.core as core
-    from streamline.kernels import normalize_rows
-
-    check = core._checked
-    for m in (257, 1100):  # on the calling thread, and on both
-        checked = np.zeros((m, m), int)
-
-        def spy(a, entry, first_row=0):
-            checked[first_row : first_row + len(a)] += 1
-            assert a.shape[1] == m and a.flags.c_contiguous
-            return check(a, entry, first_row)
-
-        monkeypatch.setattr(core, "_checked", spy)
-        R = normalize_rows(np.random.default_rng(m).normal(size=(m, 3)))
-        core._scored_self_kernel(R, np.zeros(m), None)
-        assert (checked == 1).all()
 
 
 def test_scg_budget_edges():

@@ -14,7 +14,6 @@ from streamline.kernels import (
     _TILE_COLS,
     _TILE_ROWS,
     KernelError,
-    _bands,
     _kernel,
     _plan,
     _row_col_max,
@@ -250,17 +249,17 @@ def test_a_grown_workspace_leaves_one_buffer_on_its_thread():
 # ------------------------------------------------------------------ the tile walk
 
 _SHAPES = [  # (n, w, threads): the gate's edges, and partial last tiles in both axes on either side
-    (1, 1, 1), (1023, 1024, 1), (2**14, 127, 1), (_TILE_ROWS + 1, 2 * _TILE_COLS + 1, 1), (100, 3000, 1),
-    (3, 2**18, 1),
-    (1024, 1024, 2), (600, 3000, 2), (2**13, 128, 2), (1030, 1030, 2), (2000, 4000, 2), (2000, 2000, 2),
-    (1100, 2100, 2), (1037, 2099, 2),
+    (1, 1, 1), (1023, 1024, 1), (_TILE_ROWS + 1, 2 * _TILE_COLS + 1, 1), (100, 3000, 1), (3, 2**18, 1),
+    (1, 2**20, 1),
+    (1024, 1024, 2), (600, 3000, 2), (2**13, 128, 2), (2**14, 127, 2), (2, 2**19, 2), (1030, 1030, 2),
+    (2000, 4000, 2), (2000, 2000, 2), (1100, 2100, 2), (1037, 2099, 2),
 ]
 
 
 @pytest.mark.parametrize("n, w, threads", _SHAPES)
 def test_the_tiles_cover_every_cell_once_and_depend_on_the_shape_alone(n, w, threads):
     shares = _tiles(n, w)
-    assert len(shares) == threads == (1 if n * w < _SPLIT_CELLS or w < 2 * _SPLIT_ALIGN else 2)
+    assert len(shares) == threads == (1 if n * w < _SPLIT_CELLS or n == 1 else 2)
     covered = np.zeros((n, w), dtype=int)
     for share in shares:
         for i, j in share:
@@ -270,34 +269,22 @@ def test_the_tiles_cover_every_cell_once_and_depend_on_the_shape_alone(n, w, thr
     for dim in (1, 7):  # _plan reads the shapes, not the data
         R, C = rng.normal(size=(n, dim)), rng.normal(size=(w, dim))
         assert _plan(R, C) == shares
-    # either side of the gate: tiles of at most 1 MB
-    height, cells = min(n, _TILE_ROWS), _TILE_ROWS * _TILE_COLS
-    for share in shares:
+    # the rows cut once, at n // 2, the helper taking the second half
+    halves = [(0, n)] if threads == 1 else [(0, n // 2), (n // 2, n)]
+    assert [(share[0][0].start, share[-1][0].stop) for share in shares] == halves
+    for share, (lo, hi) in zip(shares, halves):
+        # band by band, each band's column tiles left to right across all w columns
+        assert list(share) == sorted(share, key=lambda t: (t[0].start, t[1].start))
+        bands = list(dict.fromkeys((i.start, i.stop) for i, _ in share))
+        assert bands == [(a, min(a + _TILE_ROWS, hi)) for a in range(lo, hi, _TILE_ROWS)]
         widths = [stop - start for start, stop in dict.fromkeys((j.start, j.stop) for _, j in share)]
-        assert all(i.stop - i.start <= height for i, _ in share) and height * widths[0] <= cells
-        if len(widths) > 1:  # as wide as 1 MB allows in multiples of _SPLIT_ALIGN, the last taking what is left
+        assert sum(widths) == w and len(share) == len(bands) * len(widths)
+        # tiles of at most 1 MB, as wide as the share's height allows
+        height, cells = min(hi - lo, _TILE_ROWS), _TILE_ROWS * _TILE_COLS
+        assert height * widths[0] <= cells
+        if len(widths) > 1:  # in multiples of _SPLIT_ALIGN, the last taking what is left
             assert widths[0] % _SPLIT_ALIGN == 0 and height * (widths[0] + _SPLIT_ALIGN) > cells
             assert widths[:-1] == [widths[0]] * (len(widths) - 1) and widths[-1] <= widths[0]
-    if threads == 2:  # two halves cut at a multiple of _SPLIT_ALIGN near the middle
-        first, second = shares
-        cut = first[-1][1].stop
-        assert cut == second[0][1].start and cut % _SPLIT_ALIGN == 0 and abs(w - 2 * cut) < 2 * _SPLIT_ALIGN
-    # _bands: the same tiles on as many threads, each share walked band by band
-    bands = _bands(n, w)
-    assert len(bands) == threads and sorted(sum(bands, ()), key=_start) == sorted(sum(shares, ()), key=_start)
-    assert all(list(share) == sorted(share, key=_start) for share in bands)
-    if threads == 2 and n >= 4 * _TILE_ROWS:  # whole rows, cut between bands near the middle row
-        cut = bands[1][0][0].start
-        assert cut % _TILE_ROWS == 0 and abs(n - 2 * cut) <= _TILE_ROWS
-        assert {i.start < cut for i, _ in bands[0]} == {True} and {i.start < cut for i, _ in bands[1]} == {False}
-    else:
-        assert [sorted(share, key=_start) for share in bands] == [sorted(share, key=_start) for share in shares]
-
-
-def _start(tile):
-    """A tile's place in band order: its first row, then its first column."""
-    i, j = tile
-    return i.start, j.start
 
 
 @pytest.fixture
@@ -327,39 +314,35 @@ def handoffs(monkeypatch):
     return submitted
 
 
-@pytest.mark.parametrize("n, w", [(1023, 1024), (2**14, 127), (100, 3000), (_TILE_ROWS + 1, 700)])
+@pytest.mark.parametrize("n, w", [(1023, 1024), (1, 2**20), (100, 3000), (_TILE_ROWS + 1, 700)])
 def test_a_kernel_below_the_gate_is_walked_in_tiles_on_the_calling_thread(n, w, products, handoffs):
     rng = np.random.default_rng(5)
     R, C = normalize_rows(rng.normal(size=(n, 3))), normalize_rows(rng.normal(size=(w, 3)))
-    [share], [bands] = _tiles(n, w), _bands(n, w)
+    [share] = _tiles(n, w)
     caller = threading.get_ident()
     expected = [(caller, (i.stop - i.start, j.stop - j.start)) for i, j in share]
     assert all(h <= _TILE_ROWS and h * c <= _TILE_ROWS * _TILE_COLS for _, (h, c) in expected)
     assert len(expected) > 1
     out = np.empty((n, w))
     _kernel(R, C, out)  # band by band
-    in_bands = [(caller, (i.stop - i.start, j.stop - j.start)) for i, j in bands]
-    assert [(thread, tile.shape) for thread, tile in products] == in_bands
-    for (_, tile), (i, j) in zip(products, bands):  # straight into its place in out
+    assert [(thread, tile.shape) for thread, tile in products] == expected
+    for (_, tile), (i, j) in zip(products, share):  # straight into its place in out
         assert tile.base is out and tile.__array_interface__["data"][0] == out[i, j].__array_interface__["data"][0]
     products.clear()
-    _row_col_max(R, C)  # column tile by column tile
+    _row_col_max(R, C)  # the same tiles, in the same order
     assert [(thread, tile.shape) for thread, tile in products] == expected
     assert handoffs == []
 
 
-@pytest.mark.parametrize("n, w", [(2000, 4000), (1030, 1030), (1100, 2100)])
+@pytest.mark.parametrize("n, w", [(2000, 4000), (1030, 1030), (1100, 2100), (2**14, 127)])
 def test_a_kernel_above_the_gate_is_handed_to_the_helper_once(n, w, products, handoffs):
     rng = np.random.default_rng(6)
     X, Y = rng.normal(size=(n, 8)), rng.normal(size=(w, 8))
     R, C = normalize_rows(X), normalize_rows(Y)
     caller = threading.get_ident()
     out = np.empty((n, w))
-    for run, (first, second) in (
-        (lambda: _row_col_max(R, C), _tiles(n, w)),  # column halves
-        (lambda: _kernel(R, C, out), _bands(n, w)),  # row halves
-        (lambda: build_kernel(X, Y), _bands(n, w)),
-    ):
+    first, second = _tiles(n, w)  # the rows cut at n // 2, for every call
+    for run in (lambda: _row_col_max(R, C), lambda: _kernel(R, C, out), lambda: build_kernel(X, Y)):
         products.clear()
         handoffs.clear()
         run()

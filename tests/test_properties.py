@@ -14,8 +14,8 @@ against an integer-only reference. The learner tests check
 logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
 row-major softmax they replaced. The tests after them check a self
 kernel's maxima (walked in tiles too), the kernels built in a thread's
-reused workspace, the first gains S_uu's band visit takes and the greedy
-traces that start from them, the row norms each slice keeps from ingestion, the
+reused workspace, the first gains taken from S_uu as it is built and the
+greedy traces that start from them, the row norms each slice keeps from ingestion, the
 column-contiguous coverage gains, the scalar gain of lazy greedy's
 re-evaluations and the round's reuse of identify's row maxima bit for bit,
 lazy greedy against naive greedy, and facility location against FLCG with
@@ -72,19 +72,27 @@ def _rows(rng, n, dim, grid):
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    # tile edges in both axes below the gate, wider tiles at half height; from 1030 x 1030 on two threads
-    n_u=st.one_of(
-        st.integers(1, 6),
-        st.sampled_from([_TILE_ROWS // 2 + 1, _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1]),
-        st.integers(1030, 1040),
+    shape=st.one_of(
+        # tile edges in both axes below the gate, wider tiles at half height; from 1030 x 1030 on two threads
+        st.tuples(
+            st.one_of(
+                st.integers(1, 6),
+                st.sampled_from([_TILE_ROWS // 2 + 1, _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1]),
+                st.integers(1030, 1040),
+            ),
+            st.one_of(
+                st.sampled_from([_TILE_COLS - 1, _TILE_COLS, _TILE_COLS + 1, 2 * _TILE_COLS + 1]),
+                st.integers(1030, 2100),
+            ),
+        ),
+        # a few rows above the gate: each thread folds the maxima of every column
+        st.tuples(st.integers(2, 3), st.just(2**19 + 1)),
     ),
     dim=st.integers(1, 5),
-    n_p=st.one_of(
-        st.sampled_from([_TILE_COLS - 1, _TILE_COLS, _TILE_COLS + 1, 2 * _TILE_COLS + 1]), st.integers(1030, 2100)
-    ),
     grid=st.booleans(),
 )
-def test_row_col_max_equals_full_kernel_maxima(seed, n_u, dim, n_p, grid):
+def test_row_col_max_equals_full_kernel_maxima(seed, shape, dim, grid):
+    n_u, n_p = shape
     rng = np.random.default_rng(seed)
     U, P = _rows(rng, n_u, dim, grid), _rows(rng, n_p, dim, grid)
     K = build_kernel(U, P)
@@ -506,7 +514,7 @@ def test_workspace_kernels_equal_build_kernel(seed, n_u, n_p, dim, grid, before)
     np.testing.assert_allclose(S, build_kernel(U, U), rtol=0.0, atol=1e-15)
 
 
-# S_uu shapes about the tile height, and about the gate (1024 x 1024), above which two threads split its bands
+# S_uu shapes about the tile height, and about the gate (1024 x 1024), above which two threads split its rows
 _SELF_SIZES = st.sampled_from([255, 256, 257, 1023, 1024, 1025, 1100])
 
 
