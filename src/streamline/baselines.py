@@ -30,6 +30,8 @@ def random_select(buffer: UnlabeledBuffer, b: int, seed) -> list[int]:
 
 
 def _check_simplex(p: np.ndarray) -> None:
+    if (bad := np.argwhere(~np.isfinite(p))).size:
+        raise ValueError(f"class probabilities must be finite: row {bad[0][0]} is not")
     if np.any(p < 0.0):
         raise ValueError("class probabilities must be nonnegative")
     if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-6):

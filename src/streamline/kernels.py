@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,16 +63,12 @@ def first_bad_row(X: np.ndarray, norms: np.ndarray) -> tuple[int, str] | None:
 
 
 # A kernel of at least _SPLIT_CELLS cells and more than one row is walked
-# on two threads: its rows are cut once, at n // 2. Every kernel, below the
-# gate too, is walked band by band, in bands of at most _TILE_ROWS rows cut
-# into column tiles of at most _TILE_ROWS * _TILE_COLS cells (1 MB of
-# float64, half a core's 2 MB L2). A tile is as wide as that allows in whole
-# multiples of _SPLIT_ALIGN: a share of fewer rows gets wider tiles, and so
-# fewer products. Where a cell sits in a tile may move its last bits, but no
-# output: greedy gains are compared on a 2**-30 grid.
+# on two threads: its rows are cut once, at n // 2, and the helper thread
+# takes the second half. Each half is walked in bands of whole rows, each of
+# at most _SPLIT_CELLS cells (8 MB of float64) or of one row, so a kernel
+# below the gate is one product. Where a band ends may move a cell's last
+# bits, but no output: greedy gains are compared on a 2**-30 grid.
 _SPLIT_CELLS = 2**20
-_SPLIT_ALIGN = 64
-_TILE_ROWS, _TILE_COLS = 256, 512
 
 
 def _spans(lo: int, hi: int, step: int) -> list[slice]:
@@ -81,33 +76,23 @@ def _spans(lo: int, hi: int, step: int) -> list[slice]:
     return [slice(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
-# Cached for the shapes of a round or two: rebuilding the tiles took about
-# 1 us of a 36 us kernel at the churn benchmark's shapes, and 256 entries
-# kept about 1 MB more resident there than 32.
-@lru_cache(maxsize=32)
-def _tiles(n: int, m: int) -> tuple[tuple[tuple[slice, slice], ...], ...]:
-    """The (rows, columns) tiles of an (n, m) kernel, one tuple per thread.
+def _bands(n: int, m: int) -> tuple[tuple[slice, ...], ...]:
+    """The row bands of an (n, m) kernel, one tuple per thread.
 
-    Below the gate there is one tuple, for the calling thread. At or above
-    it there are two: the calling thread's rows [0, n // 2), then the
-    helper thread's [n // 2, n). Each share is walked band by band, each
-    band's column tiles left to right across all m columns, their width
-    set by the share's height. Every cell is in exactly one tile, and the
-    tiles depend on n and m alone.
+    Below the gate, or for one row, there is one tuple, for the calling
+    thread; at or above it, the calling thread's rows [0, n // 2), then the
+    helper thread's [n // 2, n). Each is cut top to bottom into bands of
+    max(1, _SPLIT_CELLS // m) whole rows, and depends on n and m alone.
     """
     halves = ((0, n),) if n * m < _SPLIT_CELLS or n == 1 else ((0, n // 2), (n // 2, n))
-    shares = []
-    for lo, hi in halves:
-        width = _TILE_ROWS * _TILE_COLS // min(hi - lo, _TILE_ROWS) // _SPLIT_ALIGN * _SPLIT_ALIGN
-        shares.append(tuple((i, j) for i in _spans(lo, hi, _TILE_ROWS) for j in _spans(0, m, width)))
-    return tuple(shares)
+    return tuple(tuple(_spans(lo, hi, max(1, _SPLIT_CELLS // m))) for lo, hi in halves)
 
 
-def _plan(R: np.ndarray, C: np.ndarray) -> tuple[tuple[tuple[slice, slice], ...], ...]:
-    """_tiles of the kernel between prepared sides R and C, whose dims must agree."""
+def _plan(R: np.ndarray, C: np.ndarray) -> tuple[tuple[slice, ...], ...]:
+    """_bands of the kernel between prepared sides R and C, whose dims must agree."""
     if R.shape[1] != C.shape[1]:
         raise KernelError(f"embedding dims differ: {R.shape[1]} vs {C.shape[1]}")
-    return _tiles(len(R), len(C))
+    return _bands(len(R), len(C))
 
 
 def _new_helper() -> None:
@@ -126,20 +111,20 @@ _new_helper()
 os.register_at_fork(after_in_child=_new_helper)
 
 
-def _walk(R, C, shares, tile, fold) -> None:
-    """Compute R @ C.T tile by tile and call fold(k, i, j, product) on each tile.
+def _walk(R, C, shares, band, fold) -> None:
+    """Compute R @ C.T band by band and call fold(k, i, product) on each band.
 
-    shares is _plan's tuple of tiles per thread, each walked band by band.
-    Share k computes tile (i, j) into tile(k, i, j), a C-contiguous or
-    row-contiguous float64 view of its shape. Share 1, if any, runs on the
-    helper thread, handed off once per call; it allocates nothing. An
-    exception in either share is raised here, once both are done with
-    their views; the caller's wins when both raise.
+    shares is _plan's tuple of row bands per thread. Share k computes band
+    i, rows i across every column, into band(k, i), a C-contiguous float64
+    view of its shape. Share 1, if any, runs on the helper thread, handed
+    off once per call; it allocates nothing. An exception in either share
+    is raised here, once both are done with their views; the caller's wins
+    when both raise.
     """
 
     def walk(k: int) -> None:
-        for i, j in shares[k]:
-            fold(k, i, j, np.matmul(R[i], C[j].T, out=tile(k, i, j)))
+        for i in shares[k]:
+            fold(k, i, np.matmul(R[i], C.T, out=band(k, i)))
 
     if len(shares) == 1:
         return walk(0)
@@ -160,26 +145,22 @@ _PANEL = 64
 def _kernel(R: np.ndarray, C: np.ndarray, out: np.ndarray, visit=None) -> np.ndarray:
     """The clipped cosine kernel of two sides normalize_rows prepared, into out.
 
-    out is a C-contiguous (len(R), len(C)) float64 array. The kernel is
-    walked band by band (_tiles), each tile computed straight into out.
-    Once a band's last tile is in, the band is clipped _PANEL whole rows
-    at a time, each panel a contiguous block, which numpy clips about twice
-    as fast as a tile of a wider array. Given a visit, visit(k, rows) is
+    out is a C-contiguous (len(R), len(C)) float64 array. Each band (_bands)
+    is computed straight into its rows of out, a contiguous block, then
+    clipped _PANEL whole rows at a time. Given a visit, visit(k, rows) is
     called on each panel once it is clipped, on the thread k that built it,
     while it is still in cache. An exception from visit is raised as _walk
     raises one.
     """
-    m = len(C)
 
-    def clip(k, i, j, product):
-        if j.stop == m:  # the band's last tile
-            for rows in _spans(i.start, i.stop, _PANEL):
-                panel = out[rows]
-                np.clip(panel, 0.0, 1.0, out=panel)
-                if visit is not None:
-                    visit(k, rows)
+    def clip(k, i, product):
+        for rows in _spans(i.start, i.stop, _PANEL):
+            panel = out[rows]
+            np.clip(panel, 0.0, 1.0, out=panel)
+            if visit is not None:
+                visit(k, rows)
 
-    _walk(R, C, _plan(R, C), lambda k, i, j: out[i, j], clip)
+    _walk(R, C, _plan(R, C), lambda k, i: out[i], clip)
     return out
 
 
@@ -192,7 +173,7 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
 
     The workspace is one flat buffer per thread. It grows to the largest
     request so far, dropping the old buffer before the new one is allocated,
-    never shrinks, and lives as long as its thread, so a round's tile
+    never shrinks, and lives as long as its thread, so a round's band
     scratch and its |U| x |U| buffer kernel reuse memory that was faulted in
     once. A view starts with whatever an earlier call left in it, and it
     stays valid until the next _workspace call on the same thread, which
@@ -213,7 +194,7 @@ def build_kernel(rows, cols) -> np.ndarray:
     """The clipped cosine kernel between two 2-D arrays of embeddings, as a fresh array.
 
     Each cell is computed by the product _row_col_max computes it in, so
-    the two agree bit for bit (see _tiles for how a kernel is cut). Which
+    the two agree bit for bit (see _bands for how a kernel is cut). Which
     products a kernel has depends only on its shape, so its bits depend
     only on the inputs and their shapes, never on which thread finishes
     first.
@@ -225,27 +206,25 @@ def build_kernel(rows, cols) -> np.ndarray:
 def _row_col_max(R: np.ndarray, C: np.ndarray):
     """build_kernel's row and column maxima, exactly, from sides normalize_rows prepared.
 
-    The kernel is never held whole: each tile is computed into its thread's
-    tile scratch, carved from the calling thread's workspace, and folded
-    into the running maxima of its rows and of its share's columns while it
-    is still in cache. The shares own disjoint rows, so they share one row
-    maxima vector; each keeps its own column maxima, reduced by max at the
-    end. The maxima start at 0, the kernel's floor, and end capped at 1, so
-    clipping the two vectors is clipping every cell; max is exact, so the
-    result is the whole kernel's. Both vectors are fresh arrays.
+    The kernel is never held whole: each band is computed into its thread's
+    band scratch, carved from the calling thread's workspace and as tall as
+    the tallest band of either share. A band spans every column, so its row
+    maxima are written directly; each share folds its columns' maxima into
+    its own vector, from 0, the kernel's floor, reduced by max at the end.
+    Both vectors end clipped to [0, 1], which is clipping every cell; max is
+    exact, so the result is the whole kernel's. Both are fresh arrays.
     """
-    shares = _plan(R, C)
-    cells = max((i.stop - i.start) * (j.stop - j.start) for share in shares for i, j in share)
-    scratch = _workspace(len(shares), cells)
-    row_max, col_max = np.zeros(len(R)), np.zeros((len(shares), len(C)))
+    shares, m = _plan(R, C), len(C)
+    height = max(i.stop - i.start for share in shares for i in share)
+    scratch = _workspace(len(shares), height * m)
+    row_max, col_max = np.empty(len(R)), np.zeros((len(shares), m))
 
-    def tile(k, i, j):
-        h, w = i.stop - i.start, j.stop - j.start
-        return scratch[k, : h * w].reshape(h, w)
+    def band(k, i):
+        return scratch[k, : (i.stop - i.start) * m].reshape(-1, m)
 
-    def fold(k, i, j, product):
-        np.maximum(row_max[i], product.max(axis=1), out=row_max[i])
-        np.maximum(col_max[k, j], product.max(axis=0), out=col_max[k, j])
+    def fold(k, i, product):
+        product.max(axis=1, out=row_max[i])
+        np.maximum(col_max[k], product.max(axis=0), out=col_max[k])
 
-    _walk(R, C, shares, tile, fold)
-    return np.minimum(row_max, 1.0, out=row_max), np.minimum(np.maximum.reduce(col_max), 1.0)
+    _walk(R, C, shares, band, fold)
+    return np.clip(row_max, 0.0, 1.0, out=row_max), np.clip(np.maximum.reduce(col_max), 0.0, 1.0)

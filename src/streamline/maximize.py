@@ -38,6 +38,8 @@ class MaximizerConfig:
                 raise ValueError(f"epsilon: must be in (0, 1), got {self.epsilon!r}")
         elif self.epsilon is not None:
             raise ValueError(f"epsilon: must be absent unless stochastic, got {self.epsilon!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed: must be a nonnegative integer, got {self.seed!r}")
 
 
 def _check_budget(budget) -> int:

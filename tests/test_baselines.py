@@ -133,6 +133,18 @@ def test_invalid_probabilities_rejected():
         uncertainty_scores(np.array([0.5, 0.5]), "entropy")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_probabilities_are_rejected_naming_the_first_bad_row(bad):
+    buf = make_buffer(np.eye(4))
+    probs = np.full((4, 2), 0.5)
+    probs[2, 1] = probs[3, 0] = bad
+    for mode in ("entropy", "least_conf", "margin"):
+        with pytest.raises(ValueError, match="class probabilities must be finite: row 2 is not"):
+            uncertainty_select(buf, probs, mode, 2)
+    with pytest.raises(ValueError, match="class probabilities must be finite: row 2 is not"):
+        badge_select(buf, probs, buf.X, 2, seed=0)
+
+
 # ------------------------------------------------------------------- submodular
 
 

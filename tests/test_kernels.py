@@ -9,15 +9,12 @@ import pytest
 
 import streamline.kernels as kernels
 from streamline.kernels import (
-    _SPLIT_ALIGN,
     _SPLIT_CELLS,
-    _TILE_COLS,
-    _TILE_ROWS,
     KernelError,
+    _bands,
     _kernel,
     _plan,
     _row_col_max,
-    _tiles,
     _walk,
     _workspace,
     build_kernel,
@@ -203,7 +200,7 @@ def test_kernel_results_share_no_memory_with_the_workspace():
 def test_threads_building_different_kernels_at_once_each_get_the_serial_result():
     rng = np.random.default_rng(1)
     # more threads than 2 cores; the last shape is above the gate, so its threads share the helper
-    shapes = [(40, 4000), (70, 300), (_TILE_ROWS + 3, 2 * _TILE_COLS), (90, 5), (1030, 1100)]
+    shapes = [(40, 4000), (70, 300), (259, 1024), (90, 5), (1030, 1100)]
     sides = [(normalize_rows(rng.normal(size=(n_u, 6))), normalize_rows(rng.normal(size=(n_p, 6))))
              for n_u, n_p in shapes]
 
@@ -246,24 +243,23 @@ def test_a_grown_workspace_leaves_one_buffer_on_its_thread():
     assert peak < 8_000_000 + 100_000  # the old buffer was freed before the new one was allocated
 
 
-# ------------------------------------------------------------------ the tile walk
+# ------------------------------------------------------------------ the band walk
 
-_SHAPES = [  # (n, w, threads): the gate's edges, and partial last tiles in both axes on either side
-    (1, 1, 1), (1023, 1024, 1), (_TILE_ROWS + 1, 2 * _TILE_COLS + 1, 1), (100, 3000, 1), (3, 2**18, 1),
-    (1, 2**20, 1),
+_SHAPES = [  # (n, w, threads): the gate's edges, and partial last bands on either side, odd n too
+    (1, 1, 1), (1023, 1024, 1), (257, 1025, 1), (100, 3000, 1), (3, 2**18, 1), (1, 2**20, 1),
     (1024, 1024, 2), (600, 3000, 2), (2**13, 128, 2), (2**14, 127, 2), (2, 2**19, 2), (1030, 1030, 2),
-    (2000, 4000, 2), (2000, 2000, 2), (1100, 2100, 2), (1037, 2099, 2),
+    (1031, 1031, 2), (2000, 4000, 2), (2000, 2000, 2), (1100, 2100, 2), (1037, 2099, 2),
 ]
 
 
 @pytest.mark.parametrize("n, w, threads", _SHAPES)
-def test_the_tiles_cover_every_cell_once_and_depend_on_the_shape_alone(n, w, threads):
-    shares = _tiles(n, w)
+def test_the_bands_cover_every_row_once_and_depend_on_the_shape_alone(n, w, threads):
+    shares = _bands(n, w)
     assert len(shares) == threads == (1 if n * w < _SPLIT_CELLS or n == 1 else 2)
-    covered = np.zeros((n, w), dtype=int)
+    covered = np.zeros(n, dtype=int)
     for share in shares:
-        for i, j in share:
-            covered[i, j] += 1
+        for i in share:
+            covered[i] += 1
     assert (covered == 1).all()
     rng = np.random.default_rng(n + w)
     for dim in (1, 7):  # _plan reads the shapes, not the data
@@ -271,20 +267,12 @@ def test_the_tiles_cover_every_cell_once_and_depend_on_the_shape_alone(n, w, thr
         assert _plan(R, C) == shares
     # the rows cut once, at n // 2, the helper taking the second half
     halves = [(0, n)] if threads == 1 else [(0, n // 2), (n // 2, n)]
-    assert [(share[0][0].start, share[-1][0].stop) for share in shares] == halves
-    for share, (lo, hi) in zip(shares, halves):
-        # band by band, each band's column tiles left to right across all w columns
-        assert list(share) == sorted(share, key=lambda t: (t[0].start, t[1].start))
-        bands = list(dict.fromkeys((i.start, i.stop) for i, _ in share))
-        assert bands == [(a, min(a + _TILE_ROWS, hi)) for a in range(lo, hi, _TILE_ROWS)]
-        widths = [stop - start for start, stop in dict.fromkeys((j.start, j.stop) for _, j in share)]
-        assert sum(widths) == w and len(share) == len(bands) * len(widths)
-        # tiles of at most 1 MB, as wide as the share's height allows
-        height, cells = min(hi - lo, _TILE_ROWS), _TILE_ROWS * _TILE_COLS
-        assert height * widths[0] <= cells
-        if len(widths) > 1:  # in multiples of _SPLIT_ALIGN, the last taking what is left
-            assert widths[0] % _SPLIT_ALIGN == 0 and height * (widths[0] + _SPLIT_ALIGN) > cells
-            assert widths[:-1] == [widths[0]] * (len(widths) - 1) and widths[-1] <= widths[0]
+    # each half cut top to bottom into bands of whole rows, at most 2**20 cells or one row
+    height = max(1, 2**20 // w)
+    for share, (lo, hi) in zip(shares, halves, strict=True):
+        assert [(i.start, i.stop) for i in share] == [(a, min(a + height, hi)) for a in range(lo, hi, height)]
+    if threads == 1:  # below the gate a kernel is one product
+        assert shares == ((slice(0, n),),)
 
 
 @pytest.fixture
@@ -314,47 +302,43 @@ def handoffs(monkeypatch):
     return submitted
 
 
-@pytest.mark.parametrize("n, w", [(1023, 1024), (1, 2**20), (100, 3000), (_TILE_ROWS + 1, 700)])
-def test_a_kernel_below_the_gate_is_walked_in_tiles_on_the_calling_thread(n, w, products, handoffs):
+@pytest.mark.parametrize("n, w", [(1023, 1024), (1, 2**20), (100, 3000), (257, 700)])
+def test_a_kernel_below_the_gate_is_one_product_on_the_calling_thread(n, w, products, handoffs):
     rng = np.random.default_rng(5)
     R, C = normalize_rows(rng.normal(size=(n, 3))), normalize_rows(rng.normal(size=(w, 3)))
-    [share] = _tiles(n, w)
     caller = threading.get_ident()
-    expected = [(caller, (i.stop - i.start, j.stop - j.start)) for i, j in share]
-    assert all(h <= _TILE_ROWS and h * c <= _TILE_ROWS * _TILE_COLS for _, (h, c) in expected)
-    assert len(expected) > 1
     out = np.empty((n, w))
-    _kernel(R, C, out)  # band by band
-    assert [(thread, tile.shape) for thread, tile in products] == expected
-    for (_, tile), (i, j) in zip(products, share):  # straight into its place in out
-        assert tile.base is out and tile.__array_interface__["data"][0] == out[i, j].__array_interface__["data"][0]
+    _kernel(R, C, out)
+    [(thread, band)] = products  # straight into out
+    assert thread == caller and band.shape == (n, w)
+    assert band.base is out and band.__array_interface__["data"][0] == out.__array_interface__["data"][0]
     products.clear()
-    _row_col_max(R, C)  # the same tiles, in the same order
-    assert [(thread, tile.shape) for thread, tile in products] == expected
+    _row_col_max(R, C)  # the same product
+    assert [(thread, band.shape) for thread, band in products] == [(caller, (n, w))]
     assert handoffs == []
 
 
-@pytest.mark.parametrize("n, w", [(2000, 4000), (1030, 1030), (1100, 2100), (2**14, 127)])
+@pytest.mark.parametrize("n, w", [(2000, 4000), (1030, 1030), (1031, 1031), (1100, 2100), (2**14, 127)])
 def test_a_kernel_above_the_gate_is_handed_to_the_helper_once(n, w, products, handoffs):
     rng = np.random.default_rng(6)
     X, Y = rng.normal(size=(n, 8)), rng.normal(size=(w, 8))
     R, C = normalize_rows(X), normalize_rows(Y)
     caller = threading.get_ident()
     out = np.empty((n, w))
-    first, second = _tiles(n, w)  # the rows cut at n // 2, for every call
+    first, second = _bands(n, w)  # the rows cut at n // 2, for every call
     for run in (lambda: _row_col_max(R, C), lambda: _kernel(R, C, out), lambda: build_kernel(X, Y)):
         products.clear()
         handoffs.clear()
         run()
         assert handoffs == [(1,)]
-        mine = [tile.shape for thread, tile in products if thread == caller]
-        theirs = [tile.shape for thread, tile in products if thread != caller]
-        assert mine == [(i.stop - i.start, j.stop - j.start) for i, j in first]
-        assert theirs == [(i.stop - i.start, j.stop - j.start) for i, j in second]
-    # _kernel computes each tile straight into its place in out
+        mine = [band.shape for thread, band in products if thread == caller]
+        theirs = [band.shape for thread, band in products if thread != caller]
+        assert mine == [(i.stop - i.start, w) for i in first]
+        assert theirs == [(i.stop - i.start, w) for i in second]
+    # _kernel computes each band straight into its rows of out
     products.clear()
     _kernel(R, C, out)
-    assert all(tile.base is out for _, tile in products)
+    assert all(band.base is out for _, band in products)
 
 
 def test_an_error_in_the_helpers_share_is_raised_in_the_caller():
@@ -365,13 +349,13 @@ def test_an_error_in_the_helpers_share_is_raised_in_the_caller():
     shares = _plan(U, P)
     out, folded = np.empty((len(U), len(P))), []
 
-    def fold(k, i, j, tile):
+    def fold(k, i, band):
         if threading.get_ident() != caller:
             raise ArithmeticError("in the helper's share")
-        folded.append((i, j))
+        folded.append(i)
 
     with pytest.raises(ArithmeticError, match="in the helper's share"):
-        _walk(U, P, shares, lambda k, i, j: out[i, j], fold)
+        _walk(U, P, shares, lambda k, i: out[i], fold)
     assert folded == list(shares[0])  # the caller's share ran to its end
     # the helper is still there, and the next call gets the whole kernel's maxima
     K = build_kernel(X, Y)
@@ -387,14 +371,14 @@ def test_an_error_in_the_callers_share_is_raised_once_the_helper_is_done():
     shares = _plan(U, P)
     out, folded = np.empty((len(U), len(P))), []
 
-    def fold(k, i, j, tile):
+    def fold(k, i, band):
         if threading.get_ident() == caller:
             raise ArithmeticError("in the caller's share")
         time.sleep(0.01)
-        folded.append((i, j))
+        folded.append(i)
 
     with pytest.raises(ArithmeticError, match="in the caller's share"):
-        _walk(U, P, shares, lambda k, i, j: out[i, j], fold)
+        _walk(U, P, shares, lambda k, i: out[i], fold)
     assert folded == list(shares[1])  # the helper was done with its views before the raise
 
 
@@ -413,7 +397,7 @@ def test_kernel_calls_that_return_or_raise_reuse_one_helper_and_the_callers_erro
         assert threading.enumerate() == before
 
     def raising_in(*ks):
-        def fold(k, i, j, tile):
+        def fold(k, i, band):
             if k in ks:
                 if k == 0:
                     time.sleep(0.05)  # so that the helper's error comes first
@@ -423,18 +407,18 @@ def test_kernel_calls_that_return_or_raise_reuse_one_helper_and_the_callers_erro
 
     for ks, raised in (((1,), "in share 1"), ((0,), "in share 0"), ((0, 1), "in share 0")):
         with pytest.raises(ArithmeticError, match=raised):
-            _walk(R, C, shares, lambda k, i, j: out[i, j], raising_in(*ks))
+            _walk(R, C, shares, lambda k, i: out[i], raising_in(*ks))
         assert threading.enumerate() == before
 
 
-def test_kernels_above_the_gate_allocate_no_tile_on_either_thread():
-    """Each thread's tile scratch comes from the caller's workspace, so a
+def test_kernels_above_the_gate_allocate_no_band_on_either_thread():
+    """Each thread's band scratch comes from the caller's workspace, so a
     warmed _row_col_max allocates only its maxima, and S_uu built in the
-    workspace allocates nothing: less than one tile's bytes either way."""
+    workspace allocates nothing: less than one band's bytes either way."""
     rng = np.random.default_rng(8)
     n, w = 2000, 4000
     R, C = normalize_rows(rng.normal(size=(n, 16))), normalize_rows(rng.normal(size=(w, 16)))
-    assert len(_tiles(n, w)) == len(_tiles(n, n)) == 2
+    assert len(_bands(n, w)) == len(_bands(n, n)) == 2
     _kernel(R, R, _workspace(n, n))  # grows the workspace and starts the helper
     expected = _row_col_max(R, C)
     tracemalloc.start()
@@ -449,5 +433,5 @@ def test_kernels_above_the_gate_allocate_no_tile_on_either_thread():
     np.testing.assert_array_equal(row, expected[0])
     np.testing.assert_array_equal(col, expected[1])
     np.testing.assert_array_equal(S, _kernel(R, R, np.empty((n, n))))
-    tile = _TILE_ROWS * _TILE_COLS * 8
-    assert peak < tile + (n + w) * 8 and self_peak < tile
+    band, self_band = (max(b.stop - b.start for b in _bands(n, k)[0]) * k * 8 for k in (w, n))
+    assert peak < band and self_peak < self_band

@@ -194,3 +194,12 @@ def test_config_validation():
         MaximizerConfig(budget=1, algorithm="stochastic", epsilon=1.5)
     with pytest.raises(ValueError):
         MaximizerConfig(budget=1, algorithm="lazy", epsilon=0.1)
+
+
+@pytest.mark.parametrize("algorithm, epsilon", [("lazy", None), ("naive", None), ("stochastic", 0.1)])
+def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(algorithm, epsilon):
+    for seed in (-1, 1.5, "x", True, None, np.float64(3.0)):
+        with pytest.raises(ValueError, match=r"seed: must be a nonnegative integer, got"):
+            MaximizerConfig(budget=1, algorithm=algorithm, epsilon=epsilon, seed=seed)
+    for seed in (0, 2**32 - 1, np.uint32(7)):
+        assert MaximizerConfig(budget=1, algorithm=algorithm, epsilon=epsilon, seed=seed).seed == seed

@@ -4,7 +4,7 @@ and the class-major logistic learner.
 _row_col_max, smidentify and scg_select never hold a |U| x |P| kernel; the
 first three tests check them against the definitional path built from full
 kernels (for identify, the kernel over the buffer's distinct rows, expanded
-by copy), the first also at shapes walked in tiles on two threads; the
+by copy), the first also at shapes walked in bands on two threads; the
 fourth checks selection over a buffer's distinct rows, with copies at random
 positions or none, by scg_select and by submodular_fl_select (no private
 set), against a greedy over the distinct rows built from build_kernel and
@@ -13,7 +13,7 @@ next two check budget conservation over whole rounds and the budget law
 against an integer-only reference. The learner tests check
 logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
 row-major softmax they replaced. The tests after them check a self
-kernel's maxima (walked in tiles too), the kernels built in a thread's
+kernel's maxima (walked in bands too), the kernels built in a thread's
 reused workspace, the first gains taken from S_uu as it is built and the
 greedy traces that start from them, the row norms each slice keeps from ingestion, the
 column-contiguous coverage gains, the scalar gain of lazy greedy's
@@ -55,7 +55,7 @@ from streamline import (
 from streamline.cli import run
 from streamline.config import config_from_dict
 from streamline.core import _scored_self_kernel, smidentify_scores
-from streamline.kernels import _TILE_COLS, _TILE_ROWS, _kernel, _row_col_max, _workspace, normalize_rows
+from streamline.kernels import _kernel, _row_col_max, _workspace, normalize_rows
 from streamline.setfunctions import _ROWS, _CoverageEvaluator
 from streamline.simulator import Learner, LearnerConfig, fit_logistic, logistic_loss_and_grad
 
@@ -73,19 +73,13 @@ def _rows(rng, n, dim, grid):
 @given(
     seed=st.integers(0, 2**32 - 1),
     shape=st.one_of(
-        # tile edges in both axes below the gate, wider tiles at half height; from 1030 x 1030 on two threads
+        # one band below the gate; from 1024 x 1024 on two threads, odd n giving the helper one
+        # row more, halves of one band or, from 2048 columns (bands of 512 rows), of a band and a few rows
         st.tuples(
-            st.one_of(
-                st.integers(1, 6),
-                st.sampled_from([_TILE_ROWS // 2 + 1, _TILE_ROWS - 1, _TILE_ROWS, _TILE_ROWS + 1]),
-                st.integers(1030, 1040),
-            ),
-            st.one_of(
-                st.sampled_from([_TILE_COLS - 1, _TILE_COLS, _TILE_COLS + 1, 2 * _TILE_COLS + 1]),
-                st.integers(1030, 2100),
-            ),
+            st.one_of(st.integers(1, 6), st.sampled_from([255, 256, 257]), st.integers(1024, 1040)),
+            st.one_of(st.sampled_from([511, 512, 513, 1025]), st.integers(1024, 2100)),
         ),
-        # a few rows above the gate: each thread folds the maxima of every column
+        # a few rows above the gate, in bands of one row: each thread folds the maxima of every column
         st.tuples(st.integers(2, 3), st.just(2**19 + 1)),
     ),
     dim=st.integers(1, 5),
@@ -460,12 +454,9 @@ def test_fit_equals_the_reference_fit_when_backtracking_fires():
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    # partial tiles below the gate; from 1024 x 1024 on two threads, from 1030 with partial tiles
-    n=st.one_of(
-        st.integers(1, 70),
-        st.integers(1030, 1100),
-        st.sampled_from([_TILE_ROWS + 1, _TILE_COLS - 1, _TILE_COLS + 1, 4 * _TILE_COLS, 4 * _TILE_COLS + 3]),
-    ),
+    # one band below the gate; from 1024 x 1024 on two threads, odd n giving the helper one row
+    # more; from 1449 rows (2**20 // 1449 = 723) halves of several bands, the last partial
+    n=st.one_of(st.integers(1, 70), st.integers(1024, 1100), st.sampled_from([1449, 1501, 2048, 2049])),
     dim=st.integers(1, 6),
     grid=st.booleans(),
 )
@@ -481,10 +472,10 @@ def test_self_row_col_max_equals_build_kernel(seed, n, dim, grid):
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_u=st.one_of(st.integers(1, 40), st.sampled_from([_TILE_ROWS + 1, 4 * _TILE_COLS])),
-    n_p=st.one_of(
-        st.integers(1, 70), st.sampled_from([_TILE_COLS + 1, 4 * _TILE_COLS, 4 * _TILE_COLS + 3, 6 * _TILE_COLS + 1])
-    ),
+    # 1031 or 2048 rows against 2048 to 3073 columns are above the gate: each half is whole
+    # bands of 512 to 341 rows, or bands and a few rows, odd n too
+    n_u=st.one_of(st.integers(1, 40), st.sampled_from([257, 1031, 2048])),
+    n_p=st.one_of(st.integers(1, 70), st.sampled_from([513, 2048, 2051, 3073])),
     dim=st.integers(1, 6),
     grid=st.booleans(),
     before=st.sampled_from(["fresh", "larger", "smaller"]),
@@ -514,8 +505,9 @@ def test_workspace_kernels_equal_build_kernel(seed, n_u, n_p, dim, grid, before)
     np.testing.assert_allclose(S, build_kernel(U, U), rtol=0.0, atol=1e-15)
 
 
-# S_uu shapes about the tile height, and about the gate (1024 x 1024), above which two threads split its rows
-_SELF_SIZES = st.sampled_from([255, 256, 257, 1023, 1024, 1025, 1100])
+# S_uu shapes about the panel height (64 rows), about the gate (1024 x 1024), above which two threads
+# split its rows, odd n, and 1501 rows, whose halves are a band of 698 rows and one of 52
+_SELF_SIZES = st.sampled_from([63, 64, 65, 1023, 1024, 1025, 1031, 1100, 1501])
 
 
 def _scored_inputs(seed, n, dim, weighted, grid):
