@@ -322,17 +322,26 @@ class BudgetDecision:
 class IdentificationResult:
     """The identified slice, every slice's score, and the buffer's row maxima.
 
-    row_max[i] is max_j S[i, j] over the buffer x identified-slice kernel,
-    the private best that FLCG selection over that slice starts from.
+    certified holds, ascending, the slices smidentify scored exactly, the
+    identified one among them. Their scores are exact; every other score is
+    the float32 screen's, within _screen_error of the exact one and never
+    a winner. row_max[i] is max_j S[i, j] over the buffer x
+    identified-slice kernel, exactly: the private best that FLCG selection
+    over that slice starts from.
     """
 
     slice_id: int
     scores: np.ndarray
     row_max: np.ndarray
+    certified: np.ndarray
 
     @property
     def margin(self) -> float:
-        """The winning score minus the runner-up's; 0.0 for a one-slice pool."""
+        """The winning score minus the runner-up's; 0.0 for a one-slice pool.
+
+        A runner-up that was not certified has its screened score, so the
+        margin is then within _screen_error of the exact one.
+        """
         if len(self.scores) < 2:
             return 0.0
         top = np.sort(self.scores)
@@ -353,6 +362,53 @@ def smidentify_scores(kernels) -> np.ndarray:
     return scores
 
 
+def _screen_error(dim: int, n_u: int, n_p: int) -> float:
+    """δ, a bound on how far a slice's score from float32 sides is from its float64 score.
+
+    Both scores are (sum of the |U| row maxima + sum of the |P| column
+    maxima) / (|U| + |P|) of the cosine kernel clipped to [0, 1], from the
+    same float64 unit rows r, p of dim d; the screen casts them to float32,
+    whose unit roundoff is u = 2**-24. Against the exact sum_k r_k p_k:
+    - a float32 cell rounds each input by a factor (1 + e), |e| <= u, so
+      each product by at most (2u + u**2) |r_k p_k|, and sums the d
+      products with error at most γ_d = du / (1 - du) times
+      sum_k |r_k p_k|, in any order, with or without FMA. That sum is at
+      most |r| |p| (Cauchy-Schwarz), 1 to a few float64 ulps, so the cell
+      is within (d + 2)u + O(u**2);
+    - inputs and products that underflow float32 add at most 3d * 2**-126;
+    - a float64 cell is within d * 2**-53 or so.
+    (d + 4) * 2**-23 = (2d + 8)u covers the three. Clipping, max and the
+    mean are 1-Lipschitz in each cell, so each unrounded score moves by at
+    most that. Each score then sums N = |U| + |P| values in [0, 1] in
+    float64, in any order within (N - 1) * 2**-53 * N of the true sum, and
+    divides by N, within 2**-53 more: about N * 2**-53 per score and
+    (N + 1) * 2**-52 for the two, which N * 2**-50 covers.
+    """
+    return (dim + 4) * 2.0**-23 + (n_u + n_p) * 2.0**-50
+
+
+def _slice_score(R: np.ndarray, P: np.ndarray, copy_of: np.ndarray) -> tuple[float, np.ndarray]:
+    """The score smidentify_scores gives the buffer x slice kernel of unit
+    rows R (the buffer's distinct rows) and P, in their dtype, summed in
+    float64, from its row and column maxima alone; and the row maxima of
+    every buffer row, by copy."""
+    row, col = _row_col_max(R, P)
+    row = row[copy_of]  # col needs no expansion: a max over copies is a max over the distinct rows
+    score = (row.sum(dtype=np.float64) + col.sum(dtype=np.float64)) / flqmi_normalizer(len(row), len(col))
+    return score, row
+
+
+def _screen(pool: SlicedLabeledPool, R: np.ndarray, copy_of: np.ndarray) -> np.ndarray:
+    """Every slice's _slice_score from float32 copies of the unit rows.
+
+    R, the buffer's distinct unit rows, is cast once; each slice is divided
+    by its kept norms straight into a float32 array.
+    """
+    R = R.astype(np.float32)
+    sides = (np.divide(sl.X, sl._norms[:, None], out=np.empty(sl.X.shape, np.float32)) for sl in pool.slices)
+    return np.array([_slice_score(R, P, copy_of)[0] for P in sides])
+
+
 def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> IdentificationResult:
     """Identify the labeled slice the buffer most plausibly belongs to.
 
@@ -364,24 +420,34 @@ def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> Identificati
     cells by where the row sits in the product. Both sides are divided by
     the norms kept when X was set, so no row is checked or normed again.
     A buffer whose dim differs from the pool's raises ValueError before any
-    product. Ties break toward the smallest slice index.
-    Returns the winning index, the full score vector for diagnostics, and
-    the buffer's row maxima against the winner.
+    product.
+
+    Every slice is first screened in float32 (_screen), and only the
+    certified slices, those whose screened score is at least the best one
+    minus 2δ (δ = _screen_error), are scored in float64. A slice ruled out
+    has an exact score below the best-screened slice's, so the winner, the
+    largest exact score with ties toward the smallest slice index, its
+    score and its row maxima are those of scoring every slice in float64,
+    bit for bit. A ruled-out slice keeps its screened score, within δ of
+    the exact one. A one-slice pool skips the screen: its only slice wins.
+    Returns the winning index, every slice's score for diagnostics, the
+    buffer's row maxima against the winner and the certified slices.
     """
     for t, sl in enumerate(pool.slices):
         if len(sl) == 0:
             raise EmptySliceError(t)
     pool._check_dim("buffer", buffer.X, pool.slices[0].X.shape[1])
     R, _, copy_of = buffer._distinct_unit_rows()  # once, for every slice
-    scores, row_maxima = np.empty(pool.num_slices), []
-    for t, sl in enumerate(pool.slices):
-        # smidentify_scores on that kernel, from its row and column maxima
-        row, col = _row_col_max(R, sl.unit_rows())
-        row = row[copy_of]  # col needs no expansion: a max over copies is a max over the distinct rows
-        scores[t] = (row.sum() + col.sum()) / flqmi_normalizer(len(row), len(col))
-        row_maxima.append(row)
-    t = int(np.argmax(scores))
-    return IdentificationResult(slice_id=t, scores=scores, row_max=row_maxima[t])
+    scores, certified = np.zeros(pool.num_slices), np.zeros(1, np.int64)
+    if pool.num_slices > 1:
+        scores = _screen(pool, R, copy_of)
+        delta = _screen_error(R.shape[1], len(buffer), int(pool.sizes.max()))
+        certified = np.flatnonzero(scores >= scores.max() - 2 * delta)
+    row_maxima = {}
+    for t in certified.tolist():
+        scores[t], row_maxima[t] = _slice_score(R, pool.slices[t].unit_rows(), copy_of)
+    t = int(certified[np.argmax(scores[certified])])
+    return IdentificationResult(slice_id=t, scores=scores, row_max=row_maxima[t], certified=certified)
 
 
 def slice_aware_budget(
@@ -534,8 +600,12 @@ class StreamlineConfig:
 class RoundReport:
     """What one round did: identification, budget internals, selections.
 
-    margin is identification's top-2 score gap (IdentificationResult.margin);
-    select_evaluations is the greedy's evaluation count, 0 under selector_fn.
+    scores and margin are identification's (IdentificationResult): the
+    identified slice's score is exact, a slice that was not certified has
+    its float32 screened score, and the margin, the top-2 score gap, is
+    within _screen_error of the exact gap when the runner-up was not
+    certified. select_evaluations is the greedy's evaluation count, 0 under
+    selector_fn.
     """
 
     identified_slice: int

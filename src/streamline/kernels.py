@@ -115,11 +115,11 @@ def _walk(R, C, shares, band, fold) -> None:
     """Compute R @ C.T band by band and call fold(k, i, product) on each band.
 
     shares is _plan's tuple of row bands per thread. Share k computes band
-    i, rows i across every column, into band(k, i), a C-contiguous float64
-    view of its shape. Share 1, if any, runs on the helper thread, handed
-    off once per call; it allocates nothing. An exception in either share
-    is raised here, once both are done with their views; the caller's wins
-    when both raise.
+    i, rows i across every column, into band(k, i), a C-contiguous view of
+    its shape in the sides' dtype. Share 1, if any, runs on the helper
+    thread, handed off once per call; it allocates nothing. An exception in
+    either share is raised here, once both are done with their views; the
+    caller's wins when both raise.
     """
 
     def walk(k: int) -> None:
@@ -164,18 +164,19 @@ def _kernel(R: np.ndarray, C: np.ndarray, out: np.ndarray, visit=None) -> np.nda
     return out
 
 
-# Each thread's kernel workspace: one flat float64 buffer, in attribute "buf".
+# Each thread's kernel workspace: one flat byte buffer, in attribute "buf".
 _local = threading.local()
 
 
-def _workspace(rows: int, cols: int) -> np.ndarray:
-    """A C-contiguous (rows, cols) float64 view of the head of this thread's workspace.
+def _workspace(rows: int, cols: int, dtype=np.float64) -> np.ndarray:
+    """A C-contiguous (rows, cols) view of the head of this thread's workspace, as dtype.
 
-    The workspace is one flat buffer per thread. It grows to the largest
-    request so far, dropping the old buffer before the new one is allocated,
-    never shrinks, and lives as long as its thread, so a round's band
-    scratch and its |U| x |U| buffer kernel reuse memory that was faulted in
-    once. A view starts with whatever an earlier call left in it, and it
+    The workspace is one flat byte buffer per thread, viewed as the dtype
+    asked for. It grows to the largest request so far, in bytes, dropping
+    the old buffer before the new one is allocated, never shrinks, and
+    lives as long as its thread, so a round's band scratch, float32 or
+    float64, and its |U| x |U| buffer kernel reuse memory that was faulted
+    in once. A view starts with whatever an earlier call left in it, and it
     stays valid until the next _workspace call on the same thread, which
     every _row_col_max makes: core._distinct_row_greedy keeps its S_uu for
     the greedy and makes no kernel call meanwhile. Nothing build_kernel or
@@ -183,11 +184,11 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
     share of a walk into the calling thread's views and has no workspace
     of its own.
     """
-    size = rows * cols
-    if getattr(_local, "buf", None) is None or _local.buf.size < size:
+    nbytes = rows * cols * np.dtype(dtype).itemsize
+    if getattr(_local, "buf", None) is None or _local.buf.size < nbytes:
         _local.buf = None  # freed before its successor is allocated
-        _local.buf = np.empty(size)
-    return _local.buf[:size].reshape(rows, cols)
+        _local.buf = np.empty(nbytes, np.uint8)
+    return _local.buf[:nbytes].view(dtype).reshape(rows, cols)
 
 
 def build_kernel(rows, cols) -> np.ndarray:
@@ -204,7 +205,11 @@ def build_kernel(rows, cols) -> np.ndarray:
 
 
 def _row_col_max(R: np.ndarray, C: np.ndarray):
-    """build_kernel's row and column maxima, exactly, from sides normalize_rows prepared.
+    """The clipped kernel's row and column maxima, from sides normalize_rows prepared.
+
+    The two sides share a dtype, and the products and maxima are in it.
+    From float64 sides the maxima are build_kernel's, exactly; from float32
+    copies of them, within core._screen_error of those.
 
     The kernel is never held whole: each band is computed into its thread's
     band scratch, carved from the calling thread's workspace and as tall as
@@ -216,8 +221,8 @@ def _row_col_max(R: np.ndarray, C: np.ndarray):
     """
     shares, m = _plan(R, C), len(C)
     height = max(i.stop - i.start for share in shares for i in share)
-    scratch = _workspace(len(shares), height * m)
-    row_max, col_max = np.empty(len(R)), np.zeros((len(shares), m))
+    scratch = _workspace(len(shares), height * m, R.dtype)
+    row_max, col_max = np.empty(len(R), R.dtype), np.zeros((len(shares), m), R.dtype)
 
     def band(k, i):
         return scratch[k, : (i.stop - i.start) * m].reshape(-1, m)

@@ -380,20 +380,37 @@ def _without_copies(buf, id_offset=0):
     return UnlabeledBuffer(buf.ids + id_offset, buf.X + np.arange(len(buf))[:, None], true_labels=buf.true_labels)
 
 
-def test_identify_multiplies_each_distinct_buffer_row_once(monkeypatch):
-    """On churn-shaped buffers (12 slices, 100 rows copied 4 times), each
-    buffer x slice product has 100 rows, in identify and in scg_select."""
+def _passes(monkeypatch) -> list:
+    """The (dtype, rows, columns) of every row-and-column-maxima pass core makes, as they are made."""
     import streamline.core as core
 
+    passes, real = [], core._row_col_max
+
+    def recorded(R, C):
+        assert R.dtype == C.dtype
+        passes.append((R.dtype.name, len(R), len(C)))
+        return real(R, C)
+
+    monkeypatch.setattr(core, "_row_col_max", recorded)
+    return passes
+
+
+def test_identify_multiplies_each_distinct_buffer_row_once(monkeypatch):
+    """On churn-shaped buffers (12 slices, 100 rows copied 4 times), identify
+    screens each slice in one float32 pass and scores the one slice it
+    certifies in one float64 pass; scg_select without row maxima makes one
+    more float64 pass. Every pass multiplies the 100 distinct rows."""
     pool, buffers, _ = _churn_stream()
-    rows = []
-    real = core._row_col_max
-    monkeypatch.setattr(core, "_row_col_max", lambda R, C: rows.append(len(R)) or real(R, C))
+    passes = _passes(monkeypatch)
     for buf, distinct in [(buffers[0], 100), (buffers[1], 100), (_without_copies(buffers[0]), 400)]:
-        rows.clear()
-        t = smidentify(pool, buf).slice_id
+        passes.clear()
+        ident = smidentify(pool, buf)
+        t, sizes = ident.slice_id, pool.sizes.tolist()
+        assert ident.certified.tolist() == [t]
+        assert passes == [("float32", distinct, n) for n in sizes] + [("float64", distinct, sizes[t])]
+        passes.clear()
         scg_select(pool, buf, t, 10, _maximizer())
-        assert rows == [distinct] * (pool.num_slices + 1)
+        assert passes == [("float64", distinct, sizes[t])]
 
 
 def test_select_builds_s_uu_over_distinct_rows_once(monkeypatch):
@@ -910,24 +927,22 @@ def test_round_reports_its_margin_and_greedy_evaluations():
 
 
 def test_round_takes_row_maxima_once_per_slice(monkeypatch):
-    """Selection reuses identify's row maxima instead of taking them again."""
-    import streamline.core as core
+    """Each round of a desk-shaped stream (the acceptance defaults: 4 slices,
+    buffers of 100 rows, 12 rounds) takes each slice's row maxima once, in
+    the float32 screen, and the one certified slice's once more, in
+    float64; selection reuses those instead of taking them again."""
+    from streamline.config import config_from_dict
+    from streamline.simulator import generate_stream
 
-    calls = []
-    real = core._row_col_max
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(core, "_row_col_max", counted)
-    pool, next_id = make_pool([20, 25, 30], [False, False, True], spread=0.3)
-    state = BudgetState(B=6, rho=0.5)
-    cfg = StreamlineConfig(maximizer=MaximizerConfig(budget=0))
-    oracle = lambda ids: np.zeros(len(ids), int)  # noqa: E731
-    for r in range(3):
-        buf = make_buffer(15, r, next_id + 15 * r, seed=r, spread=0.3)
-        calls.clear()
-        report, pool, state = streamline_round(pool, buf, state, cfg, oracle)
-        assert report.selected_ids and len(calls) == pool.num_slices
-
+    passes = _passes(monkeypatch)
+    config = config_from_dict({"methods": ["streamline"], "seeds": [0]})
+    run = config.run_config()
+    pool, buffers, _ = generate_stream(config.stream_spec(0))
+    state, cfg = BudgetState(B=run.budget, rho=run.rho), StreamlineConfig(maximizer=run.maximizer)
+    for buf in buffers:
+        sizes = pool.sizes.tolist()
+        passes.clear()
+        report, pool, state = streamline_round(pool, buf, state, cfg, lambda ids: np.zeros(len(ids), int))
+        assert report.selected_ids
+        t = report.identified_slice
+        assert passes == [("float32", 100, n) for n in sizes] + [("float64", 100, sizes[t])]

@@ -185,15 +185,19 @@ def test_kernel_results_share_no_memory_with_the_workspace():
     U, P = rng.normal(size=(30, 4)), rng.normal(size=(5000, 4))
     K = build_kernel(U, P)
     row, col = _row_col_max(normalize_rows(U), normalize_rows(P))
-    kept = [a.copy() for a in (K, row, col)]
-    for a in (K, row, col):
+    U32, P32 = (normalize_rows(A).astype(np.float32) for A in (U, P))
+    row32, col32 = _row_col_max(U32, P32)  # the float32 sides core's screen passes
+    assert row32.dtype == col32.dtype == np.float32
+    kept = [a.copy() for a in (K, row, col, row32, col32)]
+    for a in (K, row, col, row32, col32):
         assert not np.shares_memory(a, kernels._local.buf)
     # later kernel calls overwrite the workspace, not the results
     _row_col_max(normalize_rows(-U), normalize_rows(P))
+    _row_col_max(-U32, P32)
     V = normalize_rows(-U)
     _kernel(V, V, _workspace(len(V), len(V)))
     build_kernel(P[:40], U)
-    for a, b in zip((K, row, col), kept):
+    for a, b in zip((K, row, col, row32, col32), kept):
         np.testing.assert_array_equal(a, b)
 
 
@@ -239,7 +243,7 @@ def test_a_grown_workspace_leaves_one_buffer_on_its_thread():
         return old() is None, kernels._local.buf.size, peak
 
     [(old_freed, size, peak)] = _in_threads(grow)
-    assert old_freed and size == 1000 * 1000
+    assert old_freed and size == 8 * 1000 * 1000  # bytes
     assert peak < 8_000_000 + 100_000  # the old buffer was freed before the new one was allocated
 
 
@@ -413,25 +417,31 @@ def test_kernel_calls_that_return_or_raise_reuse_one_helper_and_the_callers_erro
 
 def test_kernels_above_the_gate_allocate_no_band_on_either_thread():
     """Each thread's band scratch comes from the caller's workspace, so a
-    warmed _row_col_max allocates only its maxima, and S_uu built in the
-    workspace allocates nothing: less than one band's bytes either way."""
+    warmed _row_col_max allocates only its maxima, from float64 sides or
+    the float32 ones core's screen passes, and S_uu built in the workspace
+    allocates nothing: less than one band's bytes in each case."""
     rng = np.random.default_rng(8)
     n, w = 2000, 4000
     R, C = normalize_rows(rng.normal(size=(n, 16))), normalize_rows(rng.normal(size=(w, 16)))
+    R32, C32 = R.astype(np.float32), C.astype(np.float32)
     assert len(_bands(n, w)) == len(_bands(n, n)) == 2
     _kernel(R, R, _workspace(n, n))  # grows the workspace and starts the helper
-    expected = _row_col_max(R, C)
+    expected, expected32 = _row_col_max(R, C), _row_col_max(R32, C32)
     tracemalloc.start()
     try:
         row, col = _row_col_max(R, C)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
+        row32, col32 = _row_col_max(R32, C32)
+        _, peak32 = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         S = _kernel(R, R, _workspace(n, n))
         _, self_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    np.testing.assert_array_equal(row, expected[0])
-    np.testing.assert_array_equal(col, expected[1])
+    for got, want in zip((row, col, row32, col32), expected + expected32):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(S, _kernel(R, R, np.empty((n, n))))
     band, self_band = (max(b.stop - b.start for b in _bands(n, k)[0]) * k * 8 for k in (w, n))
-    assert peak < band and self_peak < self_band
+    assert peak < band and peak32 < band // 2 and self_peak < self_band

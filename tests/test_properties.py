@@ -2,11 +2,12 @@
 and the class-major logistic learner.
 
 _row_col_max, smidentify and scg_select never hold a |U| x |P| kernel; the
-first three tests check them against the definitional path built from full
+first four tests check them against the definitional path built from full
 kernels (for identify, the kernel over the buffer's distinct rows, expanded
-by copy), the first also at shapes walked in bands on two threads; the
-fourth checks selection over a buffer's distinct rows, with copies at random
-positions or none, by scg_select and by submodular_fl_select (no private
+by copy), the first also at shapes walked in bands on two threads, the
+third identify's float32 screen against its error bound; the fifth checks
+selection over a buffer's distinct rows, with copies at random positions or
+none, by scg_select and by submodular_fl_select (no private
 set), against a greedy over the distinct rows built from build_kernel and
 FLCG and against the all-rows greedy on the kernels expanded by copy. The
 next two check budget conservation over whole rounds and the budget law
@@ -54,7 +55,7 @@ from streamline import (
 )
 from streamline.cli import run
 from streamline.config import config_from_dict
-from streamline.core import _scored_self_kernel, smidentify_scores
+from streamline.core import _scored_self_kernel, _screen, _screen_error, smidentify_scores
 from streamline.kernels import _kernel, _row_col_max, _workspace, normalize_rows
 from streamline.setfunctions import _ROWS, _CoverageEvaluator
 from streamline.simulator import Learner, LearnerConfig, fit_logistic, logistic_loss_and_grad
@@ -95,13 +96,17 @@ def test_row_col_max_equals_full_kernel_maxima(seed, shape, dim, grid):
     np.testing.assert_array_equal(col, K.max(axis=0))
 
 
-def _pool(rng, sizes, dim, grid):
+def _pool_of(rows):
+    """A pool of one common slice per array of rows, ids counting up from 0, and the next id."""
     slices, next_id = [], 0
-    for size in sizes:
-        X = _rows(rng, size, dim, grid)
-        slices.append(LabeledSlice(np.arange(next_id, next_id + size), np.zeros(size, int), X))
-        next_id += size
-    return SlicedLabeledPool(slices, [False] * len(sizes)), next_id
+    for X in rows:
+        slices.append(LabeledSlice(np.arange(next_id, next_id + len(X)), np.zeros(len(X), int), X))
+        next_id += len(X)
+    return SlicedLabeledPool(slices, [False] * len(rows)), next_id
+
+
+def _pool(rng, sizes, dim, grid):
+    return _pool_of([_rows(rng, size, dim, grid) for size in sizes])
 
 
 def _by_copy(X):
@@ -138,19 +143,72 @@ def _self_kernel_by_copy(X) -> np.ndarray:
     n_u=st.integers(1, 40),
     dim=st.integers(2, 6),
     grid=st.booleans(),
+    # a twin of the best slice inserted first: an exact tie, or a tie nearer than the screen's bound
+    twin=st.sampled_from([None, "copy", "near"]),
 )
-def test_smidentify_scores_equal_full_kernel_scores(seed, sizes, n_u, dim, grid):
-    """Identify scores the kernel over the buffer's distinct rows, expanded by
-    copy, bit for bit; that kernel is the all-rows one up to rounding."""
+def test_smidentify_scores_equal_full_kernel_scores(seed, sizes, n_u, dim, grid, twin):
+    """Identify picks the slice the full kernels pick, ties to the smallest
+    index. The certified slices, the winner and every slice tied with it
+    among them, and the winner's row maxima are those of the kernel over the
+    buffer's distinct rows, expanded by copy, bit for bit; that kernel is the
+    all-rows one up to rounding. Every other score is the screen's, within
+    δ, and no slice more than 4δ below the winner is certified."""
     rng = np.random.default_rng(seed)
-    pool, next_id = _pool(rng, sizes, dim, grid)
-    buf = UnlabeledBuffer(np.arange(next_id, next_id + n_u), _rows(rng, n_u, dim, grid))
-    full = smidentify_scores([_kernel_by_copy(buf.X, sl.X) for sl in pool.slices])
+    rows = [_rows(rng, size, dim, grid) for size in sizes]
+    U = _rows(rng, n_u, dim, grid)
+    if twin is not None:
+        X = rows[int(np.argmax(smidentify_scores([_kernel_by_copy(U, P) for P in rows])))]
+        rows.insert(0, X.copy() if twin == "copy" else X * (1.0 + 1e-9 * rng.normal(size=X.shape)))
+    pool, next_id = _pool_of(rows)
+    buf = UnlabeledBuffer(np.arange(next_id, next_id + n_u), U)
+    kernels = [_kernel_by_copy(buf.X, sl.X) for sl in pool.slices]
+    full = smidentify_scores(kernels)
     result = smidentify(pool, buf)
-    np.testing.assert_array_equal(result.scores, full)
-    assert result.slice_id == int(np.argmax(full))
+    t, certified = int(np.argmax(full)), result.certified
+    assert result.slice_id == t and set(np.flatnonzero(full == full[t])) <= set(certified.tolist())
+    np.testing.assert_array_equal(result.scores[certified], full[certified])
+    np.testing.assert_array_equal(result.row_max, kernels[t].max(axis=1))
+    delta = _screen_error(pool.slices[0].X.shape[1], n_u, int(pool.sizes.max()))
+    assert np.all(np.abs(result.scores - full) <= delta)
+    assert np.all(full[certified] >= full[t] - 4 * delta)
     all_rows = smidentify_scores([build_kernel(buf.X, sl.X) for sl in pool.slices])
-    np.testing.assert_allclose(result.scores, all_rows, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(result.scores, all_rows, rtol=0.0, atol=1e-12 + delta)
+
+
+def _screen_rows(rng, n, dim, kind):
+    """n nonzero rows: normal, on a small grid (rows repeat), with components
+    spanning sixty orders of magnitude, or all near one direction, so that
+    cosines are near 1 and clipped there."""
+    if kind == "grid":
+        return _rows(rng, n, dim, grid=True)
+    X = rng.normal(size=(n, dim))
+    if kind == "magnitudes":
+        X *= 10.0 ** rng.uniform(-30, 30, size=(n, dim))
+    elif kind == "parallel":
+        X = X[:1] * rng.uniform(0.5, 2.0, size=(n, 1)) + 10.0 ** rng.uniform(-12, -3, size=(n, 1)) * X
+    X[~X.any(axis=1), 0] = 1.0
+    return X
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_u=st.integers(1, 40),
+    n_p=st.integers(1, 40),
+    dim=st.integers(1, 512),
+    kind=st.sampled_from(["normal", "grid", "magnitudes", "parallel"]),
+)
+def test_screened_scores_are_within_the_bound_of_the_exact_scores(seed, n_u, n_p, dim, kind):
+    """|screen - exact| <= δ for one slice, the exact score being the full
+    kernel's over the buffer's distinct rows, expanded by copy."""
+    rng = np.random.default_rng(seed)
+    U, P = np.split(_screen_rows(rng, n_u + n_p, dim, kind), [n_u])
+    pool, next_id = _pool_of([P])
+    buf = UnlabeledBuffer(np.arange(next_id, next_id + n_u), U)
+    R, _, copy_of = buf._distinct_unit_rows()
+    [screen] = _screen(pool, R, copy_of)
+    [exact] = smidentify_scores([_kernel_by_copy(U, P)])
+    assert abs(screen - exact) <= _screen_error(dim, n_u, n_p)
 
 
 @SETTINGS
@@ -390,11 +448,16 @@ def test_fit_equals_the_row_major_reference_fit(seed, n, d, C, n_labels, l2):
 
 
 # The hypothesis fit test stops at n 300 and 15 epochs; these reach the desk
-# shape (pools of about 1000 rows, dim 16, 6 classes, the default 200 epochs)
-# and the pairwise class sum of C >= 8.
+# shape (pools of about 1000 rows, dim 16, 6 classes, the default 200 epochs),
+# the pairwise class sum of C >= 8, and rows squared for their norms in three
+# chunks, the last of one row.
 @pytest.mark.parametrize(
     "seed, n, d, C, cfg",
-    [(11, 1000, 16, 6, LearnerConfig()), (12, 700, 24, 10, LearnerConfig(epochs=120, l2=0.5))],
+    [
+        (11, 1000, 16, 6, LearnerConfig()),
+        (12, 700, 24, 10, LearnerConfig(epochs=120, l2=0.5)),
+        (13, 2 * simulator._NORM_ROWS + 1, 64, 4, LearnerConfig(epochs=10)),
+    ],
 )
 def test_fit_equals_the_reference_fit_at_full_length(seed, n, d, C, cfg):
     _, X, y = _learner_problem(seed, n, d, C, C)
