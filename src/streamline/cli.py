@@ -128,14 +128,17 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> int:
 
 
 def _cell(path, line: int, row: dict, column: str, parse):
-    """One metrics.csv cell, parsed; a bad cell is named by file, line and column."""
+    """One metrics.csv cell, parsed and finite; a bad cell is named by file, line and column."""
     value = row[column]
     try:
-        return parse(value)
+        number = parse(value)
     except (TypeError, ValueError):  # a short row leaves its last cells None
         kind = "an integer" if parse is int else "a number"
         problem = "missing" if value is None else f"not {kind}: {value!r}"
         raise RuntimeError(f"{path}:{line}: column {column} is {problem}") from None
+    if not math.isfinite(number):
+        raise RuntimeError(f"{path}:{line}: column {column} is not finite: {value!r}")
+    return number
 
 
 def _efficiency_from_metrics(path, target: float, metric: str) -> dict:
@@ -215,17 +218,15 @@ def main(argv=None) -> int:
             run(config, args.out, workers=args.workers)
             print(f"wrote {Path(args.out) / 'metrics.csv'}")
             return 0
-        if args.command == "efficiency":
-            table = _efficiency_from_metrics(args.metrics, args.target, args.metric)
-            for method in sorted(table):
-                value = table[method]
-                shown = "undefined" if value is None else f"{value:.4f}"
-                print(f"{method}\t{shown}")
-            return 0
+        table = _efficiency_from_metrics(args.metrics, args.target, args.metric)  # efficiency, the last command
+        for method in sorted(table):
+            value = table[method]
+            shown = "undefined" if value is None else f"{value:.4f}"
+            print(f"{method}\t{shown}")
+        return 0
     except Exception as exc:  # runtime failures map to a distinct exit code
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

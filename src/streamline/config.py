@@ -4,9 +4,9 @@ A config is a flat JSON object (plus nested "maximizer"/"learner" objects).
 Unknown keys are rejected so typos fail loudly; every validation error names
 the field and the violated constraint. Only "methods" and "seeds" are
 required. Every other default is read from the dataclass it configures
-(StreamSpec, RunConfig, MaximizerConfig, LearnerConfig); only "rounds",
-"schedule" and "rare_slice" have defaults of their own, because StreamSpec
-takes the resolved schedule and rare-slice tuple instead.
+(StreamSpec, RunConfig, MaximizerConfig, LearnerConfig); only "rounds" and
+"schedule" have defaults of their own, because StreamSpec takes the
+resolved schedule instead.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _field_defaults(cls, *skip: str) -> dict:
     return {f.name: f.default for f in fields(cls) if f.name not in skip and f.default is not MISSING}
 
 
-_SPEC_DEFAULTS = _field_defaults(StreamSpec, "schedule", "rare_slices", "seed")
+_SPEC_DEFAULTS = _field_defaults(StreamSpec, "schedule", "seed")
 # config key -> StreamSpec field, for the fields the config sets directly
 _SPEC_KEYS = {{"n_slices": "slices", "n_classes": "classes"}.get(name, name): name for name in _SPEC_DEFAULTS}
 
@@ -43,7 +43,6 @@ DEFAULTS = {
     **{key: _SPEC_DEFAULTS[name] for key, name in _SPEC_KEYS.items()},
     "rounds": 12,
     "schedule": "every_3",
-    "rare_slice": None,  # the last slice
     **_field_defaults(RunConfig),
     "maximizer": _field_defaults(MaximizerConfig, "seed"),
     "learner": _field_defaults(LearnerConfig),
@@ -88,7 +87,7 @@ class ExperimentConfig:
 
     @property
     def rare_slice(self) -> int:
-        return self.spec.rare_slices[0]
+        return self.spec.rare_slice
 
     @property
     def classes(self) -> int:
@@ -168,8 +167,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     slices, rounds, episode_size = c["slices"], c["rounds"], c["episode_size"]
     _require(episode_size % c["redundancy"] == 0, "episode_size", "divisible by redundancy", episode_size)
 
-    rare_slice = _as(int, slices - 1 if c["rare_slice"] is None else c["rare_slice"], "rare_slice")
-    _require(0 <= rare_slice < slices, "rare_slice", f"in [0, {slices})", rare_slice)
+    if (rare_slice := c["rare_slice"]) is not None:
+        _require(0 <= _as(int, rare_slice, "rare_slice") < slices, "rare_slice", f"in [0, {slices})", rare_slice)
 
     schedule = c["schedule"]
     if isinstance(schedule, str):
@@ -204,7 +203,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     spec = StreamSpec(
         **{name: c[key] for key, name in _SPEC_KEYS.items()},
         schedule=tuple(schedule),
-        rare_slices=(rare_slice,),
     )
     run = RunConfig(
         budget=c["budget"],

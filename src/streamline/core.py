@@ -38,7 +38,7 @@ def _integer(v, what: str, row: int) -> int:
             raise ValueError(f"{what} row {row} is not finite")
         if v != math.trunc(v):
             raise ValueError(f"{what} row {row} is not integral")
-    elif not isinstance(v, (int, np.integer)):
+    elif isinstance(v, bool) or not isinstance(v, (int, np.integer)):  # np.bool_ is neither
         raise ValueError(f"{what} row {row} is not an integer")
     if not -(2**63) <= int(v) < 2**63:
         raise ValueError(f"{what} row {row} is out of int64's range")
@@ -47,17 +47,20 @@ def _integer(v, what: str, row: int) -> int:
 
 def _integers(values, what: str, *, nonnegative: bool = False) -> np.ndarray:
     """values as a 1-D int64 array. ValueError names the field when values is
-    not 1-D, and the first row that is not an integer, not finite, not
-    integral, out of int64's range or (with nonnegative) negative."""
+    not 1-D, and the first row that is not an integer (a bool is not), not
+    finite, not integral, out of int64's range or (with nonnegative)
+    negative."""
     try:
         a = np.asarray(values)
     except ValueError:  # a ragged nest of sequences
         raise ValueError(f"{what}s must be 1-D, got a ragged sequence") from None
     if a.ndim != 1:
         raise ValueError(f"{what}s must be 1-D, got shape {a.shape}")
-    if a.dtype.kind not in "biuf" or (a.dtype.kind == "f" and not isinstance(values, np.ndarray)):
-        # Objects, strings and complex values are judged one by one, as given,
-        # and so is a sequence numpy made float, which rounds an int above 2**53.
+    # Objects, strings, complex values and bools are judged one by one, as given; so is
+    # a sequence numpy made float (rounding ints above 2**53) or int (reading True as 1).
+    if a.dtype.kind not in "iuf" or not isinstance(values, np.ndarray) and (
+        a.dtype.kind == "f" or not {bool, np.bool_}.isdisjoint(map(type, values))
+    ):
         a = np.array([_integer(v, what, row) for row, v in enumerate(values)], dtype=np.int64)
     bad = None
     if a.dtype.kind == "f":  # the rows _integer rejects
@@ -575,7 +578,7 @@ def scg_select(
         return ([], SelectionTrace()) if return_trace else []
     if row_max is None:
         R, _, copy_of = buffer._distinct_unit_rows()
-        row_max = _row_col_max(R, pool.slices[t].unit_rows())[0][copy_of]
+        row_max = _slice_score(R, pool.slices[t].unit_rows(), copy_of)[1]
     trace = _distinct_row_greedy(buffer, b, maximizer_cfg, row_max)
     ids = [int(buffer.ids[i]) for i in trace.chosen]
     return (ids, trace) if return_trace else ids

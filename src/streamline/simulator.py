@@ -74,7 +74,8 @@ class StreamSpec:
 
     slice_sep is the exact pairwise distance between slice offsets in units
     of noise_std; class_sep/class_twist control how far apart classes sit and
-    how much their directions differ between slices.
+    how much their directions differ between slices. rare_slice, None for
+    the last slice, is the one the initial pool holds imbalance times fewer of.
     """
 
     n_slices: int = 4
@@ -90,7 +91,7 @@ class StreamSpec:
     redundancy: int = 1
     episode_size: int = 100
     eval_per_slice: int = 400
-    rare_slices: tuple = ()
+    rare_slice: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -108,10 +109,10 @@ class StreamSpec:
             raise ValueError("dim must be >= n_slices to place slice offsets")
         if any(s < 0 or s >= self.n_slices for s in self.schedule):
             raise ValueError("schedule refers to an unknown slice")
-        rare = self.rare_slices or (self.n_slices - 1,)
-        if any(s < 0 or s >= self.n_slices for s in rare):
-            raise ValueError("rare_slices refers to an unknown slice")
-        object.__setattr__(self, "rare_slices", tuple(rare))
+        rare = self.n_slices - 1 if self.rare_slice is None else self.rare_slice
+        if isinstance(rare, bool) or not isinstance(rare, (int, np.integer)) or not 0 <= rare < self.n_slices:
+            raise ValueError(f"rare_slice {rare!r} is not an integer in [0, {self.n_slices})")
+        object.__setattr__(self, "rare_slice", int(rare))
 
     @property
     def n_rounds(self) -> int:
@@ -158,36 +159,30 @@ def generate_stream(spec: StreamSpec):
     """Build (initial pool, episode buffers, balanced eval set) from a spec.
 
     The initial pool holds common_pool_size items per common slice and
-    common_pool_size // imbalance per rare slice. Episode buffers hold
+    common_pool_size // imbalance of the rare slice. Episode buffers hold
     episode_size // redundancy unique draws, each copied redundancy times
-    under fresh ids with identical embeddings.
+    under the next fresh ids with identical embeddings.
     """
     rng = np.random.default_rng(spec.seed)
     sampler = _StreamSampler(spec, rng)
 
     rare_size = max(1, spec.common_pool_size // spec.imbalance)
-    slices, rare_flags = [], []
+    slices = []
     for s in range(spec.n_slices):
-        is_rare = s in spec.rare_slices
-        ids, labels, X = sampler.draw(s, rare_size if is_rare else spec.common_pool_size)
+        ids, labels, X = sampler.draw(s, rare_size if s == spec.rare_slice else spec.common_pool_size)
         slices.append(LabeledSlice(ids, labels, X))
-        rare_flags.append(is_rare)
-    pool = SlicedLabeledPool(slices, rare_flags)
+    pool = SlicedLabeledPool(slices, [s == spec.rare_slice for s in range(spec.n_slices)])
 
     buffers = []
     unique = spec.episode_size // spec.redundancy
     for s in spec.schedule:
         ids, labels, X = sampler.draw(s, unique)
-        if spec.redundancy > 1:
-            copies = [
-                np.arange(sampler.next_id + k * unique, sampler.next_id + (k + 1) * unique)
-                for k in range(spec.redundancy - 1)
-            ]
-            sampler.next_id += (spec.redundancy - 1) * unique
-            ids = np.concatenate([ids] + copies)
-            labels = np.tile(labels, spec.redundancy)
-            X = np.tile(X, (spec.redundancy, 1))
-        buffers.append(UnlabeledBuffer(ids=ids, X=X, true_slice=s, true_labels=labels))
+        copies = np.arange(sampler.next_id, sampler.next_id + spec.episode_size - unique)
+        sampler.next_id += len(copies)
+        buffers.append(UnlabeledBuffer(
+            ids=np.concatenate([ids, copies]), X=np.tile(X, (spec.redundancy, 1)),
+            true_slice=s, true_labels=np.tile(labels, spec.redundancy),
+        ))
 
     eval_X, eval_y, eval_slices = [], [], []
     for s in range(spec.n_slices):
@@ -433,11 +428,12 @@ def run_experiment(spec: StreamSpec, method: str, cfg: RunConfig) -> MetricsLog:
     Each method is one selector (pool, buffer, t, b) -> ids; streamline and
     streamline_no_budget have none and select by conditional gain. The
     slice-aware variants run streamline_round and append to the slice they
-    identified; fixed-budget baselines take b = min(budget, |buffer|) and
-    append to the episode's true slice. The learner is retrained from zero
-    weights on the grown pool after every round. A model of the initial pool
-    is trained only for the methods whose first selection reads it
-    (_READS_MODEL); the others fit once per round.
+    identified; fixed-budget baselines take b = budget, which each selector
+    caps at |buffer|, and append to the episode's true slice. similar
+    queries spec.rare_slice, whose accuracy is rare_metric. The learner is
+    retrained from zero weights on the grown pool after every round. A model
+    of the initial pool is trained only for the methods whose first
+    selection reads it (_READS_MODEL); the others fit once per round.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (expected one of {METHODS})")
@@ -445,7 +441,6 @@ def run_experiment(spec: StreamSpec, method: str, cfg: RunConfig) -> MetricsLog:
     rng = np.random.default_rng([METHODS.index(method), spec.seed])
     state = BudgetState(B=cfg.budget, rho=cfg.rho)
     learner = train_learner(pool, cfg.learner, spec.n_classes) if method in _READS_MODEL else None
-    rare = list(spec.rare_slices)
     # The selectors, learner and maximizer are looked up when a selector runs,
     # so each call sees the latest fit and this round's maximizer (and any
     # rebinding of the module's selectors).
@@ -454,7 +449,7 @@ def run_experiment(spec: StreamSpec, method: str, cfg: RunConfig) -> MetricsLog:
         "random": lambda pool_, buf, t, b: random_select(buf, b, rng),
         **dict.fromkeys(("entropy", "margin", "least_conf"), uncertain),
         "submodular": lambda pool_, buf, t, b: submodular_fl_select(buf, b, maximizer),
-        "similar": lambda pool_, buf, t, b: similar_select(buf, pool_, rare[0], b, maximizer),
+        "similar": lambda pool_, buf, t, b: similar_select(buf, pool_, spec.rare_slice, b, maximizer),
         "badge": lambda pool_, buf, t, b: badge_select(buf, learner.predict_proba(buf.X), buf.X, b, rng),
     }
     # The two ablations swap conditional-gain selection for random's or badge's selector.
@@ -475,14 +470,14 @@ def run_experiment(spec: StreamSpec, method: str, cfg: RunConfig) -> MetricsLog:
             t, selected = report.identified_slice, report.selected_ids
         else:
             t = buf.true_slice
-            selected = select(pool, buf, t, min(cfg.budget, len(buf)))
+            selected = select(pool, buf, t, cfg.budget)
             pool.add_selected(t, buf, selected, label_oracle)
 
         labels_total += len(selected)
         learner = train_learner(pool, cfg.learner, spec.n_classes)
         full_acc, per_slice = evaluate(learner, eval_set)
         records.append(RoundRecord(
-            method, spec.seed, r, labels_total, full_acc, float(per_slice[rare].mean()), int(t),
+            method, spec.seed, r, labels_total, full_acc, float(per_slice[spec.rare_slice]), int(t),
             int(buf.true_slice), len(selected), float(state.gamma),
             tuple(int(s) for s in pool.sizes), tuple(int(i) for i in selected),
         ))

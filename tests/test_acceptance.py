@@ -370,7 +370,7 @@ def experiment_grid():
         episode_size=100,
         redundancy=1,
         eval_per_slice=400,
-        rare_slices=(RARE_SLICE,),
+        rare_slice=RARE_SLICE,
         schedule=every_k_schedule(12, 4, k=3),
     )
     cfg = RunConfig(budget=50, rho=0.5, learner=LearnerConfig())

@@ -300,6 +300,11 @@ def test_badge_edges():
     assert sorted(badge_select(buf, probs, X, 99, seed=0)) == [0, 1, 2]
 
 
+def test_badge_gradient_embeddings_need_one_probability_row_per_feature_row():
+    with pytest.raises(ValueError, match="need one probability vector per feature row"):
+        badge_gradient_embeddings(np.full((3, 2), 0.5), np.eye(2))
+
+
 def test_all_selectors_return_subsets_of_buffer():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(10, 4))

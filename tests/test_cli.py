@@ -171,7 +171,7 @@ def test_config_poverty_scale_values():
     assert cfg.budget == 500 and cfg.rho == 0.825
     spec = cfg.stream_spec(seed=3)
     assert spec.seed == 3
-    assert [i for i, s in enumerate(spec.schedule) if s == spec.rare_slices[0]] == [2, 5, 8, 11]
+    assert [i for i, s in enumerate(spec.schedule) if s == spec.rare_slice] == [2, 5, 8, 11]
 
 
 def test_config_explicit_schedule_list():
@@ -428,8 +428,11 @@ def test_cli_seed_env_override_must_be_int(tmp_path, monkeypatch, capsys):
         (7, None, "metrics.csv: seed 1 of random has 2 rounds, not 3"),
         (3, "random,0,1,20,0.5,x,0,0,10,0.0", "metrics.csv:3: column rare_metric is not a number: 'x'"),
         (4, "random,0,2,30", "metrics.csv:4: column rare_metric is missing"),
+        (3, "random,0,1,20,0.5,nan,0,0,10,0.0", "metrics.csv:3: column rare_metric is not finite: 'nan'"),
+        (4, "random,0,2,inf,0.5,0.3,0,0,10,0.0", "metrics.csv:4: column labels_total is not finite: 'inf'"),
+        (1, "method,seed,round", "metrics.csv does not look like an emitted metrics.csv"),
     ],
-    ids=["fewer_rounds", "non_numeric", "short_row"],
+    ids=["fewer_rounds", "non_numeric", "short_row", "nan_cell", "inf_cell", "other_header"],
 )
 def test_cli_efficiency_names_the_bad_row_exit_3(tmp_path, capsys, line, text, message):
     lines = [",".join(METRICS_COLUMNS)]
@@ -442,6 +445,29 @@ def test_cli_efficiency_names_the_bad_row_exit_3(tmp_path, capsys, line, text, m
     path.write_text("\n".join(lines) + "\n")
     assert main(["efficiency", "--metrics", str(path), "--target", "0.2"]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_cli_efficiency_without_random_rows_exit_3(tmp_path, capsys):
+    path = tmp_path / "metrics.csv"
+    path.write_text(",".join(METRICS_COLUMNS) + "\nstreamline,0,0,10,0.5,0.1,0,0,10,0.0\n")
+    assert main(["efficiency", "--metrics", str(path), "--target", "0.2"]) == 3
+    assert "metrics.csv contains no 'random' rows to compare against" in capsys.readouterr().err
+
+
+def test_cli_run_into_an_unwritable_directory_exit_3(tmp_path, capsys):
+    """A directory where run's write probe goes stands in for one without
+    write permission, which root would write to regardless."""
+    path = write_config(tmp_path, minimal_config())
+    (tmp_path / "out" / ".write_probe").mkdir(parents=True)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert f"error: output directory {tmp_path / 'out'} is not writable" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_cli_config_whose_root_is_not_an_object_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, [minimal_config()])
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "config error: config root: must be a JSON object, got list" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

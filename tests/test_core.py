@@ -101,6 +101,16 @@ def test_identification_empty_slice_error_names_slice():
         smidentify(pool, buf)
 
 
+def test_pool_rejects_no_slices_a_flag_count_that_differs_and_an_empty_slice():
+    one = LabeledSlice([0], [0], np.ones((1, 4)))
+    with pytest.raises(ValueError, match="pool needs at least one slice"):
+        SlicedLabeledPool([], [])
+    with pytest.raises(ValueError, match="rare_flags must have one entry per slice"):
+        SlicedLabeledPool([one], [False, True])
+    with pytest.raises(EmptySliceError, match="slice 1 is empty"):
+        SlicedLabeledPool([one, LabeledSlice([], [], np.empty((0, 4)))], [False, True])
+
+
 def test_identification_scores_scale_invariant():
     rng = np.random.default_rng(3)
     for trial in range(10):
@@ -770,16 +780,19 @@ def test_round_rejects_a_buffer_whose_dim_differs_from_the_pool():
         (np.nan, "not finite"),
         (1.5, "not integral"),
         (2**70, "out of int64's range"),
+        (True, "not an integer"),
     ],
 )
 def test_ingestion_rejects_labels_that_are_not_class_indices(bad, why):
     X = np.ones((3, 2))
     with pytest.raises(ValueError, match=f"label row 2 is {why}"):
         LabeledSlice([0, 1, 2], [0, 1, bad], X)
+    with pytest.raises(ValueError, match=f"label row 0 is {why}"):
+        LabeledSlice([0, 1, 2], np.array([bad] * 3), X)  # an array as numpy types it
     pool, next_id = make_pool([3], [False], dim=2)
     buf = UnlabeledBuffer(ids=np.arange(next_id, next_id + 3), X=X)
     with pytest.raises(ValueError, match=f"label row 1 is {why}"):
-        pool.add_selected(0, buf, buf.ids[:2], lambda ids: np.array([1, bad]))
+        pool.add_selected(0, buf, buf.ids[:2], lambda ids: [1, bad])
     assert pool.sizes[0] == 3
     pool.check_new(buf.ids)  # the failed append labeled nothing
 
@@ -797,6 +810,8 @@ def test_ingestion_rejects_labels_that_are_not_class_indices(bad, why):
         ("1", "not an integer"),
         (None, "not an integer"),
         (1 + 0j, "not an integer"),
+        (True, "not an integer"),
+        (np.False_, "not an integer"),
     ],
 )
 def test_ingestion_rejects_ids_that_are_not_integers(bad, why):
@@ -807,6 +822,8 @@ def test_ingestion_rejects_ids_that_are_not_integers(bad, why):
         UnlabeledBuffer(ids=[0, bad], X=X)
     with pytest.raises(ValueError, match=f"buffer id row 1 is {why}"):
         UnlabeledBuffer(ids=np.array([0, bad], dtype=object), X=X)
+    with pytest.raises(ValueError, match=f"buffer id row 0 is {why}"):
+        UnlabeledBuffer(ids=np.array([bad, bad]), X=X)  # as numpy types it: uint64, bool, str, ...
     assert UnlabeledBuffer(ids=[-4.0, 2.0], X=X).ids.tolist() == [-4, 2]  # integral floats and negative ids pass
 
 
@@ -878,6 +895,8 @@ def _round_with_selector(selector):
         (lambda ids: [ids[0] + 0.7, str(ids[2])], "selected id row 0 is not integral"),
         (lambda ids: [int(ids[0]), str(ids[2])], "selected id row 1 is not an integer"),
         (lambda ids: [[int(ids[0]), int(ids[2])]], r"selected ids must be 1-D, got shape \(1, 2\)"),
+        pytest.param(lambda ids: [int(ids[0]), True], "selected id row 1 is not an integer", id="a_bool_in_a_list"),
+        pytest.param(lambda ids: np.isin(ids, ids[:2]), "selected id row 0 is not an integer", id="a_boolean_mask"),
     ],
 )
 def test_round_rejects_bad_selections_before_labeling(pick, message):
@@ -909,7 +928,7 @@ def test_round_reports_its_margin_and_greedy_evaluations():
 
     picks, schedule = {}, every_k_schedule(12, 12, k=2)
     for algorithm, expected in (("lazy", 2880), ("naive", 60194)):
-        pool, buffers, _ = _churn_stream(common_pool_size=150, schedule=schedule, rare_slices=(11,))
+        pool, buffers, _ = _churn_stream(common_pool_size=150, schedule=schedule, rare_slice=11)
         state = BudgetState(B=120, rho=0.5)
         cfg = StreamlineConfig(maximizer=MaximizerConfig(budget=0, algorithm=algorithm))
         evaluations, picks[algorithm] = 0, []

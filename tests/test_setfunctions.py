@@ -282,6 +282,18 @@ def test_flcg_weights_are_checked_when_made(weights, message):
         FLCG(np.ones((2, 2)), weights=weights)
 
 
+@pytest.mark.parametrize(
+    "kernel_uu, kernel_up, message",
+    [
+        (np.ones((2, 3)), None, r"ground kernel must be square, got \(2, 3\)"),
+        (np.ones((2, 2)), np.ones((3, 1)), "kernels disagree on ground size: 2 vs 3"),
+    ],
+)
+def test_flcg_kernels_are_checked_when_made(kernel_uu, kernel_up, message):
+    with pytest.raises(ValueError, match=message):
+        FLCG(kernel_uu, kernel_up)
+
+
 def test_flqmi_against_an_empty_query_set_is_zero():
     """I(A; {}) = 0, as the max over an empty set is 0."""
     f = FLQMI(np.ones((3, 0)))

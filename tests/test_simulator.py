@@ -119,6 +119,17 @@ def test_spec_validation():
         small_spec(schedule=(0, 7))
     with pytest.raises(ValueError):
         small_spec(imbalance=0)
+    with pytest.raises(ValueError, match="dim must be >= n_slices"):
+        small_spec(dim=2)
+    for bad in (3, -1, True, 1.0):
+        with pytest.raises(ValueError, match=rf"rare_slice {bad!r} is not an integer in \[0, 3\)"):
+            small_spec(rare_slice=bad)
+
+
+def test_spec_resolves_no_rare_slice_to_the_last():
+    assert small_spec().rare_slice == small_spec(rare_slice=None).rare_slice == 2
+    pool, _, _ = generate_stream(small_spec(rare_slice=0))
+    assert pool.rare_flags.tolist() == [True, False, False] and pool.sizes.tolist() == [6, 30, 30]
 
 
 # ---------------------------------------------------------------------- learner
@@ -320,7 +331,7 @@ def test_run_random_grows_pool_by_budget_every_round():
 
 
 def test_run_streamline_all_common_gamma_nondecreasing():
-    spec = small_spec(schedule=(0, 1, 0, 1, 0, 1), rare_slices=(2,))
+    spec = small_spec(schedule=(0, 1, 0, 1, 0, 1), rare_slice=2)
     log = run_experiment(spec, "streamline", small_run_cfg())
     gammas = [r.gamma for r in log.records]
     assert all(g1 >= g0 for g0, g1 in zip(gammas, gammas[1:]))
