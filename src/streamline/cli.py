@@ -88,7 +88,7 @@ def run(config: ExperimentConfig, out_dir, workers: int = 1) -> int:
     the jobs in this process: a process pool starts all its workers at once.
     """
     if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     probe = out / ".write_probe"
@@ -165,6 +165,19 @@ def _efficiency_from_metrics(path, target: float, metric: str) -> dict:
     return _efficiencies(by_method, target)
 
 
+def _seeds_from_env(seeds: list) -> list:
+    """The one seed STREAMLINE_SEED names, when it is set, else seeds."""
+    if (override := os.environ.get(SEED_ENV_VAR)) is None:
+        return seeds
+    try:
+        seed = int(override)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR}: must be an integer, got {override!r}") from None
+    if seed < 0:
+        raise ConfigError(f"{SEED_ENV_VAR}: must be >= 0, got {override!r}")
+    return [seed]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="streamline",
@@ -186,44 +199,28 @@ def main(argv=None) -> int:
     p_eff.add_argument("--metric", choices=["rare", "full"], default="rare")
 
     args = parser.parse_args(argv)
-    if args.command == "run" and args.workers < 1:
-        print(f"config error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
-        return 2
-    if args.command == "efficiency" and not math.isfinite(args.target):
-        print(f"config error: --target must be finite, got {args.target}", file=sys.stderr)
-        return 2
-
     try:
-        if args.command in ("run", "validate"):
-            config = parse_config(args.config)
-            override = os.environ.get(SEED_ENV_VAR)
-            if override is not None:
-                try:
-                    config.seeds = [int(override)]
-                except ValueError:
-                    raise ConfigError(f"{SEED_ENV_VAR}: must be an integer, got {override!r}")
-                if config.seeds[0] < 0:
-                    raise ConfigError(f"{SEED_ENV_VAR}: must be >= 0, got {override!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        if args.command == "efficiency":
+            if not math.isfinite(args.target):
+                raise ConfigError(f"--target must be finite, got {args.target}")
+            table = _efficiency_from_metrics(args.metrics, args.target, args.metric)
+            for method, value in sorted(table.items()):
+                shown = "undefined" if value is None else f"{value:.4f}"
+                print(f"{method}\t{shown}")
+            return 0
+        config = parse_config(args.config)
+        config.seeds = _seeds_from_env(config.seeds)
         if args.command == "validate":
             print(f"config OK: {len(config.methods)} method(s) x {len(config.seeds)} seed(s), "
                   f"{config.rounds} rounds, budget {config.budget}, rho {config.rho}")
             print(f"schedule: {list(config.spec.schedule)}")
             return 0
-        if args.command == "run":
-            run(config, args.out, workers=args.workers)
-            print(f"wrote {Path(args.out) / 'metrics.csv'}")
-            return 0
-        table = _efficiency_from_metrics(args.metrics, args.target, args.metric)  # efficiency, the last command
-        for method in sorted(table):
-            value = table[method]
-            shown = "undefined" if value is None else f"{value:.4f}"
-            print(f"{method}\t{shown}")
+        run(config, args.out, workers=args.workers)  # run, the last command
+        print(f"wrote {Path(args.out) / 'metrics.csv'}")
         return 0
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # runtime failures map to a distinct exit code
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -62,7 +62,6 @@ _RULES = (
     ("common_pool_size", int, lambda v, c: c["imbalance"] <= v <= 10**6, "within [imbalance, 1000000]"),
     ("rounds", int, lambda v, c: 1 <= v <= 10_000, "within [1, 10000]"),
     ("episode_size", int, lambda v, c: 1 <= v <= 10**6, "within [1, 1000000]"),
-    ("redundancy", int, lambda v, c: v >= 1, ">= 1"),
     ("eval_per_slice", int, lambda v, c: 1 <= v <= 10**6, "within [1, 1000000]"),
     ("budget", int, lambda v, c: 0 <= v <= 10**9, "within [0, 1000000000]"),
     ("rho", float, lambda v, c: 0.0 <= v <= 1.0, "within [0, 1]"),
@@ -164,12 +163,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     for key, kind, test, constraint in _RULES:
         c[key] = value = _as(kind, c[key], key)
         _require(test(value, c), key, constraint, value)
-    slices, rounds, episode_size = c["slices"], c["rounds"], c["episode_size"]
-    _require(episode_size % c["redundancy"] == 0, "episode_size", "divisible by redundancy", episode_size)
-
-    if (rare_slice := c["rare_slice"]) is not None:
-        _require(0 <= _as(int, rare_slice, "rare_slice") < slices, "rare_slice", f"in [0, {slices})", rare_slice)
-
+    slices, rounds = c["slices"], c["rounds"]
     schedule = c["schedule"]
     if isinstance(schedule, str):
         k = schedule.split("_", 1)[1] if schedule.startswith("every_") else ""
@@ -180,11 +174,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         _require(ok, "schedule", '"sequential", "every_<k>" with k >= 1, or a list of slice ids', schedule)
         # every_<k> with k > 1 fills the other rounds with slices besides the rare one
         _require(k <= 1 or slices >= 2, "slices", f">= 2 under schedule {schedule}", slices)
-        schedule = every_k_schedule(rounds, slices, rare_slice, k) if k else sequential_schedule(rounds, slices)
+        schedule = every_k_schedule(rounds, slices, c["rare_slice"], k) if k else sequential_schedule(rounds, slices)
     elif isinstance(schedule, list):
-        for s in schedule:
-            _require(0 <= _as(int, s, "schedule") < slices, "schedule", f"a slice id in [0, {slices})", s)
-        _require(len(schedule) > 0, "schedule", "nonempty", schedule)
         if "rounds" in data:
             length = len(schedule)
             _require(rounds <= length, "rounds", f"at most the schedule length {length}", rounds)
@@ -199,11 +190,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         maximizer = MaximizerConfig(budget=0, algorithm=c["maximizer.algorithm"], epsilon=epsilon)
     except ValueError as exc:  # which names the field and its constraint
         raise ConfigError(f"maximizer.{exc}") from None
-
-    spec = StreamSpec(
-        **{name: c[key] for key, name in _SPEC_KEYS.items()},
-        schedule=tuple(schedule),
-    )
+    try:  # StreamSpec checks the keys no rule above does: redundancy, rare_slice, a schedule's entries
+        spec = StreamSpec(
+            **{name: c[key] for key, name in _SPEC_KEYS.items()},
+            schedule=tuple(schedule),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     run = RunConfig(
         budget=c["budget"],
         rho=c["rho"],

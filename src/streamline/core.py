@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernels import _PANEL, _kernel, _row_col_max, _workspace, first_bad_row, row_norms
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
-from .maximize import MaximizerConfig, SelectionTrace, _check_budget, maximize
+from .maximize import MaximizerConfig, SelectionTrace, _check_budget, _is_integer, maximize
 from .setfunctions import FLCG, FLQMI, _checked, _coverage_gains, flqmi_normalizer
 
 
@@ -38,7 +38,7 @@ def _integer(v, what: str, row: int) -> int:
             raise ValueError(f"{what} row {row} is not finite")
         if v != math.trunc(v):
             raise ValueError(f"{what} row {row} is not integral")
-    elif isinstance(v, bool) or not isinstance(v, (int, np.integer)):  # np.bool_ is neither
+    elif not _is_integer(v):
         raise ValueError(f"{what} row {row} is not an integer")
     if not -(2**63) <= int(v) < 2**63:
         raise ValueError(f"{what} row {row} is out of int64's range")
@@ -175,7 +175,7 @@ class SlicedLabeledPool:
 
     def check_slice(self, t) -> int:
         """t as an int; ValueError unless it is a non-bool integer in [0, num_slices)."""
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 0 <= t < self.num_slices:
+        if not _is_integer(t) or not 0 <= t < self.num_slices:
             raise ValueError(f"slice {t} is not in [0, {self.num_slices})")
         return int(t)
 
@@ -296,7 +296,7 @@ class BudgetState:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.B, bool) or not isinstance(self.B, (int, np.integer)) or self.B < 0:
+        if not _is_integer(self.B) or self.B < 0:
             raise ValueError(f"base budget B must be a nonnegative integer, got {self.B!r}")
         if isinstance(self.rho, bool) or not isinstance(self.rho, numbers.Real) or not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be a real number in [0, 1], got {self.rho!r}")
@@ -432,20 +432,18 @@ def smidentify(pool: SlicedLabeledPool, buffer: UnlabeledBuffer) -> Identificati
     largest exact score with ties toward the smallest slice index, its
     score and its row maxima are those of scoring every slice in float64,
     bit for bit. A ruled-out slice keeps its screened score, within δ of
-    the exact one. A one-slice pool skips the screen: its only slice wins.
-    Returns the winning index, every slice's score for diagnostics, the
-    buffer's row maxima against the winner and the certified slices.
+    the exact one. Returns the winning index, every slice's score for
+    diagnostics, the buffer's row maxima against the winner and the
+    certified slices.
     """
     for t, sl in enumerate(pool.slices):
         if len(sl) == 0:
             raise EmptySliceError(t)
     pool._check_dim("buffer", buffer.X, pool.slices[0].X.shape[1])
     R, _, copy_of = buffer._distinct_unit_rows()  # once, for every slice
-    scores, certified = np.zeros(pool.num_slices), np.zeros(1, np.int64)
-    if pool.num_slices > 1:
-        scores = _screen(pool, R, copy_of)
-        delta = _screen_error(R.shape[1], len(buffer), int(pool.sizes.max()))
-        certified = np.flatnonzero(scores >= scores.max() - 2 * delta)
+    scores = _screen(pool, R, copy_of)
+    delta = _screen_error(R.shape[1], len(buffer), int(pool.sizes.max()))
+    certified = np.flatnonzero(scores >= scores.max() - 2 * delta)
     row_maxima = {}
     for t in certified.tolist():
         scores[t], row_maxima[t] = _slice_score(R, pool.slices[t].unit_rows(), copy_of)

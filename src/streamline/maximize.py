@@ -38,13 +38,18 @@ class MaximizerConfig:
                 raise ValueError(f"epsilon: must be in (0, 1), got {self.epsilon!r}")
         elif self.epsilon is not None:
             raise ValueError(f"epsilon: must be absent unless stochastic, got {self.epsilon!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed: must be a nonnegative integer, got {self.seed!r}")
+
+
+def _is_integer(v) -> bool:
+    """Whether v is a Python or numpy integer and not a bool (np.bool_ is neither)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _check_budget(budget) -> int:
     """budget as an int; ValueError naming budget unless it is a non-bool integer >= 0."""
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
+    if not _is_integer(budget) or budget < 0:
         raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
     return int(budget)
 

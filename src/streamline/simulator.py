@@ -28,7 +28,7 @@ from .core import (
     UnlabeledBuffer,
     streamline_round,
 )
-from .maximize import MaximizerConfig
+from .maximize import MaximizerConfig, _is_integer
 
 METHODS = (
     "streamline",
@@ -95,24 +95,28 @@ class StreamSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.schedule) == 0:
-            raise ValueError("schedule must be nonempty")
-        if self.redundancy < 1:
-            raise ValueError(f"redundancy must be >= 1, got {self.redundancy}")
-        if self.imbalance < 1:
-            raise ValueError(f"imbalance must be >= 1, got {self.imbalance}")
+        counts = ("n_slices", "n_classes", "dim", "imbalance", "common_pool_size", "redundancy", "episode_size",
+                  "eval_per_slice", "seed")
+        for name in counts:
+            if not _is_integer(value := getattr(self, name)):
+                raise ValueError(f"{name}: must be an integer, got {value!r}")
+        for name, least in (("seed", 0), ("redundancy", 1), ("imbalance", 1)):
+            if (value := getattr(self, name)) < least:
+                raise ValueError(f"{name}: must be >= {least}, got {value}")
         if self.episode_size % self.redundancy != 0:
-            raise ValueError(
-                f"episode_size {self.episode_size} must be divisible by redundancy {self.redundancy}"
-            )
+            raise ValueError(f"episode_size: must be divisible by redundancy, got {self.episode_size}")
         if self.dim < self.n_slices:
-            raise ValueError("dim must be >= n_slices to place slice offsets")
-        if any(s < 0 or s >= self.n_slices for s in self.schedule):
-            raise ValueError("schedule refers to an unknown slice")
+            raise ValueError(f"dim: must be >= n_slices {self.n_slices} to place slice offsets, got {self.dim}")
+        # before the schedule, which config may have built around an unchecked rare slice
         rare = self.n_slices - 1 if self.rare_slice is None else self.rare_slice
-        if isinstance(rare, bool) or not isinstance(rare, (int, np.integer)) or not 0 <= rare < self.n_slices:
-            raise ValueError(f"rare_slice {rare!r} is not an integer in [0, {self.n_slices})")
+        if not _is_integer(rare) or not 0 <= rare < self.n_slices:
+            raise ValueError(f"rare_slice: must be an integer in [0, {self.n_slices}), got {rare!r}")
         object.__setattr__(self, "rare_slice", int(rare))
+        if len(self.schedule) == 0:
+            raise ValueError(f"schedule: must be nonempty, got {self.schedule!r}")
+        for s in self.schedule:
+            if not _is_integer(s) or not 0 <= s < self.n_slices:
+                raise ValueError(f"schedule: must be a slice id in [0, {self.n_slices}), got {s!r}")
 
     @property
     def n_rounds(self) -> int:
@@ -126,35 +130,6 @@ class EvalSet:
     slice_ids: np.ndarray
 
 
-class _StreamSampler:
-    """Shared geometry + id counter for one generated stream."""
-
-    def __init__(self, spec: StreamSpec, rng: np.random.Generator):
-        self.spec = spec
-        self.rng = rng
-        self.next_id = 0
-        scale = spec.noise_std
-        # Slice offsets on orthogonal axes: pairwise distance is exactly
-        # slice_sep * noise_std.
-        offsets = np.zeros((spec.n_slices, spec.dim))
-        for s in range(spec.n_slices):
-            offsets[s, s] = spec.slice_sep * scale / np.sqrt(2.0)
-        base = rng.normal(size=(spec.n_classes, spec.dim))
-        base *= (spec.class_sep * scale) / np.linalg.norm(base, axis=1, keepdims=True)
-        twist = rng.normal(size=(spec.n_slices, spec.n_classes, spec.dim))
-        twist *= (spec.class_twist * scale) / np.linalg.norm(twist, axis=2, keepdims=True)
-        self.centroids = offsets[:, None, :] + base[None, :, :] + twist
-
-    def draw(self, slice_id: int, count: int):
-        labels = self.rng.integers(0, self.spec.n_classes, size=count)
-        X = self.centroids[slice_id, labels] + self.rng.normal(
-            0.0, self.spec.noise_std, size=(count, self.spec.dim)
-        )
-        ids = np.arange(self.next_id, self.next_id + count, dtype=np.int64)
-        self.next_id += count
-        return ids, labels.astype(np.int64), X
-
-
 def generate_stream(spec: StreamSpec):
     """Build (initial pool, episode buffers, balanced eval set) from a spec.
 
@@ -164,29 +139,43 @@ def generate_stream(spec: StreamSpec):
     under the next fresh ids with identical embeddings.
     """
     rng = np.random.default_rng(spec.seed)
-    sampler = _StreamSampler(spec, rng)
+    scale = spec.noise_std
+    # Slice offsets on orthogonal axes: pairwise distance is exactly
+    # slice_sep * noise_std.
+    offsets = np.zeros((spec.n_slices, spec.dim))
+    for s in range(spec.n_slices):
+        offsets[s, s] = spec.slice_sep * scale / np.sqrt(2.0)
+    base = rng.normal(size=(spec.n_classes, spec.dim))
+    base *= (spec.class_sep * scale) / np.linalg.norm(base, axis=1, keepdims=True)
+    twist = rng.normal(size=(spec.n_slices, spec.n_classes, spec.dim))
+    twist *= (spec.class_twist * scale) / np.linalg.norm(twist, axis=2, keepdims=True)
+    centroids = offsets[:, None, :] + base[None, :, :] + twist
+    next_id = 0
+
+    def draw(slice_id: int, count: int, copies: int = 1):
+        """count fresh rows of a slice with their labels, and the next count * copies ids."""
+        nonlocal next_id
+        labels = rng.integers(0, spec.n_classes, size=count)
+        X = centroids[slice_id, labels] + rng.normal(0.0, scale, size=(count, spec.dim))
+        next_id += count * copies
+        return np.arange(next_id - count * copies, next_id, dtype=np.int64), labels.astype(np.int64), X
 
     rare_size = max(1, spec.common_pool_size // spec.imbalance)
-    slices = []
-    for s in range(spec.n_slices):
-        ids, labels, X = sampler.draw(s, rare_size if s == spec.rare_slice else spec.common_pool_size)
-        slices.append(LabeledSlice(ids, labels, X))
+    slices = [LabeledSlice(*draw(s, rare_size if s == spec.rare_slice else spec.common_pool_size))
+              for s in range(spec.n_slices)]
     pool = SlicedLabeledPool(slices, [s == spec.rare_slice for s in range(spec.n_slices)])
 
     buffers = []
-    unique = spec.episode_size // spec.redundancy
     for s in spec.schedule:
-        ids, labels, X = sampler.draw(s, unique)
-        copies = np.arange(sampler.next_id, sampler.next_id + spec.episode_size - unique)
-        sampler.next_id += len(copies)
+        ids, labels, X = draw(s, spec.episode_size // spec.redundancy, spec.redundancy)
         buffers.append(UnlabeledBuffer(
-            ids=np.concatenate([ids, copies]), X=np.tile(X, (spec.redundancy, 1)),
+            ids=ids, X=np.tile(X, (spec.redundancy, 1)),
             true_slice=s, true_labels=np.tile(labels, spec.redundancy),
         ))
 
     eval_X, eval_y, eval_slices = [], [], []
     for s in range(spec.n_slices):
-        _, labels, X = sampler.draw(s, spec.eval_per_slice)
+        _, labels, X = draw(s, spec.eval_per_slice)
         eval_X.append(X)
         eval_y.append(labels)
         eval_slices.append(np.full(spec.eval_per_slice, s, dtype=np.int64))

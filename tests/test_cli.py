@@ -303,6 +303,10 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
         ({"episode_size": 10**20}, "episode_size: must be within [1, 1000000]"),
         ({"eval_per_slice": 10**20}, "eval_per_slice: must be within [1, 1000000]"),
         ({"schedule": "every_" + "0" * 5000}, '"every_<k>" with k >= 1'),  # over int()'s 4,300 digits
+        # keys that only StreamSpec checks
+        ({"redundancy": 3}, "episode_size: must be divisible by redundancy, got 100"),
+        ({"rare_slice": 1.5}, "rare_slice: must be an integer in [0, 4), got 1.5"),
+        ({"schedule": [0, "a"]}, "schedule: must be a slice id in [0, 4), got 'a'"),
     ],
 )
 def test_cli_validate_exit_2_names_the_field(tmp_path, capsys, overrides, message):

@@ -119,11 +119,30 @@ def test_spec_validation():
         small_spec(schedule=(0, 7))
     with pytest.raises(ValueError):
         small_spec(imbalance=0)
-    with pytest.raises(ValueError, match="dim must be >= n_slices"):
+    with pytest.raises(ValueError, match="seed: must be >= 0, got -1"):
+        small_spec(seed=-1)
+    with pytest.raises(ValueError, match="dim: must be >= n_slices 3"):
         small_spec(dim=2)
     for bad in (3, -1, True, 1.0):
-        with pytest.raises(ValueError, match=rf"rare_slice {bad!r} is not an integer in \[0, 3\)"):
+        with pytest.raises(ValueError, match=rf"rare_slice: must be an integer in \[0, 3\), got {bad!r}"):
             small_spec(rare_slice=bad)
+
+
+_INTEGER_FIELDS = ("n_slices", "n_classes", "dim", "imbalance", "common_pool_size", "redundancy", "episode_size",
+                   "eval_per_slice", "seed", "rare_slice", "schedule")
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in _INTEGER_FIELDS for bad in (10.0, True, "3", None)
+    if (name, bad) != ("rare_slice", None)  # None is rare_slice's default, the last slice
+])
+def test_spec_rejects_a_field_that_is_not_an_integer_naming_it(name, bad):
+    """Each count, the seed, the rare slice and a schedule entry must be an
+    integer, not a bool: a float, bool, string or None is refused when the
+    spec is built, not later inside numpy, and the message names the field."""
+    override = {"schedule": (0, bad, 2)} if name == "schedule" else {name: bad}
+    with pytest.raises(ValueError, match=rf"^{name}: must be"):
+        small_spec(**override)
 
 
 def test_spec_resolves_no_rare_slice_to_the_last():
