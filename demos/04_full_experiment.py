@@ -24,7 +24,7 @@ logs = {}
 for method in methods:
     logs[method] = [
         run_experiment(
-            StreamSpec(schedule=every_k_schedule(12, 4, k=3), seed=seed), method, cfg
+            StreamSpec(schedule=every_k_schedule(12, 4, 3, k=3), seed=seed), method, cfg
         )
         for seed in seeds
     ]

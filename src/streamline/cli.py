@@ -17,21 +17,19 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, parse_config
-from .simulator import MetricsLog, RoundRecord, labeling_efficiency, run_experiment
+from .simulator import MetricsLog, labeling_efficiency, run_experiment
 
 SEED_ENV_VAR = "STREAMLINE_SEED"
 
-# A RoundRecord's fields through gamma are the metrics.csv columns; a
-# selections.jsonl line is its method, seed and round with the other two.
-_FIELDS = [f.name for f in fields(RoundRecord)]
-METRICS_COLUMNS = _FIELDS[:10]
-SELECTIONS_KEYS = _FIELDS[:3] + _FIELDS[10:]
+# The RoundRecord fields a metrics.csv row and a selections.jsonl line hold.
+METRICS_COLUMNS = ("method", "seed", "round", "labels_total", "full_metric", "rare_metric", "identified_slice",
+                   "true_slice", "granted_b", "gamma")
+SELECTIONS_KEYS = ("method", "seed", "round", "slice_sizes", "selected_ids")
 
 
 def _run_job(args) -> MetricsLog:
@@ -147,7 +145,7 @@ def _efficiency_from_metrics(path, target: float, metric: str) -> dict:
     curves: dict[tuple, list] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != METRICS_COLUMNS:
+        if reader.fieldnames != list(METRICS_COLUMNS):
             raise RuntimeError(f"{path} does not look like an emitted metrics.csv")
         for row in reader:
             line = reader.line_num

@@ -3,16 +3,16 @@
 A config is a flat JSON object (plus nested "maximizer"/"learner" objects).
 Unknown keys are rejected so typos fail loudly; every validation error names
 the field and the violated constraint. Only "methods" and "seeds" are
-required. Every other default is read from the dataclass it configures
-(StreamSpec, RunConfig, MaximizerConfig, LearnerConfig); only "rounds" and
-"schedule" have defaults of their own, because StreamSpec takes the
-resolved schedule instead.
+required. Every other default, and every range check, belongs to the
+dataclass a key configures (StreamSpec, RunConfig, MaximizerConfig,
+LearnerConfig); config reads each number as its default's type, caps what
+a run allocates, and resolves "rounds" and "schedule" into one schedule.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -36,8 +36,9 @@ def _field_defaults(cls, *skip: str) -> dict:
 
 
 _SPEC_DEFAULTS = _field_defaults(StreamSpec, "schedule", "seed")
+_RENAMED = {"n_slices": "slices", "n_classes": "classes"}  # StreamSpec field -> config key
 # config key -> StreamSpec field, for the fields the config sets directly
-_SPEC_KEYS = {{"n_slices": "slices", "n_classes": "classes"}.get(name, name): name for name in _SPEC_DEFAULTS}
+_SPEC_KEYS = {_RENAMED.get(name, name): name for name in _SPEC_DEFAULTS}
 
 DEFAULTS = {
     **{key: _SPEC_DEFAULTS[name] for key, name in _SPEC_KEYS.items()},
@@ -48,27 +49,15 @@ DEFAULTS = {
     "learner": _field_defaults(LearnerConfig),
 }
 
-# Numeric rules, checked in order: (key, int or float, test, constraint). The
-# test sees the value and the keys checked before it.
-_RULES = (
-    ("slices", int, lambda v, c: 1 <= v <= 10_000, "within [1, 10000]"),
-    ("classes", int, lambda v, c: v >= 2, ">= 2"),
-    ("dim", int, lambda v, c: c["slices"] <= v <= 10**6, "within [slices, 1000000]"),
-    ("class_sep", float, lambda v, c: v > 0, "> 0"),
-    ("class_twist", float, lambda v, c: v > 0, "> 0"),
-    ("slice_sep", float, lambda v, c: v > 0, "> 0"),
-    ("noise_std", float, lambda v, c: v > 0, "> 0"),
-    ("imbalance", int, lambda v, c: v >= 1, ">= 1"),
-    ("common_pool_size", int, lambda v, c: c["imbalance"] <= v <= 10**6, "within [imbalance, 1000000]"),
-    ("rounds", int, lambda v, c: 1 <= v <= 10_000, "within [1, 10000]"),
-    ("episode_size", int, lambda v, c: 1 <= v <= 10**6, "within [1, 1000000]"),
-    ("eval_per_slice", int, lambda v, c: 1 <= v <= 10**6, "within [1, 1000000]"),
-    ("budget", int, lambda v, c: 0 <= v <= 10**9, "within [0, 1000000000]"),
-    ("rho", float, lambda v, c: 0.0 <= v <= 1.0, "within [0, 1]"),
-    ("learner.step_size", float, lambda v, c: v > 0, "> 0"),
-    ("learner.epochs", int, lambda v, c: v >= 1, ">= 1"),
-    ("learner.l2", float, lambda v, c: v >= 0, ">= 0"),
-)
+# Every number is read as the type of its default, int or float.
+_NUMBERS = {**DEFAULTS, **{f"learner.{key}": value for key, value in DEFAULTS["learner"].items()}}
+_KINDS = {key: type(value) for key, value in _NUMBERS.items() if type(value) in (int, float)}
+# Config's own caps, so that validation builds a whole schedule and a run
+# allocates what one machine holds, and budget's keeps gamma, a float, an
+# exact integer: key -> (the range's lower end, which the dataclass the key
+# configures checks, and the cap).
+_CAPS = {"slices": ("1", 10_000), "rounds": ("1", 10_000), "dim": ("slices", 10**6), "budget": ("0", 10**9),
+         "common_pool_size": ("imbalance", 10**6), "episode_size": ("1", 10**6), "eval_per_slice": ("1", 10**6)}
 
 
 @dataclass
@@ -116,15 +105,19 @@ def _as(kind, value, name: str):
     """The value as an int (kind int) or a finite float (kind float)."""
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         raise ConfigError(f"{name}: must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    if kind is int:
-        return value
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):  # json.loads accepts Infinity and NaN
+    if kind is float and not abs(value) <= sys.float_info.max:  # json.loads accepts Infinity, NaN, 10**400
         raise ConfigError(f"{name}: must be a finite number, got {value!r}")
-    return number
+    return kind(value)
+
+
+def _built(make, *args, prefix: str = "", **kwargs):
+    """make(*args, **kwargs), a dataclass's ValueError, which names its field,
+    raised as a ConfigError naming the config key."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(":")
+        raise ConfigError(f"{prefix}{_RENAMED.get(name, name)}:{rest}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -160,10 +153,22 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         _require(_as(int, s, "seeds") >= 0, "seeds", ">= 0", s)
     _require(len(set(seeds)) == len(seeds), "seeds", "free of duplicates", seeds)
 
-    for key, kind, test, constraint in _RULES:
+    for key, kind in _KINDS.items():
         c[key] = value = _as(kind, c[key], key)
-        _require(test(value, c), key, constraint, value)
-    slices, rounds = c["slices"], c["rounds"]
+        if key in _CAPS:
+            least, cap = _CAPS[key]
+            _require(value <= cap, key, f"within [{least}, {cap}]", value)
+    rounds = c["rounds"]
+    _require(rounds >= 1, "rounds", "within [1, 10000]", rounds)  # rounds configures no dataclass
+
+    epsilon = c["maximizer.epsilon"]
+    if epsilon is not None:  # a finite number, passed on as given
+        _as(float, epsilon, "maximizer.epsilon")
+    maximizer = _built(MaximizerConfig, budget=0, algorithm=c["maximizer.algorithm"], epsilon=epsilon,
+                       prefix="maximizer.")
+    # StreamSpec decides the rare slice, so a preset is built from a spec
+    # checked with a one-round placeholder schedule
+    spec = _built(StreamSpec, **{name: c[key] for key, name in _SPEC_KEYS.items()}, schedule=(0,))
     schedule = c["schedule"]
     if isinstance(schedule, str):
         k = schedule.split("_", 1)[1] if schedule.startswith("every_") else ""
@@ -172,9 +177,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         k = min(int(k.lstrip("0")[:6] or 0), rounds + 1) if k.isdecimal() else 0
         ok = schedule == "sequential" or k >= 1
         _require(ok, "schedule", '"sequential", "every_<k>" with k >= 1, or a list of slice ids', schedule)
+        n = spec.n_slices
         # every_<k> with k > 1 fills the other rounds with slices besides the rare one
-        _require(k <= 1 or slices >= 2, "slices", f">= 2 under schedule {schedule}", slices)
-        schedule = every_k_schedule(rounds, slices, c["rare_slice"], k) if k else sequential_schedule(rounds, slices)
+        _require(k <= 1 or n >= 2, "slices", f">= 2 under schedule {schedule}", n)
+        schedule = every_k_schedule(rounds, n, spec.rare_slice, k) if k else sequential_schedule(rounds, n)
     elif isinstance(schedule, list):
         if "rounds" in data:
             length = len(schedule)
@@ -182,27 +188,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             schedule = schedule[:rounds]
     else:
         raise ConfigError(f"schedule: must be a string preset or list, got {schedule!r}")
+    spec = _built(replace, spec, schedule=tuple(schedule))
 
-    epsilon = c["maximizer.epsilon"]
-    if epsilon is not None:  # a finite number, passed on as given
-        _as(float, epsilon, "maximizer.epsilon")
-    try:
-        maximizer = MaximizerConfig(budget=0, algorithm=c["maximizer.algorithm"], epsilon=epsilon)
-    except ValueError as exc:  # which names the field and its constraint
-        raise ConfigError(f"maximizer.{exc}") from None
-    try:  # StreamSpec checks the keys no rule above does: redundancy, rare_slice, a schedule's entries
-        spec = StreamSpec(
-            **{name: c[key] for key, name in _SPEC_KEYS.items()},
-            schedule=tuple(schedule),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    run = RunConfig(
-        budget=c["budget"],
-        rho=c["rho"],
-        maximizer=maximizer,
-        learner=LearnerConfig(**{key: c[f"learner.{key}"] for key in DEFAULTS["learner"]}),
-    )
+    learner = _built(LearnerConfig, **{key: c[f"learner.{key}"] for key in DEFAULTS["learner"]}, prefix="learner.")
+    run = _built(RunConfig, budget=c["budget"], rho=c["rho"], maximizer=maximizer, learner=learner)
     return ExperimentConfig(methods=list(methods), seeds=list(seeds), spec=spec, run=run)
 
 

@@ -10,7 +10,6 @@ add the most coverage beyond what the identified slice already has.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -19,7 +18,7 @@ import numpy as np
 
 from .kernels import _PANEL, _kernel, _row_col_max, _workspace, first_bad_row, row_norms
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
-from .maximize import MaximizerConfig, SelectionTrace, _check_budget, _is_integer, maximize
+from .maximize import MaximizerConfig, SelectionTrace, _check_budget, _check_real, _is_integer, maximize
 from .setfunctions import FLCG, FLQMI, _checked, _coverage_gains, flqmi_normalizer
 
 
@@ -296,12 +295,9 @@ class BudgetState:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not _is_integer(self.B) or self.B < 0:
-            raise ValueError(f"base budget B must be a nonnegative integer, got {self.B!r}")
-        if isinstance(self.rho, bool) or not isinstance(self.rho, numbers.Real) or not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must be a real number in [0, 1], got {self.rho!r}")
-        if not (0.0 <= self.gamma < math.inf):
-            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
+        _check_budget(self.B, "B")
+        _check_real(self.rho, "rho", 0, 1)
+        _check_real(self.gamma, "gamma", 0)
 
 
 @dataclass(frozen=True)

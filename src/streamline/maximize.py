@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,11 +49,20 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _check_budget(budget) -> int:
-    """budget as an int; ValueError naming budget unless it is a non-bool integer >= 0."""
+def _check_budget(budget, name: str = "budget") -> int:
+    """budget as an int; ValueError naming it unless it is a non-bool integer >= 0."""
     if not _is_integer(budget) or budget < 0:
-        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
+        raise ValueError(f"{name}: must be a nonnegative integer, got {budget!r}")
     return int(budget)
+
+
+def _check_real(value, name: str, low: float, high: float = math.inf, *, above: bool = False) -> None:
+    """ValueError naming the field unless value is a real number, not a bool,
+    that is finite and within [low, high], or above low when above is set."""
+    finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    if not (finite and (low < value if above else low <= value) and value <= high):
+        bound = f"in [{low}, {high}]" if high < math.inf else f"{'>' if above else '>='} {low}"
+        raise ValueError(f"{name}: must be a finite number {bound}, got {value!r}")
 
 
 # Gains are compared on this grid: rounded to the nearest multiple, half to

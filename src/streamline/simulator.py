@@ -28,7 +28,7 @@ from .core import (
     UnlabeledBuffer,
     streamline_round,
 )
-from .maximize import MaximizerConfig, _is_integer
+from .maximize import MaximizerConfig, _check_budget, _check_real, _is_integer
 
 METHODS = (
     "streamline",
@@ -48,10 +48,8 @@ METHODS = (
 _READS_MODEL = ("streamline_repl_scg", "entropy", "margin", "least_conf", "badge")
 
 
-def every_k_schedule(n_rounds: int, n_slices: int, rare_slice: int | None = None, k: int = 3):
+def every_k_schedule(n_rounds: int, n_slices: int, rare_slice: int, k: int = 3):
     """Rare slice every k-th round; common slices cycle through the rest."""
-    if rare_slice is None:
-        rare_slice = n_slices - 1
     commons = [s for s in range(n_slices) if s != rare_slice]
     schedule, c = [], 0
     for r in range(1, n_rounds + 1):
@@ -95,19 +93,21 @@ class StreamSpec:
     seed: int = 0
 
     def __post_init__(self):
-        counts = ("n_slices", "n_classes", "dim", "imbalance", "common_pool_size", "redundancy", "episode_size",
-                  "eval_per_slice", "seed")
-        for name in counts:
+        # (count, least value, the count that sets it): dim holds one offset axis
+        # per slice, and the rare slice gets common_pool_size // imbalance >= 1
+        # rows; each is checked after the count it reads.
+        for name, least, of in (("n_slices", 1, ""), ("n_classes", 2, ""), ("imbalance", 1, ""),
+                                ("redundancy", 1, ""), ("episode_size", 1, ""), ("eval_per_slice", 1, ""),
+                                ("seed", 0, ""), ("dim", self.n_slices, "n_slices "),
+                                ("common_pool_size", self.imbalance, "imbalance ")):
             if not _is_integer(value := getattr(self, name)):
                 raise ValueError(f"{name}: must be an integer, got {value!r}")
-        for name, least in (("seed", 0), ("redundancy", 1), ("imbalance", 1)):
-            if (value := getattr(self, name)) < least:
-                raise ValueError(f"{name}: must be >= {least}, got {value}")
+            if value < least:
+                raise ValueError(f"{name}: must be >= {of}{least}, got {value}")
+        for name in ("class_sep", "class_twist", "slice_sep", "noise_std"):
+            _check_real(getattr(self, name), name, 0, above=True)
         if self.episode_size % self.redundancy != 0:
             raise ValueError(f"episode_size: must be divisible by redundancy, got {self.episode_size}")
-        if self.dim < self.n_slices:
-            raise ValueError(f"dim: must be >= n_slices {self.n_slices} to place slice offsets, got {self.dim}")
-        # before the schedule, which config may have built around an unchecked rare slice
         rare = self.n_slices - 1 if self.rare_slice is None else self.rare_slice
         if not _is_integer(rare) or not 0 <= rare < self.n_slices:
             raise ValueError(f"rare_slice: must be an integer in [0, {self.n_slices}), got {rare!r}")
@@ -160,7 +160,7 @@ def generate_stream(spec: StreamSpec):
         next_id += count * copies
         return np.arange(next_id - count * copies, next_id, dtype=np.int64), labels.astype(np.int64), X
 
-    rare_size = max(1, spec.common_pool_size // spec.imbalance)
+    rare_size = spec.common_pool_size // spec.imbalance
     slices = [LabeledSlice(*draw(s, rare_size if s == spec.rare_slice else spec.common_pool_size))
               for s in range(spec.n_slices)]
     pool = SlicedLabeledPool(slices, [s == spec.rare_slice for s in range(spec.n_slices)])
@@ -188,6 +188,12 @@ class LearnerConfig:
     step_size: float = 1.0
     epochs: int = 200
     l2: float = 1e-3
+
+    def __post_init__(self):
+        _check_real(self.step_size, "step_size", 0, above=True)  # an infinite step would halve forever
+        if not _is_integer(self.epochs) or self.epochs < 1:
+            raise ValueError(f"epochs: must be an integer >= 1, got {self.epochs!r}")
+        _check_real(self.l2, "l2", 0)
 
 
 @dataclass
@@ -265,12 +271,10 @@ def fit_logistic(X, y, cfg: LearnerConfig, n_classes: int | None = None) -> Lear
     then halved whenever a step would increase the loss, so the recorded loss
     history is nonincreasing. y must hold one label per row of X, each in
     [0, n_classes), or ValueError says what is wrong, naming the first row
-    whose label is outside; so does a step size that is not positive and
-    finite (an infinite one would halve forever), a row of X that is not
-    finite or whose squared norm leaves float64's range (all-zero rows are
-    fine), and rows whose mean squared norm does. Every loss and gradient
-    comes from logistic_loss_and_grad, so fits equal those of the row-major
-    softmax.
+    whose label is outside; so does a row of X that is not finite or whose
+    squared norm leaves float64's range (all-zero rows are fine), and rows
+    whose mean squared norm does. Every loss and gradient comes from
+    logistic_loss_and_grad, so fits equal those of the row-major softmax.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
@@ -283,8 +287,6 @@ def fit_logistic(X, y, cfg: LearnerConfig, n_classes: int | None = None) -> Lear
     if outside.size:
         i = int(outside[0])
         raise ValueError(f"label {int(y[i])} at row {i} is outside [0, {C})")
-    if not 0.0 < cfg.step_size < np.inf:
-        raise ValueError(f"step_size must be positive and finite, got {cfg.step_size}")
     sq_norms = np.empty(len(X))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(X), _NORM_ROWS):
@@ -366,9 +368,7 @@ def labeling_efficiency(curve_method, curve_random, target: float) -> float | No
 
 @dataclass
 class RoundRecord:
-    """One round of one (method, seed) run. The fields from method through
-    gamma, in order, are a metrics.csv row (granted_b is the labels the round
-    spent); a selections.jsonl line is method, seed, round and the last two."""
+    """One round of one (method, seed) run; granted_b is the labels the round spent."""
 
     method: str
     seed: int
@@ -409,6 +409,10 @@ class RunConfig:
     rho: float = 0.5
     maximizer: MaximizerConfig = field(default_factory=lambda: MaximizerConfig(budget=0))
     learner: LearnerConfig = field(default_factory=LearnerConfig)
+
+    def __post_init__(self):
+        _check_budget(self.budget)
+        _check_real(self.rho, "rho", 0, 1)
 
 
 def run_experiment(spec: StreamSpec, method: str, cfg: RunConfig) -> MetricsLog:

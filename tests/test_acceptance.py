@@ -371,7 +371,7 @@ def experiment_grid():
         redundancy=1,
         eval_per_slice=400,
         rare_slice=RARE_SLICE,
-        schedule=every_k_schedule(12, 4, k=3),
+        schedule=every_k_schedule(12, 4, RARE_SLICE, k=3),
     )
     cfg = RunConfig(budget=50, rho=0.5, learner=LearnerConfig())
     start = time.time()

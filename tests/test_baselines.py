@@ -117,7 +117,7 @@ def test_selectors_reject_a_budget_that_is_not_a_nonnegative_integer():
     ]
     for select in selectors:
         for budget in (2.7, np.float64(2.9), "3", True, -4, None):
-            with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
+            with pytest.raises(ValueError, match="^budget: must be a nonnegative integer"):
                 select(budget)
         assert len(select(np.int64(2))) == 2
 

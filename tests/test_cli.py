@@ -307,6 +307,17 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
         ({"redundancy": 3}, "episode_size: must be divisible by redundancy, got 100"),
         ({"rare_slice": 1.5}, "rare_slice: must be an integer in [0, 4), got 1.5"),
         ({"schedule": [0, "a"]}, "schedule: must be a slice id in [0, 4), got 'a'"),
+        # ranges that the dataclass a key configures checks
+        ({"classes": 1}, "classes: must be >= 2, got 1"),
+        ({"slices": 0}, "slices: must be >= 1, got 0"),
+        ({"episode_size": 0}, "episode_size: must be >= 1, got 0"),
+        ({"eval_per_slice": 0}, "eval_per_slice: must be >= 1, got 0"),
+        ({"common_pool_size": 4}, "common_pool_size: must be >= imbalance 5, got 4"),
+        ({"class_sep": -1}, "class_sep: must be a finite number > 0, got -1.0"),
+        ({"learner": {"epochs": 0}}, "learner.epochs: must be an integer >= 1, got 0"),
+        ({"learner": {"l2": -1}}, "learner.l2: must be a finite number >= 0, got -1.0"),
+        ({"budget": -1}, "budget: must be a nonnegative integer, got -1"),
+        ({"rho": 2}, "rho: must be a finite number in [0, 1], got 2.0"),
     ],
 )
 def test_cli_validate_exit_2_names_the_field(tmp_path, capsys, overrides, message):

@@ -245,15 +245,15 @@ def test_budget_state_validation():
     # a rare round grants B + sigma labels, so B must be a whole count and
     # gamma a finite one: math.floor(inf) raises OverflowError in the rare branch
     for B in (2.5, True, "3", None):
-        with pytest.raises(ValueError, match="base budget B must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="^B: must be a nonnegative integer"):
             BudgetState(B=B, rho=0.5)
     for gamma in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=r"^gamma: must be a finite number >= 0"):
             BudgetState(B=10, rho=0.5, gamma=gamma)
     assert BudgetState(B=np.int64(10), rho=0.5).B == 10
     # rho is read as Fraction(str(rho)) in a common round: a bool or a string must fail here
     for rho in (True, "0.5", None, np.nan, 1.5, -0.1):
-        with pytest.raises(ValueError, match=r"rho must be a real number in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"^rho: must be a finite number in \[0, 1\]"):
             BudgetState(B=10, rho=rho)
     assert BudgetState(B=10, rho=np.float64(0.5)).rho == 0.5
 
@@ -452,7 +452,7 @@ def test_scg_budget_edges():
     buf = make_buffer(6, axis=0, next_id=next_id)
     assert scg_select(pool, buf, 0, 0, _maximizer()) == []
     for budget in (2.7, np.float64(2.9), "3", True, -4, None):
-        with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="^budget: must be a nonnegative integer"):
             scg_select(pool, buf, 0, budget, _maximizer())
     assert len(scg_select(pool, buf, 0, np.int64(2), _maximizer())) == 2
     everything = scg_select(pool, buf, 0, 99, _maximizer())  # clamped, not an error
@@ -926,7 +926,7 @@ def test_round_reports_its_margin_and_greedy_evaluations():
     naive greedy makes 60,194, so a lazy greedy that loses its laziness fails."""
     from streamline.simulator import every_k_schedule
 
-    picks, schedule = {}, every_k_schedule(12, 12, k=2)
+    picks, schedule = {}, every_k_schedule(12, 12, 11, k=2)
     for algorithm, expected in (("lazy", 2880), ("naive", 60194)):
         pool, buffers, _ = _churn_stream(common_pool_size=150, schedule=schedule, rare_slice=11)
         state = BudgetState(B=120, rho=0.5)

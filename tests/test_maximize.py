@@ -183,7 +183,7 @@ def test_gains_nonincreasing(kind, algorithm):
 
 def test_config_validation():
     for budget in (-1, 2.5, np.float64(2.0), "2", True, None):
-        with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="^budget: must be a nonnegative integer"):
             MaximizerConfig(budget=budget)
     assert MaximizerConfig(budget=np.int64(2)).budget == 2
     with pytest.raises(ValueError):

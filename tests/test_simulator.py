@@ -1,5 +1,11 @@
+import math
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import streamline.baselines as baselines
 import streamline.core as core
@@ -33,7 +39,7 @@ def small_spec(**overrides):
         common_pool_size=30,
         episode_size=30,
         eval_per_slice=60,
-        schedule=every_k_schedule(6, 3),
+        schedule=every_k_schedule(6, 3, 2),
         seed=0,
     )
     params.update(overrides)
@@ -50,7 +56,7 @@ def small_run_cfg(**overrides):
 
 
 def test_every_k_schedule_places_rare_every_kth_round():
-    sched = every_k_schedule(12, 4, k=3)
+    sched = every_k_schedule(12, 4, 3, k=3)
     assert sched == (0, 1, 3, 2, 0, 3, 1, 2, 3, 0, 1, 3)
     assert [i for i, s in enumerate(sched) if s == 3] == [2, 5, 8, 11]
 
@@ -126,6 +132,20 @@ def test_spec_validation():
     for bad in (3, -1, True, 1.0):
         with pytest.raises(ValueError, match=rf"rare_slice: must be an integer in \[0, 3\), got {bad!r}"):
             small_spec(rare_slice=bad)
+    # every bound is the spec's, so a direct build fails here, not inside numpy
+    for override, message in (
+        ({"n_classes": 0}, "n_classes: must be >= 2, got 0"),
+        ({"common_pool_size": -5}, "common_pool_size: must be >= imbalance 5, got -5"),
+        ({"common_pool_size": 4}, "common_pool_size: must be >= imbalance 5, got 4"),
+        ({"episode_size": 0}, "episode_size: must be >= 1, got 0"),
+        ({"n_slices": 0}, "n_slices: must be >= 1, got 0"),
+        ({"eval_per_slice": 0}, "eval_per_slice: must be >= 1, got 0"),
+        ({"class_sep": "x"}, "class_sep: must be a finite number > 0, got 'x'"),
+        ({"noise_std": 0.0}, "noise_std: must be a finite number > 0, got 0.0"),
+        ({"slice_sep": 10**400}, f"slice_sep: must be a finite number > 0, got {10**400}"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_spec(**override)
 
 
 _INTEGER_FIELDS = ("n_slices", "n_classes", "dim", "imbalance", "common_pool_size", "redundancy", "episode_size",
@@ -222,13 +242,70 @@ def test_fit_rejects_a_label_outside_the_classes(bad, row):
         train_learner(pool, LearnerConfig(epochs=5), n_classes=3)
 
 
-# An infinite step would halve forever; these values are rejected by the same
-# check and cannot hang if it regresses, since they never enter the halving loop.
-@pytest.mark.parametrize("step", [0.0, -1.0, float("nan")])
-def test_fit_rejects_a_step_size_that_is_not_positive_and_finite(step):
-    X, y = np.ones((4, 2)), np.array([0, 1, 0, 1])
-    with pytest.raises(ValueError, match="step_size must be positive and finite"):
-        fit_logistic(X, y, LearnerConfig(step_size=step, epochs=3), n_classes=2)
+# An infinite step would halve forever, so no LearnerConfig holds one.
+@pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+def test_learner_config_rejects_a_step_size_that_is_not_positive_and_finite(step):
+    with pytest.raises(ValueError, match=f"^step_size: must be a finite number > 0, got {step!r}$"):
+        LearnerConfig(step_size=step, epochs=3)
+
+
+@pytest.mark.parametrize("cls, override, message", [
+    (LearnerConfig, {"epochs": -1}, "epochs: must be an integer >= 1, got -1"),
+    (LearnerConfig, {"epochs": True}, "epochs: must be an integer >= 1, got True"),
+    (LearnerConfig, {"epochs": 2.0}, "epochs: must be an integer >= 1, got 2.0"),
+    (LearnerConfig, {"l2": -1.0}, "l2: must be a finite number >= 0, got -1.0"),
+    (RunConfig, {"budget": -1}, "budget: must be a nonnegative integer, got -1"),
+    (RunConfig, {"rho": 2.0}, "rho: must be a finite number in [0, 1], got 2.0"),
+    (RunConfig, {"rho": "0.5"}, "rho: must be a finite number in [0, 1], got '0.5'"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_run_settings_reject_a_value_out_of_range_naming_it(cls, override, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**override)
+
+
+# Off-by-one values for every bound (0, 1, 2, n_slices 3, imbalance 5),
+# values of the wrong type and values beyond the float range.
+_HOSTILE = st.one_of(
+    st.integers(-2, 6),
+    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, math.nan, math.inf, -math.inf]),
+    st.sampled_from([10**400, -(10**400), True, False, None, "3", "x", ""]),
+)
+_BASE = {
+    StreamSpec: dict(n_slices=3, n_classes=3, dim=8, common_pool_size=30, episode_size=30, eval_per_slice=20,
+                     schedule=(0, 1, 2)),
+    LearnerConfig: dict(epochs=5),
+    RunConfig: dict(budget=5, learner=LearnerConfig(epochs=3)),
+}
+
+
+@pytest.mark.parametrize("cls", list(_BASE), ids=lambda cls: cls.__name__)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_dataclasses_built_from_hostile_values_raise_a_named_value_error_or_work(cls, data):
+    """StreamSpec, LearnerConfig and RunConfig check every value they hold
+    when they are built: a hostile value either raises a ValueError whose
+    message starts with a field of that type, or is one the stream, the fit
+    or the run then uses without error (at small sizes; a config caps the
+    large ones)."""
+    names = [f.name for f in fields(cls) if f.name not in ("schedule", "maximizer", "learner")]
+    changed = data.draw(st.dictionaries(st.sampled_from(names), _HOSTILE, min_size=1, max_size=2))
+    try:
+        built = cls(**{**_BASE[cls], **changed})
+    except ValueError as exc:
+        assert str(exc).partition(":")[0] in [f.name for f in fields(cls)], str(exc)
+        return
+    if cls is StreamSpec:
+        if max(built.n_classes, built.dim, built.common_pool_size, built.episode_size, built.eval_per_slice) <= 1000:
+            pool, buffers, eval_set = generate_stream(built)
+            assert len(buffers) == 3 and len(eval_set.y) == built.n_slices * built.eval_per_slice
+    elif cls is LearnerConfig:
+        if built.epochs <= 100:
+            X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 2, 0, 1, 2])
+            assert np.isfinite(fit_logistic(X, y, built).W).all()
+    elif built.budget <= 100:
+        spec = StreamSpec(n_slices=2, n_classes=2, dim=4, common_pool_size=10, episode_size=10, eval_per_slice=10,
+                          schedule=(0, 1))
+        assert len(run_experiment(spec, "streamline", built).records) == 2
 
 
 @pytest.mark.parametrize("n_labels, n_rows", [(0, 0), (4, 5), (5, 4)])
