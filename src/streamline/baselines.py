@@ -109,7 +109,7 @@ def similar_select(
         raise ValueError(f"query slice {t} is empty")
     if not (b := _capped_budget(b, buffer)):
         return []
-    S_up = _kernel(buffer.unit_rows(), query.unit_rows(), np.empty((len(buffer), len(query))))
+    S_up = _kernel(buffer.unit_rows(), query.unit_rows())
     trace = maximize(FLQMI(S_up), replace(maximizer_cfg, budget=b))
     return [int(buffer.ids[i]) for i in trace.chosen]
 

@@ -53,11 +53,12 @@ DEFAULTS = {
 _NUMBERS = {**DEFAULTS, **{f"learner.{key}": value for key, value in DEFAULTS["learner"].items()}}
 _KINDS = {key: type(value) for key, value in _NUMBERS.items() if type(value) in (int, float)}
 # Config's own caps, so that validation builds a whole schedule and a run
-# allocates what one machine holds, and budget's keeps gamma, a float, an
-# exact integer: key -> (the range's lower end, which the dataclass the key
-# configures checks, and the cap).
-_CAPS = {"slices": ("1", 10_000), "rounds": ("1", 10_000), "dim": ("slices", 10**6), "budget": ("0", 10**9),
-         "common_pool_size": ("imbalance", 10**6), "episode_size": ("1", 10**6), "eval_per_slice": ("1", 10**6)}
+# allocates what one machine holds and fits for a bounded number of epochs:
+# key -> (the range's lower end, which the dataclass the key configures
+# checks, and the cap).
+_CAPS = {"slices": ("1", 10_000), "classes": ("2", 10_000), "rounds": ("1", 10_000), "dim": ("slices", 10**6),
+         "budget": ("0", 10**9), "common_pool_size": ("imbalance", 10**6), "episode_size": ("1", 10**6),
+         "eval_per_slice": ("1", 10**6), "learner.epochs": ("1", 10**6)}
 
 
 @dataclass

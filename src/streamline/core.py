@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _PANEL, _kernel, _row_col_max, _workspace, first_bad_row, row_norms
+from .kernels import _PANEL, _kernel, _row_col_max, first_bad_row, row_norms
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
 from .maximize import MaximizerConfig, SelectionTrace, _check_budget, _check_real, _is_integer, maximize
 from .setfunctions import FLCG, FLQMI, _checked, _coverage_gains, flqmi_normalizer
@@ -295,7 +295,7 @@ class BudgetState:
     gamma: float = 0.0
 
     def __post_init__(self):
-        _check_budget(self.B, "B")
+        _check_budget(self.B, "B", banked=True)
         _check_real(self.rho, "rho", 0, 1)
         _check_real(self.gamma, "gamma", 0)
 
@@ -482,24 +482,22 @@ def _capped_budget(b, buffer: UnlabeledBuffer) -> int:
 
 
 def _scored_self_kernel(R: np.ndarray, best: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
-    """S_uu, the clipped cosine kernel of unit rows R, in the thread's kernel
-    workspace, and each row x's gain sum_i w_i max(S_uu[x, i] - best_i, 0).
+    """S_uu, the clipped cosine kernel of unit rows R, as a fresh array, and
+    each row x's gain sum_i w_i max(S_uu[x, i] - best_i, 0).
 
     S_uu is built band by band (kernels._kernel). Each panel of a band is,
     while still in cache, scored by _coverage_gains, the evaluator's own
-    gains, in the panel scratch of the thread that built it. That scratch
-    is fresh per call, as the evaluator's is: carved from the workspace, it
-    stayed resident and raised peak RSS at the scaled shape by 2 MB. So
-    S_uu is read once. Above the gate the helper thread builds and scores
-    the second half of the rows.
+    gains, in the panel scratch of the thread that built it, so S_uu is
+    read once. Above the gate the helper thread builds and scores the
+    second half of the rows.
     """
     m = len(R)
-    S, scratch, gains = _workspace(m, m), np.empty((2, min(_PANEL, m), m)), np.empty(m)
+    scratch, gains = np.empty((2, min(_PANEL, m), m)), np.empty(m)
 
-    def visit(k: int, rows: slice) -> None:
-        _coverage_gains(S[rows], best, weights, scratch[k, : rows.stop - rows.start], gains[rows])
+    def visit(k: int, rows: slice, panel: np.ndarray) -> None:
+        _coverage_gains(panel, best, weights, scratch[k, : len(panel)], gains[rows])
 
-    return _kernel(R, R, S, visit), gains
+    return _kernel(R, R, visit), gains
 
 
 def _distinct_row_greedy(
@@ -517,9 +515,8 @@ def _distinct_row_greedy(
     never rise again, ties break to the smallest index and the 2**-30 grid
     hides the weighted sums' last bits. Stochastic greedy, whose seeded
     draws are over buffer indices, runs over every row with no fill. S_uu
-    and each candidate's first gain come from _scored_self_kernel, and no
-    kernel call is made while the greedy holds S_uu; FLCG gets its
-    transpose view, whose rows the evaluator reads contiguously.
+    and each candidate's first gain come from _scored_self_kernel; FLCG
+    gets its transpose view, whose rows the evaluator reads contiguously.
     """
     n = len(buffer)
     R, first, copy_of = buffer._distinct_unit_rows()

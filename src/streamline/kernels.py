@@ -8,7 +8,6 @@ nonnegative kernels for monotonicity.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -142,53 +141,27 @@ def _walk(R, C, shares, band, fold) -> None:
 _PANEL = 64
 
 
-def _kernel(R: np.ndarray, C: np.ndarray, out: np.ndarray, visit=None) -> np.ndarray:
-    """The clipped cosine kernel of two sides normalize_rows prepared, into out.
+def _kernel(R: np.ndarray, C: np.ndarray, visit=None) -> np.ndarray:
+    """The clipped cosine kernel of two sides normalize_rows prepared, as a fresh array.
 
-    out is a C-contiguous (len(R), len(C)) float64 array. Each band (_bands)
-    is computed straight into its rows of out, a contiguous block, then
-    clipped _PANEL whole rows at a time. Given a visit, visit(k, rows) is
-    called on each panel once it is clipped, on the thread k that built it,
-    while it is still in cache. An exception from visit is raised as _walk
-    raises one.
+    Each band (_bands) is computed straight into its rows of the result, a
+    contiguous block, then clipped _PANEL whole rows at a time. Given a
+    visit, visit(k, rows, panel) is called on each clipped panel, the
+    result's rows `rows`, on the thread k that built it, while it is still
+    in cache. An exception from visit is raised as _walk raises one.
     """
+    shares = _plan(R, C)
+    out = np.empty((len(R), len(C)))
 
     def clip(k, i, product):
         for rows in _spans(i.start, i.stop, _PANEL):
             panel = out[rows]
             np.clip(panel, 0.0, 1.0, out=panel)
             if visit is not None:
-                visit(k, rows)
+                visit(k, rows, panel)
 
-    _walk(R, C, _plan(R, C), lambda k, i: out[i], clip)
+    _walk(R, C, shares, lambda k, i: out[i], clip)
     return out
-
-
-# Each thread's kernel workspace: one flat byte buffer, in attribute "buf".
-_local = threading.local()
-
-
-def _workspace(rows: int, cols: int, dtype=np.float64) -> np.ndarray:
-    """A C-contiguous (rows, cols) view of the head of this thread's workspace, as dtype.
-
-    The workspace is one flat byte buffer per thread, viewed as the dtype
-    asked for. It grows to the largest request so far, in bytes, dropping
-    the old buffer before the new one is allocated, never shrinks, and
-    lives as long as its thread, so a round's band scratch, float32 or
-    float64, and its |U| x |U| buffer kernel reuse memory that was faulted
-    in once. A view starts with whatever an earlier call left in it, and it
-    stays valid until the next _workspace call on the same thread, which
-    every _row_col_max makes: core._distinct_row_greedy keeps its S_uu for
-    the greedy and makes no kernel call meanwhile. Nothing build_kernel or
-    _row_col_max returns is a view of it. The helper thread computes its
-    share of a walk into the calling thread's views and has no workspace
-    of its own.
-    """
-    nbytes = rows * cols * np.dtype(dtype).itemsize
-    if getattr(_local, "buf", None) is None or _local.buf.size < nbytes:
-        _local.buf = None  # freed before its successor is allocated
-        _local.buf = np.empty(nbytes, np.uint8)
-    return _local.buf[:nbytes].view(dtype).reshape(rows, cols)
 
 
 def build_kernel(rows, cols) -> np.ndarray:
@@ -201,7 +174,7 @@ def build_kernel(rows, cols) -> np.ndarray:
     first.
     """
     R, C = normalize_rows(rows), normalize_rows(cols)
-    return _kernel(R, C, np.empty((len(R), len(C))))
+    return _kernel(R, C)
 
 
 def _row_col_max(R: np.ndarray, C: np.ndarray):
@@ -212,16 +185,16 @@ def _row_col_max(R: np.ndarray, C: np.ndarray):
     copies of them, within core._screen_error of those.
 
     The kernel is never held whole: each band is computed into its thread's
-    band scratch, carved from the calling thread's workspace and as tall as
-    the tallest band of either share. A band spans every column, so its row
-    maxima are written directly; each share folds its columns' maxima into
-    its own vector, from 0, the kernel's floor, reduced by max at the end.
+    band scratch, allocated per call and as tall as the tallest band of
+    either share. A band spans every column, so its row maxima are written
+    directly; each share folds its columns' maxima into its own vector,
+    from 0, the kernel's floor, reduced by max at the end.
     Both vectors end clipped to [0, 1], which is clipping every cell; max is
     exact, so the result is the whole kernel's. Both are fresh arrays.
     """
     shares, m = _plan(R, C), len(C)
     height = max(i.stop - i.start for share in shares for i in share)
-    scratch = _workspace(len(shares), height * m, R.dtype)
+    scratch = np.empty((len(shares), height * m), R.dtype)
     row_max, col_max = np.empty(len(R), R.dtype), np.zeros((len(shares), m), R.dtype)
 
     def band(k, i):

@@ -49,10 +49,13 @@ def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _check_budget(budget, name: str = "budget") -> int:
-    """budget as an int; ValueError naming it unless it is a non-bool integer >= 0."""
+def _check_budget(budget, name: str = "budget", *, banked: bool = False) -> int:
+    """budget as an int; ValueError naming it unless it is a non-bool integer >= 0,
+    and, if banked, at most 2**53, so that gamma, a float, banks it exactly."""
     if not _is_integer(budget) or budget < 0:
         raise ValueError(f"{name}: must be a nonnegative integer, got {budget!r}")
+    if banked and budget > 2**53:
+        raise ValueError(f"{name}: must be at most 2**53, got an integer of {int(budget).bit_length()} bits")
     return int(budget)
 
 

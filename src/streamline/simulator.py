@@ -411,7 +411,7 @@ class RunConfig:
     learner: LearnerConfig = field(default_factory=LearnerConfig)
 
     def __post_init__(self):
-        _check_budget(self.budget)
+        _check_budget(self.budget, banked=True)
         _check_real(self.rho, "rho", 0, 1)
 
 

@@ -1,6 +1,7 @@
-"""Shared generators for randomized instances used across test modules."""
+"""Shared generators for randomized instances used across test modules,
+and the band scratch the memory formulas of the kernel tests count."""
 
-from streamline.kernels import build_kernel, normalize_rows
+from streamline.kernels import _bands, build_kernel, normalize_rows
 from streamline.setfunctions import FLCG, FLQMI, FacilityLocation
 
 
@@ -38,3 +39,10 @@ def random_instance(rng, kind, n=8, p=3, dim=5):
             rng.integers(1, 5, size=n).astype(float),
         )
     raise ValueError(kind)
+
+
+def band_scratch(n, m, itemsize):
+    """The bytes of kernels._row_col_max's scratch for an (n, m) kernel: one
+    band per share, as tall as the tallest band of either share."""
+    shares = _bands(n, m)
+    return len(shares) * max(i.stop - i.start for share in shares for i in share) * m * itemsize

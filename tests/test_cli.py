@@ -318,6 +318,8 @@ def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
         ({"learner": {"l2": -1}}, "learner.l2: must be a finite number >= 0, got -1.0"),
         ({"budget": -1}, "budget: must be a nonnegative integer, got -1"),
         ({"rho": 2}, "rho: must be a finite number in [0, 1], got 2.0"),
+        ({"classes": 10**9}, "classes: must be within [2, 10000]"),
+        ({"learner": {"epochs": 10**12}}, "learner.epochs: must be within [1, 1000000]"),
     ],
 )
 def test_cli_validate_exit_2_names_the_field(tmp_path, capsys, overrides, message):

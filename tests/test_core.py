@@ -597,6 +597,77 @@ def test_budget_conservation_over_streamed_rounds():
     assert total == pool.total_size - (40 + 40 + 8)
 
 
+def test_a_rounds_traced_peaks_are_formulas_of_its_shapes(monkeypatch):
+    """Kernel calls keep no memory between them, so what identify and
+    select allocate at their peak follows from the round's shapes, in the
+    first round and in every later one. The stream is the split config's
+    (slices of 1000 and 200 rows, buffers of 1100, dim 8), whose buffer x
+    common slice kernels and S_uu are cut across two threads; its third
+    round identifies the rare slice.
+
+    For u distinct buffer rows of dim d and slices P_t, identify holds the
+    buffer's float64 unit rows (8ud bytes), then the larger of its float32
+    screen (the rows in float32, 4ud, and over the slices the largest of
+    one slice's float32 rows and its walk's band scratch, band_scratch) and
+    its float64 pass (over the certified slices, the largest of one slice's
+    rows and its band scratch). Select holds the unit rows, S_uu (8u²) and
+    its panel scratch, two panels of float64. Above that, identify's bound
+    leaves room for its maxima vectors, 8 * (2n + 5 max|P_t|) bytes for a
+    buffer of n rows; select's for its gains and one of numpy's 64 KiB
+    ufunc buffers per thread that scores panels; each 64 KiB more for
+    Python objects."""
+    import json
+    import tracemalloc
+    from pathlib import Path
+
+    import streamline.core as core
+    from conftest import band_scratch
+    from streamline.config import config_from_dict
+    from streamline.kernels import _PANEL
+    from streamline.simulator import generate_stream
+
+    split = json.loads((Path(__file__).parent / "configs" / "split.json").read_text())
+    config = config_from_dict({**split, "rounds": 3})
+    run = config.run_config()
+    pool, buffers, _ = generate_stream(config.stream_spec(0))
+    peaks = []
+
+    def traced(name, fn):
+        def call(pool, buffer, *args, **kwargs):
+            sizes, start = pool.sizes.tolist(), tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn(pool, buffer, *args, **kwargs)
+            peaks.append((name, sizes, buffer, result, tracemalloc.get_traced_memory()[1] - start))
+            return result
+
+        return call
+
+    monkeypatch.setattr(core, "smidentify", traced("identify", core.smidentify))
+    monkeypatch.setattr(core, "scg_select", traced("select", core.scg_select))
+    state, cfg = BudgetState(B=run.budget, rho=run.rho), StreamlineConfig(maximizer=run.maximizer)
+    tracemalloc.start()
+    try:
+        for buf in buffers:
+            report, pool, state = streamline_round(pool, buf, state, cfg, _oracle(buf))
+    finally:
+        tracemalloc.stop()
+    assert [name for name, *_ in peaks] == ["identify", "select"] * 3
+    identified = [result.slice_id for name, _, _, result, _ in peaks if name == "identify"]
+    assert identified == [0, 1, 3]  # the third round's is the rare slice
+    kib64 = 64 * 1024
+    for name, sizes, buf, result, peak in peaks:
+        n, d = buf.X.shape
+        u = len(np.unique(buf.X, axis=0))
+        if name == "identify":
+            screen = 4 * u * d + max(4 * m * d + band_scratch(u, m, 4) for m in sizes)
+            exact = max(8 * sizes[t] * d + band_scratch(u, sizes[t], 8) for t in result.certified.tolist())
+            least = 8 * u * d + max(screen, exact)
+            assert least <= peak <= least + 8 * (2 * n + 5 * max(sizes)) + kib64, (name, sizes, peak, least)
+        else:
+            least = 8 * u * d + 8 * u * u + 2 * min(_PANEL, u) * u * 8
+            assert least <= peak <= least + 8 * u + 3 * kib64, (name, sizes, peak, least)
+
+
 # ------------------------------------------------------- ingestion and selection
 
 

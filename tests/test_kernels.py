@@ -2,13 +2,15 @@ import sys
 import threading
 import time
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
 import streamline.kernels as kernels
+from conftest import band_scratch
+from streamline.core import _scored_self_kernel
 from streamline.kernels import (
+    _PANEL,
     _SPLIT_CELLS,
     KernelError,
     _bands,
@@ -16,7 +18,6 @@ from streamline.kernels import (
     _plan,
     _row_col_max,
     _walk,
-    _workspace,
     build_kernel,
     normalize_rows,
 )
@@ -154,7 +155,7 @@ def test_a_nan_kernel_is_rejected_before_any_greedy_runs():
         FacilityLocation(np.array([[np.nan, 1.0], [1.0, -1.0]]))
 
 
-# ------------------------------------------------------------------ workspace
+# ------------------------------------------------------------------ memory and threads
 
 
 def _in_threads(*fns):
@@ -180,7 +181,7 @@ def _in_threads(*fns):
     return results
 
 
-def test_kernel_results_share_no_memory_with_the_workspace():
+def test_later_kernel_calls_never_overwrite_an_earlier_result():
     rng = np.random.default_rng(0)
     U, P = rng.normal(size=(30, 4)), rng.normal(size=(5000, 4))
     K = build_kernel(U, P)
@@ -189,13 +190,10 @@ def test_kernel_results_share_no_memory_with_the_workspace():
     row32, col32 = _row_col_max(U32, P32)  # the float32 sides core's screen passes
     assert row32.dtype == col32.dtype == np.float32
     kept = [a.copy() for a in (K, row, col, row32, col32)]
-    for a in (K, row, col, row32, col32):
-        assert not np.shares_memory(a, kernels._local.buf)
-    # later kernel calls overwrite the workspace, not the results
     _row_col_max(normalize_rows(-U), normalize_rows(P))
     _row_col_max(-U32, P32)
     V = normalize_rows(-U)
-    _kernel(V, V, _workspace(len(V), len(V)))
+    _kernel(V, V)
     build_kernel(P[:40], U)
     for a, b in zip((K, row, col, row32, col32), kept):
         np.testing.assert_array_equal(a, b)
@@ -210,7 +208,7 @@ def test_threads_building_different_kernels_at_once_each_get_the_serial_result()
 
     def kernels_of(U, P):
         row, col = _row_col_max(U, P)
-        return row, col, _kernel(U, U, _workspace(len(U), len(U))).copy()
+        return row, col, _kernel(U, U)
 
     serial = [kernels_of(U, P) for U, P in sides]
 
@@ -227,24 +225,6 @@ def test_threads_building_different_kernels_at_once_each_get_the_serial_result()
         for got in runs:
             for a, b in zip(got, expected):
                 np.testing.assert_array_equal(a, b)
-
-
-def test_a_grown_workspace_leaves_one_buffer_on_its_thread():
-    def grow():
-        tracemalloc.start()  # before the first buffer, so that its bytes count
-        try:
-            _workspace(1000, 100)  # 0.8 MB
-            old = weakref.ref(kernels._local.buf)
-            tracemalloc.reset_peak()
-            _workspace(1000, 1000)  # 8 MB
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return old() is None, kernels._local.buf.size, peak
-
-    [(old_freed, size, peak)] = _in_threads(grow)
-    assert old_freed and size == 8 * 1000 * 1000  # bytes
-    assert peak < 8_000_000 + 100_000  # the old buffer was freed before the new one was allocated
 
 
 # ------------------------------------------------------------------ the band walk
@@ -311,9 +291,8 @@ def test_a_kernel_below_the_gate_is_one_product_on_the_calling_thread(n, w, prod
     rng = np.random.default_rng(5)
     R, C = normalize_rows(rng.normal(size=(n, 3))), normalize_rows(rng.normal(size=(w, 3)))
     caller = threading.get_ident()
-    out = np.empty((n, w))
-    _kernel(R, C, out)
-    [(thread, band)] = products  # straight into out
+    out = _kernel(R, C)
+    [(thread, band)] = products  # straight into the result
     assert thread == caller and band.shape == (n, w)
     assert band.base is out and band.__array_interface__["data"][0] == out.__array_interface__["data"][0]
     products.clear()
@@ -328,9 +307,8 @@ def test_a_kernel_above_the_gate_is_handed_to_the_helper_once(n, w, products, ha
     X, Y = rng.normal(size=(n, 8)), rng.normal(size=(w, 8))
     R, C = normalize_rows(X), normalize_rows(Y)
     caller = threading.get_ident()
-    out = np.empty((n, w))
     first, second = _bands(n, w)  # the rows cut at n // 2, for every call
-    for run in (lambda: _row_col_max(R, C), lambda: _kernel(R, C, out), lambda: build_kernel(X, Y)):
+    for run in (lambda: _row_col_max(R, C), lambda: _kernel(R, C), lambda: build_kernel(X, Y)):
         products.clear()
         handoffs.clear()
         run()
@@ -339,9 +317,9 @@ def test_a_kernel_above_the_gate_is_handed_to_the_helper_once(n, w, products, ha
         theirs = [band.shape for thread, band in products if thread != caller]
         assert mine == [(i.stop - i.start, w) for i in first]
         assert theirs == [(i.stop - i.start, w) for i in second]
-    # _kernel computes each band straight into its rows of out
+    # _kernel computes each band straight into its rows of the result
     products.clear()
-    _kernel(R, C, out)
+    out = _kernel(R, C)
     assert all(band.base is out for _, band in products)
 
 
@@ -396,7 +374,7 @@ def test_kernel_calls_that_return_or_raise_reuse_one_helper_and_the_callers_erro
     build_kernel(X, Y)  # the helper's thread runs from here on
     before = threading.enumerate()
     assert len([t for t in before if t.name.startswith("kernels")]) == 1
-    for run in (lambda: _row_col_max(R, C), lambda: _kernel(R, C, out), lambda: build_kernel(X, Y)):
+    for run in (lambda: _row_col_max(R, C), lambda: _kernel(R, C), lambda: build_kernel(X, Y)):
         run()
         assert threading.enumerate() == before
 
@@ -415,33 +393,40 @@ def test_kernel_calls_that_return_or_raise_reuse_one_helper_and_the_callers_erro
         assert threading.enumerate() == before
 
 
-def test_kernels_above_the_gate_allocate_no_band_on_either_thread():
-    """Each thread's band scratch comes from the caller's workspace, so a
-    warmed _row_col_max allocates only its maxima, from float64 sides or
-    the float32 ones core's screen passes, and S_uu built in the workspace
-    allocates nothing: less than one band's bytes in each case."""
-    rng = np.random.default_rng(8)
-    n, w = 2000, 4000
-    R, C = normalize_rows(rng.normal(size=(n, 16))), normalize_rows(rng.normal(size=(w, 16)))
-    R32, C32 = R.astype(np.float32), C.astype(np.float32)
-    assert len(_bands(n, w)) == len(_bands(n, n)) == 2
-    _kernel(R, R, _workspace(n, n))  # grows the workspace and starts the helper
-    expected, expected32 = _row_col_max(R, C), _row_col_max(R32, C32)
+def traced_peak(fn):
+    """fn()'s result, and the peak bytes tracemalloc saw allocated during the call."""
     tracemalloc.start()
     try:
-        row, col = _row_col_max(R, C)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        row32, col32 = _row_col_max(R32, C32)
-        _, peak32 = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        S = _kernel(R, R, _workspace(n, n))
-        _, self_peak = tracemalloc.get_traced_memory()
+        return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    for got, want in zip((row, col, row32, col32), expected + expected32):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(S, _kernel(R, R, np.empty((n, n))))
-    band, self_band = (max(b.stop - b.start for b in _bands(n, k)[0]) * k * 8 for k in (w, n))
-    assert peak < band and peak32 < band // 2 and self_peak < self_band
+
+
+def test_a_kernel_calls_traced_peak_is_a_formula_of_its_shapes():
+    """Every kernel call allocates its scratch and frees it on return, so its
+    traced peak follows from its shapes. _row_col_max, from float64 sides or
+    the float32 ones core's screen passes, holds its band scratch
+    (band_scratch) and its maxima: the row maxima, each share's column
+    maxima and its band's, and the reduced columns. S_uu alone is 8·n²
+    bytes; scored for the first gains, it adds its panel scratch, two
+    panels of float64, the gains and one of numpy's 64 KiB ufunc buffers per
+    share. Each bound leaves 64 KiB for Python objects."""
+    rng = np.random.default_rng(8)
+    n, w, kib64 = 2000, 4000, 64 * 1024
+    R, C = normalize_rows(rng.normal(size=(n, 16))), normalize_rows(rng.normal(size=(w, 16)))
+    shares = len(_bands(n, w))
+    assert shares == len(_bands(n, n)) == 2
+    for r, c in ((R, C), (R.astype(np.float32), C.astype(np.float32))):
+        expected = _row_col_max(r, c)  # the helper is running from here on
+        maxima, peak = traced_peak(lambda: _row_col_max(r, c))
+        scratch = band_scratch(n, w, r.itemsize)
+        assert scratch <= peak <= scratch + (n + (2 * shares + 1) * w) * r.itemsize + kib64
+        for got, want in zip(maxima, expected):
+            assert got.dtype == want.dtype == r.dtype
+            np.testing.assert_array_equal(got, want)
+    S, peak = traced_peak(lambda: _kernel(R, R))
+    assert 8 * n * n <= peak <= 8 * n * n + kib64
+    (scored, _), peak = traced_peak(lambda: _scored_self_kernel(R, np.zeros(n), None))
+    least = 8 * n * n + 2 * min(_PANEL, n) * n * 8 + 8 * n
+    assert least <= peak <= least + shares * kib64 + kib64
+    np.testing.assert_array_equal(scored, S)

@@ -14,8 +14,8 @@ next two check budget conservation over whole rounds and the budget law
 against an integer-only reference. The learner tests check
 logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
 row-major softmax they replaced. The tests after them check a self
-kernel's maxima (walked in bands too), the kernels built in a thread's
-reused workspace, the first gains taken from S_uu as it is built and the
+kernel's maxima (walked in bands too), the kernels built on a fresh
+thread, the first gains taken from S_uu as it is built and the
 greedy traces that start from them, the row norms each slice keeps from ingestion, the
 column-contiguous coverage gains, the scalar gain of lazy greedy's
 re-evaluations and the round's reuse of identify's row maxima bit for bit,
@@ -56,7 +56,7 @@ from streamline import (
 from streamline.cli import run
 from streamline.config import config_from_dict
 from streamline.core import _scored_self_kernel, _screen, _screen_error, smidentify_scores
-from streamline.kernels import _kernel, _row_col_max, _workspace, normalize_rows
+from streamline.kernels import _kernel, _row_col_max, normalize_rows
 from streamline.setfunctions import _ROWS, _CoverageEvaluator
 from streamline.simulator import Learner, LearnerConfig, fit_logistic, logistic_loss_and_grad
 
@@ -541,24 +541,18 @@ def test_self_row_col_max_equals_build_kernel(seed, n, dim, grid):
     n_p=st.one_of(st.integers(1, 70), st.sampled_from([513, 2048, 2051, 3073])),
     dim=st.integers(1, 6),
     grid=st.booleans(),
-    before=st.sampled_from(["fresh", "larger", "smaller"]),
 )
-def test_workspace_kernels_equal_build_kernel(seed, n_u, n_p, dim, grid, before):
-    """The row and column maxima built in a thread's workspace have
-    build_kernel's bits, and the self kernel built there the main thread's,
-    whatever the workspace held."""
+def test_workspace_kernels_equal_build_kernel(seed, n_u, n_p, dim, grid):
+    """The row and column maxima a fresh worker thread builds have
+    build_kernel's bits, and the self kernel it builds the main thread's."""
     rng = np.random.default_rng(seed)
     U, P = _rows(rng, n_u, dim, grid), _rows(rng, n_p, dim, grid)
     K_up, R = build_kernel(U, P), normalize_rows(U)
-    K_uu = _kernel(R, R, _workspace(n_u, n_u)).copy()
+    K_uu = _kernel(R, R)
 
     def on_a_new_thread():
-        if before == "larger":  # stale contents where both kernels go
-            _workspace(n_u + 1, max(n_u, n_p) + 1)[...] = np.nan
-        elif before == "smaller":
-            _workspace(1, 1)[...] = np.nan
         row, col = _row_col_max(normalize_rows(U), normalize_rows(P))
-        return row, col, _kernel(R, R, _workspace(n_u, n_u)).copy()
+        return row, col, _kernel(R, R)
 
     with ThreadPoolExecutor(max_workers=1) as executor:
         row, col, S = executor.submit(on_a_new_thread).result(timeout=60)
@@ -588,8 +582,7 @@ def test_the_band_visits_first_gains_equal_the_evaluators(seed, n, dim, weighted
     its bands have those of FLCG's evaluator on it, before any add."""
     R, best, weights = _scored_inputs(seed, n, dim, weighted, grid)
     S, first = _scored_self_kernel(R, best, weights)
-    S = S.copy()
-    np.testing.assert_array_equal(S, _kernel(R, R, np.empty((n, n))))
+    np.testing.assert_array_equal(S, _kernel(R, R))
     gains = FLCG(S.T, best[:, None], weights).evaluator().gains(np.arange(n))
     np.testing.assert_array_equal(first.view(np.int64), gains.view(np.int64))
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import streamline.baselines as baselines
 import streamline.core as core
 import streamline.simulator as simulator
-from streamline.core import SlicedLabeledPool, LabeledSlice
+from streamline.core import BudgetState, LabeledSlice, SlicedLabeledPool
 from streamline.maximize import MaximizerConfig
 from streamline.simulator import (
     METHODS,
@@ -261,6 +261,22 @@ def test_learner_config_rejects_a_step_size_that_is_not_positive_and_finite(step
 def test_run_settings_reject_a_value_out_of_range_naming_it(cls, override, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(**override)
+
+
+def test_a_budget_gamma_cannot_hold_exactly_is_refused_before_any_round():
+    """gamma, a float, banks what a round does not spend, and holds every
+    integer up to 2**53 exactly; a round banking a budget of 10**400 raised
+    OverflowError. A selector's own budget is capped at the buffer and keeps
+    no such bound."""
+    spec = StreamSpec(n_slices=2, n_classes=2, dim=4, common_pool_size=10, episode_size=10, eval_per_slice=10,
+                      schedule=(0, 1))
+    for budget in (2**53 + 1, 10**400):
+        with pytest.raises(ValueError, match=r"^budget: must be at most 2\*\*53"):
+            run_experiment(spec, "streamline", RunConfig(budget=budget))
+        with pytest.raises(ValueError, match=r"^B: must be at most 2\*\*53"):
+            BudgetState(B=budget, rho=0.5)
+        assert MaximizerConfig(budget=budget).budget == budget
+    assert len(run_experiment(spec, "streamline", RunConfig(budget=2**53)).records) == 2
 
 
 # Off-by-one values for every bound (0, 1, 2, n_slices 3, imbalance 5),
