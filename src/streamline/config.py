@@ -179,9 +179,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         ok = schedule == "sequential" or k >= 1
         _require(ok, "schedule", '"sequential", "every_<k>" with k >= 1, or a list of slice ids', schedule)
         n = spec.n_slices
-        # every_<k> with k > 1 fills the other rounds with slices besides the rare one
-        _require(k <= 1 or n >= 2, "slices", f">= 2 under schedule {schedule}", n)
-        schedule = every_k_schedule(rounds, n, spec.rare_slice, k) if k else sequential_schedule(rounds, n)
+        schedule = _built(every_k_schedule, rounds, n, spec.rare_slice, k) if k else sequential_schedule(rounds, n)
     elif isinstance(schedule, list):
         if "rounds" in data:
             length = len(schedule)

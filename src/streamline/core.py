@@ -16,10 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _PANEL, _kernel, _row_col_max, first_bad_row, row_norms
+from .kernels import _kernel, _row_col_max, first_bad_row, row_norms
 from .kernels import build_kernel  # noqa: F401  perfbench/spans.py traces core.build_kernel
 from .maximize import MaximizerConfig, SelectionTrace, _check_budget, _check_real, _is_integer, maximize
-from .setfunctions import FLCG, FLQMI, _checked, _coverage_gains, flqmi_normalizer
+from .setfunctions import FLCG, FLQMI, _checked, flqmi_normalizer
 
 
 class EmptySliceError(ValueError):
@@ -481,25 +481,6 @@ def _capped_budget(b, buffer: UnlabeledBuffer) -> int:
     return min(_check_budget(b), len(buffer))
 
 
-def _scored_self_kernel(R: np.ndarray, best: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
-    """S_uu, the clipped cosine kernel of unit rows R, as a fresh array, and
-    each row x's gain sum_i w_i max(S_uu[x, i] - best_i, 0).
-
-    S_uu is built band by band (kernels._kernel). Each panel of a band is,
-    while still in cache, scored by _coverage_gains, the evaluator's own
-    gains, in the panel scratch of the thread that built it, so S_uu is
-    read once. Above the gate the helper thread builds and scores the
-    second half of the rows.
-    """
-    m = len(R)
-    scratch, gains = np.empty((2, min(_PANEL, m), m)), np.empty(m)
-
-    def visit(k: int, rows: slice, panel: np.ndarray) -> None:
-        _coverage_gains(panel, best, weights, scratch[k, : len(panel)], gains[rows])
-
-    return _kernel(R, R, visit), gains
-
-
 def _distinct_row_greedy(
     buffer: UnlabeledBuffer, b: int, maximizer_cfg: MaximizerConfig, private_best: np.ndarray
 ) -> SelectionTrace:
@@ -514,17 +495,15 @@ def _distinct_row_greedy(
     ascending order: the all-rows greedy takes the same items, since gains
     never rise again, ties break to the smallest index and the 2**-30 grid
     hides the weighted sums' last bits. Stochastic greedy, whose seeded
-    draws are over buffer indices, runs over every row with no fill. S_uu
-    and each candidate's first gain come from _scored_self_kernel; FLCG
-    gets its transpose view, whose rows the evaluator reads contiguously.
+    draws are over buffer indices, runs over every row with no fill. FLCG
+    gets S_uu's transpose view, whose rows the evaluator reads contiguously.
     """
     n = len(buffer)
     R, first, copy_of = buffer._distinct_unit_rows()
     if stochastic := maximizer_cfg.algorithm == "stochastic":
         R, first = buffer.unit_rows(), np.arange(n)
     best, weights = private_best[first], None if len(R) == n else np.bincount(copy_of).astype(np.float64)
-    S, gains = _scored_self_kernel(R, best, weights)
-    f = FLCG._built(S.T, best, weights, gains)
+    f = FLCG._built(_kernel(R, R).T, best, weights)
     greedy = maximize(f, replace(maximizer_cfg, budget=min(b, len(R))))
     k = len(greedy.gains) if stochastic or 0.0 not in greedy.gains else greedy.gains.index(0.0)
     picked = first[greedy.chosen[:k]].tolist()

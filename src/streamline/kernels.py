@@ -61,12 +61,13 @@ def first_bad_row(X: np.ndarray, norms: np.ndarray) -> tuple[int, str] | None:
     return i, "out of float64's range when squared" if X[i].any() else "all zero"
 
 
-# A kernel of at least _SPLIT_CELLS cells and more than one row is walked
-# on two threads: its rows are cut once, at n // 2, and the helper thread
-# takes the second half. Each half is walked in bands of whole rows, each of
-# at most _SPLIT_CELLS cells (8 MB of float64) or of one row, so a kernel
-# below the gate is one product. Where a band ends may move a cell's last
-# bits, but no output: greedy gains are compared on a 2**-30 grid.
+# A kernel, or any (n, m) array _walk visits, of at least _SPLIT_CELLS
+# cells and more than one row is walked on two threads: its rows are cut
+# once, at n // 2, and the helper thread takes the second half. Each half is
+# walked in bands of whole rows, each of at most _SPLIT_CELLS cells (8 MB of
+# float64) or of one row, so a kernel below the gate is one product. Where
+# a band ends may move a cell's last bits, but no output: greedy gains are
+# compared on a 2**-30 grid.
 _SPLIT_CELLS = 2**20
 
 
@@ -81,10 +82,11 @@ def _bands(n: int, m: int) -> tuple[tuple[slice, ...], ...]:
     Below the gate, or for one row, there is one tuple, for the calling
     thread; at or above it, the calling thread's rows [0, n // 2), then the
     helper thread's [n // 2, n). Each is cut top to bottom into bands of
-    max(1, _SPLIT_CELLS // m) whole rows, and depends on n and m alone.
+    max(1, _SPLIT_CELLS // m) whole rows (2**20 for m = 0), and depends
+    on n and m alone.
     """
     halves = ((0, n),) if n * m < _SPLIT_CELLS or n == 1 else ((0, n // 2), (n // 2, n))
-    return tuple(tuple(_spans(lo, hi, max(1, _SPLIT_CELLS // m))) for lo, hi in halves)
+    return tuple(tuple(_spans(lo, hi, max(1, _SPLIT_CELLS // max(m, 1)))) for lo, hi in halves)
 
 
 def _plan(R: np.ndarray, C: np.ndarray) -> tuple[tuple[slice, ...], ...]:
@@ -110,20 +112,18 @@ _new_helper()
 os.register_at_fork(after_in_child=_new_helper)
 
 
-def _walk(R, C, shares, band, fold) -> None:
-    """Compute R @ C.T band by band and call fold(k, i, product) on each band.
+def _walk(shares, work) -> None:
+    """Call work(k, i) on each band i of each share k, the package's one two-thread runner.
 
-    shares is _plan's tuple of row bands per thread. Share k computes band
-    i, rows i across every column, into band(k, i), a C-contiguous view of
-    its shape in the sides' dtype. Share 1, if any, runs on the helper
-    thread, handed off once per call; it allocates nothing. An exception in
-    either share is raised here, once both are done with their views; the
-    caller's wins when both raise.
+    shares is _bands' tuple of row bands per thread. Share 1, if any, runs
+    on the helper thread, handed off once per call. An exception in either
+    share is raised here, once both are done; the caller's wins when both
+    raise. No work may call _walk: the helper would wait on itself.
     """
 
     def walk(k: int) -> None:
         for i in shares[k]:
-            fold(k, i, np.matmul(R[i], C.T, out=band(k, i)))
+            work(k, i)
 
     if len(shares) == 1:
         return walk(0)
@@ -135,32 +135,18 @@ def _walk(R, C, shares, band, fold) -> None:
     second.result()
 
 
-# Rows of a band clipped and visited at once: 64 rows of a 2000-column S_uu
-# are 1 MB, so a panel and its gains scratch stay in a core's 2 MB L2 from
-# its clip through the first gains (65 rows took 9% longer there).
-_PANEL = 64
-
-
-def _kernel(R: np.ndarray, C: np.ndarray, visit=None) -> np.ndarray:
+def _kernel(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     """The clipped cosine kernel of two sides normalize_rows prepared, as a fresh array.
 
     Each band (_bands) is computed straight into its rows of the result, a
-    contiguous block, then clipped _PANEL whole rows at a time. Given a
-    visit, visit(k, rows, panel) is called on each clipped panel, the
-    result's rows `rows`, on the thread k that built it, while it is still
-    in cache. An exception from visit is raised as _walk raises one.
+    contiguous block, and clipped there in one call.
     """
-    shares = _plan(R, C)
     out = np.empty((len(R), len(C)))
 
-    def clip(k, i, product):
-        for rows in _spans(i.start, i.stop, _PANEL):
-            panel = out[rows]
-            np.clip(panel, 0.0, 1.0, out=panel)
-            if visit is not None:
-                visit(k, rows, panel)
+    def work(k, i):
+        np.clip(np.matmul(R[i], C.T, out=out[i]), 0.0, 1.0, out=out[i])
 
-    _walk(R, C, shares, lambda k, i: out[i], clip)
+    _walk(_plan(R, C), work)
     return out
 
 
@@ -197,12 +183,10 @@ def _row_col_max(R: np.ndarray, C: np.ndarray):
     scratch = np.empty((len(shares), height * m), R.dtype)
     row_max, col_max = np.empty(len(R), R.dtype), np.zeros((len(shares), m), R.dtype)
 
-    def band(k, i):
-        return scratch[k, : (i.stop - i.start) * m].reshape(-1, m)
-
-    def fold(k, i, product):
+    def work(k, i):
+        product = np.matmul(R[i], C.T, out=scratch[k, : (i.stop - i.start) * m].reshape(-1, m))
         product.max(axis=1, out=row_max[i])
         np.maximum(col_max[k], product.max(axis=0), out=col_max[k])
 
-    _walk(R, C, shares, band, fold)
+    _walk(shares, work)
     return np.clip(row_max, 0.0, 1.0, out=row_max), np.clip(np.maximum.reduce(col_max), 0.0, 1.0)

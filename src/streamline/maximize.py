@@ -36,7 +36,7 @@ class MaximizerConfig:
         if not isinstance(self.algorithm, str) or self.algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm: must be one of {', '.join(_ALGORITHMS)}, got {self.algorithm!r}")
         if self.algorithm == "stochastic":
-            if self.epsilon is None or not (0.0 < self.epsilon < 1.0):
+            if not isinstance(self.epsilon, numbers.Real) or not 0.0 < self.epsilon < 1.0:
                 raise ValueError(f"epsilon: must be in (0, 1), got {self.epsilon!r}")
         elif self.epsilon is not None:
             raise ValueError(f"epsilon: must be absent unless stochastic, got {self.epsilon!r}")

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import _bands, _spans, _walk
+
 
 class GroundIndexError(IndexError):
     """Raised when a subset refers to an item outside the ground set."""
@@ -68,11 +70,11 @@ _ROWS = 64
 def _coverage_gains(rows: np.ndarray, best: np.ndarray, weights, scratch: np.ndarray, out: np.ndarray) -> None:
     """out[k] = sum_i w_i max(rows[k, i] - best_i, 0) for each row k of rows, worked in scratch.
 
-    scratch has the shape of rows and may be rows itself. Each row is summed
-    whole, in numpy's pairwise order, so a row's gain does not depend on
-    the rows around it.
+    scratch is at least as tall as rows, and may be rows itself. Each row
+    is summed whole, in numpy's pairwise order, so a row's gain does not
+    depend on the rows around it.
     """
-    d = np.subtract(rows, best, out=scratch)
+    d = np.subtract(rows, best, out=scratch[: len(rows)])
     np.maximum(d, 0.0, out=d)
     if weights is not None:
         np.multiply(d, weights, out=d)
@@ -100,20 +102,25 @@ class _CoverageEvaluator:
     the cost of a one-candidate gains call, and works in a reused row of
     its own.
 
-    first, if given, holds every candidate's gain before any add, as
-    _coverage_gains took them from T's rows while they were built (the band
-    visit of core._scored_self_kernel); every gains call before the first
-    add is answered from it, with the same bits: lazy greedy's heap, naive
-    greedy's first sweep and stochastic greedy's first sample.
+    Every candidate's gain before any add, first, is taken when the
+    evaluator is made, by kernels._walk over T's rows in _ROWS-row blocks,
+    one scratch per share; gains answers from it, with the same bits, until
+    the first add: lazy greedy's heap and the sweeps' first candidates.
     """
 
-    def __init__(self, S: np.ndarray, baseline: np.ndarray, weights: np.ndarray | None = None, first=None):
+    def __init__(self, S: np.ndarray, baseline: np.ndarray, weights: np.ndarray | None = None):
         self.T = np.ascontiguousarray(S.T)
         self.best = baseline.copy()
         self.weights = weights
-        self.first = first
-        self._scratch = np.empty((min(_ROWS, self.T.shape[0]), self.T.shape[1]))
-        self._row = np.empty(self.T.shape[1])  # gain's scratch
+        (n, m), shares = self.T.shape, _bands(*self.T.shape)
+        self._scratch = np.empty((len(shares), min(_ROWS, n), m))  # gains' is share 0's
+        self._row, self.first = np.empty(m), np.empty(n)  # gain's scratch
+
+        def work(k: int, i: slice) -> None:
+            for rows in _spans(i.start, i.stop, _ROWS):
+                _coverage_gains(self.T[rows], self.best, self.weights, self._scratch[k], self.first[rows])
+
+        _walk(shares, work)
 
     def gains(self, candidates: np.ndarray) -> np.ndarray:
         if len(candidates):
@@ -123,7 +130,7 @@ class _CoverageEvaluator:
         out = np.empty(len(candidates))
         for k in range(0, len(candidates), _ROWS):
             c = candidates[k : k + _ROWS]
-            block = np.take(self.T, c, axis=0, out=self._scratch[: len(c)], mode="clip")
+            block = np.take(self.T, c, axis=0, out=self._scratch[0, : len(c)], mode="clip")
             _coverage_gains(block, self.best, self.weights, block, out[k : k + len(c)])
         return out
 
@@ -176,8 +183,6 @@ class FacilityLocation(_SetFunction):
     weights, so the two share one value and one evaluator.
     """
 
-    first_gains = None  # see FLCG._built
-
     def __init__(self, kernel):
         self.S = _kernel_values(kernel)
         self.ground_size = self.S.shape[1]
@@ -192,7 +197,7 @@ class FacilityLocation(_SetFunction):
         return float((terms if self.weights is None else terms * self.weights).sum())
 
     def evaluator(self) -> _CoverageEvaluator:
-        return _CoverageEvaluator(self.S, self.private_best, self.weights, self.first_gains)
+        return _CoverageEvaluator(self.S, self.private_best, self.weights)
 
 
 class FLQMI(_SetFunction):
@@ -244,19 +249,15 @@ class FLCG(FacilityLocation):
             self.weights = _checked(w, "weight row {}")
 
     @classmethod
-    def _built(cls, kernel_uu: np.ndarray, private_best: np.ndarray, weights, first_gains: np.ndarray) -> FLCG:
-        """FLCG(kernel_uu, private_best[:, None], weights) without its checks.
-
-        For a caller that checked the private best and the weights already,
-        and took each column's gain over private_best with _coverage_gains:
-        its evaluators answer from first_gains until their first add.
+    def _built(cls, kernel_uu: np.ndarray, private_best: np.ndarray, weights) -> FLCG:
+        """FLCG(kernel_uu, private_best[:, None], weights) without its checks,
+        for a caller that checked the private best and the weights already.
         kernel_uu is taken unchecked, as core builds it: the clipped cosines
         of unit rows whose embeddings were checked finite and nonzero when
         they were set, so every entry lies in [0, 1] by construction.
         """
         f = cls.__new__(cls)
         f.S, f.ground_size, f.private_best, f.weights = kernel_uu, kernel_uu.shape[1], private_best, weights
-        f.first_gains = first_gains
         return f
 
 

@@ -9,6 +9,7 @@ rare-slice data. Streams are pure functions of their spec (seed included).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,21 +49,32 @@ METHODS = (
 _READS_MODEL = ("streamline_repl_scg", "entropy", "margin", "least_conf", "badge")
 
 
+def _check_count(value, name: str, least: int, of: str = "") -> None:
+    """ValueError naming the field unless value is an integer (not a bool) >= least (of names it)."""
+    if not _is_integer(value):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name}: must be >= {of}{least}, got {value}")
+
+
 def every_k_schedule(n_rounds: int, n_slices: int, rare_slice: int, k: int = 3):
-    """Rare slice every k-th round; common slices cycle through the rest."""
-    commons = [s for s in range(n_slices) if s != rare_slice]
-    schedule, c = [], 0
-    for r in range(1, n_rounds + 1):
-        if r % k == 0:
-            schedule.append(rare_slice)
-        else:
-            schedule.append(commons[c % len(commons)])
-            c += 1
-    return tuple(schedule)
+    """Rare slice every k-th round; common slices cycle through the rest.
+    ValueError names an argument out of range, as StreamSpec's checks do."""
+    _check_count(n_rounds, "n_rounds", 0)
+    _check_count(k, "k", 1)
+    _check_count(n_slices, "n_slices", 1)
+    if k > 1 and n_slices < 2:
+        raise ValueError(f"n_slices: must be >= 2 when k > 1, got {n_slices}")
+    if not _is_integer(rare_slice) or not 0 <= rare_slice < n_slices:
+        raise ValueError(f"rare_slice: must be an integer in [0, {n_slices}), got {rare_slice!r}")
+    commons = itertools.cycle([s for s in range(n_slices) if s != rare_slice])
+    return tuple(rare_slice if r % k == 0 else next(commons) for r in range(1, n_rounds + 1))
 
 
 def sequential_schedule(n_rounds: int, n_slices: int):
     """Slices arrive in index order, wrapping around."""
+    _check_count(n_rounds, "n_rounds", 0)
+    _check_count(n_slices, "n_slices", 1)
     return tuple(r % n_slices for r in range(n_rounds))
 
 
@@ -74,6 +86,15 @@ class StreamSpec:
     of noise_std; class_sep/class_twist control how far apart classes sit and
     how much their directions differ between slices. rare_slice, None for
     the last slice, is the one the initial pool holds imbalance times fewer of.
+
+    noise_std s lies in [2**-400, 2**400] and each of slice_sep, class_sep
+    and class_twist times s is at most 2**400, so every row's squared norm
+    is a normal float64. A row is
+    its centroid, of norm at most (slice_sep + class_sep + class_twist) * s
+    <= 3 * 2**400, plus s times dim Gaussian draws, each under 2**6: under
+    2**417 at dim <= 10**6. It squares below 2**-1022 only if every
+    coordinate is under 2**-511, which noise of std s is with probability
+    under 2**-511 / s <= 2**-111 each.
     """
 
     n_slices: int = 4
@@ -100,12 +121,14 @@ class StreamSpec:
                                 ("redundancy", 1, ""), ("episode_size", 1, ""), ("eval_per_slice", 1, ""),
                                 ("seed", 0, ""), ("dim", self.n_slices, "n_slices "),
                                 ("common_pool_size", self.imbalance, "imbalance ")):
-            if not _is_integer(value := getattr(self, name)):
-                raise ValueError(f"{name}: must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name}: must be >= {of}{least}, got {value}")
+            _check_count(getattr(self, name), name, least, of)
         for name in ("class_sep", "class_twist", "slice_sep", "noise_std"):
             _check_real(getattr(self, name), name, 0, above=True)
+        if not 2.0**-400 <= self.noise_std <= 2.0**400:
+            raise ValueError(f"noise_std: must be in [2**-400, 2**400], got {self.noise_std!r}")
+        for name in ("class_sep", "class_twist", "slice_sep"):
+            if getattr(self, name) * self.noise_std > 2.0**400:
+                raise ValueError(f"{name}: times noise_std must be at most 2**400, got {getattr(self, name)!r}")
         if self.episode_size % self.redundancy != 0:
             raise ValueError(f"episode_size: must be divisible by redundancy, got {self.episode_size}")
         rare = self.n_slices - 1 if self.rare_slice is None else self.rare_slice
@@ -191,6 +214,8 @@ class LearnerConfig:
 
     def __post_init__(self):
         _check_real(self.step_size, "step_size", 0, above=True)  # an infinite step would halve forever
+        if self.step_size > 2.0**64:  # a larger one only adds halvings, and 1e300 overflows W·W
+            raise ValueError(f"step_size: must be at most 2**64, got {self.step_size!r}")
         if not _is_integer(self.epochs) or self.epochs < 1:
             raise ValueError(f"epochs: must be an integer >= 1, got {self.epochs!r}")
         _check_real(self.l2, "l2", 0)

@@ -430,10 +430,8 @@ def test_select_builds_s_uu_over_distinct_rows_once(monkeypatch):
     import streamline.core as core
 
     shapes, finds = [], []
-    scored, copies = core._scored_self_kernel, core._copies
-    monkeypatch.setattr(
-        core, "_scored_self_kernel", lambda R, best, w: shapes.append(len(R) ** 2) or scored(R, best, w)
-    )
+    kernel, copies = core._kernel, core._copies
+    monkeypatch.setattr(core, "_kernel", lambda R, C: shapes.append(len(R) * len(C)) or kernel(R, C))
     monkeypatch.setattr(core, "_copies", lambda X, norms: finds.append(len(X)) or copies(X, norms))
     pool, buffers, _ = _churn_stream()
     rounds = [(buffers[0], 100), (buffers[1], 100), (_without_copies(buffers[0], 10**6), 400)]
@@ -611,11 +609,13 @@ def test_a_rounds_traced_peaks_are_formulas_of_its_shapes(monkeypatch):
     one slice's float32 rows and its walk's band scratch, band_scratch) and
     its float64 pass (over the certified slices, the largest of one slice's
     rows and its band scratch). Select holds the unit rows, S_uu (8u²) and
-    its panel scratch, two panels of float64. Above that, identify's bound
-    leaves room for its maxima vectors, 8 * (2n + 5 max|P_t|) bytes for a
-    buffer of n rows; select's for its gains and one of numpy's 64 KiB
-    ufunc buffers per thread that scores panels; each 64 KiB more for
-    Python objects."""
+    the evaluator's scratch, one _ROWS-row block of float64 per share of
+    S_uu's walk. Above that, identify's bound leaves room for its maxima
+    vectors, 8 * (2n + 5 max|P_t|) bytes for a buffer of n rows; select's
+    for the evaluator's vectors and lazy greedy's heap of Python tuples
+    (about 150 bytes a candidate), 24 * 8u bytes together, and one of
+    numpy's 64 KiB ufunc buffers per share; each 64 KiB more for Python
+    objects."""
     import json
     import tracemalloc
     from pathlib import Path
@@ -623,7 +623,8 @@ def test_a_rounds_traced_peaks_are_formulas_of_its_shapes(monkeypatch):
     import streamline.core as core
     from conftest import band_scratch
     from streamline.config import config_from_dict
-    from streamline.kernels import _PANEL
+    from streamline.kernels import _bands
+    from streamline.setfunctions import _ROWS
     from streamline.simulator import generate_stream
 
     split = json.loads((Path(__file__).parent / "configs" / "split.json").read_text())
@@ -664,8 +665,9 @@ def test_a_rounds_traced_peaks_are_formulas_of_its_shapes(monkeypatch):
             least = 8 * u * d + max(screen, exact)
             assert least <= peak <= least + 8 * (2 * n + 5 * max(sizes)) + kib64, (name, sizes, peak, least)
         else:
-            least = 8 * u * d + 8 * u * u + 2 * min(_PANEL, u) * u * 8
-            assert least <= peak <= least + 8 * u + 3 * kib64, (name, sizes, peak, least)
+            shares = len(_bands(u, u))
+            least = 8 * u * d + 8 * u * u + shares * min(_ROWS, u) * u * 8
+            assert least <= peak <= least + 24 * 8 * u + (shares + 1) * kib64, (name, sizes, peak, least)
 
 
 # ------------------------------------------------------- ingestion and selection

@@ -8,9 +8,7 @@ import pytest
 
 import streamline.kernels as kernels
 from conftest import band_scratch
-from streamline.core import _scored_self_kernel
 from streamline.kernels import (
-    _PANEL,
     _SPLIT_CELLS,
     KernelError,
     _bands,
@@ -21,7 +19,7 @@ from streamline.kernels import (
     build_kernel,
     normalize_rows,
 )
-from streamline.setfunctions import FLCG, FLQMI, FacilityLocation
+from streamline.setfunctions import _ROWS, FLCG, FLQMI, FacilityLocation
 
 
 def _cosine(a, b) -> float:
@@ -323,21 +321,27 @@ def test_a_kernel_above_the_gate_is_handed_to_the_helper_once(n, w, products, ha
     assert all(band.base is out for _, band in products)
 
 
+@pytest.mark.parametrize("n, m, shares", [(1023, 1024, 1), (1024, 1024, 2), (1, 2**20, 1), (2**11, 2**10, 2)])
+def test_an_evaluator_walks_its_first_gains_on_two_threads_above_the_gate(n, m, shares, handoffs):
+    """T, n candidates by m kernel rows, is walked as a kernel of its shape is."""
+    FacilityLocation(np.random.default_rng(7).random((m, n))).evaluator()
+    assert handoffs == [(1,)] * (shares - 1)
+
+
 def test_an_error_in_the_helpers_share_is_raised_in_the_caller():
     caller = threading.get_ident()
     rng = np.random.default_rng(3)
     X, Y = rng.normal(size=(1030, 4)), rng.normal(size=(1100, 4))
     U, P = normalize_rows(X), normalize_rows(Y)
-    shares = _plan(U, P)
-    out, folded = np.empty((len(U), len(P))), []
+    shares, folded = _plan(U, P), []
 
-    def fold(k, i, band):
+    def work(k, i):
         if threading.get_ident() != caller:
             raise ArithmeticError("in the helper's share")
         folded.append(i)
 
     with pytest.raises(ArithmeticError, match="in the helper's share"):
-        _walk(U, P, shares, lambda k, i: out[i], fold)
+        _walk(shares, work)
     assert folded == list(shares[0])  # the caller's share ran to its end
     # the helper is still there, and the next call gets the whole kernel's maxima
     K = build_kernel(X, Y)
@@ -350,18 +354,17 @@ def test_an_error_in_the_callers_share_is_raised_once_the_helper_is_done():
     caller = threading.get_ident()
     rng = np.random.default_rng(4)
     U, P = normalize_rows(rng.normal(size=(1030, 4))), normalize_rows(rng.normal(size=(1100, 4)))
-    shares = _plan(U, P)
-    out, folded = np.empty((len(U), len(P))), []
+    shares, folded = _plan(U, P), []
 
-    def fold(k, i, band):
+    def work(k, i):
         if threading.get_ident() == caller:
             raise ArithmeticError("in the caller's share")
         time.sleep(0.01)
         folded.append(i)
 
     with pytest.raises(ArithmeticError, match="in the caller's share"):
-        _walk(U, P, shares, lambda k, i: out[i], fold)
-    assert folded == list(shares[1])  # the helper was done with its views before the raise
+        _walk(shares, work)
+    assert folded == list(shares[1])  # the helper was done before the raise
 
 
 def test_kernel_calls_that_return_or_raise_reuse_one_helper_and_the_callers_error_wins():
@@ -370,7 +373,6 @@ def test_kernel_calls_that_return_or_raise_reuse_one_helper_and_the_callers_erro
     R, C = normalize_rows(X), normalize_rows(Y)
     shares = _plan(R, C)
     assert len(shares) == 2
-    out = np.empty((len(R), len(C)))
     build_kernel(X, Y)  # the helper's thread runs from here on
     before = threading.enumerate()
     assert len([t for t in before if t.name.startswith("kernels")]) == 1
@@ -379,17 +381,17 @@ def test_kernel_calls_that_return_or_raise_reuse_one_helper_and_the_callers_erro
         assert threading.enumerate() == before
 
     def raising_in(*ks):
-        def fold(k, i, band):
+        def work(k, i):
             if k in ks:
                 if k == 0:
                     time.sleep(0.05)  # so that the helper's error comes first
                 raise ArithmeticError(f"in share {k}")
 
-        return fold
+        return work
 
     for ks, raised in (((1,), "in share 1"), ((0,), "in share 0"), ((0, 1), "in share 0")):
         with pytest.raises(ArithmeticError, match=raised):
-            _walk(R, C, shares, lambda k, i: out[i], raising_in(*ks))
+            _walk(shares, raising_in(*ks))
         assert threading.enumerate() == before
 
 
@@ -408,9 +410,10 @@ def test_a_kernel_calls_traced_peak_is_a_formula_of_its_shapes():
     the float32 ones core's screen passes, holds its band scratch
     (band_scratch) and its maxima: the row maxima, each share's column
     maxima and its band's, and the reduced columns. S_uu alone is 8·n²
-    bytes; scored for the first gains, it adds its panel scratch, two
-    panels of float64, the gains and one of numpy's 64 KiB ufunc buffers per
-    share. Each bound leaves 64 KiB for Python objects."""
+    bytes. The greedy's evaluator on it holds its scratch, one _ROWS-row
+    block of float64 per share, its first gains, its copy of the private
+    best and gain's row, and one of numpy's 64 KiB ufunc buffers per share.
+    Each bound leaves 64 KiB for Python objects."""
     rng = np.random.default_rng(8)
     n, w, kib64 = 2000, 4000, 64 * 1024
     R, C = normalize_rows(rng.normal(size=(n, 16))), normalize_rows(rng.normal(size=(w, 16)))
@@ -426,7 +429,8 @@ def test_a_kernel_calls_traced_peak_is_a_formula_of_its_shapes():
             np.testing.assert_array_equal(got, want)
     S, peak = traced_peak(lambda: _kernel(R, R))
     assert 8 * n * n <= peak <= 8 * n * n + kib64
-    (scored, _), peak = traced_peak(lambda: _scored_self_kernel(R, np.zeros(n), None))
-    least = 8 * n * n + 2 * min(_PANEL, n) * n * 8 + 8 * n
+    ev, peak = traced_peak(FLCG._built(S.T, np.zeros(n), None).evaluator)
+    least = shares * min(_ROWS, n) * n * 8 + 3 * 8 * n
     assert least <= peak <= least + shares * kib64 + kib64
-    np.testing.assert_array_equal(scored, S)
+    assert ev.T.base is S  # the evaluator reads S_uu in place
+    np.testing.assert_array_equal(ev.first, S.sum(axis=1))

@@ -15,8 +15,8 @@ against an integer-only reference. The learner tests check
 logistic_loss_and_grad, fit_logistic and whole runs bit for bit against the
 row-major softmax they replaced. The tests after them check a self
 kernel's maxima (walked in bands too), the kernels built on a fresh
-thread, the first gains taken from S_uu as it is built and the
-greedy traces that start from them, the row norms each slice keeps from ingestion, the
+thread, the row norms each slice keeps from ingestion, the first gains
+an evaluator takes when it is made and the
 column-contiguous coverage gains, the scalar gain of lazy greedy's
 re-evaluations and the round's reuse of identify's row maxima bit for bit,
 lazy greedy against naive greedy, and facility location against FLCG with
@@ -55,7 +55,7 @@ from streamline import (
 )
 from streamline.cli import run
 from streamline.config import config_from_dict
-from streamline.core import _scored_self_kernel, _screen, _screen_error, smidentify_scores
+from streamline.core import _screen, _screen_error, smidentify_scores
 from streamline.kernels import _kernel, _row_col_max, normalize_rows
 from streamline.setfunctions import _ROWS, _CoverageEvaluator
 from streamline.simulator import Learner, LearnerConfig, fit_logistic, logistic_loss_and_grad
@@ -542,7 +542,7 @@ def test_self_row_col_max_equals_build_kernel(seed, n, dim, grid):
     dim=st.integers(1, 6),
     grid=st.booleans(),
 )
-def test_workspace_kernels_equal_build_kernel(seed, n_u, n_p, dim, grid):
+def test_kernels_built_on_a_fresh_thread_equal_build_kernel(seed, n_u, n_p, dim, grid):
     """The row and column maxima a fresh worker thread builds have
     build_kernel's bits, and the self kernel it builds the main thread's."""
     rng = np.random.default_rng(seed)
@@ -562,8 +562,8 @@ def test_workspace_kernels_equal_build_kernel(seed, n_u, n_p, dim, grid):
     np.testing.assert_allclose(S, build_kernel(U, U), rtol=0.0, atol=1e-15)
 
 
-# S_uu shapes about the panel height (64 rows), about the gate (1024 x 1024), above which two threads
-# split its rows, odd n, and 1501 rows, whose halves are a band of 698 rows and one of 52
+# S_uu shapes about the evaluator's block height (_ROWS, 64 rows), about the gate (1024 x 1024), above
+# which two threads split its rows, odd n, and 1501 rows, whose halves are a band of 698 rows and one of 52
 _SELF_SIZES = st.sampled_from([63, 64, 65, 1023, 1024, 1025, 1031, 1100, 1501])
 
 
@@ -573,39 +573,6 @@ def _scored_inputs(seed, n, dim, weighted, grid):
     R = normalize_rows(_rows(rng, n, dim, grid))
     best = (rng.integers(0, 4, size=n) / 3.0 if grid else rng.random(n)) * rng.integers(0, 2, size=n)
     return R, best, rng.integers(1, 5, size=n).astype(float) if weighted else None
-
-
-@SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), n=_SELF_SIZES, dim=st.integers(1, 6), weighted=st.booleans(), grid=st.booleans())
-def test_the_band_visits_first_gains_equal_the_evaluators(seed, n, dim, weighted, grid):
-    """S_uu built band by band has _kernel's bits, and the gains taken from
-    its bands have those of FLCG's evaluator on it, before any add."""
-    R, best, weights = _scored_inputs(seed, n, dim, weighted, grid)
-    S, first = _scored_self_kernel(R, best, weights)
-    np.testing.assert_array_equal(S, _kernel(R, R))
-    gains = FLCG(S.T, best[:, None], weights).evaluator().gains(np.arange(n))
-    np.testing.assert_array_equal(first.view(np.int64), gains.view(np.int64))
-
-
-@SETTINGS
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.one_of(st.integers(1, 9), _SELF_SIZES),
-    dim=st.integers(1, 6),
-    weighted=st.booleans(),
-    grid=st.booleans(),
-    b=st.integers(0, 12),
-    algorithm=st.sampled_from(["lazy", "naive", "stochastic"]),
-)
-def test_greedy_from_the_band_visits_gains_equals_the_unfused_greedy(seed, n, dim, weighted, grid, b, algorithm):
-    """Lazy, naive and stochastic greedy take their first gains from the band
-    visit and every later one from the evaluator: the same trace as on the
-    same kernel with every gain from the evaluator."""
-    R, best, weights = _scored_inputs(seed, n, dim, weighted, grid)
-    S, first = _scored_self_kernel(R, best, weights)
-    cfg = MaximizerConfig(budget=b, algorithm=algorithm, epsilon=0.2 if algorithm == "stochastic" else None, seed=seed)
-    unfused = maximize(FLCG(S.T, best[:, None], weights), cfg)
-    assert maximize(FLCG._built(S.T, best, weights, first), cfg) == unfused
 
 
 @SETTINGS
@@ -659,9 +626,45 @@ def test_unit_rows_equal_normalize_rows_through_appends(seed, sizes, dim, grid, 
     np.testing.assert_array_equal(ours.row_max, theirs.row_max)
 
 
-def _reference_gains(S, best, c):
-    """The gathered-column gains _CoverageEvaluator computed before, verbatim."""
-    return np.maximum(S[:, c] - best[:, None], 0.0).sum(axis=0)
+def _reference_gains(S, best, c, weights=None):
+    """The gathered-column gains _CoverageEvaluator computed before, verbatim,
+    each row's term multiplied by its weight when weights are given."""
+    d = np.maximum(S[:, c] - best[:, None], 0.0)
+    return (d if weights is None else d * weights[:, None]).sum(axis=0)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(_SELF_SIZES, st.sampled_from([_ROWS - 1, _ROWS + 1, 2 * _ROWS, 2 * _ROWS + 1])),
+    p=st.sampled_from([1, 65, 700, 1031]),
+    dim=st.integers(1, 6),
+    weighted=st.booleans(),
+    grid=st.booleans(),
+    kind=st.sampled_from(["flcg", "fl", "flqmi", "flqmi_empty"]),
+)
+def test_an_evaluators_first_gains_equal_gathered_column_sums(seed, n, p, dim, weighted, grid, kind):
+    """Every candidate's gain, taken when the evaluator is made by a walk
+    over T's rows in _ROWS-row blocks (on two threads above the gate), has
+    the gathered-column gains' bits before any add: FLCG on S_uu as core
+    builds it, weighted or not, rectangular facility location (p x n), and
+    FLQMI against a query of p rows or an empty one."""
+    R, best, weights = _scored_inputs(seed, n, dim, weighted, grid)
+    P = normalize_rows(_rows(np.random.default_rng([seed, 1]), p, dim, grid))
+    if kind == "flcg":
+        f = FLCG._built(_kernel(R, R).T, best, weights)
+        S = f.S
+    elif kind == "fl":
+        f = FacilityLocation(_kernel(P, R))
+        S, best, weights = f.S, np.zeros(p), None
+    else:
+        f = FLQMI(_kernel(R, P) if kind == "flqmi" else np.empty((n, 0)))
+        S, best, weights = f.S.T, np.zeros(f.S.shape[1]), None
+    c = np.arange(n)
+    want = _reference_gains(np.ascontiguousarray(S), best, c, weights)
+    if kind.startswith("flqmi"):
+        want += f.S.max(axis=1, initial=0.0)
+    np.testing.assert_array_equal(f.evaluator().gains(c).view(np.int64), want.view(np.int64))
 
 
 @SETTINGS

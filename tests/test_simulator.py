@@ -11,7 +11,8 @@ import streamline.baselines as baselines
 import streamline.core as core
 import streamline.simulator as simulator
 from streamline.core import BudgetState, LabeledSlice, SlicedLabeledPool
-from streamline.maximize import MaximizerConfig
+from streamline.maximize import MaximizerConfig, maximize
+from streamline.setfunctions import FacilityLocation
 from streamline.simulator import (
     METHODS,
     EvalSet,
@@ -63,6 +64,23 @@ def test_every_k_schedule_places_rare_every_kth_round():
 
 def test_sequential_schedule_cycles():
     assert sequential_schedule(6, 4) == (0, 1, 2, 3, 0, 1)
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (every_k_schedule, (6, 1, 0, 3), "n_slices: must be >= 2 when k > 1, got 1"),  # no common slice
+    (every_k_schedule, (6, 4, 0, 0), "k: must be >= 1, got 0"),
+    (every_k_schedule, (6, 4, 0, -2), "k: must be >= 1, got -2"),
+    (every_k_schedule, (6, 4, 0, True), "k: must be an integer, got True"),
+    (every_k_schedule, (6, 4, 9, 3), "rare_slice: must be an integer in [0, 4), got 9"),
+    (every_k_schedule, (6.0, 4, 0, 3), "n_rounds: must be an integer, got 6.0"),
+    (sequential_schedule, (6, 0), "n_slices: must be >= 1, got 0"),
+    (sequential_schedule, (-1, 4), "n_rounds: must be >= 0, got -1"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_schedule_helpers_name_an_argument_out_of_range(make, args, message):
+    """Each raised ZeroDivisionError, or returned a schedule, before."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(*args)
+    assert every_k_schedule(3, 1, 0, 1) == (0, 0, 0)  # every round rare needs no common slice
 
 
 # ----------------------------------------------------------------------- stream
@@ -257,6 +275,7 @@ def test_learner_config_rejects_a_step_size_that_is_not_positive_and_finite(step
     (RunConfig, {"budget": -1}, "budget: must be a nonnegative integer, got -1"),
     (RunConfig, {"rho": 2.0}, "rho: must be a finite number in [0, 1], got 2.0"),
     (RunConfig, {"rho": "0.5"}, "rho: must be a finite number in [0, 1], got '0.5'"),
+    (LearnerConfig, {"step_size": 2.0**65}, "step_size: must be at most 2**64, got 3.6893488147419103e+19"),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_run_settings_reject_a_value_out_of_range_naming_it(cls, override, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -283,7 +302,7 @@ def test_a_budget_gamma_cannot_hold_exactly_is_refused_before_any_round():
 # values of the wrong type and values beyond the float range.
 _HOSTILE = st.one_of(
     st.integers(-2, 6),
-    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, math.nan, math.inf, -math.inf]),
+    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]),
     st.sampled_from([10**400, -(10**400), True, False, None, "3", "x", ""]),
 )
 _BASE = {
@@ -291,6 +310,7 @@ _BASE = {
                      schedule=(0, 1, 2)),
     LearnerConfig: dict(epochs=5),
     RunConfig: dict(budget=5, learner=LearnerConfig(epochs=3)),
+    MaximizerConfig: dict(budget=5, algorithm="stochastic", epsilon=0.5),
 }
 
 
@@ -298,11 +318,11 @@ _BASE = {
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_dataclasses_built_from_hostile_values_raise_a_named_value_error_or_work(cls, data):
-    """StreamSpec, LearnerConfig and RunConfig check every value they hold
-    when they are built: a hostile value either raises a ValueError whose
-    message starts with a field of that type, or is one the stream, the fit
-    or the run then uses without error (at small sizes; a config caps the
-    large ones)."""
+    """StreamSpec, LearnerConfig, RunConfig and MaximizerConfig (stochastic)
+    check every value they hold when they are built: a hostile value either
+    raises a ValueError whose message starts with a field of that type, or
+    is one the stream, the fit, the greedy or the run then uses without
+    error (at small sizes; a config caps the large ones)."""
     names = [f.name for f in fields(cls) if f.name not in ("schedule", "maximizer", "learner")]
     changed = data.draw(st.dictionaries(st.sampled_from(names), _HOSTILE, min_size=1, max_size=2))
     try:
@@ -318,6 +338,8 @@ def test_dataclasses_built_from_hostile_values_raise_a_named_value_error_or_work
         if built.epochs <= 100:
             X, y = np.arange(12.0).reshape(6, 2), np.array([0, 1, 2, 0, 1, 2])
             assert np.isfinite(fit_logistic(X, y, built).W).all()
+    elif cls is MaximizerConfig:
+        assert len(maximize(FacilityLocation(np.eye(4)), built).chosen) == min(built.budget, 4)
     elif built.budget <= 100:
         spec = StreamSpec(n_slices=2, n_classes=2, dim=4, common_pool_size=10, episode_size=10, eval_per_slice=10,
                           schedule=(0, 1))

@@ -3,6 +3,8 @@
 Every name a module imports is used in that module, so a change that
 deletes the last caller of an imported name also deletes the import. An
 import kept for another reason carries `# noqa: F401` and is listed here.
+No module but kernels.py names the helper thread, so all two-thread work
+goes through kernels._walk.
 """
 
 import ast
@@ -39,3 +41,15 @@ def test_no_module_imports_a_name_it_does_not_use():
                     unused.append(f"{path.name}: {name}")
     assert unused == []
     assert marked == KEPT
+
+
+def test_only_kernels_names_the_helper_thread():
+    naming = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        if "_helper" in names:
+            naming.append(path.name)
+    assert naming == ["kernels.py"]
